@@ -1,82 +1,33 @@
-"""Tensor-contraction kernels with an optional numba fast path.
+"""Tensor-contraction kernel over the stored entries of a density matrix.
 
 The single hot loop of the package is the trace of a density matrix against
 a tensor product of single-mode 2x2 operators.  It is evaluated once per
 Bell-observable query and tens of thousands of times inside the free-function
-optimizer, so it carries a compiled kernel.
-
-Backend selection: the environment variable ``CVBELL_NUMBA`` picks the path.
-Unset or ``"1"`` uses numba when importable; ``"0"`` (or ``"false"``/``"off"``)
-forces the pure-numpy fallback.  Both paths are exercised by the test suite
-and compared by ``benchmarks/bench_contraction.py``.
+optimizer.  The states it sees have 2^r + 2^(N-r) + 1 nonzero entries out
+of 4^N, so the trace is summed over those entries only.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("CVBELL_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _FLAG not in ("0", "false", "off", "no")
 
-try:
-    from numba import njit
+def tensor_expectation(rho, mats) -> complex:
+    """Tr(rho * M_1 (x) M_2 (x) ... (x) M_n) for 2x2 operators M_k.
 
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and _WANT_NUMBA
-
-
-def _contract_numpy(rho: np.ndarray, mats: np.ndarray) -> complex:
-    """Tr(rho * kron(mats[0], ..., mats[n-1])) by mode-by-mode contraction.
-
-    ``rho`` is (2**n, 2**n); ``mats`` is (n, 2, 2).  The big operator product
-    is never materialized: each step contracts one mode's row/column axis
-    pair, shrinking the tensor by a factor 4.
+    ``rho`` is a COO array (``.row``, ``.col``, ``.data``) of shape
+    (2**n, 2**n) with mode 0 as the most significant bit; ``mats`` is
+    (n, 2, 2).  Tr(rho A) = sum over entries (i, j) of
+    rho[i, j] * prod_k M_k[j_k, i_k].
     """
-    n = mats.shape[0]
-    t = rho.reshape((2,) * (2 * n))
-    for k in range(n):
-        # Tr(rho A) = sum_{i,j} rho[i, j] * prod_k M_k[j_k, i_k]; after k
-        # contractions the leading row axis is 0 and its column partner
-        # sits at position n - k.
-        t = np.tensordot(mats[k].T, t, axes=([0, 1], [0, n - k]))
-    return complex(t)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _contract_numba(rho, mats):  # pragma: no cover - exercised via dispatch
-        n = mats.shape[0]
-        dim = rho.shape[0]
-        acc = 0.0 + 0.0j
-        for i in range(dim):
-            for j in range(dim):
-                r = rho[i, j]
-                if r == 0.0:
-                    continue
-                prod = 1.0 + 0.0j
-                for k in range(n):
-                    shift = n - 1 - k
-                    jk = (j >> shift) & 1
-                    ik = (i >> shift) & 1
-                    prod *= mats[k, jk, ik]
-                acc += r * prod
-        return acc
-
-
-def tensor_expectation(rho: np.ndarray, mats) -> complex:
-    """Tr(rho * M_1 (x) M_2 (x) ... (x) M_n) for 2x2 operators M_k."""
-    m = np.ascontiguousarray(np.asarray(mats, dtype=np.complex128))
-    r = np.ascontiguousarray(np.asarray(rho, dtype=np.complex128))
-    if USE_NUMBA:
-        return complex(_contract_numba(r, m))
-    return _contract_numpy(r, m)
+    m = np.asarray(mats, dtype=np.complex128)
+    n = m.shape[0]
+    shifts = np.arange(n - 1, -1, -1)
+    j = (rho.col[:, None] >> shifts) & 1       # (entries, modes) occupation bits
+    i = (rho.row[:, None] >> shifts) & 1
+    factors = m[np.arange(n), j, i]
+    return complex(factors.prod(axis=1) @ rho.data)
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"

@@ -38,6 +38,7 @@ from .quadrature import DEFAULT_ORDER, QUICK_ORDER, gauss_hermite_rule, kernel_i
 from .variational import fit_optimal_epsilon, optimize_function
 
 ORACLE_CHECK_TOL = 1e-6
+ORACLE_CHECK_N_MAX = 24
 MK_RSWEEP_TOL = 1e-8
 
 
@@ -209,8 +210,8 @@ def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
 
 
 def _cmd_oracle_check(args) -> int:
-    if not 3 <= args.n_min <= args.n_max <= 8:
-        raise ValueError("oracle-check grid is limited to 3 <= n <= 8")
+    if not 3 <= args.n_min <= args.n_max <= ORACLE_CHECK_N_MAX:
+        raise ValueError(f"oracle-check grid is limited to 3 <= n <= {ORACLE_CHECK_N_MAX}")
     rule = gauss_hermite_rule(args.order)
     lines = []
     worst = 0.0

@@ -180,15 +180,6 @@ def curve_to_csv_rows(curve: CriticalCurve):
     return rows
 
 
-def curve_to_csv_text(curve: CriticalCurve) -> str:
-    """Deterministic CSV (12 significant digits, LF) of a threshold curve."""
-    lines = ["N,value,parameter,inequality_id,converged_flag"]
-    for n, value, parameter, ineq, flag in curve_to_csv_rows(curve):
-        val = "" if value == "" else f"{value:.12g}"
-        lines.append(f"{n},{val},{parameter},{ineq},{flag}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # asymptotics
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import tensor_expectation
-from .model import SQRT_2_OVER_PI, AngleConfig, DensityMatrix, StateSpec
+from .model import SQRT_2_OVER_PI, AngleConfig, DensityMatrix, StateSpec, _site_correlators
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,8 @@ def mk_optimal_angles(n: int, r: int) -> AngleConfig:
     return AngleConfig(theta=tuple(theta), theta_prime=tuple(theta_prime))
 
 
-def _binned_site_matrix(theta: float, theta_prime: float) -> np.ndarray:
-    m = SQRT_2_OVER_PI
-    o = np.zeros((2, 2), dtype=complex)
-    o[0, 1] = m * (np.exp(-1j * theta) + 1j * np.exp(-1j * theta_prime))
-    o[1, 0] = m * (np.exp(1j * theta) + 1j * np.exp(1j * theta_prime))
-    return o
-
-
 def _correlator(rho: DensityMatrix, theta, theta_prime) -> complex:
-    mats = np.stack([
-        _binned_site_matrix(t, tp) for t, tp in zip(theta, theta_prime)
-    ])
+    mats = _site_correlators(SQRT_2_OVER_PI, SQRT_2_OVER_PI, theta, theta_prime)
     return tensor_expectation(rho.matrix, mats)
 
 
@@ -77,8 +67,8 @@ def mk_evaluate(rho: DensityMatrix, angles: AngleConfig) -> MKResult:
     """Evaluate |S_N| on an explicit state, maximizing over combinations.
 
     The correlator Pi_N = < prod_k [sign(x^theta_k) + i sign(x^theta'_k)] >
-    is contracted mode by mode; the exchanged-observable correlator swaps the
-    roles of theta and theta' at every site.
+    is summed over the state's stored entries; the exchanged-observable
+    correlator swaps the roles of theta and theta' at every site.
     """
     n = rho.n_modes
     if angles.n_modes != n:

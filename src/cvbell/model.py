@@ -4,7 +4,8 @@ The states live on N optical modes restricted to at most one photon each, so
 an N-mode density matrix is 2^N x 2^N, indexed by occupation bitstrings with
 mode 0 as the most significant bit.  That restriction is exact here: the
 states of interest start inside the subspace and photon loss never raises an
-occupation number.
+occupation number.  Only the nonzero entries are stored: the detected state
+has 2^r + 2^(N-r) + 1 of them.
 
 Quadrature convention: a = X + iP, vacuum variance 1/4, so the single-photon
 sector wavefunctions are psi_0(x) = (2/pi)^(1/4) e^(-x^2) and
@@ -21,12 +22,14 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
+from scipy.sparse import coo_array
 
 from .errors import ResourceLimitError
 from .quadrature import QuadratureRule, check_odd, integrate
 
-#: Hard cap on materializing 2^N x 2^N matrices.
-MAX_MODES_DENSE = 14
+#: Hard cap on the stored entries of a detected state: 32 bytes each, and
+#: eight times that while the loss channel is being applied.
+MAX_STATE_ENTRIES = 2 ** 16
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
@@ -208,16 +211,21 @@ class AngleConfig:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """2^N-dimensional density matrix over occupation bitstrings (mode 0 = MSB)."""
+    """2^N-dimensional density matrix over occupation bitstrings (mode 0 = MSB).
+
+    ``matrix`` may be given dense or sparse; it is stored as a COO array of
+    its nonzero entries with duplicates summed.
+    """
 
     n_modes: int
-    matrix: np.ndarray
+    matrix: coo_array
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = coo_array(self.matrix, dtype=complex)
         dim = 2 ** self.n_modes
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match 2^{self.n_modes}")
+        m.sum_duplicates()
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -227,7 +235,7 @@ class DensityMatrix:
     def check(self, herm_tol: float = 1e-12, trace_tol: float = 1e-12,
               psd_tol: float = -1e-10) -> None:
         """Validate Hermiticity, unit trace, and positive semidefiniteness."""
-        m = self.matrix
+        m = self.matrix.toarray()
         herm = np.max(np.abs(m - m.conj().T))
         if herm > herm_tol:
             raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
@@ -241,35 +249,27 @@ class DensityMatrix:
     def to_debug_json(self, threshold: float = 0.0) -> str:
         """Serialize nonzero entries keyed by 'rowbits|colbits' for fixtures."""
         n = self.n_modes
-        entries = {}
-        rows, cols = np.nonzero(np.abs(self.matrix) > threshold)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            v = self.matrix[i, j]
-            key = f"{i:0{n}b}|{j:0{n}b}"
-            entries[key] = [float(v.real), float(v.imag)]
+        m = self.matrix
+        keep = np.abs(m.data) > threshold
+        entries = {
+            f"{i:0{n}b}|{j:0{n}b}": [v.real, v.imag]
+            for i, j, v in zip(m.row[keep].tolist(), m.col[keep].tolist(),
+                               m.data[keep].tolist())
+        }
         return json.dumps({"n_modes": n, "entries": entries}, sort_keys=True)
 
     @classmethod
     def from_debug_json(cls, payload: str) -> "DensityMatrix":
         data = json.loads(payload)
         n = int(data["n_modes"])
-        m = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        rows, cols, vals = [], [], []
         for key, (re, im) in data["entries"].items():
             row, col = key.split("|")
-            m[int(row, 2), int(col, 2)] = complex(re, im)
+            rows.append(int(row, 2))
+            cols.append(int(col, 2))
+            vals.append(complex(re, im))
+        m = coo_array((np.array(vals), (rows, cols)), shape=(2 ** n, 2 ** n))
         return cls(n_modes=n, matrix=m)
-
-
-def _apply_single_mode_channel(tensor: np.ndarray, kraus, mode: int, n: int) -> np.ndarray:
-    """Apply sum_K K rho K^dag on one mode of the (2,)*2N density tensor."""
-    out = None
-    for K in kraus:
-        t = np.tensordot(K, tensor, axes=([1], [mode]))
-        t = np.moveaxis(t, 0, mode)
-        t = np.tensordot(t, K.conj().T, axes=([n + mode], [0]))
-        t = np.moveaxis(t, -1, n + mode)
-        out = t if out is None else out + t
-    return out
 
 
 def loss_kraus(eta: float):
@@ -298,28 +298,46 @@ def density_matrix(spec: StateSpec) -> DensityMatrix:
 
     Construction order: the two-branch superposition, occupation-basis
     dephasing to weight ``purity`` (which only scales the two off-diagonal
-    entries), then the per-mode amplitude-damping channel.  Dephasing and
+    entries), then the per-mode amplitude-damping channel, applied to every
+    stored entry |i><j| as sum_K K|i_k><j_k|K^dag on mode k.  Dephasing and
     loss commute for this family, so the order is a documentation choice,
     not a physical one.
+
+    Each branch's diagonal spreads over the 2^r (resp. 2^(N-r)) patterns its
+    photons can lose, sharing the vacuum; the two coherences stay single
+    entries.  That count, 2^r + 2^(N-r) + 1, is checked against
+    ``MAX_STATE_ENTRIES`` before anything is built.
     """
     n, r = spec.n_modes, spec.r_split
-    if n > MAX_MODES_DENSE:
+    entries = 2 ** r + 2 ** (n - r) + 1
+    if entries > MAX_STATE_ENTRIES:
         raise ResourceLimitError(
-            f"n_modes={n} exceeds the dense-matrix guard of {MAX_MODES_DENSE}"
+            f"n_modes={n}, r_split={r} gives a state of {entries} entries, "
+            f"above the budget of {MAX_STATE_ENTRIES}"
         )
-    dim = 2 ** n
     a, b = branch_indices(n, r)
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[a, a] += 0.5
-    rho[b, b] += 0.5
-    rho[a, b] = 0.5 * spec.purity
-    rho[b, a] = 0.5 * spec.purity
+    rows = np.array([a, b, a, b], dtype=np.int64)
+    cols = np.array([a, b, b, a], dtype=np.int64)
+    vals = np.array([0.5, 0.5, 0.5 * spec.purity, 0.5 * spec.purity], dtype=complex)
 
-    kraus = loss_kraus(spec.efficiency)
-    t = rho.reshape((2,) * (2 * n))
-    for k in range(n):
-        t = _apply_single_mode_channel(t, kraus, k, n)
-    return DensityMatrix(n_modes=n, matrix=t.reshape(dim, dim))
+    kraus = np.stack(loss_kraus(spec.efficiency))      # (Kraus op, out, in)
+    levels = np.arange(2, dtype=np.int64)[:, None]
+    for shift in range(n):
+        # term [K, s, t, e] = K[s, i] rho_e conj(K[t, j]), where i and j are
+        # this mode's bits of entry e's row and column, lands on that row with
+        # the bit set to s and that column with the bit set to t
+        left = kraus[:, :, (rows >> shift) & 1]
+        right = kraus[:, :, (cols >> shift) & 1].conj()
+        terms = left[:, :, None, :] * right[:, None, :, :] * vals
+        new_rows = (rows & ~(1 << shift)) | (levels << shift)
+        new_cols = (cols & ~(1 << shift)) | (levels << shift)
+        rows = np.broadcast_to(new_rows[None, :, None, :], terms.shape).ravel()
+        cols = np.broadcast_to(new_cols[None, None, :, :], terms.shape).ravel()
+        vals = terms.ravel()
+        keep = vals != 0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    dim = 2 ** n
+    return DensityMatrix(n_modes=n, matrix=coo_array((vals, (rows, cols)), shape=(dim, dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +386,21 @@ def single_mode_element(f, m: int, n: int, theta: float, rule: QuadratureRule) -
     return np.exp(1j * theta * (m - n)) * amp
 
 
+def _site_correlators(mf: float, mg: float, theta, theta_prime) -> np.ndarray:
+    """Correlator operators f(X^theta_k) + i g(X^theta'_k), stacked over sites.
+
+    ``mf`` and ``mg`` are the raising amplitudes <0|f|1> and <0|g|1>; the
+    diagonal is zero for odd functions.  Scalar angles give one 2x2 matrix,
+    length-n angle sequences an (n, 2, 2) stack.
+    """
+    th = np.asarray(theta, dtype=float)
+    thp = np.asarray(theta_prime, dtype=float)
+    o = np.zeros(th.shape + (2, 2), dtype=complex)
+    o[..., 0, 1] = np.exp(-1j * th) * mf + 1j * np.exp(-1j * thp) * mg
+    o[..., 1, 0] = np.exp(1j * th) * mf + 1j * np.exp(1j * thp) * mg
+    return o
+
+
 def site_operator(f, g, theta: float, theta_prime: float, rule: QuadratureRule):
     """Build the pair of 2x2 site operators entering the two inequality sides.
 
@@ -378,11 +411,8 @@ def site_operator(f, g, theta: float, theta_prime: float, rule: QuadratureRule):
     for fn in (f, g):
         if not isinstance(fn, MeasurementFunction):
             check_odd(_as_odd_callable(fn), rule)
-    mf = raising_amplitude(f, rule)
-    mg = raising_amplitude(g, rule)
-    O = np.zeros((2, 2), dtype=complex)
-    O[0, 1] = np.exp(-1j * theta) * mf + 1j * np.exp(-1j * theta_prime) * mg
-    O[1, 0] = np.exp(1j * theta) * mf + 1j * np.exp(1j * theta_prime) * mg
+    O = _site_correlators(raising_amplitude(f, rule), raising_amplitude(g, rule),
+                          theta, theta_prime)
     qf0, qf1 = squared_moments(f, rule)
     qg0, qg1 = squared_moments(g, rule)
     Q = np.array([[qf0 + qg0, 0.0], [0.0, qf1 + qg1]], dtype=complex)

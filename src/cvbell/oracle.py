@@ -25,6 +25,7 @@ from .model import (
     MeasurementFunction,
     Optimal,
     StateSpec,
+    _site_correlators,
     density_matrix,
     raising_amplitude,
     squared_moments,
@@ -60,13 +61,6 @@ def orthogonal_angles(n: int, r: int, base: float = 0.0) -> AngleConfig:
     return AngleConfig(theta=theta, theta_prime=theta_prime)
 
 
-def _site_correlator_matrix(mf: float, mg: float, th: float, thp: float) -> np.ndarray:
-    o = np.zeros((2, 2), dtype=complex)
-    o[0, 1] = np.exp(-1j * th) * mf + 1j * np.exp(-1j * thp) * mg
-    o[1, 0] = np.exp(1j * th) * mf + 1j * np.exp(1j * thp) * mg
-    return o
-
-
 def _function_id(f, g) -> str:
     fl = getattr(f, "label", getattr(f, "__name__", "callable"))
     gl = getattr(g, "label", getattr(g, "__name__", "callable"))
@@ -77,8 +71,8 @@ def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig, rule: QuadratureRule
              inequality_id: str = "functional") -> BellResult:
     """Evaluate both sides of the inequality on an explicit density matrix.
 
-    The tensor-product traces are contracted mode by mode; the 2^N x 2^N
-    operator products are never formed.
+    The tensor-product traces are summed over the state's stored entries;
+    the 2^N x 2^N operator products are never formed.
     """
     n = rho.n_modes
     if angles.n_modes != n:
@@ -93,12 +87,8 @@ def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig, rule: QuadratureRule
     mg = raising_amplitude(g, rule)
     qf0, qf1 = squared_moments(f, rule)
     qg0, qg1 = squared_moments(g, rule)
-    q_ref = np.array([[qf0 + qg0, 0.0], [0.0, qf1 + qg1]], dtype=complex)
-    o_mats = np.stack([
-        _site_correlator_matrix(mf, mg, angles.theta[k], angles.theta_prime[k])
-        for k in range(n)
-    ])
-    q_mats = np.stack([q_ref] * n)
+    o_mats = _site_correlators(mf, mg, angles.theta, angles.theta_prime)
+    q_mats = np.broadcast_to(np.diag([qf0 + qg0, qf1 + qg1]), (n, 2, 2))
     corr = tensor_expectation(rho.matrix, o_mats)
     lhs = abs(corr) ** 2
     rhs = tensor_expectation(rho.matrix, q_mats).real

@@ -164,6 +164,14 @@ class TestOracleCheck:
         assert code == 1
         assert "BREACH" in report
 
+    def test_grid_ceiling(self, capsys):
+        assert run_cli(["oracle-check", "--n-min", "24", "--n-max", "24"]) == 0
+        assert "status: OK" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as err:
+            run_cli(["oracle-check", "--n-min", "3", "--n-max", "25"])
+        assert err.value.code == 2
+        assert "limited to 3 <= n <= 24" in capsys.readouterr().err
+
     def test_report_file(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
         assert run_cli(["oracle-check", "--n-min", "3", "--n-max", "3",

@@ -8,7 +8,6 @@ from cvbell.critical import (
     critical_efficiency,
     critical_purity,
     curve_to_csv_rows,
-    curve_to_csv_text,
 )
 from cvbell.mk_binning import mk_critical_product
 
@@ -97,17 +96,6 @@ class TestCurves:
             assert ineq == "functional"
             if flag == "converged":
                 assert 0.3 < value <= 1.0
-
-    def test_curve_csv_text(self, rule):
-        curve = critical_curve("mk", "purity", (3, 4), rule)
-        text = curve_to_csv_text(curve)
-        lines = text.splitlines()
-        assert lines[0] == "N,value,parameter,inequality_id,converged_flag"
-        assert len(lines) == 3
-        assert text.endswith("\n") and "\r" not in text
-        n, value, parameter, ineq, flag = lines[1].split(",")
-        assert (n, parameter, ineq, flag) == ("3", "purity", "mk", "converged")
-        assert abs(float(value) - np.sqrt(mk_critical_product(3))) < 1e-9
 
 
 class TestAsymptotics:

@@ -1,11 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from scipy.sparse import coo_array
 
 from cvbell import _accel
+from cvbell.model import StateSpec, branch_indices, density_matrix, loss_kraus
 
 
 def random_case(rng, n):
@@ -23,93 +21,60 @@ def dense_reference(rho, mats):
     return np.trace(rho @ big)
 
 
+def dense_state(spec):
+    """The detected state built with full 2^N x 2^N Kraus operators."""
+    n, r = spec.n_modes, spec.r_split
+    a, b = branch_indices(n, r)
+    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho[a, a] = rho[b, b] = 0.5
+    rho[a, b] = rho[b, a] = 0.5 * spec.purity
+    for k in range(n):
+        out = np.zeros_like(rho)
+        for kraus in loss_kraus(spec.efficiency):
+            op = np.kron(np.kron(np.eye(2 ** k), kraus), np.eye(2 ** (n - k - 1)))
+            out += op @ rho @ op.conj().T
+        rho = out
+    return rho
+
+
 class TestBackends:
     def test_numpy_path_against_dense_kron(self):
         rng = np.random.default_rng(1)
         for n in range(1, 7):
             rho, mats = random_case(rng, n)
-            got = _accel._contract_numpy(rho, mats)
-            assert got == pytest.approx(dense_reference(rho, mats), rel=1e-12)
-
-    @pytest.mark.skipif(not _accel.HAS_NUMBA, reason="numba not installed")
-    def test_numba_path_against_dense_kron(self):
-        rng = np.random.default_rng(2)
-        for n in range(1, 7):
-            rho, mats = random_case(rng, n)
-            got = _accel._contract_numba(
-                np.ascontiguousarray(rho.astype(complex)),
-                np.ascontiguousarray(mats.astype(complex)))
-            assert got == pytest.approx(dense_reference(rho, mats), rel=1e-12)
-
-    @pytest.mark.skipif(not _accel.HAS_NUMBA, reason="numba not installed")
-    def test_backends_agree(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 4, 6):
-            rho, mats = random_case(rng, n)
-            a = _accel._contract_numpy(rho, mats)
-            b = _accel._contract_numba(
-                np.ascontiguousarray(rho.astype(complex)),
-                np.ascontiguousarray(mats.astype(complex)))
-            assert a == pytest.approx(b, rel=1e-12)
+            got = _accel.tensor_expectation(coo_array(rho), mats)
+            assert got == pytest.approx(dense_reference(rho, mats), rel=1e-13)
 
     def test_sparse_zero_entries_skipped_consistently(self):
         rng = np.random.default_rng(4)
-        rho, mats = random_case(rng, 4)
-        rho[np.abs(rho) < np.median(np.abs(rho))] = 0.0
-        got = _accel.tensor_expectation(rho, mats)
-        assert got == pytest.approx(dense_reference(rho, mats), rel=1e-12)
+        for n in range(1, 7):
+            rho, mats = random_case(rng, n)
+            rho[np.abs(rho) < np.median(np.abs(rho))] = 0.0
+            got = _accel.tensor_expectation(coo_array(rho), mats)
+            assert got == pytest.approx(dense_reference(rho, mats), rel=1e-12)
+
+    def test_detected_state_against_dense_kron(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 7):
+            rho = density_matrix(StateSpec(n, n // 2, 0.9, 0.7))
+            mats = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+            expected = dense_reference(rho.matrix.toarray(), mats)
+            got = _accel.tensor_expectation(rho.matrix, mats)
+            assert got == pytest.approx(expected, rel=1e-13)
 
 
-class TestEnvironmentFlag:
-    def _backend_under_env(self, value):
-        env = dict(os.environ)
-        if value is None:
-            env.pop("CVBELL_NUMBA", None)
-        else:
-            env["CVBELL_NUMBA"] = value
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src"),
-             env.get("PYTHONPATH", "")])
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from cvbell._accel import backend_name; print(backend_name())"],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip()
+class TestSparseState:
+    def test_matches_full_kraus_channel(self):
+        for eta, p in ((0.7, 0.8), (0.25, 1.0), (1.0, 0.6)):
+            for n in range(1, 6):
+                for r in range(n + 1):
+                    spec = StateSpec(n, r, p, eta)
+                    np.testing.assert_allclose(density_matrix(spec).matrix.toarray(),
+                                               dense_state(spec), rtol=0, atol=1e-15)
 
-    def test_disable_flag_forces_numpy(self):
-        assert self._backend_under_env("0") == "numpy"
-
-    @pytest.mark.skipif(not _accel.HAS_NUMBA, reason="numba not installed")
-    def test_default_prefers_numba(self):
-        assert self._backend_under_env(None) == "numba"
-
-    def test_numpy_fallback_produces_same_bell_values(self):
-        env = dict(os.environ)
-        env["CVBELL_NUMBA"] = "0"
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src"),
-             env.get("PYTHONPATH", "")])
-        code = (
-            "import cvbell as cb\n"
-            "rule = cb.gauss_hermite_rule(64)\n"
-            "spec = cb.StateSpec(5, 2, 0.9, 0.9)\n"
-            "rho = cb.density_matrix(spec)\n"
-            "eps = cb.solve_epsilon_odd(5, 0.9, rule).epsilon_odd\n"
-            "f = cb.Optimal(eps)\n"
-            "r = cb.evaluate(rho, f, f, cb.orthogonal_angles(5, 2), rule)\n"
-            "print(repr(r.ratio))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        fallback_ratio = float(proc.stdout.strip())
-
-        import cvbell as cb
-        rule = cb.gauss_hermite_rule(64)
-        spec = cb.StateSpec(5, 2, 0.9, 0.9)
-        rho = cb.density_matrix(spec)
-        eps = cb.solve_epsilon_odd(5, 0.9, rule).epsilon_odd
-        f = cb.Optimal(eps)
-        local_ratio = cb.evaluate(rho, f, f, cb.orthogonal_angles(5, 2), rule).ratio
-        assert fallback_ratio == pytest.approx(local_ratio, rel=1e-13)
+    def test_entry_count(self):
+        for eta, p in ((0.9, 1.0), (0.3, 0.05)):
+            for n in range(1, 13):
+                for r in range(n + 1):
+                    rho = density_matrix(StateSpec(n, r, p, eta))
+                    assert rho.matrix.nnz == 2 ** r + 2 ** (n - r) + 1

@@ -2,10 +2,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_array
 
 from cvbell._accel import tensor_expectation
-from cvbell.functional_bell import bell_value, ideal_epsilon, solve_epsilon_even
+from cvbell.errors import ResourceLimitError
+from cvbell.functional_bell import (
+    bell_value,
+    cfrd_bell_value,
+    ideal_epsilon,
+    solve_epsilon_even,
+    solve_epsilon_odd,
+)
+from cvbell.mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
 from cvbell.model import (
+    MAX_STATE_ENTRIES,
     AngleConfig,
     DensityMatrix,
     Identity,
@@ -191,7 +203,7 @@ class TestFullAngleGrid:
             f"{combo_axes[k]}{cols[k]}{rows[k]}" for k in range(n)
         )
         sub = f"{rows}{cols},{terms}->{combo_axes}"
-        t = rho.matrix.reshape((2,) * (2 * n))
+        t = rho.matrix.toarray().reshape((2,) * (2 * n))
         return np.einsum(sub, t, *([combos] * n))
 
     def test_einsum_helper_agrees_with_evaluate(self, rule):
@@ -228,5 +240,38 @@ class TestContractionBackend:
         mats = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
         dense = np.kron(np.kron(mats[0], mats[1]), mats[2])
         expected = np.trace(rho @ dense)
-        got = tensor_expectation(rho, mats)
+        got = tensor_expectation(coo_array(rho), mats)
         assert got == pytest.approx(expected, rel=1e-13)
+
+
+def close(got, want, rel):
+    # a side that underflows into subnormals keeps fewer than 53 bits
+    return abs(got - want) <= rel * abs(want) + 1e-300
+
+
+class TestSparseOracleProperties:
+    """Closed forms against the sparse Fock-space oracle on random scenarios."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 24), eta=st.floats(0.3, 1.0), p=st.floats(0.0, 1.0))
+    def test_closed_forms_match_oracle(self, rule, n, eta, p):
+        r = n // 2
+        spec = StateSpec(n, r, p, eta)
+        rho = density_matrix(spec)
+        angles = orthogonal_angles(n, r)
+        if n % 2 == 0:
+            eps = solve_epsilon_even(eta, rule).epsilon_lossy
+        else:
+            eps = solve_epsilon_odd(n, eta, rule).epsilon_odd
+        for closed, f in ((bell_value(spec, rule), Optimal(eps)),
+                          (cfrd_bell_value(spec, rule), Identity())):
+            assert close(evaluate(rho, f, f, angles, rule).ratio, closed.ratio, 1e-9)
+
+        for r_mk in range(1, n + 1):
+            spec_mk = StateSpec(n, r_mk, p, eta)
+            if 2 ** r_mk + 2 ** (n - r_mk) + 1 > MAX_STATE_ENTRIES:
+                with pytest.raises(ResourceLimitError):
+                    density_matrix(spec_mk)
+                continue
+            s_value = mk_evaluate(density_matrix(spec_mk), mk_optimal_angles(n, r_mk)).s_value
+            assert close(s_value, mk_bell_value(spec_mk), 1e-9)
