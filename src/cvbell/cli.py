@@ -35,7 +35,7 @@ from .mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
 from .model import Identity, Optimal, SignBin, StateSpec, density_matrix
 from .oracle import evaluate, optimize_epsilon_numeric, orthogonal_angles
 from .quadrature import DEFAULT_ORDER, QUICK_ORDER, gauss_hermite_rule, kernel_integrals
-from .variational import fit_optimal_epsilon, optimize_function
+from .variational import MAX_MODES as MAX_FREE_MODES, fit_optimal_epsilon, optimize_function
 
 ORACLE_CHECK_TOL = 1e-6
 ORACLE_CHECK_N_MAX = 24
@@ -249,8 +249,12 @@ def _cmd_oracle_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_optimize(args) -> int:
-    if args.n > 10:
-        raise ValueError("free-function optimization is limited to 10 modes")
+    if not 2 <= args.n <= MAX_FREE_MODES:
+        raise ValueError(f"--n must lie in [2, {MAX_FREE_MODES}], got {args.n}")
+    if args.order < 4:
+        raise ValueError(
+            f"--order must be at least 4 (one node value beyond the gauge), got {args.order}"
+        )
     rule = gauss_hermite_rule(args.order)
     r = args.r if args.r is not None else _canonical_r(args.n)
     spec = StateSpec(n_modes=args.n, r_split=r, purity=args.p, efficiency=args.eta)

@@ -67,6 +67,35 @@ def _function_id(f, g) -> str:
     return fl if fl == gl else f"{fl}|{gl}"
 
 
+def _site_operators(rho: DensityMatrix, f, g, angles: AngleConfig,
+                    rule: QuadratureRule) -> Tuple[np.ndarray, np.ndarray]:
+    """Correlator and bound-side operators of every site, (n, 2, 2) each.
+
+    Both depend on f and g only through four site scalars: the raising
+    amplitudes mf = <0|f|1>, mg = <0|g|1> and the bound-side diagonal
+    Q = f^2 + g^2 = diag(Q0, Q1).  When g is f its moments are not computed a
+    second time.
+    """
+    n = rho.n_modes
+    if angles.n_modes != n:
+        raise ValueError(
+            f"angle list has {angles.n_modes} sites but the state has {n} modes"
+        )
+    for fn in (f,) if g is f else (f, g):
+        if not isinstance(fn, MeasurementFunction):
+            check_odd(fn, rule)
+    mf = raising_amplitude(f, rule)
+    qf0, qf1 = squared_moments(f, rule)
+    if g is f:
+        mg, qg0, qg1 = mf, qf0, qf1
+    else:
+        mg = raising_amplitude(g, rule)
+        qg0, qg1 = squared_moments(g, rule)
+    o_mats = _site_correlators(mf, mg, angles.theta, angles.theta_prime)
+    q_mats = np.broadcast_to(np.diag([qf0 + qg0, qf1 + qg1]), (n, 2, 2))
+    return o_mats, q_mats
+
+
 def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig, rule: QuadratureRule,
              inequality_id: str = "functional") -> BellResult:
     """Evaluate both sides of the inequality on an explicit density matrix.
@@ -74,21 +103,7 @@ def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig, rule: QuadratureRule
     The tensor-product traces are summed over the state's stored entries;
     the 2^N x 2^N operator products are never formed.
     """
-    n = rho.n_modes
-    if angles.n_modes != n:
-        raise ValueError(
-            f"angle list has {angles.n_modes} sites but the state has {n} modes"
-        )
-    for fn in (f, g):
-        if not isinstance(fn, MeasurementFunction):
-            check_odd(fn, rule)
-    # Angle-independent single-site data is computed once.
-    mf = raising_amplitude(f, rule)
-    mg = raising_amplitude(g, rule)
-    qf0, qf1 = squared_moments(f, rule)
-    qg0, qg1 = squared_moments(g, rule)
-    o_mats = _site_correlators(mf, mg, angles.theta, angles.theta_prime)
-    q_mats = np.broadcast_to(np.diag([qf0 + qg0, qf1 + qg1]), (n, 2, 2))
+    o_mats, q_mats = _site_operators(rho, f, g, angles, rule)
     corr = tensor_expectation(rho.matrix, o_mats)
     lhs = abs(corr) ** 2
     rhs = tensor_expectation(rho.matrix, q_mats).real
@@ -99,6 +114,58 @@ def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig, rule: QuadratureRule
         inequality_id=inequality_id,
         function_id=_function_id(f, g),
         angles=angles,
+    )
+
+
+@dataclass(frozen=True)
+class RatioPartials:
+    """The Bell ratio and its partial derivatives in the site scalars.
+
+    ``d_amplitude`` is (d ratio/d mf, d ratio/d mg), or, when g is f, the
+    single derivative along the common amplitude mf = mg.  ``d_moments`` is
+    (d ratio/d Q0, d ratio/d Q1).
+    """
+
+    ratio: float
+    d_amplitude: np.ndarray
+    d_moments: np.ndarray
+
+
+def ratio_partials(rho: DensityMatrix, f, g, angles: AngleConfig,
+                   rule: QuadratureRule) -> RatioPartials:
+    """The ratio of ``evaluate`` together with its site-scalar partials.
+
+    Every site operator is linear in the site scalars, so the partial of a
+    contraction is the sum over sites of the same contraction with that
+    site's operator replaced by its derivative: n contractions per scalar,
+    3n + 2 in all when g is f and 4n + 2 otherwise.
+    """
+    n = rho.n_modes
+    th, thp = angles.theta, angles.theta_prime
+    o_mats, q_mats = _site_operators(rho, f, g, angles, rule)
+    corr = tensor_expectation(rho.matrix, o_mats)
+    rhs = tensor_expectation(rho.matrix, q_mats).real
+    ratio = float(abs(corr) ** 2 / rhs)
+
+    def site_sum(mats, d_mats) -> complex:
+        total = 0j
+        for k in range(n):
+            replaced = mats.copy()
+            replaced[k] = d_mats[k]
+            total += tensor_expectation(rho.matrix, replaced)
+        return total
+
+    # the derivative of an operator linear in a scalar is the operator at
+    # that scalar set to one and the others to zero
+    amplitudes = [(1.0, 1.0)] if g is f else [(1.0, 0.0), (0.0, 1.0)]
+    d_corr = [site_sum(o_mats, _site_correlators(a, b, th, thp)) for a, b in amplitudes]
+    d_rhs = [site_sum(q_mats, np.broadcast_to(np.diag(e), (n, 2, 2)))
+             for e in ((1.0, 0.0), (0.0, 1.0))]
+    # ratio = |corr|^2 / rhs and d|corr|^2 = 2 Re(conj(corr) d corr)
+    return RatioPartials(
+        ratio=ratio,
+        d_amplitude=np.array([2.0 * (corr.conjugate() * d).real / rhs for d in d_corr]),
+        d_moments=-ratio / rhs * np.real(d_rhs),
     )
 
 
@@ -153,7 +220,8 @@ def optimize_epsilon_numeric(spec: StateSpec, rule: QuadratureRule,
     angles = orthogonal_angles(spec.n_modes, spec.r_split)
 
     def ratio(eps: float) -> float:
-        return evaluate(rho, Optimal(eps), Optimal(eps), angles, rule).ratio
+        f = Optimal(eps)
+        return evaluate(rho, f, f, angles, rule).ratio
 
     a, b = 1e-9, float(eps_hi)
     c = b - _GOLDEN * (b - a)

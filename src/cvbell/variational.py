@@ -11,6 +11,13 @@ The ratio is scale invariant, which leaves a flat direction that stalls
 quasi-Newton steps.  The gauge pins the value at the smallest positive node
 to ``norm_gauge`` times that node (unit slope through the origin by default)
 and optimizes the remaining values.
+
+Gradients are exact.  The ratio sees the node values only through the site
+scalars of ``oracle.ratio_partials``: the raising amplitude m, linear in the
+values, and the squared moments q0 and q1, quadratic in them.  The chain
+rule through those takes 3N + 2 contractions per gradient (4N + 2 when f and
+g are optimized separately).  BFGS runs on the exact gradient; a few Newton
+steps finish the runs whose line searches stop on roundoff short of gtol.
 """
 
 from __future__ import annotations
@@ -22,9 +29,12 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ConvergenceError
-from .model import Basis, StateSpec, density_matrix
-from .oracle import BellResult, evaluate, orthogonal_angles
+from .model import SQRT_2_OVER_PI, Basis, StateSpec, density_matrix
+from .oracle import BellResult, evaluate, orthogonal_angles, ratio_partials
 from .quadrature import QuadratureRule
+
+#: Largest mode count the free-function optimizer accepts.
+MAX_MODES = 10
 
 
 @dataclass(frozen=True)
@@ -71,35 +81,13 @@ def free_function_from(f, rule: QuadratureRule, norm_gauge: float = 1.0) -> Free
     return FreeFunction(x, np.asarray(fn(x), dtype=float), norm_gauge)
 
 
-def _central_gradient(fun: Callable, x: np.ndarray, rel_step: float) -> np.ndarray:
-    # steps are relative to the overall function scale as well as the entry:
-    # purely entry-relative steps on small tail values push the difference
-    # quotient into evaluation roundoff
-    floor = 0.25 * float(np.max(np.abs(x))) if x.size else 1e-8
-    g = np.empty_like(x)
-    for i in range(x.size):
-        h = rel_step * max(abs(x[i]), floor, 1e-8)
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return g
-
-
 def _fd_hessian(gradient: Callable, x: np.ndarray,
-                step: float = 1e-3) -> np.ndarray:
-    """Symmetrized central differences of the gradient.
-
-    The step is deliberately large: the gradient itself carries differencing
-    noise, and the nearly flat valley directions need curvatures resolved
-    well below that noise divided by a small step.
-    """
+                step: float = 1e-4) -> np.ndarray:
+    """Symmetrized central differences of the exact gradient."""
     n = x.size
-    scale = max(float(np.max(np.abs(x))), 1e-3)
+    h = step * max(float(np.max(np.abs(x))), 1e-3)
     hess = np.empty((n, n))
     for i in range(n):
-        h = step * scale
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
@@ -109,110 +97,92 @@ def _fd_hessian(gradient: Callable, x: np.ndarray,
 
 
 class _RatioProblem:
-    """Shared state for ratio evaluations at fixed scenario and angles."""
+    """Ratio and exact node-value gradient at a fixed scenario and angles."""
 
     def __init__(self, spec: StateSpec, rule: QuadratureRule):
-        if spec.n_modes > 10:
-            raise ValueError("free-function optimization is limited to 10 modes")
+        if spec.n_modes > MAX_MODES:
+            raise ValueError(f"free-function optimization is limited to {MAX_MODES} modes")
         self.rule = rule
         self.rho = density_matrix(spec)
         self.angles = orthogonal_angles(spec.n_modes, spec.r_split)
         self.nodes = rule.positive_nodes
+        # node-value derivatives of the site scalars; the odd mirror doubles
+        # every positive-node weight
+        c = 4.0 * SQRT_2_OVER_PI * rule.weights[rule.nodes > 0.0]
+        self._dm = c * self.nodes                  # dm/dv
+        self._dq0 = c                              # dq0/dv, per unit v
+        self._dq1 = 4.0 * c * self.nodes ** 2      # dq1/dv, per unit v
 
-    def ratio(self, values: np.ndarray, g_values: Optional[np.ndarray] = None) -> float:
+    def result(self, values: np.ndarray, g_values: Optional[np.ndarray] = None) -> BellResult:
         f = Basis(self.nodes, values)
         g = f if g_values is None else Basis(self.nodes, g_values)
-        return evaluate(self.rho, f, g, self.angles, self.rule).ratio
+        return evaluate(self.rho, f, g, self.angles, self.rule)
 
-    def result(self, values: np.ndarray) -> BellResult:
+    def ratio_and_gradient(self, values: np.ndarray,
+                           g_values: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
+        """The ratio and its gradient in the node values of f, then of g.
+
+        Without ``g_values`` the same function sits on both quadratures and
+        the gradient has one entry per node.
+        """
         f = Basis(self.nodes, values)
-        return evaluate(self.rho, f, f, self.angles, self.rule)
+        g = f if g_values is None else Basis(self.nodes, g_values)
+        p = ratio_partials(self.rho, f, g, self.angles, self.rule)
+        d_q0, d_q1 = p.d_moments
+        d_moments = d_q0 * self._dq0 + d_q1 * self._dq1
+        if g_values is None:
+            # Q0 = 2 q0 and Q1 = 2 q1 when f is on both quadratures
+            return p.ratio, p.d_amplitude[0] * self._dm + 2.0 * d_moments * values
+        d_mf, d_mg = p.d_amplitude
+        return p.ratio, np.concatenate((d_mf * self._dm + d_moments * values,
+                                        d_mg * self._dm + d_moments * g_values))
 
 
 def _maximize(objective: Callable, x0: np.ndarray, gtol: float, max_iter: int,
-              rel_step: float,
               iteration_callback: Optional[Callable[[float], None]]):
-    """Drive the gradient max-norm of -objective below gtol; returns (x, norm)."""
+    """Drive the gradient max-norm of the objective below gtol; returns (x, norm).
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        return _central_gradient(objective, x, rel_step)
-
-    scipy_callback = None
+    ``objective`` returns the value to minimize and its exact gradient.  BFGS
+    stops short of gtol when the decrease its line search asks for falls
+    below the objective's roundoff.  Up to three Newton steps, judged by the
+    gradient norm rather than the objective, finish those runs.
+    """
+    callback = None
     if iteration_callback is not None:
-        scipy_callback = lambda xk: iteration_callback(-objective(xk))
-
-    # BFGS with restarts: each restart re-estimates the Hessian and recovers
-    # from line searches that stall on sub-ulp objective improvements.
-    x = np.asarray(x0, dtype=float)
-    iters_left = max_iter
-    grad_norm = np.inf
-    for _ in range(4):
-        res = minimize(
-            objective, x, jac=gradient, method="BFGS",
-            callback=scipy_callback,
-            options={"gtol": gtol, "maxiter": iters_left},
-        )
-        x = res.x
-        iters_left = max(iters_left - max(res.nit, 1), 1)
-        grad_norm = float(np.max(np.abs(gradient(x))))
-        if grad_norm <= gtol:
-            return x, grad_norm
-
-    # Two stall modes remain once line searches exhaust the objective's ulp
-    # resolution.  Node values under negligible quadrature weight see a tiny
-    # slope with an even tinier curvature (the quadratic model cannot move
-    # them), so offending coordinates get an exact scalar minimization.
-    # Coupled residuals then fall to Newton steps on a measured Hessian,
-    # judged by the gradient norm itself rather than the objective.
-    g = gradient(x)
+        callback = lambda intermediate_result: iteration_callback(-intermediate_result.fun)
+    res = minimize(objective, np.asarray(x0, dtype=float), jac=True, method="BFGS",
+                   callback=callback, options={"gtol": gtol, "maxiter": max_iter})
+    x, g = res.x, res.jac
+    gradient = lambda z: objective(z)[1]
     for _ in range(3):
         grad_norm = float(np.max(np.abs(g)))
         if grad_norm <= gtol:
             break
-
-        offenders = [i for i in np.argsort(-np.abs(g)) if abs(g[i]) > 0.5 * gtol]
-        for i in offenders[:12]:
-            xi = x[i]
-            span = max(1.0, 2.0 * abs(xi))
-
-            def along(t, i=i):
-                z = x.copy()
-                z[i] = t
-                return objective(z)
-
-            res1d = minimize_scalar(along, bounds=(xi - span, xi + span),
-                                    method="bounded", options={"xatol": 1e-10})
-            x[i] = float(res1d.x)
-        g = gradient(x)
-        grad_norm = float(np.max(np.abs(g)))
-        if grad_norm <= gtol:
-            break
-
-        # differencing noise can turn small Hessian eigenvalues negative, so
-        # the spectrum is clamped before inverting
-        hess = _fd_hessian(gradient, x)
-        evals, evecs = np.linalg.eigh(hess)
+        # the valley directions are nearly flat, so the spectrum is clamped
+        # before inverting
+        evals, evecs = np.linalg.eigh(_fd_hessian(gradient, x))
         floor = 1e-6 * max(evals[-1], 1e-12)
-        inv = evecs @ np.diag(1.0 / np.maximum(evals, floor)) @ evecs.T
+        step = evecs @ ((evecs.T @ g) / np.maximum(evals, floor))
         for scale in (1.0, 0.25, 0.05):
-            cand = x - scale * (inv @ g)
+            cand = x - scale * step
             g_cand = gradient(cand)
             if np.max(np.abs(g_cand)) < grad_norm:
                 x, g = cand, g_cand
                 break
+        else:
+            break
     return x, float(np.max(np.abs(g)))
 
 
 def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
                       gtol: float = 1e-7, max_iter: int = 500,
-                      rel_step: float = 1e-6,
                       iteration_callback: Optional[Callable[[float], None]] = None):
     """Maximize the ratio over node values; returns (FreeFunction, BellResult).
 
     The same function is used on both quadratures of every site, which is the
-    stationary configuration.  Gradients are central differences with the
-    given relative step; ``iteration_callback`` receives the ratio at each
-    accepted iterate.
+    stationary configuration.  Gradients are exact (chain rule through the
+    site scalars); ``iteration_callback`` receives the ratio at each accepted
+    BFGS iterate.
 
     Raises ConvergenceError with the best (FreeFunction, BellResult) attached
     if the gradient max-norm does not reach ``gtol``.
@@ -221,11 +191,12 @@ def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
     start = free_function_from(init, rule).normalized()
     v0 = start.values[0]
 
-    def objective(free: np.ndarray) -> float:
-        return -problem.ratio(np.concatenate(([v0], free)))
+    def objective(free: np.ndarray):
+        ratio, grad = problem.ratio_and_gradient(np.concatenate(([v0], free)))
+        return -ratio, -grad[1:]
 
     x, grad_norm = _maximize(objective, start.values[1:], gtol, max_iter,
-                             rel_step, iteration_callback)
+                             iteration_callback)
     best_values = np.concatenate(([v0], x))
     best = FreeFunction(start.nodes, best_values, start.norm_gauge)
     raw = problem.result(best_values)
@@ -243,8 +214,7 @@ def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
 
 
 def optimize_function_pair(spec: StateSpec, rule: QuadratureRule, init, *,
-                           gtol: float = 1e-7, max_iter: int = 900,
-                           rel_step: float = 1e-6):
+                           gtol: float = 1e-7, max_iter: int = 900):
     """Relaxed variant optimizing f and g independently.
 
     Returns (f, g, BellResult).  Used by the tests to confirm that the
@@ -256,19 +226,18 @@ def optimize_function_pair(spec: StateSpec, rule: QuadratureRule, init, *,
     v0 = start.values[0]
     n_free = start.nodes.size - 1
 
-    def objective(packed: np.ndarray) -> float:
+    def objective(packed: np.ndarray):
         fv = np.concatenate(([v0], packed[:n_free]))
-        gv = packed[n_free:]
-        return -problem.ratio(fv, gv)
+        ratio, grad = problem.ratio_and_gradient(fv, packed[n_free:])
+        return -ratio, -grad[1:]
 
     x0 = np.concatenate((start.values[1:], start.values))
-    x, grad_norm = _maximize(objective, x0, gtol, max_iter, rel_step, None)
+    x, grad_norm = _maximize(objective, x0, gtol, max_iter, None)
     fv = np.concatenate(([v0], x[:n_free]))
     gv = x[n_free:]
     f_best = FreeFunction(start.nodes, fv, start.norm_gauge)
     g_best = FreeFunction(start.nodes, gv, start.norm_gauge)
-    bell = evaluate(problem.rho, Basis(start.nodes, fv), Basis(start.nodes, gv),
-                    problem.angles, rule)
+    bell = problem.result(fv, gv)
     if grad_norm > gtol:
         raise ConvergenceError(
             f"stationarity not reached: gradient max-norm {grad_norm:.3e} > {gtol:.1e}",
@@ -277,24 +246,18 @@ def optimize_function_pair(spec: StateSpec, rule: QuadratureRule, init, *,
     return f_best, g_best, bell
 
 
-def euler_lagrange_residual(f, spec: StateSpec, rule: QuadratureRule,
-                            rel_step: float = 1e-6) -> float:
+def euler_lagrange_residual(f, spec: StateSpec, rule: QuadratureRule) -> float:
     """Max-norm stationarity defect of the ratio at a given function.
 
     The function is gauge-normalized first, so the residual is invariant
-    under rescaling f -> c f; the gradient is taken over all non-gauge node
-    directions.  Near zero at a true optimum, order 1e-3 or larger away from
-    one.
+    under rescaling f -> c f; the exact gradient is taken over all non-gauge
+    node directions.  Near zero at a true optimum, order 1e-3 or larger away
+    from one.
     """
     problem = _RatioProblem(spec, rule)
     ff = free_function_from(f, rule).normalized()
-    v0 = ff.values[0]
-
-    def objective(free: np.ndarray) -> float:
-        return -problem.ratio(np.concatenate(([v0], free)))
-
-    grad = _central_gradient(objective, ff.values[1:], rel_step)
-    return float(np.max(np.abs(grad)))
+    _, grad = problem.ratio_and_gradient(ff.values)
+    return float(np.max(np.abs(grad[1:])))
 
 
 def fit_optimal_epsilon(f: FreeFunction, rule: QuadratureRule) -> Tuple[float, float, float]:

@@ -111,8 +111,8 @@ def test_criterion_4_crossover_between_inequalities(rule):
 
 
 def test_criterion_5_closed_forms_match_fock_oracle(rule):
-    with criterion(5, "closed forms vs exact trace to 1e-6 over the (N, eta, p) grid"):
-        for n in range(3, 9):
+    with criterion(5, "closed forms vs exact trace to 1e-6 over the (N, eta, p) grid, N <= 10"):
+        for n in range(3, 11):
             r = n // 2
             angles = orthogonal_angles(n, r)
             for eta in (1.0, 0.9, 0.8):

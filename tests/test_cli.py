@@ -204,6 +204,21 @@ class TestOptimize:
             ratios.append(json.loads(capsys.readouterr().out)["ratio"])
         assert abs(ratios[0] - ratios[1]) < 1e-6
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "1"), ("--n", "11"),
+        ("--order", "1"), ("--order", "2"), ("--order", "3"),
+    ])
+    def test_input_checked_before_work(self, tmp_path, capsys, monkeypatch, flag, value):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("optimizer ran on rejected input")
+
+        monkeypatch.setattr("cvbell.cli.optimize_function", not_reached)
+        with pytest.raises(SystemExit) as err:
+            run_cli(["optimize", flag, value, "--out", str(tmp_path / "opt.csv")])
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "opt.csv").exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

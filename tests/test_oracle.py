@@ -26,6 +26,7 @@ from cvbell.model import (
     StateSpec,
     density_matrix,
     raising_amplitude,
+    squared_moments,
 )
 from cvbell.oracle import (
     angle_scan,
@@ -33,6 +34,7 @@ from cvbell.oracle import (
     optimize_epsilon_numeric,
     orthogonal_angles,
     random_product_mixture,
+    ratio_partials,
 )
 
 
@@ -242,6 +244,46 @@ class TestContractionBackend:
         expected = np.trace(rho @ dense)
         got = tensor_expectation(coo_array(rho), mats)
         assert got == pytest.approx(expected, rel=1e-13)
+
+
+class TestRatioPartials:
+    """Site-scalar partials on generic states and angles, along f -> (1 + t) f."""
+
+    def test_scaling_one_function_on_random_states(self, rule):
+        # scaling f by (1 + t) moves mf by t mf and its moments by 2 t qf
+        rng = np.random.default_rng(11)
+        f, g = Optimal(1.5), Optimal(0.4)
+        h = 1e-5
+        for n in (2, 3, 5):
+            rho = random_product_mixture(n, rng)
+            angles = AngleConfig(tuple(rng.uniform(-np.pi, np.pi, n)),
+                                 tuple(rng.uniform(-np.pi, np.pi, n)))
+            p = ratio_partials(rho, f, g, angles, rule)
+            assert p.ratio == evaluate(rho, f, g, angles, rule).ratio
+            for k, fn in enumerate((f, g)):
+                q0, q1 = squared_moments(fn, rule)
+                exact = (p.d_amplitude[k] * raising_amplitude(fn, rule)
+                         + 2.0 * (p.d_moments[0] * q0 + p.d_moments[1] * q1))
+
+                def ratio_at(t, k=k):
+                    scaled = lambda x, c=1.0 + t: c * (f, g)[k](x)
+                    pair = (scaled, g) if k == 0 else (f, scaled)
+                    return evaluate(rho, *pair, angles, rule).ratio
+
+                fd = (ratio_at(h) - ratio_at(-h)) / (2.0 * h)
+                assert exact == pytest.approx(fd, rel=1e-6, abs=1e-9 * p.ratio)
+
+    def test_tied_partials_respect_scale_invariance(self, rule):
+        # with g = f the ratio is invariant under f -> c f, so the partials
+        # along the amplitude and the moments cancel
+        rho = density_matrix(StateSpec(5, 2, 0.9, 0.8))
+        f = Optimal(2.0)
+        p = ratio_partials(rho, f, f, orthogonal_angles(5, 2), rule)
+        assert p.d_amplitude.shape == (1,)
+        q0, q1 = squared_moments(f, rule)
+        along_scale = (p.d_amplitude[0] * raising_amplitude(f, rule)
+                       + 4.0 * (p.d_moments[0] * q0 + p.d_moments[1] * q1))
+        assert abs(along_scale) < 1e-12 * abs(p.d_amplitude[0] * raising_amplitude(f, rule))
 
 
 def close(got, want, rel):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from cvbell.functional_bell import bell_value, solve_epsilon_even, solve_epsilon_odd
 from cvbell.model import Identity, Optimal, SignBin, StateSpec
 from cvbell.variational import (
     FreeFunction,
+    _maximize,
+    _RatioProblem,
     euler_lagrange_residual,
     fit_optimal_epsilon,
     free_function_from,
@@ -105,21 +110,48 @@ class TestStationarityResidual:
 
 
 class TestGradientMachinery:
-    def test_two_stencils_agree_on_random_directions(self, quick_rule):
-        from cvbell.variational import _RatioProblem, _central_gradient
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 8), eta=st.floats(0.3, 1.0),
+           p=st.floats(0.1, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_exact_gradient_matches_central_differences(self, quick_rule, data,
+                                                        n, eta, p, seed):
+        r = data.draw(st.integers(0, n), label="r")
+        problem = _RatioProblem(StateSpec(n, r, p, eta), quick_rule)
+        rng = np.random.default_rng(seed)
+        nodes = quick_rule.positive_nodes
+        fv, gv = (Optimal(rng.uniform(0.2, 5.0))(nodes)
+                  * (1.0 + 0.1 * rng.normal(size=nodes.size)) for _ in range(2))
+        for g_values in (None, gv):
+            ratio, grad = problem.ratio_and_gradient(fv, g_values)
+            x = fv if g_values is None else np.concatenate((fv, g_values))
 
-        problem = _RatioProblem(StateSpec(5, 2), quick_rule)
-        base = free_function_from(Optimal(2.0), quick_rule).values
-        base = base * (1.0 + 0.05 * np.sin(np.arange(base.size)))
-        obj = lambda v: -problem.ratio(v)
-        g1 = _central_gradient(obj, base, 1e-6)
-        g2 = _central_gradient(obj, base, 1e-5)
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            d = rng.normal(size=base.size)
-            d /= np.linalg.norm(d)
-            d1, d2 = np.dot(g1, d), np.dot(g2, d)
-            assert d1 == pytest.approx(d2, rel=1e-4, abs=1e-10)
+            def ratio_at(z, pair=g_values is not None):
+                return problem.result(z[:nodes.size], z[nodes.size:] if pair else None).ratio
+
+            scale = np.max(np.abs(x))
+            h = 1e-5 * scale
+            for _ in range(3):
+                d = rng.normal(size=x.size)
+                d /= np.linalg.norm(d)
+                fd = (ratio_at(x + h * d) - ratio_at(x - h * d)) / (2.0 * h)
+                # the floor covers the stencil's roundoff, about 1e-11 ratio/scale
+                assert np.dot(grad, d) == pytest.approx(fd, rel=1e-5, abs=1e-8 * ratio / scale)
+
+    def test_newton_finishes_a_stalled_bfgs_run(self):
+        # the constant offset leaves the objective too few digits for BFGS
+        # line searches, which stop with the gradient above gtol
+        curv = np.array([1.0, 1e-2, 3.0])
+        objective = lambda x: (1e8 + 0.5 * np.dot(curv * x, x), curv * x)
+        stalled = minimize(objective, np.ones(3), jac=True, method="BFGS",
+                           options={"gtol": 1e-7})
+        assert np.max(np.abs(stalled.jac)) > 1e-7
+        _, grad_norm = _maximize(objective, np.ones(3), 1e-7, 500, None)
+        assert grad_norm <= 1e-7
+
+    @pytest.mark.parametrize("n, r", [(7, 1), (9, 0), (10, 0)])
+    def test_converges_on_noncanonical_splits(self, quick_rule, n, r):
+        best, _ = optimize_function(StateSpec(n, r), quick_rule, Identity())
+        assert euler_lagrange_residual(best, StateSpec(n, r), quick_rule) <= 1e-7
 
 
 class TestFreeFunctionType:
