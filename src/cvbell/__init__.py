@@ -52,6 +52,7 @@ from .functional_bell import (
     cfrd_bell_value,
     ideal_epsilon,
     lossy_epsilon_map,
+    optimal_epsilon,
     solve_epsilon_even,
     solve_epsilon_odd,
 )
@@ -72,13 +73,10 @@ from .variational import (
 )
 from .critical import (
     AsymptoticProduct,
-    CriticalCurve,
     asymptotic_product,
     bell_ratio,
-    critical_curve,
     critical_efficiency,
     critical_purity,
-    curve_to_csv_rows,
 )
 
 __all__ = [
@@ -93,11 +91,11 @@ __all__ = [
     "BellResult", "angle_scan", "evaluate", "optimize_epsilon_numeric",
     "orthogonal_angles", "random_product_mixture",
     "EpsilonSolution", "bell_value", "cfrd_bell_value", "ideal_epsilon",
-    "lossy_epsilon_map", "solve_epsilon_even", "solve_epsilon_odd",
+    "lossy_epsilon_map", "optimal_epsilon", "solve_epsilon_even", "solve_epsilon_odd",
     "MKResult", "mk_bell_value", "mk_bell_value_product_form",
     "mk_critical_product", "mk_evaluate", "mk_optimal_angles",
     "FreeFunction", "euler_lagrange_residual", "fit_optimal_epsilon",
     "free_function_from", "optimize_function",
-    "AsymptoticProduct", "CriticalCurve", "asymptotic_product", "bell_ratio",
-    "critical_curve", "critical_efficiency", "critical_purity", "curve_to_csv_rows",
+    "AsymptoticProduct", "asymptotic_product", "bell_ratio", "critical_efficiency",
+    "critical_purity",
 ]

@@ -28,8 +28,7 @@ from .functional_bell import (
     bell_value,
     cfrd_bell_value,
     closed_form_sides,
-    solve_epsilon_even,
-    solve_epsilon_odd,
+    optimal_epsilon,
 )
 from .mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
 from .model import Identity, Optimal, SignBin, StateSpec, density_matrix
@@ -188,10 +187,7 @@ def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
                 rho = density_matrix(spec)
                 angles = orthogonal_angles(n, r)
 
-                if n % 2 == 0:
-                    eps_opt = solve_epsilon_even(eta, rule).epsilon_lossy
-                else:
-                    eps_opt = solve_epsilon_odd(n, eta, rule).epsilon_odd
+                eps_opt = optimal_epsilon(n, eta, rule)
                 ki = kernel_integrals(Optimal(eps_opt + perturb_eps), rule)
                 lhs, rhs = closed_form_sides(n, r, eta, p, ki)
                 closed = lhs / rhs
@@ -269,10 +265,7 @@ def _cmd_optimize(args) -> int:
         print(f"warning: {exc}", file=sys.stderr)
 
     eps_fit, scale, rel_err = fit_optimal_epsilon(best, rule)
-    if args.n % 2 == 0:
-        eps_ref = solve_epsilon_even(args.eta, rule).epsilon_lossy
-    else:
-        eps_ref = solve_epsilon_odd(args.n, args.eta, rule).epsilon_odd
+    eps_ref = optimal_epsilon(args.n, args.eta, rule)
 
     out = Path(args.out)
     _write_csv(out, ["node", "f_value"], best.to_csv_rows())

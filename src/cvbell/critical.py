@@ -1,9 +1,20 @@
-"""Critical detection efficiency, purity, and decoherence-product curves.
+"""Critical detection efficiency, purity, and decoherence-product thresholds.
 
-Thresholds are roots of B(parameter) = 1.  The Bell values are strictly
-increasing in efficiency and purity for every inequality here, so bisection
-brackets are sound; a bracket failure outside the documented no-violation
-case aborts loudly instead of guessing.
+A threshold is the parameter value at which the Bell ratio B reaches 1.
+Wherever B is an explicit function of the swept parameter the threshold is
+its exact inverse:
+
+- purity, functional and CFRD: the correlator side scales as p^2, the bound
+  side and the optimal function do not depend on p, so p_c = B(eta, 1)^(-1/2);
+- purity, binned (MK): the product inversion p_c = sqrt(2^((1-2N)/N) pi / eta);
+- efficiency, binned: B = p (sqrt(2)/2)(4 eta/pi)^(N/2) inverts to
+  eta_c = 2^((1-2N)/N) pi p^(-2/N);
+- functional decoherence product: the root of a quadratic in s = eta p.
+
+Only the functional and CFRD efficiency thresholds are bisected: there the
+optimal function moves with eta, and for odd N the CFRD condition is a
+degree-N polynomial.  Their Bell values increase in eta, so a bracket failure
+outside the documented no-violation case aborts loudly instead of guessing.
 
 Three separate decoherence-product conventions coexist and are never mixed:
 
@@ -17,7 +28,7 @@ Three separate decoherence-product conventions coexist and are never mixed:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -30,25 +41,6 @@ from .quadrature import QuadratureRule, kernel_integrals
 INEQUALITIES = ("functional", "cfrd", "mk")
 
 _ETA_BRACKET = (0.3, 1.0)
-
-
-@dataclass(frozen=True)
-class CriticalCurve:
-    """Threshold values along a mode-count sweep.
-
-    ``critical_values`` holds None where no parameter value up to 1 gives a
-    violation; ``parameter`` names the swept quantity (efficiency, purity, or
-    product).
-    """
-
-    inequality_id: str
-    n_values: Tuple[int, ...]
-    critical_values: Tuple[Optional[float], ...]
-    parameter: str
-
-    def __post_init__(self):
-        if len(self.n_values) != len(self.critical_values):
-            raise ValueError("n_values and critical_values must align")
 
 
 @dataclass(frozen=True)
@@ -100,11 +92,16 @@ def critical_efficiency(n: int, p: float, inequality_id: str, rule: QuadratureRu
                         tol: float = 1e-6) -> Optional[float]:
     """Smallest efficiency giving B = 1 at fixed purity; None if B(1, p) <= 1.
 
-    Bisection on [0.3, 1]; the Bell values are increasing in eta, so a
-    violated lower bracket means an internal inconsistency and raises.
+    The binned value inverts exactly to mk_critical_product(n) * p^(-2/n).
+    The others bisect on [0.3, 1] to ``tol``; their Bell values are
+    increasing in eta, so a violated lower bracket means an internal
+    inconsistency and raises.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p!r}")
+    if inequality_id == "mk":
+        eta = mk_critical_product(n) * p ** (-2.0 / n)
+        return None if eta >= 1.0 else float(eta)
     lo, hi = _ETA_BRACKET
     if bell_ratio(inequality_id, n, hi, p, rule) <= 1.0:
         return None
@@ -118,13 +115,15 @@ def critical_efficiency(n: int, p: float, inequality_id: str, rule: QuadratureRu
     )
 
 
-def critical_purity(n: int, eta: float, inequality_id: str, rule: QuadratureRule,
-                    tol: float = 1e-6) -> Optional[float]:
+def critical_purity(n: int, eta: float, inequality_id: str,
+                    rule: QuadratureRule) -> Optional[float]:
     """Smallest purity giving B = 1 at fixed efficiency; None if B(eta, 1) <= 1.
 
     The binned inequality uses the exact product inversion
     p = sqrt(mk_critical_product(n) / eta), cross-checked against its
-    product-form observable; the others bisect on the mixed-state value.
+    product-form observable.  The others have B(eta, p) = p^2 B(eta, 1),
+    since the optimal function depends on (n, eta) only, so
+    p = B(eta, 1)^(-1/2).
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
@@ -139,69 +138,35 @@ def critical_purity(n: int, eta: float, inequality_id: str, rule: QuadratureRule
                 f"product inversion failed its cross-check: B={check!r} at p={p!r}"
             )
         return p
-    if bell_ratio(inequality_id, n, eta, 1.0, rule) <= 1.0:
+    b = bell_ratio(inequality_id, n, eta, 1.0, rule)
+    if b <= 1.0:
         return None
-    return _bisect_increasing(
-        lambda p: bell_ratio(inequality_id, n, eta, p, rule) - 1.0, 1e-9, 1.0, tol
-    )
-
-
-def critical_curve(inequality_id: str, parameter: str, n_values: Sequence[int],
-                   rule: QuadratureRule, fixed: float = 1.0,
-                   tol: float = 1e-6) -> CriticalCurve:
-    """Threshold sweep over mode counts at a fixed complementary parameter."""
-    vals = []
-    for n in n_values:
-        if parameter == "efficiency":
-            vals.append(critical_efficiency(n, fixed, inequality_id, rule, tol))
-        elif parameter == "purity":
-            vals.append(critical_purity(n, fixed, inequality_id, rule, tol))
-        else:
-            raise ValueError(f"unknown parameter {parameter!r}")
-    return CriticalCurve(
-        inequality_id=inequality_id,
-        n_values=tuple(int(n) for n in n_values),
-        critical_values=tuple(vals),
-        parameter=parameter,
-    )
-
-
-def curve_to_csv_rows(curve: CriticalCurve):
-    """Rows (N, value, parameter, inequality_id, converged_flag) for export."""
-    rows = []
-    for n, v in zip(curve.n_values, curve.critical_values):
-        rows.append((
-            n,
-            "" if v is None else v,
-            curve.parameter,
-            curve.inequality_id,
-            "converged" if v is not None else "no_violation",
-        ))
-    return rows
+    return float(b ** -0.5)
 
 
 # ---------------------------------------------------------------------------
 # asymptotics
 # ---------------------------------------------------------------------------
 
-def _functional_product_threshold(n: int, rule: QuadratureRule,
-                                  tol: float = 1e-9) -> Optional[float]:
+def _functional_product_threshold(n: int, rule: QuadratureRule) -> Optional[float]:
     """Root in s of the product-form ratio at mode count n.
 
     The product form folds all decoherence into the per-site monomial s^2
     (s = eta * p) while keeping the measurement function at its noise-free
-    optimum; the admixture constant C is evaluated at effective efficiency s.
+    optimum; the admixture constant C = s*I + (1 - s)*I0 is evaluated at
+    effective efficiency s.  Setting the ratio
+    2^(n-2) (2 Ip^4 s^2 / (pi I0 C))^(n/2) to 1 leaves the quadratic
+    2 Ip^4 s^2 - K pi I0 (I - I0) s - K pi I0^2 = 0 with K = 2^(-2(n-2)/n);
+    I > I0 at the optimum, so its positive root has no cancellation.
     """
     ki = kernel_integrals(Optimal(ideal_epsilon(rule)), rule)
     ip, ii, i0 = ki.i_plus, ki.i_cross, ki.i_zero
-
-    def ratio(s: float) -> float:
-        c = s * ii + (1.0 - s) * i0
-        return 2.0 ** (n - 2) * (2.0 * ip ** 4 * s * s / (np.pi * i0 * c)) ** (n / 2.0)
-
-    if ratio(1.0) <= 1.0:
-        return None
-    return _bisect_increasing(lambda s: ratio(s) - 1.0, 0.3, 1.0, tol)
+    k_pi = 2.0 ** (-2.0 * (n - 2) / n) * np.pi
+    a = 2.0 * ip ** 4
+    b = k_pi * i0 * (ii - i0)
+    c = k_pi * i0 * i0
+    s = (b + np.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
+    return None if s >= 1.0 else float(s)
 
 
 def _richardson(n1: int, v1: float, n2: int, v2: float) -> float:

@@ -28,6 +28,7 @@ from .oracle import BellResult, orthogonal_angles
 from .quadrature import KernelIntegrals, QuadratureRule, kernel_integrals
 
 _IDEAL_CACHE: dict = {}   # rule order -> ideal fixed point; write-once per key
+_MAX_ITER = 10_000
 
 EPSILON_READINGS = ("literal", "matched")
 
@@ -54,29 +55,33 @@ def lossy_epsilon_map(eps: float, eta: float) -> float:
     return 2.0 * eta * eps / (2.0 * eta + (1.0 - eta) * eps)
 
 
-def _family_integrals(eps: float, rule: QuadratureRule) -> KernelIntegrals:
-    return kernel_integrals(Optimal(eps), rule)
+def _integral_epsilon(eps: float, rule: QuadratureRule) -> float:
+    """The integral ratio 4*I0/I of the family member x/(1 + eps x^2)."""
+    ki = kernel_integrals(Optimal(eps), rule)
+    return 4.0 * ki.i_zero / ki.i_cross
 
 
-def ideal_epsilon(rule: QuadratureRule, damping: float = 0.5, tol: float = 1e-13,
-                  max_iter: int = 10_000) -> float:
+def _damped_fixed_point(update, x: float, tol: float, name: str) -> float:
+    """Iterate x <- x/2 + update(x)/2 until a step is shorter than tol."""
+    for _ in range(_MAX_ITER):
+        target = update(x)
+        nxt = 0.5 * x + 0.5 * target
+        if abs(nxt - x) < tol:
+            return nxt
+        x = nxt
+    raise ConvergenceError(
+        f"{name} fixed point did not converge in {_MAX_ITER} iterations",
+        best=x, residual=abs(target - x),
+    )
+
+
+def ideal_epsilon(rule: QuadratureRule) -> float:
     """Fixed point of eps = 4*I0(eps)/I(eps), cached per rule order."""
     cached = _IDEAL_CACHE.get(rule.order)
-    if cached is not None:
-        return cached
-    eps = 1.0
-    for _ in range(max_iter):
-        ki = _family_integrals(eps, rule)
-        target = 4.0 * ki.i_zero / ki.i_cross
-        nxt = (1.0 - damping) * eps + damping * target
-        if abs(nxt - eps) < tol:
-            _IDEAL_CACHE[rule.order] = nxt
-            return nxt
-        eps = nxt
-    raise ConvergenceError(
-        f"ideal fixed point did not converge in {max_iter} iterations",
-        best=eps, residual=abs(target - eps),
-    )
+    if cached is None:
+        cached = _damped_fixed_point(lambda e: _integral_epsilon(e, rule), 1.0, 1e-13, "ideal")
+        _IDEAL_CACHE[rule.order] = cached
+    return cached
 
 
 def _check_eta(eta: float) -> None:
@@ -84,53 +89,35 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
 
 
-def solve_epsilon_even(eta: float, rule: QuadratureRule, *,
-                       self_consistent: bool = True, damping: float = 0.5,
-                       tol: float = 1e-12, max_iter: int = 10_000) -> EpsilonSolution:
+def solve_epsilon_even(eta: float, rule: QuadratureRule) -> EpsilonSolution:
     """Optimal function parameter for even mode counts at efficiency eta.
 
-    With ``self_consistent`` (the default) the loss adjustment and the
-    integral ratio are iterated together, which is the true stationary point
-    of the ratio: the free numeric maximization lands on it to within its
-    search tolerance.  ``self_consistent=False`` instead maps the noise-free
-    fixed point once through the loss adjustment; that reading undershoots
-    the maximized ratio by O(1e-3) relative at eta ~ 0.8 and is kept only so
-    the discrepancy stays measurable.
+    The loss adjustment and the integral ratio are iterated together, which
+    is the true stationary point of the ratio: the free numeric maximization
+    lands on it to within its search tolerance.  Mapping the noise-free fixed
+    point once through the loss adjustment instead undershoots the maximized
+    ratio by O(1e-3) relative at eta ~ 0.8.
     """
     _check_eta(eta)
-    eps_star = ideal_epsilon(rule, damping=damping, max_iter=max_iter)
-    ki = _family_integrals(eps_star, rule)
-    resid_ideal = abs(eps_star - 4.0 * ki.i_zero / ki.i_cross)
-
-    if eta == 1.0 or not self_consistent:
+    eps_star = ideal_epsilon(rule)
+    resid_ideal = abs(eps_star - _integral_epsilon(eps_star, rule))
+    if eta == 1.0:
         return EpsilonSolution(
             epsilon_ideal=eps_star,
             epsilon_lossy=lossy_epsilon_map(eps_star, eta),
             epsilon_odd=None,
             residual=resid_ideal,
         )
-
-    eps_l = eps_star
-    for _ in range(max_iter):
-        ki = _family_integrals(eps_l, rule)
-        eps_tilde = 4.0 * ki.i_zero / ki.i_cross
-        target = lossy_epsilon_map(eps_tilde, eta)
-        nxt = (1.0 - damping) * eps_l + damping * target
-        if abs(nxt - eps_l) < tol:
-            eps_l = nxt
-            ki = _family_integrals(eps_l, rule)
-            eps_tilde = 4.0 * ki.i_zero / ki.i_cross
-            resid = abs(eps_l - lossy_epsilon_map(eps_tilde, eta))
-            return EpsilonSolution(
-                epsilon_ideal=eps_tilde,
-                epsilon_lossy=eps_l,
-                epsilon_odd=None,
-                residual=max(resid, resid_ideal),
-            )
-        eps_l = nxt
-    raise ConvergenceError(
-        f"lossy fixed point did not converge in {max_iter} iterations",
-        best=eps_l, residual=abs(target - eps_l),
+    eps_l = _damped_fixed_point(
+        lambda e: lossy_epsilon_map(_integral_epsilon(e, rule), eta), eps_star, 1e-12, "lossy"
+    )
+    eps_tilde = _integral_epsilon(eps_l, rule)
+    resid = abs(eps_l - lossy_epsilon_map(eps_tilde, eta))
+    return EpsilonSolution(
+        epsilon_ideal=eps_tilde,
+        epsilon_lossy=eps_l,
+        epsilon_odd=None,
+        residual=max(resid, resid_ideal),
     )
 
 
@@ -150,8 +137,7 @@ def _odd_update(n: int, eps: float, eta: float, reading: str) -> float:
 
 
 def solve_epsilon_odd(n: int, eta: float, rule: QuadratureRule, *,
-                      reading: str = "literal", damping: float = 0.5,
-                      tol: float = 1e-12, max_iter: int = 10_000) -> EpsilonSolution:
+                      reading: str = "literal") -> EpsilonSolution:
     """Optimal function parameter for odd mode counts.
 
     The relations are N-dependent and coupled: the integrals are evaluated at
@@ -167,28 +153,27 @@ def solve_epsilon_odd(n: int, eta: float, rule: QuadratureRule, *,
     if reading not in EPSILON_READINGS:
         raise ValueError(f"unknown reading {reading!r}; use one of {EPSILON_READINGS}")
 
-    eps_p = ideal_epsilon(rule, damping=damping, max_iter=max_iter)
-    for _ in range(max_iter):
-        ki = _family_integrals(eps_p, rule)
-        eps = 4.0 * ki.i_zero / ki.i_cross
-        target = _odd_update(n, eps, eta, reading)
-        nxt = (1.0 - damping) * eps_p + damping * target
-        if abs(nxt - eps_p) < tol:
-            eps_p = nxt
-            ki = _family_integrals(eps_p, rule)
-            eps = 4.0 * ki.i_zero / ki.i_cross
-            resid = abs(eps_p - _odd_update(n, eps, eta, reading))
-            return EpsilonSolution(
-                epsilon_ideal=eps,
-                epsilon_lossy=lossy_epsilon_map(eps, eta),
-                epsilon_odd=eps_p,
-                residual=resid,
-            )
-        eps_p = nxt
-    raise ConvergenceError(
-        f"odd fixed point did not converge in {max_iter} iterations",
-        best=eps_p, residual=abs(target - eps_p),
+    eps_p = _damped_fixed_point(
+        lambda e: _odd_update(n, _integral_epsilon(e, rule), eta, reading),
+        ideal_epsilon(rule), 1e-12, "odd",
     )
+    eps = _integral_epsilon(eps_p, rule)
+    return EpsilonSolution(
+        epsilon_ideal=eps,
+        epsilon_lossy=lossy_epsilon_map(eps, eta),
+        epsilon_odd=eps_p,
+        residual=abs(eps_p - _odd_update(n, eps, eta, reading)),
+    )
+
+
+def optimal_epsilon(n: int, eta: float, rule: QuadratureRule) -> float:
+    """Function parameter maximizing the canonical-split ratio at n modes.
+
+    The loss-adjusted even solution for even n, the odd solution for odd n.
+    """
+    if n % 2 == 0:
+        return solve_epsilon_even(eta, rule).epsilon_lossy
+    return solve_epsilon_odd(n, eta, rule).epsilon_odd
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +203,12 @@ def _canonical_split(n: int) -> int:
     return n // 2
 
 
-def bell_value(spec: StateSpec, rule: QuadratureRule, *,
-               eps_mode: str = "optimal") -> BellResult:
+def bell_value(spec: StateSpec, rule: QuadratureRule) -> BellResult:
     """Closed-form Bell observable at the optimized measurement function.
 
     Supports the maximizing splits only (r = N/2 for even N, r = (N-1)/2 for
     odd N); other splits have no closed form here and belong to the numeric
-    oracle.  ``eps_mode="optimal"`` (default) uses the self-consistent
-    loss-adjusted parameter; ``eps_mode="mapped_ideal"`` uses the one-shot
-    map of the noise-free fixed point.
+    oracle.
     """
     n, r = spec.n_modes, spec.r_split
     if r != _canonical_split(n):
@@ -234,15 +216,8 @@ def bell_value(spec: StateSpec, rule: QuadratureRule, *,
             f"closed form covers r = {_canonical_split(n)} for n = {n}; "
             f"got r = {r}. Use the oracle for other splits."
         )
-    if eps_mode not in ("optimal", "mapped_ideal"):
-        raise ValueError(f"unknown eps_mode {eps_mode!r}")
     eta, p = spec.efficiency, spec.purity
-    if n % 2 == 0:
-        sol = solve_epsilon_even(eta, rule, self_consistent=(eps_mode == "optimal"))
-        f = Optimal(sol.epsilon_lossy)
-    else:
-        sol = solve_epsilon_odd(n, eta, rule)
-        f = Optimal(sol.epsilon_odd)
+    f = Optimal(optimal_epsilon(n, eta, rule))
     ki = kernel_integrals(f, rule)
     lhs, rhs = closed_form_sides(n, r, eta, p, ki)
     return BellResult(

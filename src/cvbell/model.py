@@ -378,8 +378,6 @@ def single_mode_element(f, m: int, n: int, theta: float, rule: QuadratureRule) -
     if m not in (0, 1) or n not in (0, 1):
         raise ValueError(f"m and n must be 0 or 1, got {(m, n)!r}")
     if m == n:
-        if isinstance(f, MeasurementFunction):
-            return 0.0 + 0.0j
         check_odd(_as_odd_callable(f), rule)
         return 0.0 + 0.0j
     amp = raising_amplitude(f, rule)
@@ -409,8 +407,7 @@ def site_operator(f, g, theta: float, theta_prime: float, rule: QuadratureRule):
     (diagonal, angle-independent, enters the bound side).
     """
     for fn in (f, g):
-        if not isinstance(fn, MeasurementFunction):
-            check_odd(_as_odd_callable(fn), rule)
+        check_odd(_as_odd_callable(fn), rule)
     O = _site_correlators(raising_amplitude(f, rule), raising_amplitude(g, rule),
                           theta, theta_prime)
     qf0, qf1 = squared_moments(f, rule)

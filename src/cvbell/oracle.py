@@ -22,7 +22,6 @@ from ._accel import tensor_expectation
 from .model import (
     AngleConfig,
     DensityMatrix,
-    MeasurementFunction,
     Optimal,
     StateSpec,
     _site_correlators,
@@ -82,8 +81,7 @@ def _site_operators(rho: DensityMatrix, f, g, angles: AngleConfig,
             f"angle list has {angles.n_modes} sites but the state has {n} modes"
         )
     for fn in (f,) if g is f else (f, g):
-        if not isinstance(fn, MeasurementFunction):
-            check_odd(fn, rule)
+        check_odd(fn, rule)
     mf = raising_amplitude(f, rule)
     qf0, qf1 = squared_moments(f, rule)
     if g is f:

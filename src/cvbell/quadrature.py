@@ -117,10 +117,14 @@ class KernelIntegrals:
 def check_odd(f: Callable, rule: QuadratureRule, tol: float = 1e-10) -> None:
     """Raise ValueError unless f(-x) = -f(x) at the rule's nonzero nodes.
 
-    Functions arrive as opaque evaluators, so oddness is checked by sampling.
-    A node at exactly x = 0 is skipped: odd functions with a jump there (sign
-    binning) carry an arbitrary convention at the single point.
+    A function declaring ``is_odd`` (every ``MeasurementFunction``) is odd by
+    construction and passes at once.  Other callables arrive as opaque
+    evaluators, so their oddness is checked by sampling.  A node at exactly
+    x = 0 is skipped: odd functions with a jump there (sign binning) carry an
+    arbitrary convention at the single point.
     """
+    if getattr(f, "is_odd", False):
+        return
     x = rule.positive_nodes
     resid = np.max(np.abs(np.asarray(f(x)) + np.asarray(f(-x)))) if x.size else 0.0
     if resid > tol:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ConvergenceError
 from .model import SQRT_2_OVER_PI, Basis, StateSpec, density_matrix
@@ -147,6 +146,9 @@ def _maximize(objective: Callable, x0: np.ndarray, gtol: float, max_iter: int,
     below the objective's roundoff.  Up to three Newton steps, judged by the
     gradient norm rather than the objective, finish those runs.
     """
+    # imported here so that only the optimizer pays for loading scipy.optimize
+    from scipy.optimize import minimize
+
     callback = None
     if iteration_callback is not None:
         callback = lambda intermediate_result: iteration_callback(-intermediate_result.fun)
@@ -267,6 +269,8 @@ def fit_optimal_epsilon(f: FreeFunction, rule: QuadratureRule) -> Tuple[float, f
     weights as the error measure.  The scale is eliminated analytically, so
     only eps is searched.
     """
+    from scipy.optimize import minimize_scalar
+
     x = f.nodes
     v = f.values
     if rule.positive_nodes.shape != x.shape or not np.allclose(rule.positive_nodes, x):

@@ -149,6 +149,16 @@ class TestFigure2:
         assert len(body) == 3
         assert all(row.startswith("mk,") for row in body)
 
+    @pytest.mark.parametrize("ineq, n", [("functional", 131), ("cfrd", 298)])
+    def test_purity_threshold_below_1e_9(self, tmp_path, capsys, ineq, n):
+        out = tmp_path / "tail.csv"
+        assert run_cli(["figure2", "--ineq", ineq, "--n-min", str(n),
+                        "--n-max", str(n), "--out", str(out)]) == 0
+        capsys.readouterr()
+        _, _, eta_c, p_c, flag = out.read_text().splitlines()[1].split(",")
+        assert flag == "" and float(eta_c) < 1.0
+        assert 0.0 < float(p_c) < 1e-9
+
 
 class TestOracleCheck:
     def test_default_grid_passes(self, capsys):
@@ -220,15 +230,28 @@ class TestOptimize:
         assert not (tmp_path / "opt.csv").exists()
 
 
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         env.get("PYTHONPATH", "")])
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src"),
-             env.get("PYTHONPATH", "")])
         proc = subprocess.run(
             [sys.executable, "-m", "cvbell.cli", "eval", "--ineq", "mk",
              "--n", "3", "--order", "64"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_src_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ratio"] > 1
+
+    def test_startup_skips_the_optimizer(self):
+        # a fresh interpreter: the test modules load scipy.optimize themselves
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cvbell.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

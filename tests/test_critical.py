@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvbell.critical import (
     asymptotic_product,
     bell_ratio,
-    critical_curve,
     critical_efficiency,
     critical_purity,
-    curve_to_csv_rows,
 )
-from cvbell.mk_binning import mk_critical_product
+from cvbell.mk_binning import mk_bell_value, mk_critical_product
+from cvbell.model import StateSpec
 
 
 class TestCriticalEfficiency:
@@ -51,6 +52,16 @@ class TestCriticalEfficiency:
         eta40 = critical_efficiency(40, 1.0, "mk", rule)
         assert abs(eta40 - 0.80) < 0.01
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(5, 300), p=st.floats(0.9, 1.0))
+    def test_mk_closed_form_is_the_root(self, rule, n, p):
+        eta = critical_efficiency(n, p, "mk", rule)
+        if eta is None:
+            assert mk_bell_value(StateSpec(n, n // 2, p, 1.0)) <= 1.0
+        else:
+            b = mk_bell_value(StateSpec(n, n // 2, p, eta))
+            assert b == pytest.approx(1.0, rel=1e-12, abs=0)
+
     def test_parameter_validation(self, rule):
         with pytest.raises(ValueError):
             critical_efficiency(6, 0.0, "functional", rule)
@@ -82,20 +93,15 @@ class TestCriticalPurity:
     def test_no_violation_flag(self, rule):
         assert critical_purity(4, 1.0, "functional", rule) is None
 
-
-class TestCurves:
-    def test_curve_rows_and_flags(self, rule):
-        curve = critical_curve("functional", "efficiency", range(4, 9), rule)
-        rows = curve_to_csv_rows(curve)
-        assert len(rows) == 5
-        flags = {n: flag for n, _, _, _, flag in rows}
-        assert flags[4] == "no_violation"
-        assert flags[6] == "converged"
-        for n, value, parameter, ineq, flag in rows:
-            assert parameter == "efficiency"
-            assert ineq == "functional"
-            if flag == "converged":
-                assert 0.3 < value <= 1.0
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(5, 300), eta=st.floats(0.3, 1.0),
+           ineq=st.sampled_from(("functional", "cfrd")))
+    def test_closed_form_is_the_root(self, rule, n, eta, ineq):
+        p = critical_purity(n, eta, ineq, rule)
+        if p is None:
+            assert bell_ratio(ineq, n, eta, 1.0, rule) <= 1.0
+        else:
+            assert bell_ratio(ineq, n, eta, p, rule) == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 class TestAsymptotics:

@@ -5,6 +5,7 @@ from cvbell.functional_bell import (
     bell_value,
     cfrd_bell_value,
     closed_form_sides,
+    ideal_epsilon,
     lossy_epsilon_map,
     solve_epsilon_even,
     solve_epsilon_odd,
@@ -34,12 +35,6 @@ class TestEpsilonEven:
             assert lossy_epsilon_map(e, 0.5) == pytest.approx(e / (1 + e / 2), rel=1e-15)
             assert lossy_epsilon_map(e, 0.5) < e
 
-    def test_one_shot_reading_is_the_mapped_ideal(self, rule):
-        sol = solve_epsilon_even(0.5, rule, self_consistent=False)
-        assert sol.epsilon_lossy == pytest.approx(
-            lossy_epsilon_map(sol.epsilon_ideal, 0.5), rel=1e-15
-        )
-
     def test_residual_small_for_any_eta(self, rule):
         for eta in (1.0, 0.9, 0.6, 0.3, 0.08):
             assert solve_epsilon_even(eta, rule).residual < 1e-10
@@ -50,7 +45,7 @@ class TestEpsilonEven:
         eta = 0.9
         n = 6
         sol_sc = solve_epsilon_even(eta, rule)
-        sol_1s = solve_epsilon_even(eta, rule, self_consistent=False)
+        eps_1s = lossy_epsilon_map(ideal_epsilon(rule), eta)
 
         def ratio(eps):
             ki = kernel_integrals(Optimal(eps), rule)
@@ -58,7 +53,7 @@ class TestEpsilonEven:
             return lhs / rhs
 
         b_sc = ratio(sol_sc.epsilon_lossy)
-        b_1s = ratio(sol_1s.epsilon_lossy)
+        b_1s = ratio(eps_1s)
         eps_num, res_num = optimize_epsilon_numeric(StateSpec(n, 3, 1.0, eta), rule)
         assert abs(b_sc - res_num.ratio) / res_num.ratio < 1e-9
         assert abs(eps_num - sol_sc.epsilon_lossy) < 1e-5

@@ -3,7 +3,8 @@ import pytest
 
 from cvbell.errors import NumericalDomainError
 from cvbell.functional_bell import ideal_epsilon
-from cvbell.model import Identity, Optimal, SignBin
+from cvbell.model import Identity, Optimal, SignBin, StateSpec, density_matrix, site_operator
+from cvbell.oracle import evaluate, orthogonal_angles
 from cvbell.quadrature import (
     DEFAULT_ORDER,
     GAUSS_NORM,
@@ -116,6 +117,15 @@ class TestKernelIntegrals:
     def test_rejects_even_function(self, rule):
         with pytest.raises(ValueError):
             kernel_integrals(lambda x: x * x, rule)
+
+    def test_operator_builders_reject_even_function(self, rule):
+        even = lambda x: x * x
+        angles = orthogonal_angles(2, 1)
+        rho = density_matrix(StateSpec(2, 1))
+        with pytest.raises(ValueError, match="not odd"):
+            evaluate(rho, even, even, angles, rule)
+        with pytest.raises(ValueError, match="not odd"):
+            site_operator(even, Identity(), 0.0, np.pi / 2, rule)
 
     def test_sign_bin_zero_node_tolerated(self):
         # odd order puts a node at 0 where the binning jump sits
