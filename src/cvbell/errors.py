@@ -15,7 +15,8 @@ class ConvergenceError(RuntimeError):
 
 
 class NumericalDomainError(ArithmeticError):
-    """An integrand or matrix element evaluated to a non-finite value."""
+    """An integrand or matrix element evaluated to a non-finite value, or a
+    closed-form side left the normal float range."""
 
 
 class ResourceLimitError(RuntimeError):

@@ -178,9 +178,10 @@ class StateSpec:
             raise ValueError(f"efficiency must lie in (0, 1], got {self.efficiency!r}")
 
 
-def _wrap_angle(a: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    return float(np.pi - (np.pi - a) % (2.0 * np.pi))
+def _wrap_angles(angles) -> Tuple[float, ...]:
+    """Reduce each angle to (-pi, pi]."""
+    a = np.asarray(angles, dtype=float)
+    return tuple((np.pi - np.mod(np.pi - a, 2.0 * np.pi)).tolist())
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,8 @@ class AngleConfig:
     theta_prime: Tuple[float, ...]
 
     def __post_init__(self):
-        th = tuple(_wrap_angle(float(a)) for a in self.theta)
-        thp = tuple(_wrap_angle(float(a)) for a in self.theta_prime)
+        th = _wrap_angles(self.theta)
+        thp = _wrap_angles(self.theta_prime)
         if len(th) != len(thp):
             raise ValueError("theta and theta_prime must have the same length")
         if len(th) == 0:

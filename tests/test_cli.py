@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +62,19 @@ class TestEval:
             run_cli(["eval", "--ineq", "functional", "--n", "6", "--eta", "1.5"])
         assert err.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("ineq, n", [("functional", 330), ("cfrd", 770)])
+    def test_largest_representable_mode_count(self, capsys, ineq, n):
+        assert run_cli(["eval", "--ineq", ineq, "--n", str(n)]) == 0
+        assert np.isfinite(json.loads(capsys.readouterr().out)["ratio"])
+
+    @pytest.mark.parametrize("ineq, n", [
+        ("functional", 331), ("functional", 348), ("cfrd", 811), ("cfrd", 2000),
+    ])
+    def test_closed_form_outside_float_range(self, capsys, ineq, n):
+        assert run_cli(["eval", "--ineq", ineq, "--n", str(n)]) == 1
+        err = capsys.readouterr().err
+        assert f"bound side at n = {n} is outside the normal float range" in err
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +172,20 @@ class TestFigure2:
         _, _, eta_c, p_c, flag = out.read_text().splitlines()[1].split(",")
         assert flag == "" and float(eta_c) < 1.0
         assert 0.0 < float(p_c) < 1e-9
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["figure1", "--n-min", "4", "--n-max", "100"], "figure1_n4-100.csv"),
+    (["figure2", "--n-min", "3", "--n-max", "40"], "figure2_n3-40.csv"),
+])
+def test_figures_reproduce_golden_bytes(tmp_path, capsys, argv, golden):
+    out = tmp_path / golden
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 class TestOracleCheck:

@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cvbell import functional_bell
+from cvbell.errors import ConvergenceError, NumericalDomainError
 from cvbell.functional_bell import (
     bell_value,
     cfrd_bell_value,
@@ -12,11 +18,95 @@ from cvbell.functional_bell import (
 )
 from cvbell.model import Identity, Optimal, StateSpec, density_matrix
 from cvbell.oracle import evaluate, optimize_epsilon_numeric, orthogonal_angles
-from cvbell.quadrature import kernel_integrals
+from cvbell.quadrature import gauss_hermite_rule, kernel_integrals
 
 # frozen from two independent numeric routes (damped fixed point and
 # golden-section maximization of the six-mode ratio)
 IDEAL_EPSILON = 2.9648362177
+
+# per-solve budgets of the accelerated fixed point: quadratures (the plain
+# damped iteration needed 51-78) and the residual the plain iteration reached
+MAX_QUADRATURES = 16
+MAX_RESIDUAL = 1.3e-12
+RULES = {order: gauss_hermite_rule(order) for order in (64, 256)}
+
+
+def _counted_quadratures():
+    return mock.patch.object(functional_bell, "_integral_epsilon",
+                             wraps=functional_bell._integral_epsilon)
+
+
+def _plain_damped_fixed_point(update, x, tol):
+    while True:
+        nxt = 0.5 * x + 0.5 * update(x)
+        if abs(nxt - x) < tol:
+            return nxt
+        x = nxt
+
+
+class TestAcceleratedFixedPoint:
+    @settings(max_examples=40, deadline=None)
+    @given(eta=st.floats(0.3, 1.0), order=st.sampled_from(sorted(RULES)))
+    def test_even_solve_budget(self, eta, order):
+        rule = RULES[order]
+        ideal_epsilon(rule)
+        with _counted_quadratures() as counted:
+            sol = solve_epsilon_even(eta, rule)
+        assert counted.call_count <= MAX_QUADRATURES
+        assert sol.residual <= MAX_RESIDUAL
+
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(1, 150), eta=st.floats(0.3, 1.0),
+           order=st.sampled_from(sorted(RULES)))
+    def test_odd_solve_budget(self, half, eta, order):
+        rule = RULES[order]
+        ideal_epsilon(rule)
+        with _counted_quadratures() as counted:
+            sol = solve_epsilon_odd(2 * half + 1, eta, rule)
+        assert counted.call_count <= MAX_QUADRATURES
+        assert sol.residual <= MAX_RESIDUAL
+
+    @pytest.mark.parametrize("order", sorted(RULES))
+    def test_ideal_solve_budget(self, order):
+        rule = RULES[order]
+        with mock.patch.dict(functional_bell._IDEAL_CACHE, clear=True), \
+                _counted_quadratures() as counted:
+            eps = ideal_epsilon(rule)
+        assert counted.call_count <= MAX_QUADRATURES
+        assert abs(eps - functional_bell._integral_epsilon(eps, rule)) <= MAX_RESIDUAL
+
+    @pytest.mark.parametrize("n, eta", [(2, 0.9), (2, 0.3), (3, 1.0), (7, 0.55), (101, 0.8)])
+    def test_lands_on_the_plain_damped_fixed_point(self, rule, n, eta):
+        t = functional_bell._integral_epsilon
+        if n % 2 == 0:
+            accelerated = solve_epsilon_even(eta, rule).epsilon_lossy
+            plain = _plain_damped_fixed_point(
+                lambda e: lossy_epsilon_map(t(e, rule), eta), ideal_epsilon(rule), 1e-12)
+        else:
+            accelerated = solve_epsilon_odd(n, eta, rule).epsilon_odd
+            plain = _plain_damped_fixed_point(
+                lambda e: functional_bell._odd_update(n, t(e, rule), eta, "literal"),
+                ideal_epsilon(rule), 1e-12)
+        assert accelerated == pytest.approx(plain, abs=5e-12)
+
+    @pytest.mark.parametrize("eta", [1e-16, 1e-300])
+    def test_fixed_point_within_roundoff_of_zero(self, rule, eta):
+        # the Aitken jump lands on or below zero here; the solve must not
+        assert solve_epsilon_even(eta, rule).epsilon_lossy > 0.0
+        assert solve_epsilon_odd(7, eta, rule).epsilon_odd > 0.0
+
+    def test_map_without_fixed_point_raises(self):
+        calls = []
+
+        def shift(x):
+            calls.append(x)
+            return x + 1.0
+
+        with pytest.raises(ConvergenceError) as err:
+            functional_bell._damped_fixed_point(shift, 0.0, 1e-12, "shifted")
+        assert err.value.best is not None and np.isfinite(err.value.best)
+        assert err.value.residual == pytest.approx(1.0)
+        assert len(calls) <= 200
 
 
 class TestEpsilonEven:
@@ -173,6 +263,26 @@ class TestBellValue:
                 for p in (1.0, 0.9):
                     spec = StateSpec(n, n // 2, p, eta)
                     assert bell_value(spec, rule).ratio >= cfrd_bell_value(spec, rule).ratio
+
+
+class TestFloatRange:
+    def test_last_representable_mode_counts(self, rule):
+        assert np.isfinite(bell_value(StateSpec(330, 165), rule).ratio)
+        assert np.isfinite(cfrd_bell_value(StateSpec(770, 385), rule).ratio)
+
+    @pytest.mark.parametrize("n", [331, 348, 500])
+    def test_functional_bound_side_underflow(self, rule, n):
+        with pytest.raises(NumericalDomainError, match=f"bound side at n = {n}"):
+            bell_value(StateSpec(n, n // 2), rule)
+
+    @pytest.mark.parametrize("n", [771, 811, 2000, 10**5])
+    def test_cfrd_prefactor_underflow_and_overflow(self, rule, n):
+        with pytest.raises(NumericalDomainError, match=f"bound side at n = {n}"):
+            cfrd_bell_value(StateSpec(n, n // 2), rule)
+
+    def test_underflowing_correlator_side_is_a_zero_ratio(self, rule):
+        res = bell_value(StateSpec(600, 300, 1.0, 0.3), rule)
+        assert res.lhs == 0.0 and res.rhs > 0.0 and res.ratio == 0.0
 
 
 class TestMomentCorrelationValue:

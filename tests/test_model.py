@@ -53,6 +53,16 @@ class TestAngleConfig:
         with pytest.raises(ValueError):
             AngleConfig(theta=(0.0,), theta_prime=(0.0, 1.0))
 
+    def test_wrap_matches_scalar_reduction_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        special = [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 3 * np.pi, -3 * np.pi]
+        angles = special + list(rng.uniform(-50.0, 50.0, 2000))
+        cfg = AngleConfig(theta=tuple(angles), theta_prime=tuple(angles))
+        scalar = [float(np.pi - (np.pi - a) % (2.0 * np.pi)) for a in angles]
+        assert np.array_equal(np.array(cfg.theta).view(np.int64),
+                              np.array(scalar).view(np.int64))
+        assert all(type(a) is float for a in cfg.theta_prime)
+
 
 class TestDensityMatrix:
     def test_two_mode_pure(self):
