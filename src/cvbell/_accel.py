@@ -15,10 +15,10 @@ import numpy as np
 def tensor_expectation(rho, mats) -> complex:
     """Tr(rho * M_1 (x) M_2 (x) ... (x) M_n) for 2x2 operators M_k.
 
-    ``rho`` is a COO array (``.row``, ``.col``, ``.data``) of shape
-    (2**n, 2**n) with mode 0 as the most significant bit; ``mats`` is
-    (n, 2, 2).  Tr(rho A) = sum over entries (i, j) of
-    rho[i, j] * prod_k M_k[j_k, i_k].
+    ``rho`` holds the stored entries of a (2**n, 2**n) matrix as ``.row``,
+    ``.col`` and ``.data`` arrays (a ``model.EntryList``), with mode 0 as the
+    most significant bit; ``mats`` is (n, 2, 2).  Tr(rho A) = sum over
+    entries (i, j) of rho[i, j] * prod_k M_k[j_k, i_k].
     """
     m = np.asarray(mats, dtype=np.complex128)
     n = m.shape[0]

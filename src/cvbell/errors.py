@@ -16,7 +16,7 @@ class ConvergenceError(RuntimeError):
 
 class NumericalDomainError(ArithmeticError):
     """An integrand or matrix element evaluated to a non-finite value, or a
-    closed-form side left the normal float range."""
+    closed-form side or Bell value left the float range."""
 
 
 class ResourceLimitError(RuntimeError):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import tensor_expectation
+from .errors import NumericalDomainError
 from .model import SQRT_2_OVER_PI, AngleConfig, DensityMatrix, StateSpec, _site_correlators
 
 
@@ -104,9 +105,8 @@ def mk_bell_value(spec: StateSpec) -> float:
     confirm directly.
     """
     n = spec.n_modes
-    return float(
-        spec.purity * (np.sqrt(2.0) / 2.0) * (4.0 * spec.efficiency / np.pi) ** (n / 2.0)
-    )
+    x = 4.0 * spec.efficiency / np.pi
+    return float(spec.purity * (np.sqrt(2.0) / 2.0) * _half_power(x, n))
 
 
 def mk_bell_value_product_form(spec: StateSpec) -> float:
@@ -118,7 +118,16 @@ def mk_bell_value_product_form(spec: StateSpec) -> float:
     """
     n = spec.n_modes
     x = 4.0 * spec.efficiency * spec.purity ** 2 / np.pi
-    return float((np.sqrt(2.0) / 2.0) * x ** (n / 2.0))
+    return float((np.sqrt(2.0) / 2.0) * _half_power(x, n))
+
+
+def _half_power(x: float, n: int) -> float:
+    """x^(n/2); NumericalDomainError naming n when it overflows."""
+    try:
+        return float(x) ** (n / 2.0)
+    except OverflowError:
+        raise NumericalDomainError(
+            f"binned Bell value at n = {n} overflows the float range") from None
 
 
 def mk_critical_product(n: int) -> float:

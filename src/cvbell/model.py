@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.sparse import coo_array
 
 from .errors import ResourceLimitError
 from .quadrature import QuadratureRule, check_odd, integrate
@@ -211,23 +210,47 @@ class AngleConfig:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class EntryList:
+    """Stored entries of a matrix: ``data[e]`` sits at (``row[e]``, ``col[e]``)."""
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+    shape: Tuple[int, int]
+
+    def toarray(self) -> np.ndarray:
+        m = np.zeros(self.shape, dtype=self.data.dtype)
+        np.add.at(m, (self.row, self.col), self.data)
+        return m
+
+
+@dataclass(frozen=True)
 class DensityMatrix:
     """2^N-dimensional density matrix over occupation bitstrings (mode 0 = MSB).
 
-    ``matrix`` may be given dense or sparse; it is stored as a COO array of
-    its nonzero entries with duplicates summed.
+    ``matrix`` may be given dense or as an ``EntryList``; it is stored as an
+    ``EntryList`` in row-major order, with duplicates summed in order of
+    appearance (dense input keeps its nonzero entries).
     """
 
     n_modes: int
-    matrix: coo_array
+    matrix: EntryList
 
     def __post_init__(self):
-        m = coo_array(self.matrix, dtype=complex)
+        m = self.matrix
         dim = 2 ** self.n_modes
+        if not isinstance(m, EntryList):
+            m = np.asarray(m, dtype=complex)
+            if m.shape == (dim, dim):
+                row, col = np.nonzero(m)
+                m = EntryList(row, col, m[row, col], m.shape)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match 2^{self.n_modes}")
-        m.sum_duplicates()
-        object.__setattr__(self, "matrix", m)
+        keys, inverse = np.unique(m.row * dim + m.col, return_inverse=True)
+        data = np.zeros(keys.size, dtype=complex)
+        np.add.at(data, inverse, m.data)
+        row, col = np.divmod(keys, dim)
+        object.__setattr__(self, "matrix", EntryList(row, col, data, m.shape))
 
     @property
     def dim(self) -> int:
@@ -269,7 +292,8 @@ class DensityMatrix:
             rows.append(int(row, 2))
             cols.append(int(col, 2))
             vals.append(complex(re, im))
-        m = coo_array((np.array(vals), (rows, cols)), shape=(2 ** n, 2 ** n))
+        m = EntryList(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                      np.array(vals, dtype=complex), (2 ** n, 2 ** n))
         return cls(n_modes=n, matrix=m)
 
 
@@ -338,7 +362,7 @@ def density_matrix(spec: StateSpec) -> DensityMatrix:
         keep = vals != 0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     dim = 2 ** n
-    return DensityMatrix(n_modes=n, matrix=coo_array((vals, (rows, cols)), shape=(dim, dim)))
+    return DensityMatrix(n_modes=n, matrix=EntryList(rows, cols, vals, (dim, dim)))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,12 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"bound side at n = {n} is outside the normal float range" in err
 
+    def test_mk_overflow_names_the_mode_count(self, capsys):
+        assert run_cli(["eval", "--ineq", "mk", "--n", "5000"]) == 0
+        assert np.isfinite(json.loads(capsys.readouterr().out)["ratio"])
+        assert run_cli(["eval", "--ineq", "mk", "--n", "6000"]) == 1
+        assert "binned Bell value at n = 6000 overflows the float range" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def fig1(tmp_path_factory):
@@ -275,11 +281,26 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ratio"] > 1
 
-    def test_startup_skips_the_optimizer(self):
-        # a fresh interpreter: the test modules load scipy.optimize themselves
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, cvbell.cli; print('scipy.optimize' in sys.modules)"],
-            capture_output=True, text=True, env=_src_env())
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+    def test_startup_skips_the_optimizer(self, tmp_path):
+        # a fresh interpreter: the test modules load scipy themselves; every
+        # subcommand but optimize runs on numpy alone
+        commands = [
+            ["eval", "--ineq", "functional", "--n", "4"],
+            ["eval", "--ineq", "functional", "--n", "4", "--r", "1", "--order", "64"],
+            ["eval", "--ineq", "cfrd", "--n", "5"],
+            ["eval", "--ineq", "mk", "--n", "3"],
+            ["figure1", "--n-min", "4", "--n-max", "6", "--out", str(tmp_path / "f1.csv")],
+            ["figure2", "--n-min", "3", "--n-max", "5", "--out", str(tmp_path / "f2.csv")],
+            ["oracle-check", "--n-min", "3", "--n-max", "4"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from cvbell.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []

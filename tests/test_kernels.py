@@ -77,4 +77,4 @@ class TestSparseState:
             for n in range(1, 13):
                 for r in range(n + 1):
                     rho = density_matrix(StateSpec(n, r, p, eta))
-                    assert rho.matrix.nnz == 2 ** r + 2 ** (n - r) + 1
+                    assert rho.matrix.data.size == 2 ** r + 2 ** (n - r) + 1

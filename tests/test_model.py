@@ -6,6 +6,7 @@ from cvbell.model import (
     AngleConfig,
     Basis,
     DensityMatrix,
+    EntryList,
     Identity,
     Optimal,
     SignBin,
@@ -68,22 +69,22 @@ class TestDensityMatrix:
     def test_two_mode_pure(self):
         rho = density_matrix(StateSpec(2, 1, 1.0, 1.0))
         # superposition of |01> and |10>; off-diagonal exactly 1/2
-        m = rho.matrix
+        m = rho.matrix.toarray()
         assert m[int("10", 2), int("01", 2)] == pytest.approx(0.5, abs=1e-15)
         assert m[int("10", 2), int("10", 2)] == pytest.approx(0.5, abs=1e-15)
         assert abs(m[0, 0]) < 1e-15
 
     def test_full_damping_limit(self):
         rho = density_matrix(StateSpec(3, 1, 1.0, 1e-12))
-        assert rho.matrix[0, 0].real == pytest.approx(1.0, abs=1e-11)
+        assert rho.matrix.toarray()[0, 0].real == pytest.approx(1.0, abs=1e-11)
 
     def test_coherence_entry_by_hand(self):
         # purity and per-mode sqrt(eta) multiply the cross-branch entry:
         # 0.9 * (1/2) * (sqrt(0.8))^4 = 0.288
         rho = density_matrix(StateSpec(4, 2, 0.9, 0.8))
         a, b = branch_indices(4, 2)
-        assert rho.matrix[a, b].real == pytest.approx(0.288, abs=1e-14)
-        assert rho.matrix.trace().real == pytest.approx(1.0, abs=1e-13)
+        assert rho.matrix.toarray()[a, b].real == pytest.approx(0.288, abs=1e-14)
+        assert np.trace(rho.matrix.toarray()).real == pytest.approx(1.0, abs=1e-13)
         rho.check()
 
     def test_random_grid_is_physical(self):
@@ -99,6 +100,19 @@ class TestDensityMatrix:
     def test_memory_guard(self):
         with pytest.raises(ResourceLimitError):
             density_matrix(StateSpec(40, 0, 1.0, 1.0))
+
+    def test_entries_summed_in_order_of_appearance(self):
+        rng = np.random.default_rng(11)
+        rows, cols = rng.integers(0, 16, 200), rng.integers(0, 16, 200)
+        vals = rng.normal(size=200) + 1j * rng.normal(size=200)
+        got = DensityMatrix(4, EntryList(rows, cols, vals, (16, 16))).matrix
+        sums = {}
+        for key, v in zip(zip(rows.tolist(), cols.tolist()), vals.tolist()):
+            sums[key] = sums.get(key, 0j) + v
+        keys = sorted(sums)
+        assert list(zip(got.row.tolist(), got.col.tolist())) == keys
+        want = np.array([sums[k] for k in keys])
+        assert np.array_equal(got.data.view(np.int64), want.view(np.int64))
 
     def test_debug_json_roundtrip(self):
         rho = density_matrix(StateSpec(3, 1, 0.8, 0.9))

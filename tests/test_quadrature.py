@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cvbell.errors import NumericalDomainError
-from cvbell.functional_bell import ideal_epsilon
+from cvbell.functional_bell import cfrd_bell_value, ideal_epsilon
 from cvbell.model import Identity, Optimal, SignBin, StateSpec, density_matrix, site_operator
 from cvbell.oracle import evaluate, orthogonal_angles
 from cvbell.quadrature import (
@@ -56,6 +58,16 @@ class TestRule:
         r = gauss_hermite_rule(8)
         assert abs(integrate(r, lambda x: x ** 2) - 0.3133285) < 1e-6
         assert abs(integrate(r, lambda x: x ** 4) - 0.2349964) < 1e-6
+
+    @pytest.mark.parametrize("order", [64, 256, 512])
+    def test_cfrd_ratio_matches_exact_fraction(self, order):
+        # the ideal CFRD ratio is (4/3)^floor(N/2) / 4 exactly and carries the
+        # rule's second and fourth moments to powers of order N
+        rule = gauss_hermite_rule(order)
+        for n in range(4, 301):
+            exact = float(Fraction(4, 3) ** (n // 2) / 4)
+            assert cfrd_bell_value(StateSpec(n, n // 2), rule).ratio == pytest.approx(
+                exact, rel=2e-13), n
 
     def test_order_bounds(self):
         for bad in (0, -3, 513, 2.5, "8"):
