@@ -34,7 +34,12 @@ from .mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
 from .model import Identity, Optimal, SignBin, StateSpec, density_matrix
 from .oracle import evaluate, optimize_epsilon_numeric, orthogonal_angles
 from .quadrature import DEFAULT_ORDER, QUICK_ORDER, gauss_hermite_rule, kernel_integrals
-from .variational import MAX_MODES as MAX_FREE_MODES, fit_optimal_epsilon, optimize_function
+from .variational import (
+    MAX_MODES as MAX_FREE_MODES,
+    euler_lagrange_residual,
+    fit_optimal_epsilon,
+    optimize_function,
+)
 
 ORACLE_CHECK_TOL = 1e-6
 ORACLE_CHECK_N_MAX = 24
@@ -257,15 +262,19 @@ def _cmd_optimize(args) -> int:
     init = SignBin() if args.init == "signbin" else Identity()
 
     status = 0
+    updates = []
     try:
-        best, bell = optimize_function(spec, rule, init)
+        best, bell = optimize_function(spec, rule, init, iteration_callback=updates.append)
     except ConvergenceError as exc:
         best, bell = exc.best
         status = 1
         print(f"warning: {exc}", file=sys.stderr)
 
     eps_fit, scale, rel_err = fit_optimal_epsilon(best, rule)
-    eps_ref = optimal_epsilon(args.n, args.eta, rule)
+    if r == _canonical_r(args.n):
+        eps_ref = optimal_epsilon(args.n, args.eta, rule)
+    else:
+        eps_ref, _ = optimize_epsilon_numeric(spec, rule)
 
     out = Path(args.out)
     _write_csv(out, ["node", "f_value"], best.to_csv_rows())
@@ -282,6 +291,8 @@ def _cmd_optimize(args) -> int:
         "reference_epsilon": eps_ref,
         "epsilon_deviation": abs(eps_fit - eps_ref),
         "converged": status == 0,
+        "updates": len(updates),
+        "stationarity_residual": euler_lagrange_residual(best, spec, rule),
     }
     side = out.with_name(out.name + ".summary.json")
     side.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ._accel import tensor_expectation
+from ._accel import tensor_expectation, tensor_expectation_sums
 from .model import (
     AngleConfig,
     DensityMatrix,
@@ -135,35 +135,27 @@ def ratio_partials(rho: DensityMatrix, f, g, angles: AngleConfig,
 
     Every site operator is linear in the site scalars, so the partial of a
     contraction is the sum over sites of the same contraction with that
-    site's operator replaced by its derivative: n contractions per scalar,
-    3n + 2 in all when g is f and 4n + 2 otherwise.
+    site's operator replaced by its derivative.  Both sides and all their
+    partials take one pass each over the state's entries.
     """
     n = rho.n_modes
     th, thp = angles.theta, angles.theta_prime
     o_mats, q_mats = _site_operators(rho, f, g, angles, rule)
-    corr = tensor_expectation(rho.matrix, o_mats)
-    rhs = tensor_expectation(rho.matrix, q_mats).real
-    ratio = float(abs(corr) ** 2 / rhs)
-
-    def site_sum(mats, d_mats) -> complex:
-        total = 0j
-        for k in range(n):
-            replaced = mats.copy()
-            replaced[k] = d_mats[k]
-            total += tensor_expectation(rho.matrix, replaced)
-        return total
-
     # the derivative of an operator linear in a scalar is the operator at
     # that scalar set to one and the others to zero
     amplitudes = [(1.0, 1.0)] if g is f else [(1.0, 0.0), (0.0, 1.0)]
-    d_corr = [site_sum(o_mats, _site_correlators(a, b, th, thp)) for a, b in amplitudes]
-    d_rhs = [site_sum(q_mats, np.broadcast_to(np.diag(e), (n, 2, 2)))
-             for e in ((1.0, 0.0), (0.0, 1.0))]
+    corr, d_corr = tensor_expectation_sums(
+        rho.matrix, o_mats, [_site_correlators(a, b, th, thp) for a, b in amplitudes])
+    rhs, d_rhs = tensor_expectation_sums(
+        rho.matrix, q_mats, [np.broadcast_to(np.diag(e), (n, 2, 2))
+                             for e in ((1.0, 0.0), (0.0, 1.0))])
+    rhs = rhs.real
+    ratio = float(abs(corr) ** 2 / rhs)
     # ratio = |corr|^2 / rhs and d|corr|^2 = 2 Re(conj(corr) d corr)
     return RatioPartials(
         ratio=ratio,
-        d_amplitude=np.array([2.0 * (corr.conjugate() * d).real / rhs for d in d_corr]),
-        d_moments=-ratio / rhs * np.real(d_rhs),
+        d_amplitude=2.0 * (corr.conjugate() * d_corr).real / rhs,
+        d_moments=-ratio / rhs * d_rhs.real,
     )
 
 
@@ -204,6 +196,24 @@ def angle_scan(rho: DensityMatrix, f, g, rule: QuadratureRule,
     return best
 
 
+def _golden_section_max(fn, a: float, b: float, xtol: float) -> float:
+    """Maximizer of a unimodal fn on [a, b]: the midpoint of the last
+    golden-section bracket narrower than xtol."""
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while d - c > xtol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    return 0.5 * (c + d)
+
+
 def optimize_epsilon_numeric(spec: StateSpec, rule: QuadratureRule,
                              eps_hi: float = 64.0,
                              xtol: float = 1e-8) -> Tuple[float, BellResult]:
@@ -221,20 +231,7 @@ def optimize_epsilon_numeric(spec: StateSpec, rule: QuadratureRule,
         f = Optimal(eps)
         return evaluate(rho, f, f, angles, rule).ratio
 
-    a, b = 1e-9, float(eps_hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = ratio(c), ratio(d)
-    while d - c > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = ratio(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = ratio(d)
-    eps = 0.5 * (c + d)
+    eps = _golden_section_max(ratio, 1e-9, float(eps_hi), xtol)
     f = Optimal(eps)
     return eps, evaluate(rho, f, f, angles, rule)
 

@@ -1,23 +1,28 @@
 """Free-function optimization of the Bell ratio over quadrature-node values.
 
-Rather than assuming the x/(1 + eps x^2) family, this module maximizes the
+Rather than assuming the x/(1 + eps x^2) family, this module optimizes the
 exact Fock-space ratio over the value of the measurement function at every
-positive quadrature node (odd extension supplies the negative axis).  The
-discretized stationarity condition has the same algebra as the continuum one,
-so the optimizer should land on the node samples of x/(1 + eps x^2) up to its
-own tolerance; the tests use that as a two-route consistency check.
+positive quadrature node (odd extension supplies the negative axis).
 
-The ratio is scale invariant, which leaves a flat direction that stalls
-quasi-Newton steps.  The gauge pins the value at the smallest positive node
-to ``norm_gauge`` times that node (unit slope through the origin by default)
-and optimizes the remaining values.
+The ratio sees the node values only through the site scalars of
+``oracle.ratio_partials``: the raising amplitude m, linear in the values,
+and the squared moments Q0 and Q1, quadratic in them.  With A = d ratio/d m
+and (b0, b1) = d ratio/d (Q0, Q1), the exact node gradient is
+grad_i = c_i (A x_i + 2 (b0 + 4 b1 x_i^2) v_i), which vanishes exactly at
+v proportional to x/(1 + eps x^2) with eps = 4 b1/b0.  So for any state the
+stationary functions are the paper's analytic family, with loss and noise
+entering through b0 and b1 only, and the optimizer iterates eps <- 4 b1/b0
+with the partials taken at the family member of the current eps.  The first
+update takes them at the start function, which projects any start onto the
+family.  The map is steep at large eps (at N = 9, r = 0 it falls from 4704
+eps at eps = 0.5 to 0.004 eps at eps = 20), so it runs in u = log(1 + eps),
+positive exactly where eps is, through the accelerated damping of
+``functional_bell``.
 
-Gradients are exact.  The ratio sees the node values only through the site
-scalars of ``oracle.ratio_partials``: the raising amplitude m, linear in the
-values, and the squared moments q0 and q1, quadratic in them.  The chain
-rule through those takes 3N + 2 contractions per gradient (4N + 2 when f and
-g are optimized separately).  BFGS runs on the exact gradient; a few Newton
-steps finish the runs whose line searches stop on roundoff short of gtol.
+The ratio is scale invariant.  The gauge pins the value at the smallest
+positive node to ``norm_gauge`` times that node.  The stationarity residual
+is the gradient max-norm over the other nodes divided by the ratio, free of
+the function's scale and of the ratio's (which goes as p^2).
 """
 
 from __future__ import annotations
@@ -28,12 +33,25 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import SQRT_2_OVER_PI, Basis, StateSpec, density_matrix
-from .oracle import BellResult, evaluate, orthogonal_angles, ratio_partials
+from .functional_bell import _damped_fixed_point
+from .model import SQRT_2_OVER_PI, Basis, Optimal, StateSpec, density_matrix
+from .oracle import (
+    BellResult,
+    RatioPartials,
+    _golden_section_max,
+    evaluate,
+    orthogonal_angles,
+    ratio_partials,
+)
 from .quadrature import QuadratureRule
 
 #: Largest mode count the free-function optimizer accepts.
 MAX_MODES = 10
+
+# step length in u = log(1 + eps) at which the map counts as converged
+_MAP_TOL = 1e-12
+# bound on the relaxed pair's re-solves while its amplitude ratio settles
+_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -80,23 +98,9 @@ def free_function_from(f, rule: QuadratureRule, norm_gauge: float = 1.0) -> Free
     return FreeFunction(x, np.asarray(fn(x), dtype=float), norm_gauge)
 
 
-def _fd_hessian(gradient: Callable, x: np.ndarray,
-                step: float = 1e-4) -> np.ndarray:
-    """Symmetrized central differences of the exact gradient."""
-    n = x.size
-    h = step * max(float(np.max(np.abs(x))), 1e-3)
-    hess = np.empty((n, n))
-    for i in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        hess[:, i] = (gradient(xp) - gradient(xm)) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
-
-
 class _RatioProblem:
-    """Ratio and exact node-value gradient at a fixed scenario and angles."""
+    """Ratio, site-scalar partials and node-value gradient at a fixed
+    scenario and angles."""
 
     def __init__(self, spec: StateSpec, rule: QuadratureRule):
         if spec.n_modes > MAX_MODES:
@@ -117,6 +121,12 @@ class _RatioProblem:
         g = f if g_values is None else Basis(self.nodes, g_values)
         return evaluate(self.rho, f, g, self.angles, self.rule)
 
+    def partials(self, values: np.ndarray,
+                 g_values: Optional[np.ndarray] = None) -> RatioPartials:
+        f = Basis(self.nodes, values)
+        g = f if g_values is None else Basis(self.nodes, g_values)
+        return ratio_partials(self.rho, f, g, self.angles, self.rule)
+
     def ratio_and_gradient(self, values: np.ndarray,
                            g_values: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
         """The ratio and its gradient in the node values of f, then of g.
@@ -124,9 +134,7 @@ class _RatioProblem:
         Without ``g_values`` the same function sits on both quadratures and
         the gradient has one entry per node.
         """
-        f = Basis(self.nodes, values)
-        g = f if g_values is None else Basis(self.nodes, g_values)
-        p = ratio_partials(self.rho, f, g, self.angles, self.rule)
+        p = self.partials(values, g_values)
         d_q0, d_q1 = p.d_moments
         d_moments = d_q0 * self._dq0 + d_q1 * self._dq1
         if g_values is None:
@@ -136,130 +144,121 @@ class _RatioProblem:
         return p.ratio, np.concatenate((d_mf * self._dm + d_moments * values,
                                         d_mg * self._dm + d_moments * g_values))
 
+    def residual(self, values: np.ndarray, g_values: Optional[np.ndarray] = None) -> float:
+        """Gradient max-norm over all but the gauge node, relative to the ratio."""
+        ratio, grad = self.ratio_and_gradient(values, g_values)
+        return float(np.max(np.abs(grad[1:])) / ratio)
 
-def _maximize(objective: Callable, x0: np.ndarray, gtol: float, max_iter: int,
-              iteration_callback: Optional[Callable[[float], None]]):
-    """Drive the gradient max-norm of the objective below gtol; returns (x, norm).
+    def family(self, u: float) -> np.ndarray:
+        """Node values of x/(1 + eps x^2) at eps = exp(u) - 1."""
+        return Optimal(np.expm1(u))(self.nodes)
 
-    ``objective`` returns the value to minimize and its exact gradient.  BFGS
-    stops short of gtol when the decrease its line search asks for falls
-    below the objective's roundoff.  Up to three Newton steps, judged by the
-    gradient norm rather than the objective, finish those runs.
-    """
-    # imported here so that only the optimizer pays for loading scipy.optimize
-    from scipy.optimize import minimize
 
-    callback = None
-    if iteration_callback is not None:
-        callback = lambda intermediate_result: iteration_callback(-intermediate_result.fun)
-    res = minimize(objective, np.asarray(x0, dtype=float), jac=True, method="BFGS",
-                   callback=callback, options={"gtol": gtol, "maxiter": max_iter})
-    x, g = res.x, res.jac
-    gradient = lambda z: objective(z)[1]
-    for _ in range(3):
-        grad_norm = float(np.max(np.abs(g)))
-        if grad_norm <= gtol:
-            break
-        # the valley directions are nearly flat, so the spectrum is clamped
-        # before inverting
-        evals, evecs = np.linalg.eigh(_fd_hessian(gradient, x))
-        floor = 1e-6 * max(evals[-1], 1e-12)
-        step = evecs @ ((evecs.T @ g) / np.maximum(evals, floor))
-        for scale in (1.0, 0.25, 0.05):
-            cand = x - scale * step
-            g_cand = gradient(cand)
-            if np.max(np.abs(g_cand)) < grad_norm:
-                x, g = cand, g_cand
-                break
-        else:
-            break
-    return x, float(np.max(np.abs(g)))
+def _stationary_epsilon(p: RatioPartials) -> float:
+    """The eps at which the node gradient of ``p`` vanishes: 4 b1/b0."""
+    b0, b1 = p.d_moments
+    if not b0 < 0.0:
+        # every bound-side weight is nonnegative, so b0 < 0 whenever ratio > 0
+        raise ValueError("the ratio vanishes for every function (zero purity or a "
+                         "correlator below the float range): nothing to optimize")
+    return 4.0 * b1 / b0
 
 
 def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
-                      gtol: float = 1e-7, max_iter: int = 500,
+                      gtol: float = 1e-7,
                       iteration_callback: Optional[Callable[[float], None]] = None):
-    """Maximize the ratio over node values; returns (FreeFunction, BellResult).
+    """Solve the stationarity condition of the ratio in the node values;
+    returns (FreeFunction, BellResult).
 
-    The same function is used on both quadratures of every site, which is the
-    stationary configuration.  Gradients are exact (chain rule through the
-    site scalars); ``iteration_callback`` receives the ratio at each accepted
-    BFGS iterate.
+    The same function is used on both quadratures of every site, which is
+    the stationary configuration.  ``iteration_callback`` receives the ratio
+    at every map update: first at the start function, then on the family.
 
-    Raises ConvergenceError with the best (FreeFunction, BellResult) attached
-    if the gradient max-norm does not reach ``gtol``.
+    Raises ConvergenceError with the last (FreeFunction, BellResult)
+    attached if the relative stationarity residual exceeds ``gtol``, and
+    ValueError if the ratio is zero at the start.
     """
     problem = _RatioProblem(spec, rule)
     start = free_function_from(init, rule).normalized()
-    v0 = start.values[0]
 
-    def objective(free: np.ndarray):
-        ratio, grad = problem.ratio_and_gradient(np.concatenate(([v0], free)))
-        return -ratio, -grad[1:]
+    def update(values: np.ndarray) -> float:
+        p = problem.partials(values)
+        if iteration_callback is not None:
+            iteration_callback(p.ratio)
+        return _stationary_epsilon(p)
 
-    x, grad_norm = _maximize(objective, start.values[1:], gtol, max_iter,
-                             iteration_callback)
-    best_values = np.concatenate(([v0], x))
-    best = FreeFunction(start.nodes, best_values, start.norm_gauge)
-    raw = problem.result(best_values)
-    bell = BellResult(
-        lhs=raw.lhs, rhs=raw.rhs, ratio=raw.ratio,
-        inequality_id="functional", function_id="free_function",
-        angles=raw.angles,
-    )
-    if grad_norm > gtol:
+    try:
+        u = _damped_fixed_point(lambda u: np.log1p(update(problem.family(u))),
+                                np.log1p(update(start.values)), _MAP_TOL, "free-function")
+    except ConvergenceError as exc:
+        u = exc.best        # judged by its gradient like any other end point
+    best = FreeFunction(start.nodes, problem.family(u), start.norm_gauge).normalized()
+    raw = problem.result(best.values)
+    bell = BellResult(lhs=raw.lhs, rhs=raw.rhs, ratio=raw.ratio, inequality_id="functional",
+                      function_id="free_function", angles=raw.angles)
+    residual = problem.residual(best.values)
+    if residual > gtol:
         raise ConvergenceError(
-            f"stationarity not reached: gradient max-norm {grad_norm:.3e} > {gtol:.1e}",
-            best=(best, bell), residual=grad_norm,
+            f"stationarity not reached: relative gradient max-norm {residual:.3e} > {gtol:.1e}",
+            best=(best, bell), residual=residual,
         )
     return best, bell
 
 
-def optimize_function_pair(spec: StateSpec, rule: QuadratureRule, init, *,
-                           gtol: float = 1e-7, max_iter: int = 900):
-    """Relaxed variant optimizing f and g independently.
+def optimize_function_pair(spec: StateSpec, rule: QuadratureRule, init, init_g, *,
+                           gtol: float = 1e-7):
+    """Relaxed variant with f and g free; returns (f, g, BellResult).
 
-    Returns (f, g, BellResult).  Used by the tests to confirm that the
-    g = +/- f relation emerges from the optimization instead of being
-    imposed; production paths use ``optimize_function``.
+    Stationarity in g gives g proportional to x/(1 + eps x^2) with the same
+    eps = 4 b1/b0 as f, so the map carries eps and the scale s of g = s f,
+    s <- (d ratio/d mg) / (d ratio/d mf).  f is gauge-fixed; g starts from
+    ``init_g`` as given.  s takes a plain step at every update; once eps has
+    converged each further solve returns after one update, and the solves
+    repeat until s settles too.  Used by the tests to confirm that g = +/- f
+    emerges instead of being imposed; production paths use
+    ``optimize_function``.
     """
     problem = _RatioProblem(spec, rule)
     start = free_function_from(init, rule).normalized()
-    v0 = start.values[0]
-    n_free = start.nodes.size - 1
+    scales = []
 
-    def objective(packed: np.ndarray):
-        fv = np.concatenate(([v0], packed[:n_free]))
-        ratio, grad = problem.ratio_and_gradient(fv, packed[n_free:])
-        return -ratio, -grad[1:]
+    def update(fv: np.ndarray, gv: np.ndarray) -> float:
+        p = problem.partials(fv, gv)
+        d_mf, d_mg = p.d_amplitude
+        scales.append(d_mg / d_mf)
+        return _stationary_epsilon(p)
 
-    x0 = np.concatenate((start.values[1:], start.values))
-    x, grad_norm = _maximize(objective, x0, gtol, max_iter, None)
-    fv = np.concatenate(([v0], x[:n_free]))
-    gv = x[n_free:]
-    f_best = FreeFunction(start.nodes, fv, start.norm_gauge)
-    g_best = FreeFunction(start.nodes, gv, start.norm_gauge)
-    bell = problem.result(fv, gv)
-    if grad_norm > gtol:
+    def family_update(u: float) -> float:
+        fv = problem.family(u)
+        return np.log1p(update(fv, scales[-1] * fv))
+
+    u = np.log1p(update(start.values, free_function_from(init_g, rule).values))
+    for _ in range(_MAX_SWEEPS):
+        u = _damped_fixed_point(family_update, u, _MAP_TOL, "relaxed-pair")
+        if abs(scales[-1] - scales[-2]) <= _MAP_TOL * abs(scales[-1]):
+            break
+    f_best = FreeFunction(start.nodes, problem.family(u), start.norm_gauge).normalized()
+    g_best = FreeFunction(start.nodes, scales[-1] * f_best.values, start.norm_gauge)
+    bell = problem.result(f_best.values, g_best.values)
+    residual = problem.residual(f_best.values, g_best.values)
+    if residual > gtol:
         raise ConvergenceError(
-            f"stationarity not reached: gradient max-norm {grad_norm:.3e} > {gtol:.1e}",
-            best=(f_best, g_best, bell), residual=grad_norm,
+            f"stationarity not reached: relative gradient max-norm {residual:.3e} > {gtol:.1e}",
+            best=(f_best, g_best, bell), residual=residual,
         )
     return f_best, g_best, bell
 
 
 def euler_lagrange_residual(f, spec: StateSpec, rule: QuadratureRule) -> float:
-    """Max-norm stationarity defect of the ratio at a given function.
+    """Relative stationarity defect of the ratio at a given function.
 
-    The function is gauge-normalized first, so the residual is invariant
-    under rescaling f -> c f; the exact gradient is taken over all non-gauge
-    node directions.  Near zero at a true optimum, order 1e-3 or larger away
-    from one.
+    The exact gradient max-norm over all non-gauge node directions of the
+    gauge-normalized function, divided by the ratio; invariant under
+    f -> c f and under the overall scale of the ratio.  At roundoff level
+    (1e-12 and below) at a true optimum, order 1e-3 or larger away from one.
     """
     problem = _RatioProblem(spec, rule)
-    ff = free_function_from(f, rule).normalized()
-    _, grad = problem.ratio_and_gradient(ff.values)
-    return float(np.max(np.abs(grad[1:])))
+    return problem.residual(free_function_from(f, rule).normalized().values)
 
 
 def fit_optimal_epsilon(f: FreeFunction, rule: QuadratureRule) -> Tuple[float, float, float]:
@@ -267,10 +266,8 @@ def fit_optimal_epsilon(f: FreeFunction, rule: QuadratureRule) -> Tuple[float, f
 
     Returns (eps, scale, relative_l2_error) with the Gaussian quadrature
     weights as the error measure.  The scale is eliminated analytically, so
-    only eps is searched.
+    only eps is searched, by golden section on [1e-9, 64].
     """
-    from scipy.optimize import minimize_scalar
-
     x = f.nodes
     v = f.values
     if rule.positive_nodes.shape != x.shape or not np.allclose(rule.positive_nodes, x):
@@ -284,9 +281,7 @@ def fit_optimal_epsilon(f: FreeFunction, rule: QuadratureRule) -> Tuple[float, f
         r = v - c * phi
         return float(np.dot(w, r * r))
 
-    res = minimize_scalar(sse, bounds=(1e-6, 64.0), method="bounded",
-                          options={"xatol": 1e-12})
-    eps = float(res.x)
+    eps = _golden_section_max(lambda e: -sse(e), 1e-9, 64.0, 1e-12)
     phi = x / (1.0 + eps * x * x)
     c = float(np.dot(w, v * phi) / np.dot(w, phi * phi))
     rel = float(np.sqrt(sse(eps) / np.dot(w, v * v)))

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from cvbell.cli import main
+from cvbell.model import StateSpec
+from cvbell.oracle import optimize_epsilon_numeric
+from cvbell.quadrature import gauss_hermite_rule
 
 
 def run_cli(argv):
@@ -233,6 +236,8 @@ class TestOptimize:
         assert payload["converged"] is True
         assert payload["fit_relative_l2_error"] < 1e-3
         assert payload["epsilon_deviation"] < 1e-3
+        assert payload["updates"] >= 2
+        assert payload["stationarity_residual"] <= 1e-9
         lines = out.read_text().splitlines()
         assert lines[0] == "node,f_value"
         assert len(lines) > 10
@@ -247,6 +252,36 @@ class TestOptimize:
                             "--out", str(out)]) == 0
             ratios.append(json.loads(capsys.readouterr().out)["ratio"])
         assert abs(ratios[0] - ratios[1]) < 1e-6
+
+    def test_verdict_is_free_of_the_ratio_scale(self, tmp_path, capsys):
+        # the ratio goes as p^2: at p = 1e-9 an absolute gradient gate passes
+        # the untouched start function
+        eps = []
+        for p in ("1", "1e-9"):
+            assert run_cli(["optimize", "--n", "6", "--p", p,
+                            "--out", str(tmp_path / "opt.csv")]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["converged"] is True
+            assert payload["epsilon_deviation"] <= 1e-9
+            eps.append(payload["fitted_epsilon"])
+        assert eps[1] == pytest.approx(eps[0], rel=1e-9)
+
+    def test_noncanonical_split_reference(self, tmp_path, capsys):
+        out = tmp_path / "opt.csv"
+        assert run_cli(["optimize", "--n", "9", "--r", "0", "--out", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        eps_numeric, _ = optimize_epsilon_numeric(StateSpec(9, 0), gauss_hermite_rule(64))
+        assert payload["reference_epsilon"] == eps_numeric
+        # the golden-section search stops at a 1e-8 bracket
+        assert payload["epsilon_deviation"] <= 1e-7
+
+    def test_zero_purity_rejected(self, tmp_path, capsys):
+        # the ratio vanishes for every function, so nothing is stationary
+        with pytest.raises(SystemExit) as err:
+            run_cli(["optimize", "--n", "4", "--p", "0", "--out", str(tmp_path / "opt.csv")])
+        assert err.value.code == 2
+        assert "vanishes" in capsys.readouterr().err
+        assert not (tmp_path / "opt.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--n", "1"), ("--n", "11"),
@@ -283,7 +318,7 @@ class TestEntryPoint:
 
     def test_startup_skips_the_optimizer(self, tmp_path):
         # a fresh interpreter: the test modules load scipy themselves; every
-        # subcommand but optimize runs on numpy alone
+        # subcommand runs on numpy alone
         commands = [
             ["eval", "--ineq", "functional", "--n", "4"],
             ["eval", "--ineq", "functional", "--n", "4", "--r", "1", "--order", "64"],
@@ -292,6 +327,7 @@ class TestEntryPoint:
             ["figure1", "--n-min", "4", "--n-max", "6", "--out", str(tmp_path / "f1.csv")],
             ["figure2", "--n-min", "3", "--n-max", "5", "--out", str(tmp_path / "f2.csv")],
             ["oracle-check", "--n-min", "3", "--n-max", "4"],
+            ["optimize", "--n", "4", "--init", "signbin", "--out", str(tmp_path / "opt.csv")],
         ]
         script = (
             "import json, sys\n"

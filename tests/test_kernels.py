@@ -63,6 +63,24 @@ class TestBackends:
             assert got == pytest.approx(expected, rel=1e-13)
 
 
+    def test_replacement_sums_against_site_loop(self):
+        # reference: one contraction per site with that site's operator replaced
+        rng = np.random.default_rng(6)
+        for n in range(1, 7):
+            rho, mats = random_case(rng, n)
+            rho[np.abs(rho) < np.median(np.abs(rho))] = 0.0
+            reps = rng.normal(size=(2, n, 2, 2)) + 1j * rng.normal(size=(2, n, 2, 2))
+            value, sums = _accel.tensor_expectation_sums(coo_array(rho), mats, reps)
+            assert value == _accel.tensor_expectation(coo_array(rho), mats)
+            for d, got in zip(reps, sums):
+                want = 0j
+                for k in range(n):
+                    replaced = mats.copy()
+                    replaced[k] = d[k]
+                    want += _accel.tensor_expectation(coo_array(rho), replaced)
+                assert got == pytest.approx(want, rel=1e-12)
+
+
 class TestSparseState:
     def test_matches_full_kraus_channel(self):
         for eta, p in ((0.7, 0.8), (0.25, 1.0), (1.0, 0.6)):
