@@ -2,11 +2,11 @@
 
 Subcommands
 -----------
-eval          single-scenario Bell observable, JSON on stdout
+eval          closed-form Bell observable at any split r, JSON on stdout
 figure1       CSV of maximal violations vs mode count (optimized and plain)
 figure2       CSV of critical efficiency / purity curves per inequality
 oracle-check  closed-form vs Fock-space agreement report (nonzero exit on breach)
-optimize      free-function optimization, CSV of node values + JSON summary
+optimize      free-function optimization vs the closed-form root, CSV + JSON
 
 All file outputs are deterministic: floats at 12 significant digits, LF line
 endings, plus a ``<out>.meta.json`` sidecar echoing the configuration and the
@@ -31,8 +31,8 @@ from .functional_bell import (
     optimal_epsilon,
 )
 from .mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
-from .model import Identity, Optimal, SignBin, StateSpec, density_matrix
-from .oracle import evaluate, optimize_epsilon_numeric, orthogonal_angles
+from .model import Identity, Optimal, SignBin, StateSpec, canonical_split, density_matrix
+from .oracle import evaluate, orthogonal_angles
 from .quadrature import DEFAULT_ORDER, QUICK_ORDER, gauss_hermite_rule, kernel_integrals
 from .variational import (
     MAX_MODES as MAX_FREE_MODES,
@@ -71,17 +71,13 @@ def _write_sidecar(path: Path, command: str, config: dict) -> None:
     side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _canonical_r(n: int) -> int:
-    return n // 2
-
-
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
     rule = gauss_hermite_rule(args.order)
-    r = args.r if args.r is not None else _canonical_r(args.n)
+    r = args.r if args.r is not None else canonical_split(args.n)
     spec = StateSpec(n_modes=args.n, r_split=r, purity=args.p, efficiency=args.eta)
     payload = {
         "inequality": args.ineq,
@@ -91,16 +87,8 @@ def _cmd_eval(args) -> int:
         "p": args.p,
         "order": args.order,
     }
-    if args.ineq == "functional":
-        if r == _canonical_r(args.n):
-            res = bell_value(spec, rule)
-        else:
-            _, res = optimize_epsilon_numeric(spec, rule)
-        payload.update(
-            function=res.function_id, lhs=res.lhs, rhs=res.rhs, ratio=res.ratio
-        )
-    elif args.ineq == "cfrd":
-        res = cfrd_bell_value(spec, rule)
+    if args.ineq in ("functional", "cfrd"):
+        res = (bell_value if args.ineq == "functional" else cfrd_bell_value)(spec, rule)
         payload.update(
             function=res.function_id, lhs=res.lhs, rhs=res.rhs, ratio=res.ratio
         )
@@ -132,7 +120,7 @@ def _cmd_figure1(args) -> int:
     rule = gauss_hermite_rule(args.order)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        spec = StateSpec(n_modes=n, r_split=_canonical_r(n))
+        spec = StateSpec(n_modes=n, r_split=canonical_split(n))
         b_opt = bell_value(spec, rule).ratio
         b_cfrd = cfrd_bell_value(spec, rule).ratio
         rows.append((n, b_opt, b_cfrd))
@@ -185,14 +173,14 @@ def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
     etas = (1.0, 0.9, 0.8)
     ps = (1.0, 0.9)
     for n in range(n_min, n_max + 1):
-        r = _canonical_r(n)
+        r = canonical_split(n)
         for eta in etas:
             for p in ps:
                 spec = StateSpec(n_modes=n, r_split=r, purity=p, efficiency=eta)
                 rho = density_matrix(spec)
                 angles = orthogonal_angles(n, r)
 
-                eps_opt = optimal_epsilon(n, eta, rule)
+                eps_opt = optimal_epsilon(n, r, eta, rule)
                 ki = kernel_integrals(Optimal(eps_opt + perturb_eps), rule)
                 lhs, rhs = closed_form_sides(n, r, eta, p, ki)
                 closed = lhs / rhs
@@ -257,7 +245,7 @@ def _cmd_optimize(args) -> int:
             f"--order must be at least 4 (one node value beyond the gauge), got {args.order}"
         )
     rule = gauss_hermite_rule(args.order)
-    r = args.r if args.r is not None else _canonical_r(args.n)
+    r = args.r if args.r is not None else canonical_split(args.n)
     spec = StateSpec(n_modes=args.n, r_split=r, purity=args.p, efficiency=args.eta)
     init = SignBin() if args.init == "signbin" else Identity()
 
@@ -271,10 +259,7 @@ def _cmd_optimize(args) -> int:
         print(f"warning: {exc}", file=sys.stderr)
 
     eps_fit, scale, rel_err = fit_optimal_epsilon(best, rule)
-    if r == _canonical_r(args.n):
-        eps_ref = optimal_epsilon(args.n, args.eta, rule)
-    else:
-        eps_ref, _ = optimize_epsilon_numeric(spec, rule)
+    eps_ref = optimal_epsilon(args.n, r, args.eta, rule)
 
     out = Path(args.out)
     _write_csv(out, ["node", "f_value"], best.to_csv_rows())

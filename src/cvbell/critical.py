@@ -1,8 +1,8 @@
 """Critical detection efficiency, purity, and decoherence-product thresholds.
 
-A threshold is the parameter value at which the Bell ratio B reaches 1.
-Wherever B is an explicit function of the swept parameter the threshold is
-its exact inverse:
+A threshold is the parameter value at which the Bell ratio B, taken at the
+split r = N // 2 of ``model.canonical_split``, reaches 1.  Wherever B is an
+explicit function of the swept parameter the threshold is its exact inverse:
 
 - purity, functional and CFRD: the correlator side scales as p^2, the bound
   side and the optimal function do not depend on p, so p_c = B(eta, 1)^(-1/2);
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import MonotonicityError
 from .functional_bell import bell_value, cfrd_bell_value, ideal_epsilon
 from .mk_binning import mk_bell_value, mk_bell_value_product_form, mk_critical_product
-from .model import Optimal, StateSpec
+from .model import Optimal, StateSpec, canonical_split
 from .quadrature import QuadratureRule, kernel_integrals
 
 INEQUALITIES = ("functional", "cfrd", "mk")
@@ -54,19 +54,16 @@ class AsymptoticProduct:
     n_tail: int
 
 
-def _canonical_spec(n: int, eta: float, p: float) -> StateSpec:
-    return StateSpec(n_modes=n, r_split=n // 2 if n > 1 else 1, purity=p, efficiency=eta)
-
-
 def bell_ratio(inequality_id: str, n: int, eta: float, p: float,
                rule: QuadratureRule) -> float:
-    """Canonical-split Bell ratio of the named inequality."""
+    """Bell ratio of the named inequality at the split ``canonical_split(n)``."""
+    spec = StateSpec(n, canonical_split(n), p, eta)
     if inequality_id == "functional":
-        return bell_value(_canonical_spec(n, eta, p), rule).ratio
+        return bell_value(spec, rule).ratio
     if inequality_id == "cfrd":
-        return cfrd_bell_value(_canonical_spec(n, eta, p), rule).ratio
+        return cfrd_bell_value(spec, rule).ratio
     if inequality_id == "mk":
-        return mk_bell_value(_canonical_spec(n, eta, p))
+        return mk_bell_value(spec)
     raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")
 
 
@@ -132,7 +129,7 @@ def critical_purity(n: int, eta: float, inequality_id: str,
         if target > 1.0:
             return None
         p = float(np.sqrt(target))
-        check = mk_bell_value_product_form(_canonical_spec(n, eta, p))
+        check = mk_bell_value_product_form(StateSpec(n, canonical_split(n), p, eta))
         if abs(check - 1.0) > 1e-9:
             raise MonotonicityError(
                 f"product inversion failed its cross-check: B={check!r} at p={p!r}"

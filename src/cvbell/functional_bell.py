@@ -17,6 +17,7 @@ per-site decoherence-product forms that treat eta*p^2 (binned) or (eta p)^2
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,20 +68,35 @@ def _damped_fixed_point(update, x: float, tol: float, name: str) -> float:
 
     Steffensen's method: two damped steps, then the Aitken delta^2 jump
     through them.  Returns the end of the first damped step shorter than tol.
-    Every parameter solved here is positive; a jump that would leave that
-    domain (a fixed point within roundoff of zero, as at eta < 1e-15) is
-    replaced by the second damped step.
+    Every map solved here has one positive fixed point, with update(x) > x
+    below it and update(x) < x above it, so each update also narrows a
+    bracket (lo, hi) on the root.  A jump is taken only if it lies inside
+    the bracket and moves less than half as far as the point before last
+    did.  Otherwise the next point is the bracket's geometric midpoint (the
+    root's scale is unknown), hi/2 while no lower end is known, or the
+    second damped step while no upper end is known.  At lopsided splits the
+    map is nearly a step, and the jumps alone creep along a two-cycle of the
+    damped steps; a root within roundoff of zero sends them negative.
     """
+    lo, hi = 0.0, np.inf
+    before_last = last = np.inf
     for _ in range(_MAX_ITER):
         x1 = 0.5 * x + 0.5 * update(x)
         if abs(x1 - x) < tol:
             return x1
+        lo, hi = (max(lo, x), hi) if x1 > x else (lo, min(hi, x))
         x2 = 0.5 * x1 + 0.5 * update(x1)
         if abs(x2 - x1) < tol:
             return x2
+        lo, hi = (max(lo, x1), hi) if x2 > x1 else (lo, min(hi, x1))
         curvature = x2 - 2.0 * x1 + x
         jump = x - (x1 - x) ** 2 / curvature if curvature != 0.0 else 0.0
-        x = jump if jump > 0.0 else x2
+        if not (lo < jump < hi and abs(jump - x) < 0.5 * before_last):
+            if hi == np.inf:
+                jump = x2
+            else:
+                jump = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+        before_last, last, x = last, abs(jump - x), jump
     raise ConvergenceError(
         f"{name} fixed point did not converge in {_MAX_ITER} accelerated steps",
         best=x1, residual=2.0 * abs(x2 - x1),
@@ -101,51 +117,65 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
 
 
+def _stationary_update(n: int, r: int, eta: float, e: float) -> float:
+    """One application of the stationarity relation of the closed-form ratio.
+
+    Its f-variation vanishes at f = x/(1 + eps x^2) with eps = 4 eta d_C /
+    ((1 - eta) d_C + d_0), d_C and d_0 the partials of
+    ln(C^r I0^(n-r) + I0^r C^(n-r)) in C and I0, symmetric under r <-> n - r,
+    so s = n - 2r >= 0.  With w = 1 - v the first term's weight, the logistic
+    of s ln(I0/C) (no power overflows), C d_C = r + s v and I0 d_0 = r + s w.
+    The integrals enter only as c = C/I0 = 1 - eta + 4 eta/e, e = 4*I0/I;
+    eps is ``lossy_epsilon_map(e, eta)`` times a split correction, 1 at r = n/2.
+    """
+    c = 1.0 - eta + 4.0 * eta / e
+    r = min(r, n - r)
+    s = n - 2 * r
+    t = math.exp(-s * abs(math.log(c)))
+    w, v = (t / (1.0 + t), 1.0 / (1.0 + t)) if c > 1.0 else (1.0 / (1.0 + t), t / (1.0 + t))
+    k = 1.0 - eta + c
+    return lossy_epsilon_map(e, eta) * (r + s * v) / (r + s * ((1.0 - eta) * v + c * w) / k)
+
+
+def optimal_epsilon(n: int, r: int, eta: float, rule: QuadratureRule) -> float:
+    """Function parameter maximizing the closed-form ratio at split r of n modes:
+    the root of ``_stationary_update`` at the integrals of eps itself; raises
+    NumericalDomainError where a term weight or the function underflows."""
+    _check_eta(eta)
+    try:
+        return _damped_fixed_point(
+            lambda x: _stationary_update(n, r, eta, _integral_epsilon(x, rule)),
+            ideal_epsilon(rule), 1e-12, "stationarity",
+        )
+    except ZeroDivisionError:
+        raise NumericalDomainError(
+            f"optimal function at n = {n}, r = {r} leaves the float range") from None
+
+
 def solve_epsilon_even(eta: float, rule: QuadratureRule) -> EpsilonSolution:
     """Optimal function parameter for even mode counts at efficiency eta.
 
-    The loss adjustment and the integral ratio are iterated together, which
-    is the true stationary point of the ratio: the free numeric maximization
-    lands on it to within its search tolerance.  Mapping the noise-free fixed
-    point once through the loss adjustment instead undershoots the maximized
-    ratio by O(1e-3) relative at eta ~ 0.8.
+    The stationarity relation at r = N/2 is the loss adjustment of the
+    integral ratio, iterated together with it; the result does not depend on
+    N.  Mapping the noise-free fixed point once through the loss adjustment
+    instead undershoots the maximized ratio by O(1e-3) relative at eta ~ 0.8.
     """
     _check_eta(eta)
-    eps_star = ideal_epsilon(rule)
-    resid_ideal = abs(eps_star - _integral_epsilon(eps_star, rule))
     if eta == 1.0:
-        return EpsilonSolution(
-            epsilon_ideal=eps_star,
-            epsilon_lossy=lossy_epsilon_map(eps_star, eta),
-            epsilon_odd=None,
-            residual=resid_ideal,
-        )
-    eps_l = _damped_fixed_point(
-        lambda e: lossy_epsilon_map(_integral_epsilon(e, rule), eta), eps_star, 1e-12, "lossy"
-    )
-    eps_tilde = _integral_epsilon(eps_l, rule)
-    resid = abs(eps_l - lossy_epsilon_map(eps_tilde, eta))
-    return EpsilonSolution(
-        epsilon_ideal=eps_tilde,
-        epsilon_lossy=eps_l,
-        epsilon_odd=None,
-        residual=max(resid, resid_ideal),
-    )
+        eps = ideal_epsilon(rule)
+        return EpsilonSolution(epsilon_ideal=eps, epsilon_lossy=eps, epsilon_odd=None,
+                               residual=abs(eps - _integral_epsilon(eps, rule)))
+    eps_l = optimal_epsilon(2, 1, eta, rule)
+    eps = _integral_epsilon(eps_l, rule)
+    return EpsilonSolution(epsilon_ideal=eps, epsilon_lossy=eps_l, epsilon_odd=None,
+                           residual=abs(eps_l - _stationary_update(2, 1, eta, eps)))
 
 
-def _odd_update(n: int, eps: float, eta: float, reading: str) -> float:
-    """One application of the odd-N stationarity relations at given integrals."""
+def _odd_update(n: int, eps: float, eta: float) -> float:
+    """The odd-N relation with its lossy denominator symmetrized ("matched")."""
     eps_l = lossy_epsilon_map(eps, eta)
-    e_minus = eps - 4.0
-    e_plus_l = eps_l + 4.0
-    num = n * e_plus_l - eps_l * e_minus / eps
-    if reading == "literal":
-        den = n * e_plus_l + eps_l * eps_l * e_minus / (eps * eps)
-    elif reading == "matched":
-        den = n * e_plus_l + eps_l * e_minus / eps
-    else:
-        raise ValueError(f"unknown reading {reading!r}; use one of {EPSILON_READINGS}")
-    return eps_l * num / den
+    skew = eps_l * (eps - 4.0) / eps
+    return eps_l * (n * (eps_l + 4.0) - skew) / (n * (eps_l + 4.0) + skew)
 
 
 def solve_epsilon_odd(n: int, eta: float, rule: QuadratureRule, *,
@@ -155,9 +185,10 @@ def solve_epsilon_odd(n: int, eta: float, rule: QuadratureRule, *,
     The relations are N-dependent and coupled: the integrals are evaluated at
     the returned ``epsilon_odd`` itself, so the solve iterates the whole
     system.  Two algebraic readings of the lossy denominator are implemented;
-    ``"literal"`` carries the asymmetric eps^2 power and is the one the
-    numeric maximization confirms, ``"matched"`` symmetrizes the power the
-    way the noise-free relation does.  Both coincide at eta = 1.
+    ``"literal"`` is the stationarity relation at r = (N-1)/2, which the
+    numeric maximization confirms, ``"matched"`` symmetrizes the power of
+    the loss-adjusted parameter the way the noise-free relation does.  Both
+    coincide at eta = 1.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be an odd integer >= 3, got {n}")
@@ -165,27 +196,18 @@ def solve_epsilon_odd(n: int, eta: float, rule: QuadratureRule, *,
     if reading not in EPSILON_READINGS:
         raise ValueError(f"unknown reading {reading!r}; use one of {EPSILON_READINGS}")
 
+    update = ((lambda e: _stationary_update(n, n // 2, eta, e)) if reading == "literal"
+              else (lambda e: _odd_update(n, e, eta)))
     eps_p = _damped_fixed_point(
-        lambda e: _odd_update(n, _integral_epsilon(e, rule), eta, reading),
-        ideal_epsilon(rule), 1e-12, "odd",
+        lambda x: update(_integral_epsilon(x, rule)), ideal_epsilon(rule), 1e-12, "odd",
     )
     eps = _integral_epsilon(eps_p, rule)
     return EpsilonSolution(
         epsilon_ideal=eps,
         epsilon_lossy=lossy_epsilon_map(eps, eta),
         epsilon_odd=eps_p,
-        residual=abs(eps_p - _odd_update(n, eps, eta, reading)),
+        residual=abs(eps_p - update(eps)),
     )
-
-
-def optimal_epsilon(n: int, eta: float, rule: QuadratureRule) -> float:
-    """Function parameter maximizing the canonical-split ratio at n modes.
-
-    The loss-adjusted even solution for even n, the odd solution for odd n.
-    """
-    if n % 2 == 0:
-        return solve_epsilon_even(eta, rule).epsilon_lossy
-    return solve_epsilon_odd(n, eta, rule).epsilon_odd
 
 
 # ---------------------------------------------------------------------------
@@ -222,25 +244,15 @@ def closed_form_sides(n: int, r: int, eta: float, p: float,
     return lhs, rhs
 
 
-def _canonical_split(n: int) -> int:
-    return n // 2
-
-
 def bell_value(spec: StateSpec, rule: QuadratureRule) -> BellResult:
     """Closed-form Bell observable at the optimized measurement function.
 
-    Supports the maximizing splits only (r = N/2 for even N, r = (N-1)/2 for
-    odd N); other splits have no closed form here and belong to the numeric
-    oracle.
+    Holds at every split r: the function parameter is the root of the
+    stationarity relation of the closed-form ratio at (N, r, eta).
     """
     n, r = spec.n_modes, spec.r_split
-    if r != _canonical_split(n):
-        raise ValueError(
-            f"closed form covers r = {_canonical_split(n)} for n = {n}; "
-            f"got r = {r}. Use the oracle for other splits."
-        )
     eta, p = spec.efficiency, spec.purity
-    f = Optimal(optimal_epsilon(n, eta, rule))
+    f = Optimal(optimal_epsilon(n, r, eta, rule))
     ki = kernel_integrals(f, rule)
     lhs, rhs = closed_form_sides(n, r, eta, p, ki)
     return BellResult(

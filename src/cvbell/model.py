@@ -177,6 +177,12 @@ class StateSpec:
             raise ValueError(f"efficiency must lie in (0, 1], got {self.efficiency!r}")
 
 
+def canonical_split(n: int) -> int:
+    """The split r = n // 2 maximizing every ratio here; all of them are
+    symmetric under r <-> n - r, so (n + 1) // 2 gives the same values."""
+    return n // 2
+
+
 def _wrap_angles(angles) -> Tuple[float, ...]:
     """Reduce each angle to (-pi, pi]."""
     a = np.asarray(angles, dtype=float)

@@ -219,8 +219,8 @@ def optimize_epsilon_numeric(spec: StateSpec, rule: QuadratureRule,
                              xtol: float = 1e-8) -> Tuple[float, BellResult]:
     """Golden-section maximization of the ratio over the one-parameter family.
 
-    f = g = x/(1 + eps x^2) at the correlator-maximizing angles; eps is
-    searched on (0, eps_hi].
+    f = g = x/(1 + eps x^2) at the correlator-maximizing angles, eps in
+    (0, eps_hi]: the oracle-side reference for ``optimal_epsilon``.
     """
     if spec.n_modes > 10:
         raise ValueError("numeric epsilon search is limited to 10 modes")

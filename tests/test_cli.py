@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from cvbell.cli import main
-from cvbell.model import StateSpec
+from cvbell.functional_bell import closed_form_sides, optimal_epsilon
+from cvbell.model import Optimal, StateSpec
 from cvbell.oracle import optimize_epsilon_numeric
-from cvbell.quadrature import gauss_hermite_rule
+from cvbell.quadrature import gauss_hermite_rule, kernel_integrals
 
 
 def run_cli(argv):
@@ -37,12 +38,25 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ratio"] == pytest.approx(1.0159, abs=1e-4)
 
-    def test_noncanonical_split_uses_numeric_path(self, capsys):
+    def test_noncanonical_split_uses_the_stationarity_root(self, capsys):
         assert run_cli(["eval", "--ineq", "functional", "--n", "4", "--r", "1",
                         "--order", "64"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ratio"] <= 1
         assert payload["order"] == 64
+        eps = optimal_epsilon(4, 1, 1.0, gauss_hermite_rule(64))
+        assert payload["function"] == Optimal(eps).label
+
+    @pytest.mark.parametrize("n, r, eta", [(11, 2, 1.0), (40, 0, 0.95)])
+    def test_noncanonical_split_beyond_the_oracle(self, capsys, rule, n, r, eta):
+        # beyond the ten modes of the oracle's numeric search
+        assert run_cli(["eval", "--ineq", "functional", "--n", str(n), "--r", str(r),
+                        "--eta", str(eta)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        eps = float(payload["function"][len("optimal(epsilon="):-1])
+        lhs, rhs = closed_form_sides(n, r, eta, 1.0, kernel_integrals(Optimal(eps), rule))
+        assert payload["lhs"] == pytest.approx(lhs, rel=1e-9)
+        assert payload["rhs"] == pytest.approx(rhs, rel=1e-9)
 
     def test_out_file_json(self, tmp_path, capsys):
         out = tmp_path / "res.json"
@@ -270,10 +284,12 @@ class TestOptimize:
         out = tmp_path / "opt.csv"
         assert run_cli(["optimize", "--n", "9", "--r", "0", "--out", str(out)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        eps_numeric, _ = optimize_epsilon_numeric(StateSpec(9, 0), gauss_hermite_rule(64))
-        assert payload["reference_epsilon"] == eps_numeric
-        # the golden-section search stops at a 1e-8 bracket
-        assert payload["epsilon_deviation"] <= 1e-7
+        rule = gauss_hermite_rule(64)
+        assert payload["reference_epsilon"] == optimal_epsilon(9, 0, 1.0, rule)
+        assert payload["epsilon_deviation"] <= 1e-10
+        # independently: the golden-section search stops at a 1e-8 bracket
+        eps_numeric, _ = optimize_epsilon_numeric(StateSpec(9, 0), rule)
+        assert abs(payload["reference_epsilon"] - eps_numeric) <= 1e-7
 
     def test_zero_purity_rejected(self, tmp_path, capsys):
         # the ratio vanishes for every function, so nothing is stationary

@@ -9,8 +9,20 @@ from cvbell.critical import (
     critical_efficiency,
     critical_purity,
 )
+from cvbell.functional_bell import bell_value, cfrd_bell_value
 from cvbell.mk_binning import mk_bell_value, mk_critical_product
-from cvbell.model import StateSpec
+from cvbell.model import StateSpec, canonical_split
+
+
+class TestCanonicalSplit:
+    def test_single_mode_split_is_irrelevant(self, rule):
+        # the split n // 2 is 0 at one mode; r = 1 gives the same ratios
+        assert canonical_split(1) == 0
+        spec = StateSpec(1, 1, 0.8, 0.9)
+        for ineq, want in (("functional", bell_value(spec, rule).ratio),
+                           ("cfrd", cfrd_bell_value(spec, rule).ratio),
+                           ("mk", mk_bell_value(spec))):
+            assert bell_ratio(ineq, 1, 0.9, 0.8, rule) == pytest.approx(want, rel=1e-14)
 
 
 class TestCriticalEfficiency:

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvbell import functional_bell
@@ -13,6 +13,7 @@ from cvbell.functional_bell import (
     closed_form_sides,
     ideal_epsilon,
     lossy_epsilon_map,
+    optimal_epsilon,
     solve_epsilon_even,
     solve_epsilon_odd,
 )
@@ -34,6 +35,16 @@ RULES = {order: gauss_hermite_rule(order) for order in (64, 256)}
 def _counted_quadratures():
     return mock.patch.object(functional_bell, "_integral_epsilon",
                              wraps=functional_bell._integral_epsilon)
+
+
+def _literal_odd_update(n, eps, eta):
+    """The odd-N relation as first written, with the asymmetric eps^2 power."""
+    eps_l = lossy_epsilon_map(eps, eta)
+    e_minus = eps - 4.0
+    e_plus_l = eps_l + 4.0
+    num = n * e_plus_l - eps_l * e_minus / eps
+    den = n * e_plus_l + eps_l * eps_l * e_minus / (eps * eps)
+    return eps_l * num / den
 
 
 def _plain_damped_fixed_point(update, x, tol):
@@ -85,7 +96,7 @@ class TestAcceleratedFixedPoint:
         else:
             accelerated = solve_epsilon_odd(n, eta, rule).epsilon_odd
             plain = _plain_damped_fixed_point(
-                lambda e: functional_bell._odd_update(n, t(e, rule), eta, "literal"),
+                lambda e: _literal_odd_update(n, t(e, rule), eta),
                 ideal_epsilon(rule), 1e-12)
         assert accelerated == pytest.approx(plain, abs=5e-12)
 
@@ -107,6 +118,32 @@ class TestAcceleratedFixedPoint:
         assert err.value.best is not None and np.isfinite(err.value.best)
         assert err.value.residual == pytest.approx(1.0)
         assert len(calls) <= 200
+
+
+def _log_ratio(n, r, eta, eps, rule):
+    """ln B at p = 1 in logarithms throughout, free of the float range."""
+    ki = kernel_integrals(Optimal(eps), rule)
+    ln_c = np.log(eta * ki.i_cross + (1.0 - eta) * ki.i_zero)
+    ln_i0 = np.log(ki.i_zero)
+    ln_d = np.logaddexp(r * ln_c + (n - r) * ln_i0, r * ln_i0 + (n - r) * ln_c)
+    return n * np.log(eta * 2.0 / np.pi * ki.i_plus ** 2) - ln_d
+
+
+class TestStationarityRoot:
+    # explicit examples: steep lopsided maps on which unguarded Aitken jumps never settle
+    @settings(max_examples=60, deadline=None)
+    @given(split=st.integers(1, 300).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n))), eta=st.floats(0.3, 1.0))
+    @example(split=(30, 1), eta=1.0)
+    @example(split=(40, 0), eta=0.95)
+    @example(split=(202, 27), eta=0.87)
+    @example(split=(222, 3), eta=0.855)
+    def test_root_maximizes_the_ratio(self, rule, split, eta):
+        n, r = split
+        eps = optimal_epsilon(n, r, eta, rule)
+        top = _log_ratio(n, r, eta, eps, rule)
+        for shift in (1.0 - 1e-4, 1.0 + 1e-4):
+            assert top >= _log_ratio(n, r, eta, eps * shift, rule)
 
 
 class TestEpsilonEven:
@@ -209,10 +246,13 @@ class TestBellValue:
         assert bell_value(StateSpec(5, 2), rule).ratio > 1
         assert bell_value(StateSpec(4, 2), rule).ratio <= 1
 
-    def test_unsupported_split_directs_to_oracle(self, rule):
-        with pytest.raises(ValueError) as err:
-            bell_value(StateSpec(6, 2), rule)
-        assert "oracle" in str(err.value)
+    @pytest.mark.parametrize("n, r", [(1, 0), (6, 2), (9, 0), (40, 3)])
+    def test_mirror_splits_agree(self, rule, n, r):
+        # the ratio and its optimal function are symmetric under r <-> N - r
+        a = bell_value(StateSpec(n, r, 0.9, 0.85), rule)
+        b = bell_value(StateSpec(n, n - r, 0.9, 0.85), rule)
+        assert a.ratio == pytest.approx(b.ratio, rel=1e-12)
+        assert a.function_id == b.function_id
 
     def test_lhs_rhs_consistent(self, rule):
         res = bell_value(StateSpec(6, 3, 0.9, 0.9), rule)

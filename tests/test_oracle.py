@@ -12,8 +12,8 @@ from cvbell.functional_bell import (
     bell_value,
     cfrd_bell_value,
     ideal_epsilon,
+    optimal_epsilon,
     solve_epsilon_even,
-    solve_epsilon_odd,
 )
 from cvbell.mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
 from cvbell.model import (
@@ -295,19 +295,21 @@ class TestSparseOracleProperties:
     """Closed forms against the sparse Fock-space oracle on random scenarios."""
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(3, 24), eta=st.floats(0.3, 1.0), p=st.floats(0.0, 1.0))
-    def test_closed_forms_match_oracle(self, rule, n, eta, p):
-        r = n // 2
+    @given(n=st.integers(3, 24), eta=st.floats(0.3, 1.0), p=st.floats(0.0, 1.0),
+           data=st.data())
+    def test_closed_forms_match_oracle(self, rule, n, eta, p, data):
+        r = data.draw(st.integers(0, n), label="r")
         spec = StateSpec(n, r, p, eta)
-        rho = density_matrix(spec)
-        angles = orthogonal_angles(n, r)
-        if n % 2 == 0:
-            eps = solve_epsilon_even(eta, rule).epsilon_lossy
+        if 2 ** r + 2 ** (n - r) + 1 > MAX_STATE_ENTRIES:
+            with pytest.raises(ResourceLimitError):
+                density_matrix(spec)
         else:
-            eps = solve_epsilon_odd(n, eta, rule).epsilon_odd
-        for closed, f in ((bell_value(spec, rule), Optimal(eps)),
-                          (cfrd_bell_value(spec, rule), Identity())):
-            assert close(evaluate(rho, f, f, angles, rule).ratio, closed.ratio, 1e-9)
+            rho = density_matrix(spec)
+            angles = orthogonal_angles(n, r)
+            f_opt = Optimal(optimal_epsilon(n, r, eta, rule))
+            for closed, f in ((bell_value(spec, rule), f_opt),
+                              (cfrd_bell_value(spec, rule), Identity())):
+                assert close(evaluate(rho, f, f, angles, rule).ratio, closed.ratio, 1e-9)
 
         for r_mk in range(1, n + 1):
             spec_mk = StateSpec(n, r_mk, p, eta)
