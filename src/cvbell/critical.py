@@ -11,10 +11,13 @@ explicit function of the swept parameter the threshold is its exact inverse:
   eta_c = 2^((1-2N)/N) pi p^(-2/N);
 - functional decoherence product: the root of a quadratic in s = eta p.
 
-Only the functional and CFRD efficiency thresholds are bisected: there the
+Only the functional and CFRD efficiency thresholds are iterated: there the
 optimal function moves with eta, and for odd N the CFRD condition is a
-degree-N polynomial.  Their Bell values increase in eta, so a bracket failure
-outside the documented no-violation case aborts loudly instead of guessing.
+degree-N polynomial.  They are Newton roots of ln B = 0 on the closed-form
+slope of ``closed_form_log_ratio``, which by the envelope theorem is also
+the slope of the maximized ratio.  Their Bell values increase in eta, so a
+bracket failure outside the documented no-violation case aborts loudly
+instead of guessing.
 
 Three separate decoherence-product conventions coexist and are never mixed:
 
@@ -32,15 +35,23 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MonotonicityError
-from .functional_bell import bell_value, cfrd_bell_value, ideal_epsilon
+from .errors import ConvergenceError, MonotonicityError
+from .functional_bell import (
+    bell_value,
+    cfrd_bell_value,
+    closed_form_log_ratio,
+    ideal_epsilon,
+    optimal_epsilon,
+)
 from .mk_binning import mk_bell_value, mk_bell_value_product_form, mk_critical_product
-from .model import Optimal, StateSpec, canonical_split
+from .model import Identity, Optimal, StateSpec, canonical_split
 from .quadrature import QuadratureRule, kernel_integrals
 
 INEQUALITIES = ("functional", "cfrd", "mk")
 
 _ETA_BRACKET = (0.3, 1.0)
+_NEWTON_TOL = 1e-13
+_MAX_NEWTON = 100
 
 
 @dataclass(frozen=True)
@@ -67,32 +78,31 @@ def bell_ratio(inequality_id: str, n: int, eta: float, p: float,
     raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")
 
 
-def _bisect_increasing(fn, lo: float, hi: float, tol: float) -> float:
-    """Root of an increasing fn on [lo, hi] with fn(lo) <= 0 <= fn(hi)."""
-    flo = fn(lo)
-    fhi = fn(hi)
-    if flo > 0.0 or fhi < 0.0:
-        raise MonotonicityError(
-            f"bracket [{lo}, {hi}] does not straddle the root: "
-            f"f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _log_ratio_and_slope(inequality_id: str, n: int, eta: float, p: float,
+                         rule: QuadratureRule) -> tuple:
+    """``closed_form_log_ratio`` of a moment inequality at ``canonical_split(n)``."""
+    r = canonical_split(n)
+    if inequality_id == "functional":
+        f = Optimal(optimal_epsilon(n, r, eta, rule))
+    elif inequality_id == "cfrd":
+        f = Identity()
+    else:
+        raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")
+    return closed_form_log_ratio(n, r, eta, p, kernel_integrals(f, rule))
 
 
-def critical_efficiency(n: int, p: float, inequality_id: str, rule: QuadratureRule,
-                        tol: float = 1e-6) -> Optional[float]:
+def critical_efficiency(n: int, p: float, inequality_id: str,
+                        rule: QuadratureRule) -> Optional[float]:
     """Smallest efficiency giving B = 1 at fixed purity; None if B(1, p) <= 1.
 
     The binned value inverts exactly to mk_critical_product(n) * p^(-2/n).
-    The others bisect on [0.3, 1] to ``tol``; their Bell values are
-    increasing in eta, so a violated lower bracket means an internal
-    inconsistency and raises.
+    The others solve ln B = 0 by Newton steps on the closed-form slope from
+    eta = 1, kept inside the bracket [0.3, 1] that every evaluation narrows
+    (a step leaving it is replaced by the midpoint).  B increases in eta, so
+    a violation at the lower end means an internal inconsistency and raises.
+    The result is one Newton step shorter than ``_NEWTON_TOL`` from an
+    evaluated point, or, once the bracket is that narrow, its last
+    evaluated end; never an unevaluated midpoint.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p!r}")
@@ -100,15 +110,27 @@ def critical_efficiency(n: int, p: float, inequality_id: str, rule: QuadratureRu
         eta = mk_critical_product(n) * p ** (-2.0 / n)
         return None if eta >= 1.0 else float(eta)
     lo, hi = _ETA_BRACKET
-    if bell_ratio(inequality_id, n, hi, p, rule) <= 1.0:
+    x = hi
+    f, slope = _log_ratio_and_slope(inequality_id, n, hi, p, rule)
+    if f <= 0.0:
         return None
-    if bell_ratio(inequality_id, n, lo, p, rule) > 1.0:
+    if _log_ratio_and_slope(inequality_id, n, lo, p, rule)[0] > 0.0:
         raise MonotonicityError(
             f"{inequality_id} at n={n}, p={p}: violation persists at eta={lo}; "
             "monotonicity assumption broken"
         )
-    return _bisect_increasing(
-        lambda e: bell_ratio(inequality_id, n, e, p, rule) - 1.0, lo, hi, tol
+    for _ in range(_MAX_NEWTON):
+        step = -f / slope if slope > 0.0 else np.inf
+        if abs(step) < _NEWTON_TOL:
+            return x + step
+        if hi - lo < _NEWTON_TOL:
+            return x
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+        f, slope = _log_ratio_and_slope(inequality_id, n, x, p, rule)
+        lo, hi = (x, hi) if f <= 0.0 else (lo, x)
+    raise ConvergenceError(
+        f"{inequality_id} efficiency threshold at n={n}, p={p} did not converge "
+        f"in {_MAX_NEWTON} Newton steps", best=x, residual=abs(f),
     )
 
 
@@ -189,7 +211,7 @@ def asymptotic_product(inequality_id: str, n_max: int, rule: QuadratureRule) -> 
         pts = [(n, _functional_product_threshold(n, rule)) for n in ns]
         parameter = "product"
     elif inequality_id == "cfrd":
-        pts = [(n, critical_efficiency(n, 1.0, "cfrd", rule, tol=1e-9)) for n in ns]
+        pts = [(n, critical_efficiency(n, 1.0, "cfrd", rule)) for n in ns]
         parameter = "efficiency"
     elif inequality_id == "mk":
         pts = [(n, mk_critical_product(n)) for n in ns]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalDomainError
 from .model import Identity, Optimal, StateSpec
-from .oracle import BellResult, orthogonal_angles
+from .oracle import BellResult
 from .quadrature import KernelIntegrals, QuadratureRule, kernel_integrals
 
 _IDEAL_CACHE: dict = {}   # rule order -> ideal fixed point; write-once per key
@@ -117,22 +117,31 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
 
 
+def _split_weights(c: float, s: int) -> tuple:
+    """Shares (w, v) of C^r I0^(n-r) and I0^r C^(n-r) in the bound side's sum.
+
+    r <= n/2, s = n - 2r and c = C/I0: v is the logistic of s ln c, so no
+    power overflows; the smaller share may underflow to zero.
+    """
+    t = math.exp(-s * abs(math.log(c)))
+    return (t / (1.0 + t), 1.0 / (1.0 + t)) if c > 1.0 else (1.0 / (1.0 + t), t / (1.0 + t))
+
+
 def _stationary_update(n: int, r: int, eta: float, e: float) -> float:
     """One application of the stationarity relation of the closed-form ratio.
 
     Its f-variation vanishes at f = x/(1 + eps x^2) with eps = 4 eta d_C /
     ((1 - eta) d_C + d_0), d_C and d_0 the partials of
     ln(C^r I0^(n-r) + I0^r C^(n-r)) in C and I0, symmetric under r <-> n - r,
-    so s = n - 2r >= 0.  With w = 1 - v the first term's weight, the logistic
-    of s ln(I0/C) (no power overflows), C d_C = r + s v and I0 d_0 = r + s w.
+    so s = n - 2r >= 0.  With (w, v) the term shares of ``_split_weights``,
+    C d_C = r + s v and I0 d_0 = r + s w.
     The integrals enter only as c = C/I0 = 1 - eta + 4 eta/e, e = 4*I0/I;
     eps is ``lossy_epsilon_map(e, eta)`` times a split correction, 1 at r = n/2.
     """
     c = 1.0 - eta + 4.0 * eta / e
     r = min(r, n - r)
     s = n - 2 * r
-    t = math.exp(-s * abs(math.log(c)))
-    w, v = (t / (1.0 + t), 1.0 / (1.0 + t)) if c > 1.0 else (1.0 / (1.0 + t), t / (1.0 + t))
+    w, v = _split_weights(c, s)
     k = 1.0 - eta + c
     return lossy_epsilon_map(e, eta) * (r + s * v) / (r + s * ((1.0 - eta) * v + c * w) / k)
 
@@ -230,18 +239,51 @@ def closed_form_sides(n: int, r: int, eta: float, p: float,
     """
     ip, ii, i0 = ki.i_plus, ki.i_cross, ki.i_zero
     c = eta * ii + (1.0 - eta) * i0
-    two_over_pi = 2.0 / np.pi
-    scale = 0.5 * two_over_pi ** (n / 2.0) * 2.0 ** (-n)
+    scale = _bound_scale(n)
     try:
         rhs = scale * (c ** r * i0 ** (n - r) + i0 ** r * c ** (n - r))
     except OverflowError:
         rhs = np.inf
-    if not (scale >= _TINY and _TINY <= rhs < np.inf):
-        raise NumericalDomainError(
-            f"closed-form bound side at n = {n} is outside the normal float range"
-        )
-    lhs = 0.25 * p * p * eta ** n * two_over_pi ** n * ip ** (2 * n)
+    if not _TINY <= rhs < np.inf:
+        raise _outside_float_range(n)
+    lhs = 0.25 * p * p * eta ** n * (2.0 / np.pi) ** n * ip ** (2 * n)
     return lhs, rhs
+
+
+def _outside_float_range(n: int) -> NumericalDomainError:
+    return NumericalDomainError(
+        f"closed-form bound side at n = {n} is outside the normal float range"
+    )
+
+
+def _bound_scale(n: int) -> float:
+    """The bound side's prefactor 0.5 (2/pi)^(n/2) 2^-n; subnormal from n = 771."""
+    scale = 0.5 * (2.0 / np.pi) ** (n / 2.0) * 2.0 ** (-n)
+    if not scale >= _TINY:
+        raise _outside_float_range(n)
+    return scale
+
+
+def closed_form_log_ratio(n: int, r: int, eta: float, p: float,
+                          ki: KernelIntegrals) -> tuple:
+    """ln B of ``closed_form_sides`` and its slope d ln B / d eta at fixed f.
+
+    B = 0.5 p^2 (8 eta^2 Ip^4 / pi)^(n/2) / (C^r I0^(n-r) + I0^r C^(n-r)),
+    taken in logs with r <= n/2 and the sum factored through its larger
+    share (``_split_weights``), so nothing leaves the float range.  The slope
+    is n/eta - (I - I0)(r + s v)/C.  At the function of ``optimal_epsilon``
+    the ratio is stationary in eps, so by the envelope theorem this is also
+    the slope of the maximized ratio.
+    """
+    ip, ii, i0 = ki.i_plus, ki.i_cross, ki.i_zero
+    c = eta * ii + (1.0 - eta) * i0
+    r = min(r, n - r)
+    s = n - 2 * r
+    w, v = _split_weights(c / i0, s)
+    log_sum = r * math.log(c * i0) + s * math.log(max(c, i0)) - math.log(max(w, v))
+    log_ratio = (math.log(0.5 * p * p) + 0.5 * n * math.log(8.0 * eta * eta * ip ** 4 / np.pi)
+                 - log_sum)
+    return log_ratio, n / eta - (ii - i0) * (r + s * v) / c
 
 
 def bell_value(spec: StateSpec, rule: QuadratureRule) -> BellResult:
@@ -252,6 +294,7 @@ def bell_value(spec: StateSpec, rule: QuadratureRule) -> BellResult:
     """
     n, r = spec.n_modes, spec.r_split
     eta, p = spec.efficiency, spec.purity
+    _bound_scale(n)   # beyond it the solve may not converge; name n instead
     f = Optimal(optimal_epsilon(n, r, eta, rule))
     ki = kernel_integrals(f, rule)
     lhs, rhs = closed_form_sides(n, r, eta, p, ki)
@@ -259,7 +302,6 @@ def bell_value(spec: StateSpec, rule: QuadratureRule) -> BellResult:
         lhs=lhs, rhs=rhs, ratio=lhs / rhs,
         inequality_id="functional",
         function_id=f.label,
-        angles=orthogonal_angles(n, r),
     )
 
 
@@ -277,5 +319,4 @@ def cfrd_bell_value(spec: StateSpec, rule: QuadratureRule) -> BellResult:
         lhs=lhs, rhs=rhs, ratio=lhs / rhs,
         inequality_id="cfrd",
         function_id=f.label,
-        angles=orthogonal_angles(n, r),
     )

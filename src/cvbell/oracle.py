@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,14 +36,18 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class BellResult:
-    """One inequality evaluation: correlator side, bound side, and their ratio."""
+    """One inequality evaluation: correlator side, bound side, and their ratio.
+
+    ``angles`` is the measurement setting of an oracle evaluation; closed
+    forms leave it None, since they hold at ``orthogonal_angles(n, r)``.
+    """
 
     lhs: float
     rhs: float
     ratio: float
     inequality_id: str
     function_id: str
-    angles: AngleConfig
+    angles: Optional[AngleConfig] = None
 
 
 def orthogonal_angles(n: int, r: int, base: float = 0.0) -> AngleConfig:

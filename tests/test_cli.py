@@ -93,6 +93,12 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"bound side at n = {n} is outside the normal float range" in err
 
+    def test_lopsided_split_outside_float_range(self, capsys):
+        argv = ["eval", "--ineq", "functional", "--n", "5000", "--r", "1", "--eta", "0.95"]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert "bound side at n = 5000 is outside the normal float range" in err
+
     def test_mk_overflow_names_the_mode_count(self, capsys):
         assert run_cli(["eval", "--ineq", "mk", "--n", "5000"]) == 0
         assert np.isfinite(json.loads(capsys.readouterr().out)["ratio"])

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvbell import critical
 from cvbell.critical import (
     asymptotic_product,
     bell_ratio,
@@ -73,6 +76,43 @@ class TestCriticalEfficiency:
         else:
             b = mk_bell_value(StateSpec(n, n // 2, p, eta))
             assert b == pytest.approx(1.0, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("ineq", ["functional", "cfrd"])
+    @pytest.mark.parametrize("n", [5, 10, 11, 16, 40, 41, 100, 301])
+    def test_newton_matches_a_fine_bisection(self, rule, ineq, n):
+        # independent reference: bisect the Bell ratio itself to 1e-13
+        lo, hi = 0.3, 1.0
+        if bell_ratio(ineq, n, hi, 1.0, rule) <= 1.0:
+            assert critical_efficiency(n, 1.0, ineq, rule) is None
+            return
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if bell_ratio(ineq, n, mid, 1.0, rule) <= 1.0 else (lo, mid)
+        assert abs(critical_efficiency(n, 1.0, ineq, rule) - 0.5 * (lo + hi)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(5, 300), p=st.floats(0.85, 1.0),
+           ineq=st.sampled_from(("functional", "cfrd")))
+    def test_newton_lands_on_the_root(self, rule, n, p, ineq):
+        eta = critical_efficiency(n, p, ineq, rule)
+        if eta is None:
+            assert bell_ratio(ineq, n, 1.0, p, rule) <= 1.0
+            return
+        assert abs(math.log(bell_ratio(ineq, n, eta, p, rule))) <= 1e-12
+        assert bell_ratio(ineq, n, eta - 1e-9, p, rule) < 1.0
+        assert bell_ratio(ineq, n, min(eta + 1e-9, 1.0), p, rule) > 1.0
+
+    def test_functional_solve_budget(self, rule, monkeypatch):
+        solves = []
+        counted = critical.optimal_epsilon
+
+        def counting(*args):
+            solves.append(args)
+            return counted(*args)
+
+        monkeypatch.setattr(critical, "optimal_epsilon", counting)
+        assert critical_efficiency(10, 1.0, "functional", rule) is not None
+        assert 3 <= len(solves) <= 10
 
     def test_parameter_validation(self, rule):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from cvbell.errors import ConvergenceError, NumericalDomainError
 from cvbell.functional_bell import (
     bell_value,
     cfrd_bell_value,
+    closed_form_log_ratio,
     closed_form_sides,
     ideal_epsilon,
     lossy_epsilon_map,
@@ -146,6 +147,32 @@ class TestStationarityRoot:
             assert top >= _log_ratio(n, r, eta, eps * shift, rule)
 
 
+class TestClosedFormLogRatio:
+    @settings(max_examples=60, deadline=None)
+    @given(split=st.integers(1, 3000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        eta=st.floats(0.3, 1.0), eps=st.floats(0.5, 10.0))
+    def test_matches_the_logaddexp_form(self, rule, split, eta, eps):
+        # _log_ratio leaves out the eps- and eta-free term ln(1/2) + (n/2) ln(2 pi)
+        n, r = split
+        got, _ = closed_form_log_ratio(n, r, eta, 1.0, kernel_integrals(Optimal(eps), rule))
+        want = _log_ratio(n, r, eta, eps, rule) + np.log(0.5) + 0.5 * n * np.log(2.0 * np.pi)
+        assert got == pytest.approx(want, rel=0, abs=1e-14 * n)
+
+    @pytest.mark.parametrize("n, r, eta", [
+        (10, 5, 0.8), (11, 5, 0.9), (40, 3, 0.95), (9, 0, 0.7), (301, 150, 0.7),
+    ])
+    def test_slope_of_the_maximized_ratio(self, rule, n, r, eta):
+        # envelope theorem: the slope at the stationary function is the total one
+        def top(e):
+            return _log_ratio(n, r, e, optimal_epsilon(n, r, e, rule), rule)
+
+        h = 1e-5
+        eps = optimal_epsilon(n, r, eta, rule)
+        _, slope = closed_form_log_ratio(n, r, eta, 1.0, kernel_integrals(Optimal(eps), rule))
+        assert slope == pytest.approx((top(eta + h) - top(eta - h)) / (2.0 * h), rel=1e-8)
+
+
 class TestEpsilonEven:
     def test_ideal_value_and_residual(self, rule):
         sol = solve_epsilon_even(1.0, rule)
@@ -254,6 +281,11 @@ class TestBellValue:
         assert a.ratio == pytest.approx(b.ratio, rel=1e-12)
         assert a.function_id == b.function_id
 
+    def test_closed_forms_carry_no_angles(self, rule):
+        spec = StateSpec(6, 3, 0.9, 0.9)
+        assert bell_value(spec, rule).angles is None
+        assert cfrd_bell_value(spec, rule).angles is None
+
     def test_lhs_rhs_consistent(self, rule):
         res = bell_value(StateSpec(6, 3, 0.9, 0.9), rule)
         assert res.ratio == pytest.approx(res.lhs / res.rhs, rel=1e-14)
@@ -319,6 +351,14 @@ class TestFloatRange:
     def test_cfrd_prefactor_underflow_and_overflow(self, rule, n):
         with pytest.raises(NumericalDomainError, match=f"bound side at n = {n}"):
             cfrd_bell_value(StateSpec(n, n // 2), rule)
+
+    @pytest.mark.parametrize("n, r, eta", [(5000, 1, 0.95), (100000, 25000, 1.0)])
+    def test_prefactor_checked_before_the_solve(self, rule, n, r, eta):
+        # at such splits the stationarity solve would not converge
+        with mock.patch.object(functional_bell, "optimal_epsilon") as solve:
+            with pytest.raises(NumericalDomainError, match=f"bound side at n = {n}"):
+                bell_value(StateSpec(n, r, 1.0, eta), rule)
+        solve.assert_not_called()
 
     def test_underflowing_correlator_side_is_a_zero_ratio(self, rule):
         res = bell_value(StateSpec(600, 300, 1.0, 0.3), rule)
