@@ -8,8 +8,7 @@ explicit function of the swept parameter the threshold is its exact inverse:
   side and the optimal function do not depend on p, so p_c = B(eta, 1)^(-1/2);
 - purity, binned (MK): the product inversion p_c = sqrt(2^((1-2N)/N) pi / eta);
 - efficiency, binned: B = p (sqrt(2)/2)(4 eta/pi)^(N/2) inverts to
-  eta_c = 2^((1-2N)/N) pi p^(-2/N);
-- functional decoherence product: the root of a quadratic in s = eta p.
+  eta_c = 2^((1-2N)/N) pi p^(-2/N).
 
 Only the functional and CFRD efficiency thresholds are iterated: there the
 optimal function moves with eta, and for odd N the CFRD condition is a
@@ -24,8 +23,11 @@ Three separate decoherence-product conventions coexist and are never mixed:
 - binned (MK): the per-site monomial eta * p^2, critical at 2^((1-2N)/N) pi;
 - functional: the per-site monomial (eta * p)^2 of the product form, with the
   measurement function held at its noise-free optimum;
-- plain moments (CFRD): no product form is quoted, its asymptote is tracked
-  through the efficiency curve itself.
+- plain moments (CFRD): no product form is quoted; its limit is the
+  pure-state critical efficiency.
+
+At the even split B = p^2/4 * g^(N/2) for a per-site ratio g, so each
+large-N limit is the exact root g = 1 (``asymptotic_product``).
 """
 
 from __future__ import annotations
@@ -56,13 +58,11 @@ _MAX_NEWTON = 100
 
 @dataclass(frozen=True)
 class AsymptoticProduct:
-    """Large-N limit of a decoherence threshold curve plus its raw tail."""
+    """Large-N limit of a decoherence threshold curve."""
 
     inequality_id: str
     parameter: str
     limit: float
-    raw_tail: float
-    n_tail: int
 
 
 def bell_ratio(inequality_id: str, n: int, eta: float, p: float,
@@ -167,68 +167,35 @@ def critical_purity(n: int, eta: float, inequality_id: str,
 # asymptotics
 # ---------------------------------------------------------------------------
 
-def _functional_product_threshold(n: int, rule: QuadratureRule) -> Optional[float]:
-    """Root in s of the product-form ratio at mode count n.
+def _per_site_root(ki) -> float:
+    """Root s of the per-site ratio g(s) = 8 Ip^4 s^2 / (pi I0 C(s)) = 1.
 
-    The product form folds all decoherence into the per-site monomial s^2
-    (s = eta * p) while keeping the measurement function at its noise-free
-    optimum; the admixture constant C = s*I + (1 - s)*I0 is evaluated at
-    effective efficiency s.  Setting the ratio
-    2^(n-2) (2 Ip^4 s^2 / (pi I0 C))^(n/2) to 1 leaves the quadratic
-    2 Ip^4 s^2 - K pi I0 (I - I0) s - K pi I0^2 = 0 with K = 2^(-2(n-2)/n);
-    I > I0 at the optimum, so its positive root has no cancellation.
+    At the even split B = p^2/4 * g^(N/2) with C(s) = s*I + (1 - s)*I0, so
+    at a fixed function the large-N threshold is g = 1: the quadratic
+    8 Ip^4 s^2 - pi I0 (I - I0) s - pi I0^2 = 0.  I > I0, so its positive
+    root has no cancellation.
     """
-    ki = kernel_integrals(Optimal(ideal_epsilon(rule)), rule)
     ip, ii, i0 = ki.i_plus, ki.i_cross, ki.i_zero
-    k_pi = 2.0 ** (-2.0 * (n - 2) / n) * np.pi
-    a = 2.0 * ip ** 4
-    b = k_pi * i0 * (ii - i0)
-    c = k_pi * i0 * i0
-    s = (b + np.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
-    return None if s >= 1.0 else float(s)
+    a = 8.0 * ip ** 4
+    b = np.pi * i0 * (ii - i0)
+    c = np.pi * i0 * i0
+    return float((b + np.sqrt(b * b + 4.0 * a * c)) / (2.0 * a))
 
 
-def _richardson(n1: int, v1: float, n2: int, v2: float) -> float:
-    """Two-point elimination of the leading 1/N correction (n2 > n1)."""
-    x1, x2 = 1.0 / n1, 1.0 / n2
-    return (v2 * x1 - v1 * x2) / (x1 - x2)
+def asymptotic_product(inequality_id: str, rule: QuadratureRule) -> AsymptoticProduct:
+    """Exact N -> infinity limit of the decoherence threshold of an inequality.
 
-
-def asymptotic_product(inequality_id: str, n_max: int, rule: QuadratureRule) -> AsymptoticProduct:
-    """Large-N limit of the decoherence threshold for the named inequality.
-
-    Sweeps even mode counts up to ``n_max`` and removes the leading 1/N
-    correction from the last two points.  The tracked quantity is the
-    efficiency-purity product s = eta*p for the functional inequality, the
-    product eta*p^2 for the binned one, and the pure-state critical
-    efficiency for plain moment correlations.
+    The functional limit is the product s = eta*p at the noise-free optimal
+    function; the binned one is the product eta*p^2, the limit pi/4 of
+    ``mk_critical_product``; for plain moments it is the pure-state critical
+    efficiency, (1 + sqrt 5)/4.
     """
-    if n_max < 20:
-        raise ValueError(f"n_max must be at least 20, got {n_max}")
-    ns = [n for n in range(4, n_max + 1) if n % 2 == 0]
-
     if inequality_id == "functional":
-        pts = [(n, _functional_product_threshold(n, rule)) for n in ns]
-        parameter = "product"
-    elif inequality_id == "cfrd":
-        pts = [(n, critical_efficiency(n, 1.0, "cfrd", rule)) for n in ns]
-        parameter = "efficiency"
-    elif inequality_id == "mk":
-        pts = [(n, mk_critical_product(n)) for n in ns]
-        parameter = "product"
-    else:
-        raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")
-
-    pts = [(n, v) for n, v in pts if v is not None]
-    if len(pts) < 2:
-        raise MonotonicityError(
-            f"{inequality_id}: fewer than two threshold points below n_max={n_max}"
-        )
-    (n1, v1), (n2, v2) = pts[-2], pts[-1]
-    return AsymptoticProduct(
-        inequality_id=inequality_id,
-        parameter=parameter,
-        limit=float(_richardson(n1, v1, n2, v2)),
-        raw_tail=float(v2),
-        n_tail=int(n2),
-    )
+        ki = kernel_integrals(Optimal(ideal_epsilon(rule)), rule)
+        return AsymptoticProduct(inequality_id, "product", _per_site_root(ki))
+    if inequality_id == "cfrd":
+        ki = kernel_integrals(Identity(), rule)
+        return AsymptoticProduct(inequality_id, "efficiency", _per_site_root(ki))
+    if inequality_id == "mk":
+        return AsymptoticProduct(inequality_id, "product", np.pi / 4.0)
+    raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")

@@ -430,18 +430,26 @@ def _site_correlators(mf: float, mg: float, theta, theta_prime) -> np.ndarray:
     return o
 
 
-def site_operator(f, g, theta: float, theta_prime: float, rule: QuadratureRule):
-    """Build the pair of 2x2 site operators entering the two inequality sides.
+def site_operator(f, g, theta, theta_prime, rule: QuadratureRule):
+    """Build the site operators entering the two inequality sides.
 
     Returns (O, Q) with O = f(X^theta) + i g(X^theta') (zero diagonal,
     non-Hermitian, enters the correlator) and Q = f(X^theta)^2 + g(X^theta')^2
-    (diagonal, angle-independent, enters the bound side).
+    (diagonal, angle-independent, enters the bound side).  Both depend on f
+    and g only through four site scalars: the raising amplitudes <0|f|1>,
+    <0|g|1> and the diagonal of Q; when g is f its moments are not computed
+    a second time.  Scalar angles give one 2x2 pair, length-n angle
+    sequences (n, 2, 2) stacks, with Q broadcast to the shape of O.
     """
-    for fn in (f, g):
+    for fn in (f,) if g is f else (f, g):
         check_odd(_as_odd_callable(fn), rule)
-    O = _site_correlators(raising_amplitude(f, rule), raising_amplitude(g, rule),
-                          theta, theta_prime)
+    mf = raising_amplitude(f, rule)
     qf0, qf1 = squared_moments(f, rule)
-    qg0, qg1 = squared_moments(g, rule)
-    Q = np.array([[qf0 + qg0, 0.0], [0.0, qf1 + qg1]], dtype=complex)
+    if g is f:
+        mg, qg0, qg1 = mf, qf0, qf1
+    else:
+        mg = raising_amplitude(g, rule)
+        qg0, qg1 = squared_moments(g, rule)
+    O = _site_correlators(mf, mg, theta, theta_prime)
+    Q = np.broadcast_to(np.diag([qf0 + qg0, qf1 + qg1]), O.shape)
     return O, Q

@@ -26,10 +26,9 @@ from .model import (
     StateSpec,
     _site_correlators,
     density_matrix,
-    raising_amplitude,
-    squared_moments,
+    site_operator,
 )
-from .quadrature import QuadratureRule, check_odd
+from .quadrature import QuadratureRule
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -72,30 +71,12 @@ def _function_id(f, g) -> str:
 
 def _site_operators(rho: DensityMatrix, f, g, angles: AngleConfig,
                     rule: QuadratureRule) -> Tuple[np.ndarray, np.ndarray]:
-    """Correlator and bound-side operators of every site, (n, 2, 2) each.
-
-    Both depend on f and g only through four site scalars: the raising
-    amplitudes mf = <0|f|1>, mg = <0|g|1> and the bound-side diagonal
-    Q = f^2 + g^2 = diag(Q0, Q1).  When g is f its moments are not computed a
-    second time.
-    """
-    n = rho.n_modes
-    if angles.n_modes != n:
+    """``model.site_operator`` of every site, (n, 2, 2) each."""
+    if angles.n_modes != rho.n_modes:
         raise ValueError(
-            f"angle list has {angles.n_modes} sites but the state has {n} modes"
+            f"angle list has {angles.n_modes} sites but the state has {rho.n_modes} modes"
         )
-    for fn in (f,) if g is f else (f, g):
-        check_odd(fn, rule)
-    mf = raising_amplitude(f, rule)
-    qf0, qf1 = squared_moments(f, rule)
-    if g is f:
-        mg, qg0, qg1 = mf, qf0, qf1
-    else:
-        mg = raising_amplitude(g, rule)
-        qg0, qg1 = squared_moments(g, rule)
-    o_mats = _site_correlators(mf, mg, angles.theta, angles.theta_prime)
-    q_mats = np.broadcast_to(np.diag([qf0 + qg0, qf1 + qg1]), (n, 2, 2))
-    return o_mats, q_mats
+    return site_operator(f, g, angles.theta, angles.theta_prime, rule)
 
 
 def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig, rule: QuadratureRule,

@@ -65,7 +65,7 @@ def test_criterion_2_binned_closed_form_identities(rule):
         assert abs(mk_critical_product(3) - 0.9897) < 5e-4
         assert abs(mk_critical_product(4) - 0.9336) < 5e-4
         assert abs(mk_critical_product(5) - 0.9022) < 5e-4
-        limit = asymptotic_product("mk", 200, rule).limit
+        limit = asymptotic_product("mk", rule).limit
         assert abs(limit - np.pi / 4.0) < 1e-3
         # the product formula is the exact unit root of the per-site form
         eta3 = critical_efficiency(3, 1.0, "mk", rule)
@@ -77,7 +77,7 @@ def test_criterion_3_critical_efficiency_anchors(rule):
         eta10 = critical_efficiency(10, 1.0, "functional", rule)
         assert abs(eta10 - 0.80) < 0.01
 
-        cfrd = asymptotic_product("cfrd", 60, rule)
+        cfrd = asymptotic_product("cfrd", rule)
         assert abs(cfrd.limit - 0.81) < 0.005
 
         eta58 = critical_efficiency(58, 1.0, "functional", rule)
@@ -86,7 +86,7 @@ def test_criterion_3_critical_efficiency_anchors(rule):
         eta_inf = (eta60 * x1 - eta58 * x2) / (x1 - x2)
         assert abs(eta_inf - 0.69) < 0.01
 
-        prod = asymptotic_product("functional", 60, rule)
+        prod = asymptotic_product("functional", rule)
         assert abs(prod.limit - 0.6918) < 0.005
 
 

@@ -12,9 +12,16 @@ from cvbell.critical import (
     critical_efficiency,
     critical_purity,
 )
-from cvbell.functional_bell import bell_value, cfrd_bell_value
+from cvbell.functional_bell import (
+    bell_value,
+    cfrd_bell_value,
+    closed_form_log_ratio,
+    ideal_epsilon,
+    optimal_epsilon,
+)
 from cvbell.mk_binning import mk_bell_value, mk_critical_product
-from cvbell.model import StateSpec, canonical_split
+from cvbell.model import Optimal, StateSpec, canonical_split
+from cvbell.quadrature import kernel_integrals
 
 
 class TestCanonicalSplit:
@@ -158,28 +165,76 @@ class TestCriticalPurity:
 
 class TestAsymptotics:
     def test_functional_product_limit(self, rule):
-        res = asymptotic_product("functional", 60, rule)
+        res = asymptotic_product("functional", rule)
         assert abs(res.limit - 0.6918) < 0.005
-        assert res.raw_tail > res.limit
-        assert res.n_tail == 60
 
     def test_mk_product_limit(self, rule):
-        res = asymptotic_product("mk", 200, rule)
+        res = asymptotic_product("mk", rule)
         assert abs(res.limit - np.pi / 4.0) < 1e-3
-        assert res.raw_tail == pytest.approx(mk_critical_product(200), rel=1e-14)
 
     def test_cfrd_efficiency_limit(self, rule):
-        res = asymptotic_product("cfrd", 60, rule)
+        res = asymptotic_product("cfrd", rule)
         assert abs(res.limit - 0.81) < 0.005
         # exact fixed point of the asymptotic quadratic: (1 + sqrt(5))/4
         assert abs(res.limit - (1 + np.sqrt(5)) / 4.0) < 2e-3
 
-    def test_cfrd_limit_already_visible_at_forty(self, rule):
-        assert abs(asymptotic_product("cfrd", 40, rule).limit - 0.81) < 0.005
-
-    def test_n_max_validation(self, rule):
+    def test_unknown_inequality(self, rule):
         with pytest.raises(ValueError):
-            asymptotic_product("functional", 10, rule)
+            asymptotic_product("bogus", rule)
+
+
+class TestLargeN:
+    @staticmethod
+    def _functional_efficiency_limit(rule):
+        # at the even split B = p^2/4 g^(N/2), so the limit is ln g = 0,
+        # which is ln B + ln 4 = 0 at N = 2; bisected at the eta-optimal function
+        def log_g(eta):
+            ki = kernel_integrals(Optimal(optimal_epsilon(2, 1, eta, rule)), rule)
+            return closed_form_log_ratio(2, 1, eta, 1.0, ki)[0] + math.log(4.0)
+
+        lo, hi = 0.5, 1.0
+        assert log_g(lo) < 0.0 < log_g(hi)
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if log_g(mid) <= 0.0 else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    def test_cfrd_limit_is_the_golden_ratio_half(self, rule):
+        limit = asymptotic_product("cfrd", rule).limit
+        assert abs(limit - (1 + math.sqrt(5)) / 4.0) < 1e-13
+
+    def test_functional_limit_is_the_quarter_quadratic(self, rule):
+        # 2 Ip^4 s^2 - K pi I0 (I - I0) s - K pi I0^2 = 0 at K = 1/4, the
+        # limit of the finite-N factor 2^(-2(N-2)/N)
+        ki = kernel_integrals(Optimal(ideal_epsilon(rule)), rule)
+        k = 0.25
+        roots = np.roots([2.0 * ki.i_plus ** 4,
+                          -k * np.pi * ki.i_zero * (ki.i_cross - ki.i_zero),
+                          -k * np.pi * ki.i_zero ** 2])
+        want = max(roots.real)
+        limit = asymptotic_product("functional", rule).limit
+        assert abs(limit - want) < 1e-12
+
+    def test_mk_limit_is_quarter_pi(self, rule):
+        assert asymptotic_product("mk", rule).limit == np.pi / 4.0
+
+    @pytest.mark.parametrize("ineq", ["functional", "cfrd"])
+    def test_efficiency_approaches_limit_from_above(self, rule, ineq):
+        if ineq == "functional":
+            limit = self._functional_efficiency_limit(rule)
+            assert abs(limit - 0.6807145) < 1e-7
+        else:
+            limit = asymptotic_product("cfrd", rule).limit
+        etas = [critical_efficiency(n, 1.0, ineq, rule) for n in (1000, 3000, 10000)]
+        assert np.all(np.diff(etas) < 0)
+        assert min(etas) > limit
+        assert etas[-1] - limit < 2e-4
+
+    def test_mk_product_decreases_to_quarter_pi(self):
+        vals = [mk_critical_product(n) for n in (10, 100, 1000, 10000, 100000)]
+        assert np.all(np.diff(vals) < 0)
+        assert min(vals) > np.pi / 4.0
+        assert vals[-1] - np.pi / 4.0 < 1e-4
 
 
 class TestCrossover:
