@@ -13,7 +13,6 @@ from .errors import (
     ConvergenceError,
     MonotonicityError,
     NumericalDomainError,
-    ResourceLimitError,
 )
 from .quadrature import (
     DEFAULT_ORDER,
@@ -32,6 +31,7 @@ from .model import (
     Identity,
     MeasurementFunction,
     Optimal,
+    ProductOperator,
     SignBin,
     StateSpec,
     density_matrix,
@@ -81,13 +81,13 @@ from .critical import (
 
 __all__ = [
     "__version__",
-    "ConvergenceError", "MonotonicityError", "NumericalDomainError", "ResourceLimitError",
+    "ConvergenceError", "MonotonicityError", "NumericalDomainError",
     "DEFAULT_ORDER", "QUICK_ORDER", "GAUSS_NORM",
     "KernelIntegrals", "QuadratureRule", "gauss_hermite_rule", "integrate",
     "kernel_integrals",
     "AngleConfig", "Basis", "DensityMatrix", "Identity", "MeasurementFunction",
-    "Optimal", "SignBin", "StateSpec", "density_matrix", "single_mode_element",
-    "site_operator",
+    "Optimal", "ProductOperator", "SignBin", "StateSpec", "density_matrix",
+    "single_mode_element", "site_operator",
     "BellResult", "angle_scan", "evaluate", "optimize_epsilon_numeric",
     "orthogonal_angles", "random_product_mixture",
     "EpsilonSolution", "bell_value", "cfrd_bell_value", "ideal_epsilon",

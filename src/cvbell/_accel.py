@@ -1,10 +1,11 @@
-"""Tensor-contraction kernel over the stored entries of a density matrix.
+"""Tensor-contraction kernel over a sum of product operators.
 
 The single hot loop of the package is the trace of a density matrix against
 a tensor product of single-mode 2x2 operators.  It is evaluated once per
 Bell-observable query and once per update inside the free-function
-optimizer.  The states it sees have 2^r + 2^(N-r) + 1 nonzero entries out
-of 4^N, so the trace is summed over those entries only.
+optimizer.  The states are sums of a few tensor products of 2x2 site factors
+(a ``model.ProductOperator``), and the trace of a tensor product factorizes
+over sites, so each term costs one 2x2 trace per site.
 """
 
 from __future__ import annotations
@@ -12,29 +13,20 @@ from __future__ import annotations
 import numpy as np
 
 
-def _factor_index(rho, n: int) -> np.ndarray:
-    """Position of M_k[j_k, i_k] in the flattened (n, 2, 2) operator stack,
-    for every stored entry (i, j) and site k; (entries, n)."""
-    shifts = np.arange(n - 1, -1, -1)
-    j = (rho.col[:, None] >> shifts) & 1       # (entries, modes) occupation bits
-    i = (rho.row[:, None] >> shifts) & 1
-    return 4 * np.arange(n) + 2 * j + i
-
-
-def _trace(rho, m: np.ndarray, index: np.ndarray) -> complex:
-    return complex(m.reshape(-1)[index].prod(axis=1) @ rho.data)
+def _site_traces(rho, mats: np.ndarray) -> np.ndarray:
+    """tr(a_tk M_k) for every term t and site k; (terms, n)."""
+    return np.einsum("tkij,kji->tk", rho.factors, mats)
 
 
 def tensor_expectation(rho, mats) -> complex:
     """Tr(rho * M_1 (x) M_2 (x) ... (x) M_n) for 2x2 operators M_k.
 
-    ``rho`` holds the stored entries of a (2**n, 2**n) matrix as ``.row``,
-    ``.col`` and ``.data`` arrays (a ``model.EntryList``), with mode 0 as the
-    most significant bit; ``mats`` is (n, 2, 2).  Tr(rho A) = sum over
-    entries (i, j) of rho[i, j] * prod_k M_k[j_k, i_k].
+    ``rho`` holds ``.weights`` (T,) and site ``.factors`` (T, n, 2, 2) of
+    sum_t w_t a_t1 (x) ... (x) a_tn (a ``model.ProductOperator``); ``mats``
+    is (n, 2, 2).  The trace is sum_t w_t prod_k tr(a_tk M_k).
     """
     m = np.asarray(mats, dtype=np.complex128)
-    return _trace(rho, m, _factor_index(rho, m.shape[0]))
+    return complex(rho.weights @ _site_traces(rho, m).prod(axis=1))
 
 
 def tensor_expectation_sums(rho, mats, replacements):
@@ -43,22 +35,18 @@ def tensor_expectation_sums(rho, mats, replacements):
     For each (n, 2, 2) stack D in ``replacements``, the sum over sites k of
     the trace with M_k replaced by D_k: the derivative of the trace along D
     when every M_k is linear in a common parameter.  The product over the
-    other sites of each entry comes from prefix and suffix products, so all
-    the sums take one pass over the entries.
+    other sites of each term comes from prefix and suffix products of its
+    site traces.
     """
-    stacks = np.concatenate(([mats], replacements)).astype(np.complex128)
-    n = stacks.shape[1]
-    index = _factor_index(rho, n)
-    # sites first, so that every product over sites is a vector operation
-    factors = stacks.reshape(len(stacks), 4 * n)[:, index.T]
-    f = factors[0]
-    prefix = np.ones_like(f)
-    suffix = np.ones_like(f)
-    for k in range(1, n):
-        prefix[k] = prefix[k - 1] * f[k - 1]
-        suffix[n - 1 - k] = suffix[n - k] * f[n - k]
-    sums = ((prefix * suffix) * factors[1:]).sum(axis=1) @ rho.data
-    return _trace(rho, stacks[0], index), sums
+    traces = [_site_traces(rho, np.asarray(m, dtype=np.complex128))
+              for m in [mats, *replacements]]
+    f = traces[0]
+    ones = np.ones_like(f[:, :1])
+    prefix = np.concatenate((ones, np.cumprod(f[:, :-1], axis=1)), axis=1)
+    suffix = np.concatenate((np.cumprod(f[:, :0:-1], axis=1)[:, ::-1], ones), axis=1)
+    others = prefix * suffix
+    sums = np.array([(others * d).sum(axis=1) @ rho.weights for d in traces[1:]])
+    return complex(rho.weights @ f.prod(axis=1)), sums
 
 
 def backend_name() -> str:

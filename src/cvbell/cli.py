@@ -35,14 +35,12 @@ from .model import Identity, Optimal, SignBin, StateSpec, canonical_split, densi
 from .oracle import evaluate, orthogonal_angles
 from .quadrature import DEFAULT_ORDER, QUICK_ORDER, gauss_hermite_rule, kernel_integrals
 from .variational import (
-    MAX_MODES as MAX_FREE_MODES,
     euler_lagrange_residual,
     fit_optimal_epsilon,
     optimize_function,
 )
 
 ORACLE_CHECK_TOL = 1e-6
-ORACLE_CHECK_N_MAX = 24
 MK_RSWEEP_TOL = 1e-8
 
 
@@ -199,8 +197,8 @@ def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
 
 
 def _cmd_oracle_check(args) -> int:
-    if not 3 <= args.n_min <= args.n_max <= ORACLE_CHECK_N_MAX:
-        raise ValueError(f"oracle-check grid is limited to 3 <= n <= {ORACLE_CHECK_N_MAX}")
+    if not 3 <= args.n_min <= args.n_max:
+        raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]; n >= 3")
     rule = gauss_hermite_rule(args.order)
     lines = []
     worst = 0.0
@@ -238,8 +236,8 @@ def _cmd_oracle_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_optimize(args) -> int:
-    if not 2 <= args.n <= MAX_FREE_MODES:
-        raise ValueError(f"--n must lie in [2, {MAX_FREE_MODES}], got {args.n}")
+    if args.n < 2:
+        raise ValueError(f"--n must be at least 2, got {args.n}")
     if args.order < 4:
         raise ValueError(
             f"--order must be at least 4 (one node value beyond the gauge), got {args.order}"

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import sys
+
 
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance.
@@ -16,11 +18,17 @@ class ConvergenceError(RuntimeError):
 
 class NumericalDomainError(ArithmeticError):
     """An integrand or matrix element evaluated to a non-finite value, or a
-    closed-form side or Bell value left the float range."""
+    closed-form or oracle bound side or a Bell value left the float range."""
 
 
-class ResourceLimitError(RuntimeError):
-    """A request would exceed the hard memory guard of the Fock-space model."""
+def normal_bound_side(value: float, n: int, source: str) -> float:
+    """``value``, or NumericalDomainError naming n when this bound side (or
+    a factor of it) is not a positive normal float.  A correlator side that
+    underflows is a valid zero ratio; a bound side that does is not."""
+    if not sys.float_info.min <= value < float("inf"):
+        raise NumericalDomainError(
+            f"{source} bound side at n = {n} is outside the normal float range")
+    return value
 
 
 class MonotonicityError(RuntimeError):

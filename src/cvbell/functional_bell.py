@@ -23,14 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalDomainError
+from .errors import ConvergenceError, NumericalDomainError, normal_bound_side
 from .model import Identity, Optimal, StateSpec
 from .oracle import BellResult
 from .quadrature import KernelIntegrals, QuadratureRule, kernel_integrals
 
 _IDEAL_CACHE: dict = {}   # rule order -> ideal fixed point; write-once per key
 _MAX_ITER = 100
-_TINY = np.finfo(float).tiny
 
 EPSILON_READINGS = ("literal", "matched")
 
@@ -244,24 +243,14 @@ def closed_form_sides(n: int, r: int, eta: float, p: float,
         rhs = scale * (c ** r * i0 ** (n - r) + i0 ** r * c ** (n - r))
     except OverflowError:
         rhs = np.inf
-    if not _TINY <= rhs < np.inf:
-        raise _outside_float_range(n)
+    rhs = normal_bound_side(rhs, n, "closed-form")
     lhs = 0.25 * p * p * eta ** n * (2.0 / np.pi) ** n * ip ** (2 * n)
     return lhs, rhs
 
 
-def _outside_float_range(n: int) -> NumericalDomainError:
-    return NumericalDomainError(
-        f"closed-form bound side at n = {n} is outside the normal float range"
-    )
-
-
 def _bound_scale(n: int) -> float:
     """The bound side's prefactor 0.5 (2/pi)^(n/2) 2^-n; subnormal from n = 771."""
-    scale = 0.5 * (2.0 / np.pi) ** (n / 2.0) * 2.0 ** (-n)
-    if not scale >= _TINY:
-        raise _outside_float_range(n)
-    return scale
+    return normal_bound_side(0.5 * (2.0 / np.pi) ** (n / 2.0) * 2.0 ** (-n), n, "closed-form")
 
 
 def closed_form_log_ratio(n: int, r: int, eta: float, p: float,

@@ -68,7 +68,7 @@ def mk_evaluate(rho: DensityMatrix, angles: AngleConfig) -> MKResult:
     """Evaluate |S_N| on an explicit state, maximizing over combinations.
 
     The correlator Pi_N = < prod_k [sign(x^theta_k) + i sign(x^theta'_k)] >
-    is summed over the state's stored entries; the exchanged-observable
+    is contracted over the state's product terms; the exchanged-observable
     correlator swaps the roles of theta and theta' at every site.
     """
     n = rho.n_modes

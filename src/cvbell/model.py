@@ -4,8 +4,9 @@ The states live on N optical modes restricted to at most one photon each, so
 an N-mode density matrix is 2^N x 2^N, indexed by occupation bitstrings with
 mode 0 as the most significant bit.  That restriction is exact here: the
 states of interest start inside the subspace and photon loss never raises an
-occupation number.  Only the nonzero entries are stored: the detected state
-has 2^r + 2^(N-r) + 1 of them.
+occupation number.  The matrix is never formed: a state is stored as a sum of
+tensor products of 2x2 site factors (four for the detected state), so a trace
+against a tensor product of site operators costs O(N).
 
 Quadrature convention: a = X + iP, vacuum variance 1/4, so the single-photon
 sector wavefunctions are psi_0(x) = (2/pi)^(1/4) e^(-x^2) and
@@ -17,18 +18,13 @@ multiplies the Fock matrix element <m|f(X)|n> by e^(i theta (m - n)).
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .quadrature import QuadratureRule, check_odd, integrate
-
-#: Hard cap on the stored entries of a detected state: 32 bytes each, and
-#: eight times that while the loss channel is being applied.
-MAX_STATE_ENTRIES = 2 ** 16
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
@@ -216,51 +212,42 @@ class AngleConfig:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EntryList:
-    """Stored entries of a matrix: ``data[e]`` sits at (``row[e]``, ``col[e]``)."""
+class ProductOperator:
+    """Sum of tensor products of 2x2 site factors:
+    sum_t weights[t] * factors[t, 0] (x) factors[t, 1] (x) ... (x) factors[t, N-1].
 
-    row: np.ndarray
-    col: np.ndarray
-    data: np.ndarray
-    shape: Tuple[int, int]
+    ``weights`` is (T,) and ``factors`` is (T, N, 2, 2), both stored complex;
+    site 0 is the most significant bit of the 2^N-dimensional index.
+    """
+
+    weights: np.ndarray
+    factors: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=complex)
+        a = np.asarray(self.factors, dtype=complex)
+        if w.ndim != 1 or a.ndim != 4 or a.shape[0] != w.size or a.shape[2:] != (2, 2):
+            raise ValueError(
+                f"expected weights (T,), factors (T, N, 2, 2); got {w.shape}, {a.shape}")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "factors", a)
 
     def toarray(self) -> np.ndarray:
-        m = np.zeros(self.shape, dtype=self.data.dtype)
-        np.add.at(m, (self.row, self.col), self.data)
-        return m
+        """The dense 2^N x 2^N matrix, built by ``np.kron`` (small N only)."""
+        return sum(w * functools.reduce(np.kron, sites)
+                   for w, sites in zip(self.weights, self.factors))
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """2^N-dimensional density matrix over occupation bitstrings (mode 0 = MSB).
-
-    ``matrix`` may be given dense or as an ``EntryList``; it is stored as an
-    ``EntryList`` in row-major order, with duplicates summed in order of
-    appearance (dense input keeps its nonzero entries).
-    """
+    """Density matrix on N modes, stored as a ``ProductOperator``."""
 
     n_modes: int
-    matrix: EntryList
+    matrix: ProductOperator
 
     def __post_init__(self):
-        m = self.matrix
-        dim = 2 ** self.n_modes
-        if not isinstance(m, EntryList):
-            m = np.asarray(m, dtype=complex)
-            if m.shape == (dim, dim):
-                row, col = np.nonzero(m)
-                m = EntryList(row, col, m[row, col], m.shape)
-        if m.shape != (dim, dim):
-            raise ValueError(f"matrix shape {m.shape} does not match 2^{self.n_modes}")
-        keys, inverse = np.unique(m.row * dim + m.col, return_inverse=True)
-        data = np.zeros(keys.size, dtype=complex)
-        np.add.at(data, inverse, m.data)
-        row, col = np.divmod(keys, dim)
-        object.__setattr__(self, "matrix", EntryList(row, col, data, m.shape))
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_modes
+        if self.matrix.factors.shape[1] != self.n_modes:
+            raise ValueError(f"{self.matrix.factors.shape[1]} sites for {self.n_modes} modes")
 
     def check(self, herm_tol: float = 1e-12, trace_tol: float = 1e-12,
               psd_tol: float = -1e-10) -> None:
@@ -275,32 +262,6 @@ class DensityMatrix:
         smallest = float(np.linalg.eigvalsh(m)[0])
         if smallest < psd_tol:
             raise ValueError(f"matrix is not PSD: smallest eigenvalue {smallest:.3e}")
-
-    def to_debug_json(self, threshold: float = 0.0) -> str:
-        """Serialize nonzero entries keyed by 'rowbits|colbits' for fixtures."""
-        n = self.n_modes
-        m = self.matrix
-        keep = np.abs(m.data) > threshold
-        entries = {
-            f"{i:0{n}b}|{j:0{n}b}": [v.real, v.imag]
-            for i, j, v in zip(m.row[keep].tolist(), m.col[keep].tolist(),
-                               m.data[keep].tolist())
-        }
-        return json.dumps({"n_modes": n, "entries": entries}, sort_keys=True)
-
-    @classmethod
-    def from_debug_json(cls, payload: str) -> "DensityMatrix":
-        data = json.loads(payload)
-        n = int(data["n_modes"])
-        rows, cols, vals = [], [], []
-        for key, (re, im) in data["entries"].items():
-            row, col = key.split("|")
-            rows.append(int(row, 2))
-            cols.append(int(col, 2))
-            vals.append(complex(re, im))
-        m = EntryList(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                      np.array(vals, dtype=complex), (2 ** n, 2 ** n))
-        return cls(n_modes=n, matrix=m)
 
 
 def loss_kraus(eta: float):
@@ -327,48 +288,28 @@ def branch_indices(n: int, r: int) -> Tuple[int, int]:
 def density_matrix(spec: StateSpec) -> DensityMatrix:
     """Detected-state density matrix for the given scenario.
 
-    Construction order: the two-branch superposition, occupation-basis
-    dephasing to weight ``purity`` (which only scales the two off-diagonal
-    entries), then the per-mode amplitude-damping channel, applied to every
-    stored entry |i><j| as sum_K K|i_k><j_k|K^dag on mode k.  Dephasing and
-    loss commute for this family, so the order is a documentation choice,
-    not a physical one.
-
-    Each branch's diagonal spreads over the 2^r (resp. 2^(N-r)) patterns its
-    photons can lose, sharing the vacuum; the two coherences stay single
-    entries.  That count, 2^r + 2^(N-r) + 1, is checked against
-    ``MAX_STATE_ENTRIES`` before anything is built.
+    The two-branch superposition, dephased to weight ``purity`` in the
+    occupation basis, is |A><A|/2 + |B><B|/2 + p (|A><B| + |B><A|)/2, with
+    branch A occupying modes 0..r-1 and branch B the rest.  Each term is a
+    product over sites, and amplitude damping acts on one mode at a time, so
+    each term stays one: an occupied site of a branch becomes
+    diag(1 - eta, eta), an empty one diag(1, 0), and a coherence site
+    sqrt(eta)|1><0| or sqrt(eta)|0><1|.  Dephasing and loss commute for this
+    family.
     """
-    n, r = spec.n_modes, spec.r_split
-    entries = 2 ** r + 2 ** (n - r) + 1
-    if entries > MAX_STATE_ENTRIES:
-        raise ResourceLimitError(
-            f"n_modes={n}, r_split={r} gives a state of {entries} entries, "
-            f"above the budget of {MAX_STATE_ENTRIES}"
-        )
-    a, b = branch_indices(n, r)
-    rows = np.array([a, b, a, b], dtype=np.int64)
-    cols = np.array([a, b, b, a], dtype=np.int64)
-    vals = np.array([0.5, 0.5, 0.5 * spec.purity, 0.5 * spec.purity], dtype=complex)
-
-    kraus = np.stack(loss_kraus(spec.efficiency))      # (Kraus op, out, in)
-    levels = np.arange(2, dtype=np.int64)[:, None]
-    for shift in range(n):
-        # term [K, s, t, e] = K[s, i] rho_e conj(K[t, j]), where i and j are
-        # this mode's bits of entry e's row and column, lands on that row with
-        # the bit set to s and that column with the bit set to t
-        left = kraus[:, :, (rows >> shift) & 1]
-        right = kraus[:, :, (cols >> shift) & 1].conj()
-        terms = left[:, :, None, :] * right[:, None, :, :] * vals
-        new_rows = (rows & ~(1 << shift)) | (levels << shift)
-        new_cols = (cols & ~(1 << shift)) | (levels << shift)
-        rows = np.broadcast_to(new_rows[None, :, None, :], terms.shape).ravel()
-        cols = np.broadcast_to(new_cols[None, None, :, :], terms.shape).ravel()
-        vals = terms.ravel()
-        keep = vals != 0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    dim = 2 ** n
-    return DensityMatrix(n_modes=n, matrix=EntryList(rows, cols, vals, (dim, dim)))
+    n, r, eta = spec.n_modes, spec.r_split, spec.efficiency
+    occupied = np.array([[1.0 - eta, 0.0], [0.0, eta]])
+    empty = np.array([[1.0, 0.0], [0.0, 0.0]])
+    up = np.array([[0.0, 0.0], [np.sqrt(eta), 0.0]])      # sqrt(eta)|1><0|
+    in_a = (np.arange(n) < r)[:, None, None]
+    factors = np.stack([
+        np.where(in_a, occupied, empty),                   # |A><A|
+        np.where(in_a, empty, occupied),                   # |B><B|
+        np.where(in_a, up, up.T),                          # |A><B|
+        np.where(in_a, up.T, up),                          # |B><A|
+    ])
+    weights = 0.5 * np.array([1.0, 1.0, spec.purity, spec.purity])
+    return DensityMatrix(n_modes=n, matrix=ProductOperator(weights, factors))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._accel import tensor_expectation, tensor_expectation_sums
+from .errors import normal_bound_side
 from .model import (
     AngleConfig,
     DensityMatrix,
     Optimal,
+    ProductOperator,
     StateSpec,
     _site_correlators,
     density_matrix,
@@ -83,13 +85,15 @@ def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig, rule: QuadratureRule
              inequality_id: str = "functional") -> BellResult:
     """Evaluate both sides of the inequality on an explicit density matrix.
 
-    The tensor-product traces are summed over the state's stored entries;
-    the 2^N x 2^N operator products are never formed.
+    The tensor-product traces factorize over the sites of each product term
+    of the state; the 2^N x 2^N operator products are never formed.  Raises
+    NumericalDomainError when the bound side leaves the normal float range.
     """
     o_mats, q_mats = _site_operators(rho, f, g, angles, rule)
     corr = tensor_expectation(rho.matrix, o_mats)
     lhs = abs(corr) ** 2
-    rhs = tensor_expectation(rho.matrix, q_mats).real
+    rhs = normal_bound_side(tensor_expectation(rho.matrix, q_mats).real, rho.n_modes,
+                            "oracle")
     return BellResult(
         lhs=float(lhs),
         rhs=float(rhs),
@@ -121,7 +125,8 @@ def ratio_partials(rho: DensityMatrix, f, g, angles: AngleConfig,
     Every site operator is linear in the site scalars, so the partial of a
     contraction is the sum over sites of the same contraction with that
     site's operator replaced by its derivative.  Both sides and all their
-    partials take one pass each over the state's entries.
+    partials take one pass each over the state's product terms.  Raises
+    NumericalDomainError when the bound side leaves the normal float range.
     """
     n = rho.n_modes
     th, thp = angles.theta, angles.theta_prime
@@ -134,13 +139,13 @@ def ratio_partials(rho: DensityMatrix, f, g, angles: AngleConfig,
     rhs, d_rhs = tensor_expectation_sums(
         rho.matrix, q_mats, [np.broadcast_to(np.diag(e), (n, 2, 2))
                              for e in ((1.0, 0.0), (0.0, 1.0))])
-    rhs = rhs.real
+    rhs = normal_bound_side(rhs.real, n, "oracle")
     ratio = float(abs(corr) ** 2 / rhs)
-    # ratio = |corr|^2 / rhs and d|corr|^2 = 2 Re(conj(corr) d corr)
+    # ratio = |corr|^2 / rhs, d|corr|^2 = 2 Re(conj(corr) d corr); ratio / rhs may overflow
     return RatioPartials(
         ratio=ratio,
         d_amplitude=2.0 * (corr.conjugate() * d_corr).real / rhs,
-        d_moments=-ratio / rhs * d_rhs.real,
+        d_moments=-ratio * (d_rhs.real / rhs),
     )
 
 
@@ -207,8 +212,6 @@ def optimize_epsilon_numeric(spec: StateSpec, rule: QuadratureRule,
     f = g = x/(1 + eps x^2) at the correlator-maximizing angles, eps in
     (0, eps_hi]: the oracle-side reference for ``optimal_epsilon``.
     """
-    if spec.n_modes > 10:
-        raise ValueError("numeric epsilon search is limited to 10 modes")
     rho = density_matrix(spec)
     angles = orthogonal_angles(spec.n_modes, spec.r_split)
 
@@ -229,15 +232,10 @@ def random_product_mixture(n: int, rng: np.random.Generator,
     produce must stay at or below 1; the tests use them as the bound-side
     sanity ensemble.
     """
-    dim = 2 ** n
     weights = rng.dirichlet(np.ones(n_states))
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w in weights:
-        term = np.array([[1.0]], dtype=complex)
-        for _ in range(n):
-            alpha = rng.uniform(0.0, np.pi / 2.0)
-            beta = rng.uniform(0.0, 2.0 * np.pi)
-            ket = np.array([np.cos(alpha), np.exp(1j * beta) * np.sin(alpha)])
-            term = np.kron(term, np.outer(ket, ket.conj()))
-        rho += w * term
-    return DensityMatrix(n_modes=n, matrix=rho)
+    # per state and site, the Bloch angles (alpha, beta) in draw order
+    alpha, beta = np.moveaxis(
+        rng.uniform(0.0, (np.pi / 2.0, 2.0 * np.pi), size=(n_states, n, 2)), -1, 0)
+    kets = np.stack((np.cos(alpha), np.exp(1j * beta) * np.sin(alpha)), axis=-1)
+    factors = kets[..., :, None] * kets.conj()[..., None, :]
+    return DensityMatrix(n_modes=n, matrix=ProductOperator(weights, factors))

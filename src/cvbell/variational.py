@@ -45,9 +45,6 @@ from .oracle import (
 )
 from .quadrature import QuadratureRule
 
-#: Largest mode count the free-function optimizer accepts.
-MAX_MODES = 10
-
 # step length in u = log(1 + eps) at which the map counts as converged
 _MAP_TOL = 1e-12
 # bound on the relaxed pair's re-solves while its amplitude ratio settles
@@ -103,8 +100,6 @@ class _RatioProblem:
     scenario and angles."""
 
     def __init__(self, spec: StateSpec, rule: QuadratureRule):
-        if spec.n_modes > MAX_MODES:
-            raise ValueError(f"free-function optimization is limited to {MAX_MODES} modes")
         self.rule = rule
         self.rho = density_matrix(spec)
         self.angles = orthogonal_angles(spec.n_modes, spec.r_split)
@@ -150,8 +145,11 @@ class _RatioProblem:
         return float(np.max(np.abs(grad[1:])) / ratio)
 
     def family(self, u: float) -> np.ndarray:
-        """Node values of x/(1 + eps x^2) at eps = exp(u) - 1."""
-        return Optimal(np.expm1(u))(self.nodes)
+        """Node values of x/(1 + eps x^2) at eps = exp(u) - 1, scaled to value/node 1
+        at the gauge node: the ratio and the map ignore the scale, and it keeps
+        the bound side in the float range at large eps."""
+        eps = np.expm1(u)
+        return Optimal(eps)(self.nodes) * (1.0 + eps * self.nodes[0] ** 2)
 
 
 def _stationary_epsilon(p: RatioPartials) -> float:

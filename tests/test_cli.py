@@ -234,10 +234,9 @@ class TestOracleCheck:
     def test_grid_ceiling(self, capsys):
         assert run_cli(["oracle-check", "--n-min", "24", "--n-max", "24"]) == 0
         assert "status: OK" in capsys.readouterr().out
-        with pytest.raises(SystemExit) as err:
-            run_cli(["oracle-check", "--n-min", "3", "--n-max", "25"])
-        assert err.value.code == 2
-        assert "limited to 3 <= n <= 24" in capsys.readouterr().err
+        # beyond the closed form's float range the check stops and names n
+        assert run_cli(["oracle-check", "--n-min", "340", "--n-max", "340"]) == 1
+        assert "bound side at n = 340" in capsys.readouterr().err
 
     def test_report_file(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
@@ -297,6 +296,21 @@ class TestOptimize:
         eps_numeric, _ = optimize_epsilon_numeric(StateSpec(9, 0), rule)
         assert abs(payload["reference_epsilon"] - eps_numeric) <= 1e-7
 
+    def test_forty_modes_at_lopsided_split(self, tmp_path, capsys):
+        # at r = 0 the map passes through large eps, where x/(1 + eps x^2)
+        # unscaled would take the bound side out of the float range
+        out = tmp_path / "opt.csv"
+        assert run_cli(["optimize", "--n", "40", "--r", "0", "--out", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is True
+        assert payload["epsilon_deviation"] < 1e-9
+
+    def test_outside_float_range_names_the_mode_count(self, tmp_path, capsys):
+        out = tmp_path / "opt.csv"
+        assert run_cli(["optimize", "--n", "400", "--out", str(out)]) == 1
+        assert "bound side at n = 400" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_purity_rejected(self, tmp_path, capsys):
         # the ratio vanishes for every function, so nothing is stationary
         with pytest.raises(SystemExit) as err:
@@ -306,7 +320,7 @@ class TestOptimize:
         assert not (tmp_path / "opt.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--n", "1"), ("--n", "11"),
+        ("--n", "1"),
         ("--order", "1"), ("--order", "2"), ("--order", "3"),
     ])
     def test_input_checked_before_work(self, tmp_path, capsys, monkeypatch, flag, value):

@@ -1,17 +1,27 @@
 import numpy as np
 import pytest
-from scipy.sparse import coo_array
 
 from cvbell import _accel
-from cvbell.model import StateSpec, branch_indices, density_matrix, loss_kraus
+from cvbell.model import (
+    ProductOperator,
+    StateSpec,
+    branch_indices,
+    density_matrix,
+    loss_kraus,
+)
 
 
-def random_case(rng, n):
-    dim = 2 ** n
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a + a.conj().T
+def random_case(rng, n, sparse=False):
+    """A random product operator of 1-4 terms with complex weights, and a
+    random operator stack; ``sparse`` zeroes the factor entries below the
+    median magnitude, as the detected state's factors are mostly zero."""
+    terms = int(rng.integers(1, 5))
+    weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    factors = rng.normal(size=(terms, n, 2, 2)) + 1j * rng.normal(size=(terms, n, 2, 2))
+    if sparse:
+        factors[np.abs(factors) < np.median(np.abs(factors))] = 0.0
     mats = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    return rho, mats
+    return ProductOperator(weights, factors), mats
 
 
 def dense_reference(rho, mats):
@@ -42,16 +52,15 @@ class TestBackends:
         rng = np.random.default_rng(1)
         for n in range(1, 7):
             rho, mats = random_case(rng, n)
-            got = _accel.tensor_expectation(coo_array(rho), mats)
-            assert got == pytest.approx(dense_reference(rho, mats), rel=1e-13)
+            got = _accel.tensor_expectation(rho, mats)
+            assert got == pytest.approx(dense_reference(rho.toarray(), mats), rel=1e-13)
 
     def test_sparse_zero_entries_skipped_consistently(self):
         rng = np.random.default_rng(4)
         for n in range(1, 7):
-            rho, mats = random_case(rng, n)
-            rho[np.abs(rho) < np.median(np.abs(rho))] = 0.0
-            got = _accel.tensor_expectation(coo_array(rho), mats)
-            assert got == pytest.approx(dense_reference(rho, mats), rel=1e-12)
+            rho, mats = random_case(rng, n, sparse=True)
+            got = _accel.tensor_expectation(rho, mats)
+            assert got == pytest.approx(dense_reference(rho.toarray(), mats), rel=1e-12)
 
     def test_detected_state_against_dense_kron(self):
         rng = np.random.default_rng(5)
@@ -62,22 +71,21 @@ class TestBackends:
             got = _accel.tensor_expectation(rho.matrix, mats)
             assert got == pytest.approx(expected, rel=1e-13)
 
-
     def test_replacement_sums_against_site_loop(self):
-        # reference: one contraction per site with that site's operator replaced
+        # reference: one dense contraction per site with that site's operator
+        # replaced
         rng = np.random.default_rng(6)
         for n in range(1, 7):
-            rho, mats = random_case(rng, n)
-            rho[np.abs(rho) < np.median(np.abs(rho))] = 0.0
+            rho, mats = random_case(rng, n, sparse=True)
             reps = rng.normal(size=(2, n, 2, 2)) + 1j * rng.normal(size=(2, n, 2, 2))
-            value, sums = _accel.tensor_expectation_sums(coo_array(rho), mats, reps)
-            assert value == _accel.tensor_expectation(coo_array(rho), mats)
+            value, sums = _accel.tensor_expectation_sums(rho, mats, reps)
+            assert value == _accel.tensor_expectation(rho, mats)
             for d, got in zip(reps, sums):
                 want = 0j
                 for k in range(n):
                     replaced = mats.copy()
                     replaced[k] = d[k]
-                    want += _accel.tensor_expectation(coo_array(rho), replaced)
+                    want += dense_reference(rho.toarray(), replaced)
                 assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -91,8 +99,10 @@ class TestSparseState:
                                                dense_state(spec), rtol=0, atol=1e-15)
 
     def test_entry_count(self):
+        # four product terms at every size: two branch diagonals, two coherences
         for eta, p in ((0.9, 1.0), (0.3, 0.05)):
             for n in range(1, 13):
                 for r in range(n + 1):
                     rho = density_matrix(StateSpec(n, r, p, eta))
-                    assert rho.matrix.data.size == 2 ** r + 2 ** (n - r) + 1
+                    assert rho.matrix.weights.shape == (4,)
+                    assert rho.matrix.factors.shape == (4, n, 2, 2)

@@ -8,7 +8,7 @@ from cvbell.mk_binning import (
     mk_evaluate,
     mk_optimal_angles,
 )
-from cvbell.model import AngleConfig, DensityMatrix, StateSpec, density_matrix
+from cvbell.model import AngleConfig, DensityMatrix, ProductOperator, StateSpec, density_matrix
 
 SQRT2_HALF = np.sqrt(2.0) / 2.0
 
@@ -68,9 +68,10 @@ class TestEvaluate:
         assert res.bell_ratio == res.s_value
 
     def test_vacuum_gives_zero(self):
-        m = np.zeros((8, 8), dtype=complex)
-        m[0, 0] = 1.0
-        res = mk_evaluate(DensityMatrix(3, m), mk_optimal_angles(3, 2))
+        factors = np.zeros((1, 3, 2, 2))
+        factors[0, :, 0, 0] = 1.0
+        res = mk_evaluate(DensityMatrix(3, ProductOperator([1.0], factors)),
+                          mk_optimal_angles(3, 2))
         assert res.s_value == pytest.approx(0.0, abs=1e-15)
 
     def test_lossy_impure_matches_mixed_state_form(self):

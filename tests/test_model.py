@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from cvbell.errors import ResourceLimitError
+from cvbell.functional_bell import bell_value, cfrd_bell_value, optimal_epsilon
 from cvbell.model import (
     AngleConfig,
     Basis,
-    DensityMatrix,
-    EntryList,
     Identity,
     Optimal,
     SignBin,
@@ -18,6 +16,7 @@ from cvbell.model import (
     single_mode_element,
     site_operator,
 )
+from cvbell.oracle import evaluate, orthogonal_angles
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
@@ -97,27 +96,16 @@ class TestDensityMatrix:
             rho = density_matrix(StateSpec(n, r, p, eta))
             rho.check()
 
-    def test_memory_guard(self):
-        with pytest.raises(ResourceLimitError):
-            density_matrix(StateSpec(40, 0, 1.0, 1.0))
-
-    def test_entries_summed_in_order_of_appearance(self):
-        rng = np.random.default_rng(11)
-        rows, cols = rng.integers(0, 16, 200), rng.integers(0, 16, 200)
-        vals = rng.normal(size=200) + 1j * rng.normal(size=200)
-        got = DensityMatrix(4, EntryList(rows, cols, vals, (16, 16))).matrix
-        sums = {}
-        for key, v in zip(zip(rows.tolist(), cols.tolist()), vals.tolist()):
-            sums[key] = sums.get(key, 0j) + v
-        keys = sorted(sums)
-        assert list(zip(got.row.tolist(), got.col.tolist())) == keys
-        want = np.array([sums[k] for k in keys])
-        assert np.array_equal(got.data.view(np.int64), want.view(np.int64))
-
-    def test_debug_json_roundtrip(self):
-        rho = density_matrix(StateSpec(3, 1, 0.8, 0.9))
-        clone = DensityMatrix.from_debug_json(rho.to_debug_json())
-        np.testing.assert_allclose(clone.matrix.toarray(), rho.matrix.toarray(), atol=1e-15)
+    def test_forty_modes_match_closed_forms(self, rule):
+        # r = 0 puts all 40 photons in one branch: 2^40 + 2 nonzero entries
+        # in the occupation basis, still four product terms
+        spec = StateSpec(40, 0, 1.0, 1.0)
+        rho = density_matrix(spec)
+        angles = orthogonal_angles(40, 0)
+        f = Optimal(optimal_epsilon(40, 0, 1.0, rule))
+        for closed, fn in ((bell_value(spec, rule), f), (cfrd_bell_value(spec, rule), Identity())):
+            got = evaluate(rho, fn, fn, angles, rule).ratio
+            assert got == pytest.approx(closed.ratio, rel=1e-9)
 
     def test_loss_channel_trace_preserving(self):
         for eta in (1.0, 0.8, 0.33, 0.05):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_array
 
 from cvbell._accel import tensor_expectation
-from cvbell.errors import ResourceLimitError
+from cvbell.errors import NumericalDomainError
 from cvbell.functional_bell import (
     bell_value,
     cfrd_bell_value,
@@ -17,11 +16,11 @@ from cvbell.functional_bell import (
 )
 from cvbell.mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
 from cvbell.model import (
-    MAX_STATE_ENTRIES,
     AngleConfig,
     DensityMatrix,
     Identity,
     Optimal,
+    ProductOperator,
     SignBin,
     StateSpec,
     density_matrix,
@@ -39,9 +38,9 @@ from cvbell.oracle import (
 
 
 def vacuum(n):
-    m = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    m[0, 0] = 1.0
-    return DensityMatrix(n_modes=n, matrix=m)
+    factors = np.zeros((1, n, 2, 2))
+    factors[0, :, 0, 0] = 1.0
+    return DensityMatrix(n_modes=n, matrix=ProductOperator([1.0], factors))
 
 
 def cfrd_even_ideal(n):
@@ -114,12 +113,22 @@ class TestEvaluate:
         rng = np.random.default_rng(11)
         f = Optimal(1.5)
         for _ in range(50):
-            n = int(rng.integers(2, 7))
+            n = int(rng.integers(2, 51))
             rho = random_product_mixture(n, rng, n_states=int(rng.integers(1, 5)))
             th = rng.uniform(-np.pi, np.pi, n)
             thp = rng.uniform(-np.pi, np.pi, n)
             res = evaluate(rho, f, f, AngleConfig(tuple(th), tuple(thp)), rule)
             assert res.ratio <= 1.0 + 1e-10
+
+    def test_bound_side_outside_float_range(self, rule):
+        # the bound side underflows at N = 1000; a zero correlator would not
+        # be an error, a zero bound side is
+        rho = density_matrix(StateSpec(1000, 500))
+        f = Optimal(1.0)
+        angles = orthogonal_angles(1000, 500)
+        for fn in (evaluate, ratio_partials):
+            with pytest.raises(NumericalDomainError, match="bound side at n = 1000"):
+                fn(rho, f, f, angles, rule)
 
     def test_binning_reduces_to_binary_form(self, rule):
         # sign^2 + sign^2 = 2 per site: the bound side is exactly 2^N, so the
@@ -237,12 +246,13 @@ class TestContractionBackend:
     def test_against_dense_kron(self):
         rng = np.random.default_rng(5)
         n = 3
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        rho = a + a.conj().T
+        weights = rng.normal(size=2) + 1j * rng.normal(size=2)
+        factors = rng.normal(size=(2, n, 2, 2)) + 1j * rng.normal(size=(2, n, 2, 2))
+        rho = ProductOperator(weights, factors)
         mats = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
         dense = np.kron(np.kron(mats[0], mats[1]), mats[2])
-        expected = np.trace(rho @ dense)
-        got = tensor_expectation(coo_array(rho), mats)
+        expected = np.trace(rho.toarray() @ dense)
+        got = tensor_expectation(rho, mats)
         assert got == pytest.approx(expected, rel=1e-13)
 
 
@@ -300,22 +310,14 @@ class TestSparseOracleProperties:
     def test_closed_forms_match_oracle(self, rule, n, eta, p, data):
         r = data.draw(st.integers(0, n), label="r")
         spec = StateSpec(n, r, p, eta)
-        if 2 ** r + 2 ** (n - r) + 1 > MAX_STATE_ENTRIES:
-            with pytest.raises(ResourceLimitError):
-                density_matrix(spec)
-        else:
-            rho = density_matrix(spec)
-            angles = orthogonal_angles(n, r)
-            f_opt = Optimal(optimal_epsilon(n, r, eta, rule))
-            for closed, f in ((bell_value(spec, rule), f_opt),
-                              (cfrd_bell_value(spec, rule), Identity())):
-                assert close(evaluate(rho, f, f, angles, rule).ratio, closed.ratio, 1e-9)
+        rho = density_matrix(spec)
+        angles = orthogonal_angles(n, r)
+        f_opt = Optimal(optimal_epsilon(n, r, eta, rule))
+        for closed, f in ((bell_value(spec, rule), f_opt),
+                          (cfrd_bell_value(spec, rule), Identity())):
+            assert close(evaluate(rho, f, f, angles, rule).ratio, closed.ratio, 1e-9)
 
         for r_mk in range(1, n + 1):
             spec_mk = StateSpec(n, r_mk, p, eta)
-            if 2 ** r_mk + 2 ** (n - r_mk) + 1 > MAX_STATE_ENTRIES:
-                with pytest.raises(ResourceLimitError):
-                    density_matrix(spec_mk)
-                continue
             s_value = mk_evaluate(density_matrix(spec_mk), mk_optimal_angles(n, r_mk)).s_value
             assert close(s_value, mk_bell_value(spec_mk), 1e-9)

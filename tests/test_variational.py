@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvbell.functional_bell import bell_value, solve_epsilon_even, solve_epsilon_odd
+from cvbell.functional_bell import (
+    bell_value,
+    optimal_epsilon,
+    solve_epsilon_even,
+    solve_epsilon_odd,
+)
 from cvbell.model import Identity, Optimal, SignBin, StateSpec
 from cvbell.variational import (
     FreeFunction,
@@ -66,6 +71,17 @@ class TestRecovery:
         assert len(history) > 2
         diffs = np.diff(history)
         assert np.all(diffs >= -1e-12)
+
+    @pytest.mark.parametrize("n, r, eta", [(100, 50, 1.0), (60, 30, 0.9)])
+    def test_large_n_lands_on_the_analytic_family(self, quick_rule, n, r, eta):
+        # the node values are free, and the reference eps comes from the
+        # closed-form stationarity relation, not from the oracle
+        best, _ = optimize_function(StateSpec(n, r, 1.0, eta), quick_rule, Identity())
+        x = best.nodes
+        eps = optimal_epsilon(n, r, eta, quick_rule)
+        # c fixed by the gauge: value/node = 1 at the smallest node
+        ref = (1.0 + eps * x[0] ** 2) * x / (1.0 + eps * x * x)
+        assert np.max(np.abs(best.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_relaxed_pair_collapses_to_equal_functions(self, quick_rule):
         # g starts away from f, so g = +f or g = -f has to come out of the map
