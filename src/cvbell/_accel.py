@@ -23,10 +23,13 @@ def tensor_expectation(rho, mats) -> complex:
 
     ``rho`` holds ``.weights`` (T,) and site ``.factors`` (T, n, 2, 2) of
     sum_t w_t a_t1 (x) ... (x) a_tn (a ``model.ProductOperator``); ``mats``
-    is (n, 2, 2).  The trace is sum_t w_t prod_k tr(a_tk M_k).
+    is (n, 2, 2).  The trace is sum_t w_t prod_k tr(a_tk M_k); a term with a
+    zero site trace contributes exactly 0, even where its other traces
+    overflow.
     """
-    m = np.asarray(mats, dtype=np.complex128)
-    return complex(rho.weights @ _site_traces(rho, m).prod(axis=1))
+    traces = _site_traces(rho, np.asarray(mats, dtype=np.complex128))
+    live = traces.all(axis=1)
+    return complex(rho.weights[live] @ traces[live].prod(axis=1))
 
 
 def tensor_expectation_sums(rho, mats, replacements):

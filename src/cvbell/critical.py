@@ -12,11 +12,12 @@ explicit function of the swept parameter the threshold is its exact inverse:
 
 Only the functional and CFRD efficiency thresholds are iterated: there the
 optimal function moves with eta, and for odd N the CFRD condition is a
-degree-N polynomial.  They are Newton roots of ln B = 0 on the closed-form
-slope of ``closed_form_log_ratio``, which by the envelope theorem is also
-the slope of the maximized ratio.  Their Bell values increase in eta, so a
-bracket failure outside the documented no-violation case aborts loudly
-instead of guessing.
+degree-N polynomial.  They are roots of ln B = 0 found by the one bracketed
+root solver of ``functional_bell``, taking Newton steps on the closed-form
+slope of ``closed_form_log_ratio`` (by the envelope theorem also the slope
+of the maximized ratio) and stopping at an evaluated point with
+|ln B| <= 1e-13.  Their Bell values increase in eta, so a bracket failure
+outside the documented no-violation case aborts loudly instead of guessing.
 
 Three separate decoherence-product conventions coexist and are never mixed:
 
@@ -37,8 +38,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, MonotonicityError
+from .errors import MonotonicityError
 from .functional_bell import (
+    _bracketed_root,
     bell_value,
     cfrd_bell_value,
     closed_form_log_ratio,
@@ -52,8 +54,7 @@ from .quadrature import QuadratureRule, kernel_integrals
 INEQUALITIES = ("functional", "cfrd", "mk")
 
 _ETA_BRACKET = (0.3, 1.0)
-_NEWTON_TOL = 1e-13
-_MAX_NEWTON = 100
+_LOG_RATIO_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -96,13 +97,12 @@ def critical_efficiency(n: int, p: float, inequality_id: str,
     """Smallest efficiency giving B = 1 at fixed purity; None if B(1, p) <= 1.
 
     The binned value inverts exactly to mk_critical_product(n) * p^(-2/n).
-    The others solve ln B = 0 by Newton steps on the closed-form slope from
-    eta = 1, kept inside the bracket [0.3, 1] that every evaluation narrows
-    (a step leaving it is replaced by the midpoint).  B increases in eta, so
-    a violation at the lower end means an internal inconsistency and raises.
-    The result is one Newton step shorter than ``_NEWTON_TOL`` from an
-    evaluated point, or, once the bracket is that narrow, its last
-    evaluated end; never an unevaluated midpoint.
+    The others solve ln B = 0 in the bracket [0.3, 1] by the Newton steps of
+    ``functional_bell._bracketed_root`` on the closed-form slope, from the
+    eta = 1 value that decides the None case.  B increases in eta, so a
+    violation at the lower end means an internal inconsistency and raises.
+    The result is an evaluated point with |ln B| <= 1e-13, or the best one
+    once the bracket is a few ulps wide.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p!r}")
@@ -110,28 +110,22 @@ def critical_efficiency(n: int, p: float, inequality_id: str,
         eta = mk_critical_product(n) * p ** (-2.0 / n)
         return None if eta >= 1.0 else float(eta)
     lo, hi = _ETA_BRACKET
-    x = hi
-    f, slope = _log_ratio_and_slope(inequality_id, n, hi, p, rule)
-    if f <= 0.0:
+
+    def h(eta: float) -> tuple:
+        log_ratio, slope = _log_ratio_and_slope(inequality_id, n, eta, p, rule)
+        return -log_ratio, -slope
+
+    top = h(hi)
+    if top[0] >= 0.0:
         return None
-    if _log_ratio_and_slope(inequality_id, n, lo, p, rule)[0] > 0.0:
+    if h(lo)[0] < 0.0:
         raise MonotonicityError(
             f"{inequality_id} at n={n}, p={p}: violation persists at eta={lo}; "
             "monotonicity assumption broken"
         )
-    for _ in range(_MAX_NEWTON):
-        step = -f / slope if slope > 0.0 else np.inf
-        if abs(step) < _NEWTON_TOL:
-            return x + step
-        if hi - lo < _NEWTON_TOL:
-            return x
-        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
-        f, slope = _log_ratio_and_slope(inequality_id, n, x, p, rule)
-        lo, hi = (x, hi) if f <= 0.0 else (lo, x)
-    raise ConvergenceError(
-        f"{inequality_id} efficiency threshold at n={n}, p={p} did not converge "
-        f"in {_MAX_NEWTON} Newton steps", best=x, residual=abs(f),
-    )
+    return _bracketed_root(h, hi, _LOG_RATIO_TOL,
+                           f"{inequality_id} efficiency threshold at n={n}, p={p}",
+                           lo, hi, hx=top)
 
 
 def critical_purity(n: int, eta: float, inequality_id: str,

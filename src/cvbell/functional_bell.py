@@ -29,9 +29,8 @@ from .oracle import BellResult
 from .quadrature import KernelIntegrals, QuadratureRule, kernel_integrals
 
 _IDEAL_CACHE: dict = {}   # rule order -> ideal fixed point; write-once per key
-_MAX_ITER = 100
-
-EPSILON_READINGS = ("literal", "matched")
+_MAX_EVALS = 100
+_ULPS = 4   # a bracket this many float spacings wide pins the root
 
 
 @dataclass(frozen=True)
@@ -62,43 +61,52 @@ def _integral_epsilon(eps: float, rule: QuadratureRule) -> float:
     return 4.0 * ki.i_zero / ki.i_cross
 
 
-def _damped_fixed_point(update, x: float, tol: float, name: str) -> float:
-    """Fixed point of the damped map x <- x/2 + update(x)/2.
+def _bracketed_root(h, x: float, tol: float, name: str,
+                    lo: float = 0.0, hi: float = np.inf, hx=None) -> float:
+    """Root of h in (lo, hi), where h > 0 below the root and h < 0 above it.
 
-    Steffensen's method: two damped steps, then the Aitken delta^2 jump
-    through them.  Returns the end of the first damped step shorter than tol.
-    Every map solved here has one positive fixed point, with update(x) > x
-    below it and update(x) < x above it, so each update also narrows a
-    bracket (lo, hi) on the root.  A jump is taken only if it lies inside
-    the bracket and moves less than half as far as the point before last
-    did.  Otherwise the next point is the bracket's geometric midpoint (the
-    root's scale is unknown), hi/2 while no lower end is known, or the
-    second damped step while no upper end is known.  At lopsided splits the
-    map is nearly a step, and the jumps alone creep along a two-cycle of the
-    damped steps; a root within roundoff of zero sends them negative.
+    h returns its value, or a (value, slope) pair for a Newton step; without
+    a slope the step is the secant through the last two evaluated points,
+    the first one x + h(x) (the plain update when h(x) = T(x) - x).  Every
+    evaluation narrows the bracket (lo, hi).  A step that leaves it, or that
+    is not shorter than half the step before last (Brent's guard: on a map
+    that is nearly a step, secants creep along one end of the bracket), is
+    replaced by the bracket's geometric midpoint (the root's scale is
+    unknown), by hi/2 while no lower end is known, or by x + h(x) while no
+    upper end is.  Returns an evaluated point with |h| <= tol, or, once the
+    bracket is a few ulps wide and the root is pinned to float precision,
+    the evaluated point of smallest |h|.  ``hx`` is h(x) if already known.
     """
-    lo, hi = 0.0, np.inf
-    before_last = last = np.inf
-    for _ in range(_MAX_ITER):
-        x1 = 0.5 * x + 0.5 * update(x)
-        if abs(x1 - x) < tol:
-            return x1
-        lo, hi = (max(lo, x), hi) if x1 > x else (lo, min(hi, x))
-        x2 = 0.5 * x1 + 0.5 * update(x1)
-        if abs(x2 - x1) < tol:
-            return x2
-        lo, hi = (max(lo, x1), hi) if x2 > x1 else (lo, min(hi, x1))
-        curvature = x2 - 2.0 * x1 + x
-        jump = x - (x1 - x) ** 2 / curvature if curvature != 0.0 else 0.0
-        if not (lo < jump < hi and abs(jump - x) < 0.5 * before_last):
-            if hi == np.inf:
-                jump = x2
+    best = (np.inf, x)
+    prev = None
+    last = before_last = np.inf
+    for _ in range(_MAX_EVALS):
+        out = h(x) if hx is None else hx
+        value, slope = out if isinstance(out, tuple) else (out, None)
+        hx = None
+        best = min(best, (abs(value), x))
+        if abs(value) <= tol:
+            return x
+        lo, hi = (x, hi) if value > 0.0 else (lo, x)
+        if hi - lo <= _ULPS * np.spacing(hi):
+            return best[1]
+        if slope is not None:
+            step = -value / slope if slope < 0.0 else np.inf
+        elif prev is None:
+            step = value
+        else:
+            dh = value - prev[1]
+            step = -value * (x - prev[0]) / dh if dh != 0.0 else np.inf
+        nxt = x + step
+        if not (lo < nxt < hi and abs(step) < 0.5 * before_last):
+            if hi < np.inf:
+                nxt = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
             else:
-                jump = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
-        before_last, last, x = last, abs(jump - x), jump
+                nxt = x + value
+        prev, before_last, last, x = (x, value), last, abs(nxt - x), nxt
     raise ConvergenceError(
-        f"{name} fixed point did not converge in {_MAX_ITER} accelerated steps",
-        best=x1, residual=2.0 * abs(x2 - x1),
+        f"{name} root did not converge in {_MAX_EVALS} evaluations",
+        best=best[1], residual=best[0],
     )
 
 
@@ -106,7 +114,7 @@ def ideal_epsilon(rule: QuadratureRule) -> float:
     """Fixed point of eps = 4*I0(eps)/I(eps), cached per rule order."""
     cached = _IDEAL_CACHE.get(rule.order)
     if cached is None:
-        cached = _damped_fixed_point(lambda e: _integral_epsilon(e, rule), 1.0, 1e-13, "ideal")
+        cached = _bracketed_root(lambda e: _integral_epsilon(e, rule) - e, 1.0, 1e-13, "ideal")
         _IDEAL_CACHE[rule.order] = cached
     return cached
 
@@ -150,9 +158,11 @@ def optimal_epsilon(n: int, r: int, eta: float, rule: QuadratureRule) -> float:
     the root of ``_stationary_update`` at the integrals of eps itself; raises
     NumericalDomainError where a term weight or the function underflows."""
     _check_eta(eta)
+    if not 0 <= r <= n:
+        raise ValueError(f"split r must lie in [0, {n}], got {r}")
     try:
-        return _damped_fixed_point(
-            lambda x: _stationary_update(n, r, eta, _integral_epsilon(x, rule)),
+        return _bracketed_root(
+            lambda x: _stationary_update(n, r, eta, _integral_epsilon(x, rule)) - x,
             ideal_epsilon(rule), 1e-12, "stationarity",
         )
     except ZeroDivisionError:
@@ -179,42 +189,22 @@ def solve_epsilon_even(eta: float, rule: QuadratureRule) -> EpsilonSolution:
                            residual=abs(eps_l - _stationary_update(2, 1, eta, eps)))
 
 
-def _odd_update(n: int, eps: float, eta: float) -> float:
-    """The odd-N relation with its lossy denominator symmetrized ("matched")."""
-    eps_l = lossy_epsilon_map(eps, eta)
-    skew = eps_l * (eps - 4.0) / eps
-    return eps_l * (n * (eps_l + 4.0) - skew) / (n * (eps_l + 4.0) + skew)
+def solve_epsilon_odd(n: int, eta: float, rule: QuadratureRule) -> EpsilonSolution:
+    """Optimal function parameter for odd mode counts: ``optimal_epsilon`` at
+    r = (N-1)/2, with the integral ratio and the residual at that root.
 
-
-def solve_epsilon_odd(n: int, eta: float, rule: QuadratureRule, *,
-                      reading: str = "literal") -> EpsilonSolution:
-    """Optimal function parameter for odd mode counts.
-
-    The relations are N-dependent and coupled: the integrals are evaluated at
-    the returned ``epsilon_odd`` itself, so the solve iterates the whole
-    system.  Two algebraic readings of the lossy denominator are implemented;
-    ``"literal"`` is the stationarity relation at r = (N-1)/2, which the
-    numeric maximization confirms, ``"matched"`` symmetrizes the power of
-    the loss-adjusted parameter the way the noise-free relation does.  Both
-    coincide at eta = 1.
+    The relation is N-dependent and coupled: the integrals are evaluated at
+    the returned ``epsilon_odd`` itself.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be an odd integer >= 3, got {n}")
-    _check_eta(eta)
-    if reading not in EPSILON_READINGS:
-        raise ValueError(f"unknown reading {reading!r}; use one of {EPSILON_READINGS}")
-
-    update = ((lambda e: _stationary_update(n, n // 2, eta, e)) if reading == "literal"
-              else (lambda e: _odd_update(n, e, eta)))
-    eps_p = _damped_fixed_point(
-        lambda x: update(_integral_epsilon(x, rule)), ideal_epsilon(rule), 1e-12, "odd",
-    )
+    eps_p = optimal_epsilon(n, n // 2, eta, rule)
     eps = _integral_epsilon(eps_p, rule)
     return EpsilonSolution(
         epsilon_ideal=eps,
         epsilon_lossy=lossy_epsilon_map(eps, eta),
         epsilon_odd=eps_p,
-        residual=abs(eps_p - update(eps)),
+        residual=abs(eps_p - _stationary_update(n, n // 2, eta, eps)),
     )
 
 

@@ -59,9 +59,10 @@ def mk_optimal_angles(n: int, r: int) -> AngleConfig:
     return AngleConfig(theta=tuple(theta), theta_prime=tuple(theta_prime))
 
 
-def _correlator(rho: DensityMatrix, theta, theta_prime) -> complex:
+def _correlator(rho: DensityMatrix, theta, theta_prime, site_scale=1.0) -> complex:
+    """Pi_N with the site operators multiplied by ``site_scale`` (per site)."""
     mats = _site_correlators(SQRT_2_OVER_PI, SQRT_2_OVER_PI, theta, theta_prime)
-    return tensor_expectation(rho.matrix, mats)
+    return tensor_expectation(rho.matrix, mats * np.reshape(site_scale, (-1, 1, 1)))
 
 
 def mk_evaluate(rho: DensityMatrix, angles: AngleConfig) -> MKResult:
@@ -69,29 +70,36 @@ def mk_evaluate(rho: DensityMatrix, angles: AngleConfig) -> MKResult:
 
     The correlator Pi_N = < prod_k [sign(x^theta_k) + i sign(x^theta'_k)] >
     is contracted over the state's product terms; the exchanged-observable
-    correlator swaps the roles of theta and theta' at every site.
+    correlator swaps the roles of theta and theta' at every site.  The
+    normalization 2^-(N//2) enters as a factor 1/2 at every second site, a
+    power of two and so exact, which keeps the running product of site
+    traces (about 1.6 each) in range wherever |S_N| is; beyond that
+    NumericalDomainError names n.
     """
     n = rho.n_modes
     if angles.n_modes != n:
         raise ValueError(
             f"angle list has {angles.n_modes} sites but the state has {n} modes"
         )
+    halves = np.where(np.arange(n) % 2 == 1, 0.5, 1.0)
     candidates = []
     for swapped in (False, True):
         th = angles.theta_prime if swapped else angles.theta
         thp = angles.theta if swapped else angles.theta_prime
-        pi_n = _correlator(rho, th, thp)
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            pi_n = _correlator(rho, th, thp, halves)
         suffix = "_swapped" if swapped else ""
         if n % 2 == 0:
-            scale = 2.0 ** (-n / 2.0)
-            candidates.append((scale * abs(pi_n.real + pi_n.imag), "re_plus_im" + suffix))
-            candidates.append((scale * abs(pi_n.real - pi_n.imag), "re_minus_im" + suffix))
+            candidates.append((abs(pi_n.real + pi_n.imag), "re_plus_im" + suffix))
+            candidates.append((abs(pi_n.real - pi_n.imag), "re_minus_im" + suffix))
         else:
-            scale = 2.0 ** (-(n - 1) / 2.0)
-            candidates.append((scale * abs(pi_n.real), "re" + suffix))
-            candidates.append((scale * abs(pi_n.imag), "im" + suffix))
-            candidates.append((scale * abs(pi_n), "rss" + suffix))
+            candidates.append((abs(pi_n.real), "re" + suffix))
+            candidates.append((abs(pi_n.imag), "im" + suffix))
+            candidates.append((abs(pi_n), "rss" + suffix))
     s_value, variant = max(candidates, key=lambda c: c[0])
+    if not np.isfinite(s_value):
+        raise NumericalDomainError(
+            f"binned oracle value at n = {n} overflows the float range")
     return MKResult(s_value=float(s_value), bell_ratio=float(s_value),
                     angles=angles, variant=variant)
 

@@ -16,8 +16,8 @@ with the partials taken at the family member of the current eps.  The first
 update takes them at the start function, which projects any start onto the
 family.  The map is steep at large eps (at N = 9, r = 0 it falls from 4704
 eps at eps = 0.5 to 0.004 eps at eps = 20), so it runs in u = log(1 + eps),
-positive exactly where eps is, through the accelerated damping of
-``functional_bell``.
+positive exactly where eps is, as the root of log(1 + 4 b1/b0) - u by the
+bracketed secant solver of ``functional_bell``.
 
 The ratio is scale invariant.  The gauge pins the value at the smallest
 positive node to ``norm_gauge`` times that node.  The stationarity residual
@@ -33,7 +33,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .functional_bell import _damped_fixed_point
+from .functional_bell import _bracketed_root
 from .model import SQRT_2_OVER_PI, Basis, Optimal, StateSpec, density_matrix
 from .oracle import (
     BellResult,
@@ -45,7 +45,7 @@ from .oracle import (
 )
 from .quadrature import QuadratureRule
 
-# step length in u = log(1 + eps) at which the map counts as converged
+# residual |log(1 + 4 b1/b0) - u| at which the map counts as converged
 _MAP_TOL = 1e-12
 # bound on the relaxed pair's re-solves while its amplitude ratio settles
 _MAX_SWEEPS = 100
@@ -186,8 +186,8 @@ def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
         return _stationary_epsilon(p)
 
     try:
-        u = _damped_fixed_point(lambda u: np.log1p(update(problem.family(u))),
-                                np.log1p(update(start.values)), _MAP_TOL, "free-function")
+        u = _bracketed_root(lambda u: np.log1p(update(problem.family(u))) - u,
+                            np.log1p(update(start.values)), _MAP_TOL, "free-function")
     except ConvergenceError as exc:
         u = exc.best        # judged by its gradient like any other end point
     best = FreeFunction(start.nodes, problem.family(u), start.norm_gauge).normalized()
@@ -226,13 +226,13 @@ def optimize_function_pair(spec: StateSpec, rule: QuadratureRule, init, init_g, 
         scales.append(d_mg / d_mf)
         return _stationary_epsilon(p)
 
-    def family_update(u: float) -> float:
+    def map_residual(u: float) -> float:
         fv = problem.family(u)
-        return np.log1p(update(fv, scales[-1] * fv))
+        return np.log1p(update(fv, scales[-1] * fv)) - u
 
     u = np.log1p(update(start.values, free_function_from(init_g, rule).values))
     for _ in range(_MAX_SWEEPS):
-        u = _damped_fixed_point(family_update, u, _MAP_TOL, "relaxed-pair")
+        u = _bracketed_root(map_residual, u, _MAP_TOL, "relaxed-pair")
         if abs(scales[-1] - scales[-2]) <= _MAP_TOL * abs(scales[-1]):
             break
     f_best = FreeFunction(start.nodes, problem.family(u), start.norm_gauge).normalized()

@@ -15,6 +15,8 @@ from cvbell.functional_bell import (
     bell_value,
     cfrd_bell_value,
     closed_form_sides,
+    ideal_epsilon,
+    lossy_epsilon_map,
     solve_epsilon_even,
     solve_epsilon_odd,
 )
@@ -110,6 +112,25 @@ def test_criterion_4_crossover_between_inequalities(rule):
         assert critical_efficiency(crossing, 1.0, "mk", rule) <= 0.80 + 1e-6
 
 
+def _matched_odd_epsilon(n, eta, rule):
+    """Fixed point of the odd-N relation with its lossy denominator
+    symmetrized the way the noise-free relation is (the "matched" reading),
+    by plain damped iteration from the noise-free fixed point."""
+    def update(x):
+        ki = kernel_integrals(Optimal(x), rule)
+        eps = 4.0 * ki.i_zero / ki.i_cross
+        eps_l = lossy_epsilon_map(eps, eta)
+        skew = eps_l * (eps - 4.0) / eps
+        return eps_l * (n * (eps_l + 4.0) - skew) / (n * (eps_l + 4.0) + skew)
+
+    x = ideal_epsilon(rule)
+    while True:
+        nxt = 0.5 * x + 0.5 * update(x)
+        if abs(nxt - x) < 1e-12:
+            return nxt
+        x = nxt
+
+
 def test_criterion_5_closed_forms_match_fock_oracle(rule):
     with criterion(5, "closed forms vs exact trace to 1e-6 over the (N, eta, p) grid, N <= 10"):
         for n in range(3, 11):
@@ -141,8 +162,8 @@ def test_criterion_5_closed_forms_match_fock_oracle(rule):
         # the lossy odd-N parameter relation resolves to exactly one reading
         n = 5
         for eta in (0.9, 0.8):
-            lit = solve_epsilon_odd(n, eta, rule, reading="literal").epsilon_odd
-            mat = solve_epsilon_odd(n, eta, rule, reading="matched").epsilon_odd
+            lit = solve_epsilon_odd(n, eta, rule).epsilon_odd
+            mat = _matched_odd_epsilon(n, eta, rule)
 
             def ratio(eps, eta=eta):
                 ki = kernel_integrals(Optimal(eps), rule)

@@ -26,7 +26,7 @@ from cvbell.quadrature import gauss_hermite_rule, kernel_integrals
 # golden-section maximization of the six-mode ratio)
 IDEAL_EPSILON = 2.9648362177
 
-# per-solve budgets of the accelerated fixed point: quadratures (the plain
+# per-solve budgets of the bracketed root solver: quadratures (the plain
 # damped iteration needed 51-78) and the residual the plain iteration reached
 MAX_QUADRATURES = 16
 MAX_RESIDUAL = 1.3e-12
@@ -48,6 +48,13 @@ def _literal_odd_update(n, eps, eta):
     return eps_l * num / den
 
 
+def _matched_odd_update(n, eps, eta):
+    """The odd-N relation with its lossy denominator symmetrized ("matched")."""
+    eps_l = lossy_epsilon_map(eps, eta)
+    skew = eps_l * (eps - 4.0) / eps
+    return eps_l * (n * (eps_l + 4.0) - skew) / (n * (eps_l + 4.0) + skew)
+
+
 def _plain_damped_fixed_point(update, x, tol):
     while True:
         nxt = 0.5 * x + 0.5 * update(x)
@@ -57,8 +64,12 @@ def _plain_damped_fixed_point(update, x, tol):
 
 
 class TestAcceleratedFixedPoint:
+    """Budgets and safeguards of the epsilon solves' root finder,
+    ``functional_bell._bracketed_root``."""
+
     @settings(max_examples=40, deadline=None)
     @given(eta=st.floats(0.3, 1.0), order=st.sampled_from(sorted(RULES)))
+    @example(eta=0.99684, order=64)
     def test_even_solve_budget(self, eta, order):
         rule = RULES[order]
         ideal_epsilon(rule)
@@ -70,6 +81,7 @@ class TestAcceleratedFixedPoint:
     @settings(max_examples=60, deadline=None)
     @given(half=st.integers(1, 150), eta=st.floats(0.3, 1.0),
            order=st.sampled_from(sorted(RULES)))
+    @example(half=31, eta=1.0, order=64)
     def test_odd_solve_budget(self, half, eta, order):
         rule = RULES[order]
         ideal_epsilon(rule)
@@ -91,34 +103,34 @@ class TestAcceleratedFixedPoint:
     def test_lands_on_the_plain_damped_fixed_point(self, rule, n, eta):
         t = functional_bell._integral_epsilon
         if n % 2 == 0:
-            accelerated = solve_epsilon_even(eta, rule).epsilon_lossy
+            solved = solve_epsilon_even(eta, rule).epsilon_lossy
             plain = _plain_damped_fixed_point(
                 lambda e: lossy_epsilon_map(t(e, rule), eta), ideal_epsilon(rule), 1e-12)
         else:
-            accelerated = solve_epsilon_odd(n, eta, rule).epsilon_odd
+            solved = solve_epsilon_odd(n, eta, rule).epsilon_odd
             plain = _plain_damped_fixed_point(
                 lambda e: _literal_odd_update(n, t(e, rule), eta),
                 ideal_epsilon(rule), 1e-12)
-        assert accelerated == pytest.approx(plain, abs=5e-12)
+        assert solved == pytest.approx(plain, abs=5e-12)
 
     @pytest.mark.parametrize("eta", [1e-16, 1e-300])
     def test_fixed_point_within_roundoff_of_zero(self, rule, eta):
-        # the Aitken jump lands on or below zero here; the solve must not
+        # the root lies within roundoff of zero here; the solve must stay above it
         assert solve_epsilon_even(eta, rule).epsilon_lossy > 0.0
         assert solve_epsilon_odd(7, eta, rule).epsilon_odd > 0.0
 
     def test_map_without_fixed_point_raises(self):
         calls = []
 
-        def shift(x):
+        def no_root(x):
             calls.append(x)
-            return x + 1.0
+            return 1.0
 
         with pytest.raises(ConvergenceError) as err:
-            functional_bell._damped_fixed_point(shift, 0.0, 1e-12, "shifted")
+            functional_bell._bracketed_root(no_root, 0.0, 1e-12, "no-root")
         assert err.value.best is not None and np.isfinite(err.value.best)
-        assert err.value.residual == pytest.approx(1.0)
-        assert len(calls) <= 200
+        assert err.value.residual == 1.0
+        assert len(calls) <= 100
 
 
 def _log_ratio(n, r, eta, eps, rule):
@@ -131,11 +143,14 @@ def _log_ratio(n, r, eta, eps, rule):
 
 
 class TestStationarityRoot:
-    # explicit examples: steep lopsided maps on which unguarded Aitken jumps never settle
+    # explicit examples: steep lopsided maps, nearly a step at the root; on
+    # (95, 0) and (180, 0) secant steps alone creep along one end of the bracket
     @settings(max_examples=60, deadline=None)
     @given(split=st.integers(1, 300).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(0, n))), eta=st.floats(0.3, 1.0))
     @example(split=(30, 1), eta=1.0)
+    @example(split=(95, 0), eta=1.0)
+    @example(split=(180, 0), eta=1.0)
     @example(split=(40, 0), eta=0.95)
     @example(split=(202, 27), eta=0.87)
     @example(split=(222, 3), eta=0.855)
@@ -145,6 +160,11 @@ class TestStationarityRoot:
         top = _log_ratio(n, r, eta, eps, rule)
         for shift in (1.0 - 1e-4, 1.0 + 1e-4):
             assert top >= _log_ratio(n, r, eta, eps * shift, rule)
+
+    @pytest.mark.parametrize("n, r", [(1, 2), (5, 6), (5, -1)])
+    def test_split_validation(self, rule, n, r):
+        with pytest.raises(ValueError, match="split r"):
+            optimal_epsilon(n, r, 1.0, rule)
 
 
 class TestClosedFormLogRatio:
@@ -241,8 +261,10 @@ class TestEpsilonOdd:
         # the free numeric maximization; the symmetrized one does not
         n = 5
         for eta in (0.9, 0.8):
-            lit = solve_epsilon_odd(n, eta, rule, reading="literal").epsilon_odd
-            mat = solve_epsilon_odd(n, eta, rule, reading="matched").epsilon_odd
+            lit = solve_epsilon_odd(n, eta, rule).epsilon_odd
+            mat = _plain_damped_fixed_point(
+                lambda e: _matched_odd_update(n, functional_bell._integral_epsilon(e, rule), eta),
+                ideal_epsilon(rule), 1e-12)
 
             def ratio(eps):
                 ki = kernel_integrals(Optimal(eps), rule)
@@ -257,15 +279,15 @@ class TestEpsilonOdd:
             assert abs(mat - argmax) > 1e-3
 
     def test_readings_coincide_without_loss(self, rule):
-        lit = solve_epsilon_odd(7, 1.0, rule, reading="literal").epsilon_odd
-        mat = solve_epsilon_odd(7, 1.0, rule, reading="matched").epsilon_odd
+        lit = solve_epsilon_odd(7, 1.0, rule).epsilon_odd
+        mat = _plain_damped_fixed_point(
+            lambda e: _matched_odd_update(7, functional_bell._integral_epsilon(e, rule), 1.0),
+            ideal_epsilon(rule), 1e-12)
         assert lit == pytest.approx(mat, abs=1e-11)
 
     def test_validation(self, rule):
         with pytest.raises(ValueError):
             solve_epsilon_odd(4, 1.0, rule)
-        with pytest.raises(ValueError):
-            solve_epsilon_odd(5, 1.0, rule, reading="bogus")
 
 
 class TestBellValue:

@@ -55,6 +55,16 @@ class TestBackends:
             got = _accel.tensor_expectation(rho, mats)
             assert got == pytest.approx(dense_reference(rho.toarray(), mats), rel=1e-13)
 
+    @pytest.mark.filterwarnings("error")
+    def test_term_with_a_zero_site_trace_contributes_zero(self):
+        # the first term's other site traces multiply to 10^399 before the zero
+        n = 400
+        factors = np.zeros((2, n, 2, 2), dtype=complex)
+        factors[0, :-1, 0, 0] = 10.0
+        factors[1, :, 0, 0] = 1.0
+        rho = ProductOperator(np.array([1.0, 0.5]), factors)
+        assert _accel.tensor_expectation(rho, np.broadcast_to(np.eye(2), (n, 2, 2))) == 0.5
+
     def test_sparse_zero_entries_skipped_consistently(self):
         rng = np.random.default_rng(4)
         for n in range(1, 7):

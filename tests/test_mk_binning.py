@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cvbell.errors import NumericalDomainError
 from cvbell.mk_binning import (
     mk_bell_value,
     mk_bell_value_product_form,
@@ -104,6 +105,16 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mk_evaluate(density_matrix(StateSpec(3, 1)), mk_optimal_angles(4, 2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_float_range(self):
+        # unnormalized, the product of site traces (about 1.6 per site)
+        # overflows from about N = 1520, where |S_N| is still about 1e72
+        spec = StateSpec(1600, 800)
+        res = mk_evaluate(density_matrix(spec), mk_optimal_angles(1600, 800))
+        assert res.s_value == pytest.approx(mk_bell_value(spec), rel=1e-12)
+        with pytest.raises(NumericalDomainError, match="n = 6000"):
+            mk_evaluate(density_matrix(StateSpec(6000, 3000)), mk_optimal_angles(6000, 3000))
 
 
 class TestClosedForms:
