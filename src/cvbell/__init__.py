@@ -64,13 +64,7 @@ from .mk_binning import (
     mk_evaluate,
     mk_optimal_angles,
 )
-from .variational import (
-    FreeFunction,
-    euler_lagrange_residual,
-    fit_optimal_epsilon,
-    free_function_from,
-    optimize_function,
-)
+from .variational import euler_lagrange_residual, optimize_function
 from .critical import (
     AsymptoticProduct,
     asymptotic_product,
@@ -94,8 +88,7 @@ __all__ = [
     "lossy_epsilon_map", "optimal_epsilon", "solve_epsilon_even", "solve_epsilon_odd",
     "MKResult", "mk_bell_value", "mk_bell_value_product_form",
     "mk_critical_product", "mk_evaluate", "mk_optimal_angles",
-    "FreeFunction", "euler_lagrange_residual", "fit_optimal_epsilon",
-    "free_function_from", "optimize_function",
+    "euler_lagrange_residual", "optimize_function",
     "AsymptoticProduct", "asymptotic_product", "bell_ratio", "critical_efficiency",
     "critical_purity",
 ]

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from ._accel import backend_name
-from .critical import critical_efficiency, critical_purity
+from .critical import thresholds
 from .errors import ConvergenceError
 from .functional_bell import (
     bell_value,
@@ -34,11 +34,7 @@ from .mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
 from .model import Identity, Optimal, SignBin, StateSpec, canonical_split, density_matrix
 from .oracle import evaluate, orthogonal_angles
 from .quadrature import DEFAULT_ORDER, QUICK_ORDER, gauss_hermite_rule, kernel_integrals
-from .variational import (
-    euler_lagrange_residual,
-    fit_optimal_epsilon,
-    optimize_function,
-)
+from .variational import euler_lagrange_residual, optimize_function
 
 ORACLE_CHECK_TOL = 1e-6
 MK_RSWEEP_TOL = 1e-8
@@ -141,8 +137,7 @@ def _cmd_figure2(args) -> int:
     rows = []
     for ineq in inequalities:
         for n in range(args.n_min, args.n_max + 1):
-            eta_c = critical_efficiency(n, 1.0, ineq, rule)
-            p_c = critical_purity(n, 1.0, ineq, rule)
+            eta_c, p_c = thresholds(n, ineq, rule)
             missing = []
             if eta_c is None:
                 missing.append("eta")
@@ -250,17 +245,17 @@ def _cmd_optimize(args) -> int:
     status = 0
     updates = []
     try:
-        best, bell = optimize_function(spec, rule, init, iteration_callback=updates.append)
+        eps, best, bell = optimize_function(spec, rule, init,
+                                            iteration_callback=updates.append)
     except ConvergenceError as exc:
-        best, bell = exc.best
+        eps, best, bell = exc.best
         status = 1
         print(f"warning: {exc}", file=sys.stderr)
 
-    eps_fit, scale, rel_err = fit_optimal_epsilon(best, rule)
     eps_ref = optimal_epsilon(args.n, r, args.eta, rule)
 
     out = Path(args.out)
-    _write_csv(out, ["node", "f_value"], best.to_csv_rows())
+    _write_csv(out, ["node", "f_value"], zip(best.nodes, best.values))
     summary = {
         "n": args.n,
         "r": r,
@@ -268,11 +263,9 @@ def _cmd_optimize(args) -> int:
         "p": args.p,
         "order": args.order,
         "ratio": bell.ratio,
-        "fitted_epsilon": eps_fit,
-        "fitted_scale": scale,
-        "fit_relative_l2_error": rel_err,
+        "epsilon": eps,
         "reference_epsilon": eps_ref,
-        "epsilon_deviation": abs(eps_fit - eps_ref),
+        "epsilon_deviation": abs(eps - eps_ref),
         "converged": status == 0,
         "updates": len(updates),
         "stationarity_residual": euler_lagrange_residual(best, spec, rule),

@@ -41,15 +41,14 @@ import numpy as np
 from .errors import MonotonicityError
 from .functional_bell import (
     _bracketed_root,
-    bell_value,
-    cfrd_bell_value,
     closed_form_log_ratio,
+    closed_form_sides,
     ideal_epsilon,
     optimal_epsilon,
 )
 from .mk_binning import mk_bell_value, mk_bell_value_product_form, mk_critical_product
 from .model import Identity, Optimal, StateSpec, canonical_split
-from .quadrature import QuadratureRule, kernel_integrals
+from .quadrature import KernelIntegrals, QuadratureRule, kernel_integrals
 
 INEQUALITIES = ("functional", "cfrd", "mk")
 
@@ -66,30 +65,57 @@ class AsymptoticProduct:
     limit: float
 
 
+def _moment_integrals(inequality_id: str, n: int, eta: float,
+                      rule: QuadratureRule) -> KernelIntegrals:
+    """Kernel integrals of a moment inequality's function at ``canonical_split(n)``."""
+    if inequality_id == "functional":
+        f = Optimal(optimal_epsilon(n, canonical_split(n), eta, rule))
+    elif inequality_id == "cfrd":
+        f = Identity()
+    else:
+        raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")
+    return kernel_integrals(f, rule)
+
+
 def bell_ratio(inequality_id: str, n: int, eta: float, p: float,
                rule: QuadratureRule) -> float:
     """Bell ratio of the named inequality at the split ``canonical_split(n)``."""
     spec = StateSpec(n, canonical_split(n), p, eta)
-    if inequality_id == "functional":
-        return bell_value(spec, rule).ratio
-    if inequality_id == "cfrd":
-        return cfrd_bell_value(spec, rule).ratio
     if inequality_id == "mk":
         return mk_bell_value(spec)
-    raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")
+    lhs, rhs = closed_form_sides(n, spec.r_split, eta, p,
+                                 _moment_integrals(inequality_id, n, eta, rule))
+    return lhs / rhs
 
 
 def _log_ratio_and_slope(inequality_id: str, n: int, eta: float, p: float,
                          rule: QuadratureRule) -> tuple:
     """``closed_form_log_ratio`` of a moment inequality at ``canonical_split(n)``."""
-    r = canonical_split(n)
-    if inequality_id == "functional":
-        f = Optimal(optimal_epsilon(n, r, eta, rule))
-    elif inequality_id == "cfrd":
-        f = Identity()
-    else:
-        raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")
-    return closed_form_log_ratio(n, r, eta, p, kernel_integrals(f, rule))
+    return closed_form_log_ratio(n, canonical_split(n), eta, p,
+                                 _moment_integrals(inequality_id, n, eta, rule))
+
+
+def _efficiency_root(inequality_id: str, n: int, p: float, rule: QuadratureRule,
+                     top: tuple) -> Optional[float]:
+    """Moment-inequality efficiency threshold from ``top``, the (ln B, slope)
+    of ``closed_form_log_ratio`` at eta = 1; see ``critical_efficiency``."""
+    lo, hi = _ETA_BRACKET
+
+    def h(eta: float) -> tuple:
+        log_ratio, slope = _log_ratio_and_slope(inequality_id, n, eta, p, rule)
+        return -log_ratio, -slope
+
+    log_ratio, slope = top
+    if log_ratio <= 0.0:
+        return None
+    if h(lo)[0] < 0.0:
+        raise MonotonicityError(
+            f"{inequality_id} at n={n}, p={p}: violation persists at eta={lo}; "
+            "monotonicity assumption broken"
+        )
+    return _bracketed_root(h, hi, _LOG_RATIO_TOL,
+                           f"{inequality_id} efficiency threshold at n={n}, p={p}",
+                           lo, hi, hx=(-log_ratio, -slope))
 
 
 def critical_efficiency(n: int, p: float, inequality_id: str,
@@ -109,23 +135,27 @@ def critical_efficiency(n: int, p: float, inequality_id: str,
     if inequality_id == "mk":
         eta = mk_critical_product(n) * p ** (-2.0 / n)
         return None if eta >= 1.0 else float(eta)
-    lo, hi = _ETA_BRACKET
+    return _efficiency_root(inequality_id, n, p, rule,
+                            _log_ratio_and_slope(inequality_id, n, 1.0, p, rule))
 
-    def h(eta: float) -> tuple:
-        log_ratio, slope = _log_ratio_and_slope(inequality_id, n, eta, p, rule)
-        return -log_ratio, -slope
 
-    top = h(hi)
-    if top[0] >= 0.0:
-        return None
-    if h(lo)[0] < 0.0:
-        raise MonotonicityError(
-            f"{inequality_id} at n={n}, p={p}: violation persists at eta={lo}; "
-            "monotonicity assumption broken"
-        )
-    return _bracketed_root(h, hi, _LOG_RATIO_TOL,
-                           f"{inequality_id} efficiency threshold at n={n}, p={p}",
-                           lo, hi, hx=top)
+def thresholds(n: int, inequality_id: str, rule: QuadratureRule) -> tuple:
+    """(critical efficiency at p = 1, critical purity at eta = 1), each None
+    where B(1, 1) <= 1.
+
+    For a moment inequality both come from one set of kernel integrals at
+    eta = 1: the purity threshold B^(-1/2) from ``closed_form_sides`` and the
+    efficiency solve's starting value from ``closed_form_log_ratio``.
+    """
+    if inequality_id == "mk":
+        return critical_efficiency(n, 1.0, "mk", rule), critical_purity(n, 1.0, "mk", rule)
+    r = canonical_split(n)
+    ki = _moment_integrals(inequality_id, n, 1.0, rule)
+    lhs, rhs = closed_form_sides(n, r, 1.0, 1.0, ki)
+    b = lhs / rhs
+    eta_c = _efficiency_root(inequality_id, n, 1.0, rule,
+                             closed_form_log_ratio(n, r, 1.0, 1.0, ki))
+    return eta_c, None if b <= 1.0 else float(b ** -0.5)
 
 
 def critical_purity(n: int, eta: float, inequality_id: str,

@@ -249,18 +249,18 @@ class DensityMatrix:
         if self.matrix.factors.shape[1] != self.n_modes:
             raise ValueError(f"{self.matrix.factors.shape[1]} sites for {self.n_modes} modes")
 
-    def check(self, herm_tol: float = 1e-12, trace_tol: float = 1e-12,
-              psd_tol: float = -1e-10) -> None:
-        """Validate Hermiticity, unit trace, and positive semidefiniteness."""
+    def check(self) -> None:
+        """Validate Hermiticity and unit trace (each to 1e-12) and positive
+        semidefiniteness (smallest eigenvalue at least -1e-10)."""
         m = self.matrix.toarray()
         herm = np.max(np.abs(m - m.conj().T))
-        if herm > herm_tol:
+        if herm > 1e-12:
             raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
         tr = np.trace(m)
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > 1e-12:
             raise ValueError(f"trace is {tr!r}, expected 1")
         smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < psd_tol:
+        if smallest < -1e-10:
             raise ValueError(f"matrix is not PSD: smallest eigenvalue {smallest:.3e}")
 
 

@@ -204,13 +204,13 @@ def _golden_section_max(fn, a: float, b: float, xtol: float) -> float:
     return 0.5 * (c + d)
 
 
-def optimize_epsilon_numeric(spec: StateSpec, rule: QuadratureRule,
-                             eps_hi: float = 64.0,
-                             xtol: float = 1e-8) -> Tuple[float, BellResult]:
+def optimize_epsilon_numeric(spec: StateSpec,
+                             rule: QuadratureRule) -> Tuple[float, BellResult]:
     """Golden-section maximization of the ratio over the one-parameter family.
 
     f = g = x/(1 + eps x^2) at the correlator-maximizing angles, eps in
-    (0, eps_hi]: the oracle-side reference for ``optimal_epsilon``.
+    (0, 64], to a 1e-8 bracket: the oracle-side reference for
+    ``optimal_epsilon``.
     """
     rho = density_matrix(spec)
     angles = orthogonal_angles(spec.n_modes, spec.r_split)
@@ -219,7 +219,7 @@ def optimize_epsilon_numeric(spec: StateSpec, rule: QuadratureRule,
         f = Optimal(eps)
         return evaluate(rho, f, f, angles, rule).ratio
 
-    eps = _golden_section_max(ratio, 1e-9, float(eps_hi), xtol)
+    eps = _golden_section_max(ratio, 1e-9, 64.0, 1e-8)
     f = Optimal(eps)
     return eps, evaluate(rho, f, f, angles, rule)
 

@@ -17,17 +17,19 @@ update takes them at the start function, which projects any start onto the
 family.  The map is steep at large eps (at N = 9, r = 0 it falls from 4704
 eps at eps = 0.5 to 0.004 eps at eps = 20), so it runs in u = log(1 + eps),
 positive exactly where eps is, as the root of log(1 + 4 b1/b0) - u by the
-bracketed secant solver of ``functional_bell``.
+bracketed secant solver of ``functional_bell``.  The optimizer returns the
+eps it solved, eps = exp(u) - 1, with the node values of that family member;
+no fit recovers it afterwards.
 
 The ratio is scale invariant.  The gauge pins the value at the smallest
-positive node to ``norm_gauge`` times that node.  The stationarity residual
-is the gradient max-norm over the other nodes divided by the ratio, free of
-the function's scale and of the ratio's (which goes as p^2).
+positive node to that node.  The stationarity residual is the gradient
+max-norm over the other nodes divided by the ratio, free of the function's
+scale and of the ratio's (which goes as p^2); a result counts as stationary
+when it is at most 1e-7.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -38,7 +40,6 @@ from .model import SQRT_2_OVER_PI, Basis, Optimal, StateSpec, density_matrix
 from .oracle import (
     BellResult,
     RatioPartials,
-    _golden_section_max,
     evaluate,
     orthogonal_angles,
     ratio_partials,
@@ -47,52 +48,10 @@ from .quadrature import QuadratureRule
 
 # residual |log(1 + 4 b1/b0) - u| at which the map counts as converged
 _MAP_TOL = 1e-12
+# relative gradient max-norm above which a result is not stationary
+_GTOL = 1e-7
 # bound on the relaxed pair's re-solves while its amplitude ratio settles
 _MAX_SWEEPS = 100
-
-
-@dataclass(frozen=True)
-class FreeFunction:
-    """Odd function represented by its values at positive quadrature nodes."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-    norm_gauge: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.nodes.shape != self.values.shape or self.nodes.ndim != 1:
-            raise ValueError("nodes and values must be 1-D arrays of equal length")
-        if not np.isfinite(self.values).all():
-            raise ValueError("node values must be finite")
-
-    def normalized(self) -> "FreeFunction":
-        """Rescale so that value/node = norm_gauge at the smallest node."""
-        v0 = self.values[0]
-        if v0 == 0.0:
-            raise ValueError("cannot gauge-fix a function vanishing at the first node")
-        scale = self.norm_gauge * self.nodes[0] / v0
-        return FreeFunction(self.nodes, self.values * scale, self.norm_gauge)
-
-    def as_measurement(self) -> Basis:
-        return Basis(self.nodes, self.values)
-
-    def to_csv_rows(self):
-        return [(float(x), float(v)) for x, v in zip(self.nodes, self.values)]
-
-
-def free_function_from(f, rule: QuadratureRule, norm_gauge: float = 1.0) -> FreeFunction:
-    """Sample a callable or measurement function onto the rule's positive nodes."""
-    x = rule.positive_nodes
-    if isinstance(f, FreeFunction):
-        if f.nodes.shape == x.shape and np.allclose(f.nodes, x):
-            return FreeFunction(x, f.values, norm_gauge)
-        return FreeFunction(x, f.as_measurement()(x), norm_gauge)
-    fn = f if callable(f) else None
-    if fn is None:
-        raise ValueError(f"cannot build a free function from {type(f)!r}")
-    return FreeFunction(x, np.asarray(fn(x), dtype=float), norm_gauge)
 
 
 class _RatioProblem:
@@ -162,22 +121,38 @@ def _stationary_epsilon(p: RatioPartials) -> float:
     return 4.0 * b1 / b0
 
 
+def _gauged(f: Basis) -> Basis:
+    """``f`` rescaled to value/node 1 at the smallest node."""
+    if f.values[0] == 0.0:
+        raise ValueError("cannot gauge-fix a function vanishing at the first node")
+    return Basis(f.nodes, f.values * (f.nodes[0] / f.values[0]))
+
+
+def _check_stationary(residual: float, best: tuple) -> None:
+    if residual > _GTOL:
+        raise ConvergenceError(
+            f"stationarity not reached: relative gradient max-norm {residual:.3e} > {_GTOL:.1e}",
+            best=best, residual=residual,
+        )
+
+
 def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
-                      gtol: float = 1e-7,
                       iteration_callback: Optional[Callable[[float], None]] = None):
     """Solve the stationarity condition of the ratio in the node values;
-    returns (FreeFunction, BellResult).
+    returns (eps, f, BellResult) with f the gauge-fixed ``Basis`` of
+    x/(1 + eps x^2) on the rule's positive nodes.
 
     The same function is used on both quadratures of every site, which is
     the stationary configuration.  ``iteration_callback`` receives the ratio
     at every map update: first at the start function, then on the family.
 
-    Raises ConvergenceError with the last (FreeFunction, BellResult)
-    attached if the relative stationarity residual exceeds ``gtol``, and
-    ValueError if the ratio is zero at the start.
+    Raises ConvergenceError with the last (eps, f, BellResult) attached if
+    the relative stationarity residual exceeds 1e-7, and ValueError if the
+    start is not finite at the nodes, vanishes at the first node, or the
+    ratio is zero at the start.
     """
     problem = _RatioProblem(spec, rule)
-    start = free_function_from(init, rule).normalized()
+    start = _gauged(Basis.from_function(init, rule))
 
     def update(values: np.ndarray) -> float:
         p = problem.partials(values)
@@ -190,22 +165,18 @@ def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
                             np.log1p(update(start.values)), _MAP_TOL, "free-function")
     except ConvergenceError as exc:
         u = exc.best        # judged by its gradient like any other end point
-    best = FreeFunction(start.nodes, problem.family(u), start.norm_gauge).normalized()
+    best = _gauged(Basis(problem.nodes, problem.family(u)))
     raw = problem.result(best.values)
     bell = BellResult(lhs=raw.lhs, rhs=raw.rhs, ratio=raw.ratio, inequality_id="functional",
                       function_id="free_function", angles=raw.angles)
-    residual = problem.residual(best.values)
-    if residual > gtol:
-        raise ConvergenceError(
-            f"stationarity not reached: relative gradient max-norm {residual:.3e} > {gtol:.1e}",
-            best=(best, bell), residual=residual,
-        )
-    return best, bell
+    eps = float(np.expm1(u))
+    _check_stationary(problem.residual(best.values), (eps, best, bell))
+    return eps, best, bell
 
 
-def optimize_function_pair(spec: StateSpec, rule: QuadratureRule, init, init_g, *,
-                           gtol: float = 1e-7):
-    """Relaxed variant with f and g free; returns (f, g, BellResult).
+def optimize_function_pair(spec: StateSpec, rule: QuadratureRule, init, init_g):
+    """Relaxed variant with f and g free; returns (f, g, BellResult), both
+    functions as ``Basis`` node values.
 
     Stationarity in g gives g proportional to x/(1 + eps x^2) with the same
     eps = 4 b1/b0 as f, so the map carries eps and the scale s of g = s f,
@@ -217,7 +188,7 @@ def optimize_function_pair(spec: StateSpec, rule: QuadratureRule, init, init_g, 
     ``optimize_function``.
     """
     problem = _RatioProblem(spec, rule)
-    start = free_function_from(init, rule).normalized()
+    start = _gauged(Basis.from_function(init, rule))
     scales = []
 
     def update(fv: np.ndarray, gv: np.ndarray) -> float:
@@ -230,20 +201,15 @@ def optimize_function_pair(spec: StateSpec, rule: QuadratureRule, init, init_g, 
         fv = problem.family(u)
         return np.log1p(update(fv, scales[-1] * fv)) - u
 
-    u = np.log1p(update(start.values, free_function_from(init_g, rule).values))
+    u = np.log1p(update(start.values, Basis.from_function(init_g, rule).values))
     for _ in range(_MAX_SWEEPS):
         u = _bracketed_root(map_residual, u, _MAP_TOL, "relaxed-pair")
         if abs(scales[-1] - scales[-2]) <= _MAP_TOL * abs(scales[-1]):
             break
-    f_best = FreeFunction(start.nodes, problem.family(u), start.norm_gauge).normalized()
-    g_best = FreeFunction(start.nodes, scales[-1] * f_best.values, start.norm_gauge)
+    f_best = _gauged(Basis(problem.nodes, problem.family(u)))
+    g_best = Basis(problem.nodes, scales[-1] * f_best.values)
     bell = problem.result(f_best.values, g_best.values)
-    residual = problem.residual(f_best.values, g_best.values)
-    if residual > gtol:
-        raise ConvergenceError(
-            f"stationarity not reached: relative gradient max-norm {residual:.3e} > {gtol:.1e}",
-            best=(f_best, g_best, bell), residual=residual,
-        )
+    _check_stationary(problem.residual(f_best.values, g_best.values), (f_best, g_best, bell))
     return f_best, g_best, bell
 
 
@@ -256,31 +222,4 @@ def euler_lagrange_residual(f, spec: StateSpec, rule: QuadratureRule) -> float:
     (1e-12 and below) at a true optimum, order 1e-3 or larger away from one.
     """
     problem = _RatioProblem(spec, rule)
-    return problem.residual(free_function_from(f, rule).normalized().values)
-
-
-def fit_optimal_epsilon(f: FreeFunction, rule: QuadratureRule) -> Tuple[float, float, float]:
-    """Weighted least-squares fit of c * x/(1 + eps x^2) to the node values.
-
-    Returns (eps, scale, relative_l2_error) with the Gaussian quadrature
-    weights as the error measure.  The scale is eliminated analytically, so
-    only eps is searched, by golden section on [1e-9, 64].
-    """
-    x = f.nodes
-    v = f.values
-    if rule.positive_nodes.shape != x.shape or not np.allclose(rule.positive_nodes, x):
-        raise ValueError("fit requires the function to live on the rule's positive nodes")
-    w = rule.weights[rule.nodes > 0.0]
-
-    def sse(eps: float) -> float:
-        phi = x / (1.0 + eps * x * x)
-        denom = np.dot(w, phi * phi)
-        c = np.dot(w, v * phi) / denom
-        r = v - c * phi
-        return float(np.dot(w, r * r))
-
-    eps = _golden_section_max(lambda e: -sse(e), 1e-9, 64.0, 1e-12)
-    phi = x / (1.0 + eps * x * x)
-    c = float(np.dot(w, v * phi) / np.dot(w, phi * phi))
-    rel = float(np.sqrt(sse(eps) / np.dot(w, v * v)))
-    return eps, c, rel
+    return problem.residual(_gauged(Basis.from_function(f, rule)).values)

@@ -1,7 +1,9 @@
 import os
 import sys
 
+import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -16,3 +18,30 @@ def rule():
 @pytest.fixture(scope="session")
 def quick_rule():
     return gauss_hermite_rule(QUICK_ORDER)
+
+
+def _family_fit(f, rule):
+    """Weighted least-squares fit of c x/(1 + eps x^2) to the node values of ``f``.
+
+    Returns (eps, relative_l2_error) with the Gaussian weights of the rule's
+    positive nodes as the error measure; c is eliminated in closed form and
+    eps searched by bounded Brent on [1e-9, 64].  An independent check of the
+    eps that ``optimize_function`` returns.
+    """
+    x, v = f.nodes, f.values
+    assert np.array_equal(x, rule.positive_nodes)
+    w = rule.weights[rule.nodes > 0.0]
+
+    def sse(eps):
+        phi = x / (1.0 + eps * x * x)
+        r = v - np.dot(w, v * phi) / np.dot(w, phi * phi) * phi
+        return float(np.dot(w, r * r))
+
+    eps = minimize_scalar(sse, bounds=(1e-9, 64.0), method="bounded",
+                          options={"xatol": 1e-12}).x
+    return eps, float(np.sqrt(sse(eps) / np.dot(w, v * v)))
+
+
+@pytest.fixture(scope="session")
+def family_fit():
+    return _family_fit

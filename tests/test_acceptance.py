@@ -38,7 +38,7 @@ from cvbell.model import (
 )
 from cvbell.oracle import angle_scan, evaluate, orthogonal_angles, random_product_mixture
 from cvbell.quadrature import kernel_integrals
-from cvbell.variational import fit_optimal_epsilon, optimize_function
+from cvbell.variational import optimize_function
 
 
 @contextmanager
@@ -176,7 +176,7 @@ def test_criterion_5_closed_forms_match_fock_oracle(rule):
             assert abs(mat - argmax) > 1e-3
 
 
-def test_criterion_6_free_function_recovery(quick_rule):
+def test_criterion_6_free_function_recovery(quick_rule, family_fit):
     with criterion(6, "free-function optimization recovers x/(1+eps x^2) from 2 starts, N in {5,6}"):
         for n in (5, 6):
             spec = StateSpec(n, n // 2)
@@ -186,10 +186,11 @@ def test_criterion_6_free_function_recovery(quick_rule):
                 eps_ref = solve_epsilon_odd(n, 1.0, quick_rule).epsilon_odd
             ratios = []
             for init in (Identity(), SignBin()):
-                best, bell = optimize_function(spec, quick_rule, init)
-                eps_fit, _, rel_err = fit_optimal_epsilon(best, quick_rule)
+                eps, best, bell = optimize_function(spec, quick_rule, init)
+                eps_fit, rel_err = family_fit(best, quick_rule)
                 assert rel_err < 1e-3
                 assert abs(eps_fit - eps_ref) < 1e-3
+                assert abs(eps - eps_ref) <= 1e-9
                 ratios.append(bell.ratio)
             assert abs(ratios[0] - ratios[1]) < 1e-6 * max(ratios)
 

@@ -11,6 +11,7 @@ from cvbell.critical import (
     bell_ratio,
     critical_efficiency,
     critical_purity,
+    thresholds,
 )
 from cvbell.functional_bell import (
     bell_value,
@@ -161,6 +162,31 @@ class TestCriticalPurity:
             assert bell_ratio(ineq, n, eta, 1.0, rule) <= 1.0
         else:
             assert bell_ratio(ineq, n, eta, p, rule) == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("ineq", ("functional", "cfrd", "mk"))
+    def test_pair_equals_the_single_thresholds(self, rule, ineq):
+        for n in (3, 4, 5, 9, 10, 11, 40):
+            assert thresholds(n, ineq, rule) == (critical_efficiency(n, 1.0, ineq, rule),
+                                                 critical_purity(n, 1.0, ineq, rule))
+
+    def test_one_noise_free_solve(self, rule, monkeypatch):
+        # the purity threshold reuses the eta = 1 integrals of the efficiency solve
+        solves = []
+        counted = critical.optimal_epsilon
+
+        def counting(*args):
+            solves.append(args)
+            return counted(*args)
+
+        monkeypatch.setattr(critical, "optimal_epsilon", counting)
+        thresholds(10, "functional", rule)
+        assert [args for args in solves if args[2] == 1.0] == [(10, 5, 1.0, rule)]
+
+    def test_unknown_inequality(self, rule):
+        with pytest.raises(ValueError):
+            thresholds(6, "bogus", rule)
 
 
 class TestAsymptotics:

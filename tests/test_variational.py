@@ -11,11 +11,8 @@ from cvbell.functional_bell import (
 )
 from cvbell.model import Identity, Optimal, SignBin, StateSpec
 from cvbell.variational import (
-    FreeFunction,
     _RatioProblem,
     euler_lagrange_residual,
-    fit_optimal_epsilon,
-    free_function_from,
     optimize_function,
     optimize_function_pair,
 )
@@ -24,63 +21,72 @@ from cvbell.variational import (
 @pytest.fixture(scope="module")
 def six_mode_run(quick_rule):
     history = []
-    best, bell = optimize_function(StateSpec(6, 3), quick_rule, Identity(),
-                                   iteration_callback=history.append)
-    return best, bell, history
+    eps, best, bell = optimize_function(StateSpec(6, 3), quick_rule, Identity(),
+                                        iteration_callback=history.append)
+    return eps, best, bell, history
 
 
 class TestRecovery:
-    def test_six_modes_recovers_rational_family(self, quick_rule, six_mode_run):
-        best, bell, _ = six_mode_run
-        eps_fit, scale, rel_err = fit_optimal_epsilon(best, quick_rule)
+    def test_six_modes_recovers_rational_family(self, quick_rule, six_mode_run, family_fit):
+        eps, best, bell, _ = six_mode_run
+        eps_fit, rel_err = family_fit(best, quick_rule)
         eps_ref = solve_epsilon_even(1.0, quick_rule).epsilon_lossy
         assert rel_err < 1e-3
         assert abs(eps_fit - eps_ref) < 1e-3
+        assert abs(eps - optimal_epsilon(6, 3, 1.0, quick_rule)) <= 1e-9
         closed = bell_value(StateSpec(6, 3), quick_rule).ratio
         assert abs(bell.ratio - closed) / closed < 1e-6
 
-    def test_basin_robustness_from_binned_start(self, quick_rule, six_mode_run):
-        _, bell_identity, _ = six_mode_run
-        best, bell = optimize_function(StateSpec(6, 3), quick_rule, SignBin())
+    def test_basin_robustness_from_binned_start(self, quick_rule, six_mode_run, family_fit):
+        _, _, bell_identity, _ = six_mode_run
+        eps, best, bell = optimize_function(StateSpec(6, 3), quick_rule, SignBin())
         assert abs(bell.ratio - bell_identity.ratio) < 1e-6 * bell.ratio
-        eps_fit, _, rel_err = fit_optimal_epsilon(best, quick_rule)
+        _, rel_err = family_fit(best, quick_rule)
         assert rel_err < 1e-3
+        assert abs(eps - optimal_epsilon(6, 3, 1.0, quick_rule)) <= 1e-9
 
-    def test_five_modes_recovers_odd_parameter(self, quick_rule):
-        best, bell = optimize_function(StateSpec(5, 2), quick_rule, SignBin())
-        eps_fit, _, rel_err = fit_optimal_epsilon(best, quick_rule)
+    def test_five_modes_recovers_odd_parameter(self, quick_rule, family_fit):
+        eps, best, bell = optimize_function(StateSpec(5, 2), quick_rule, SignBin())
+        eps_fit, rel_err = family_fit(best, quick_rule)
         eps_ref = solve_epsilon_odd(5, 1.0, quick_rule).epsilon_odd
         assert rel_err < 1e-3
         assert abs(eps_fit - eps_ref) < 1e-3
+        assert abs(eps - optimal_epsilon(5, 2, 1.0, quick_rule)) <= 1e-9
 
     def test_scaled_init_reaches_identical_ratio(self, quick_rule, six_mode_run):
         # gauge normalization cancels the overall scale up to float rounding,
         # so both runs converge to the same ratio within optimizer precision
-        _, bell_ref, _ = six_mode_run
+        _, _, bell_ref, _ = six_mode_run
         scaled = lambda x: 10.0 * Identity()(x)
-        _, bell = optimize_function(StateSpec(6, 3), quick_rule, scaled)
+        _, _, bell = optimize_function(StateSpec(6, 3), quick_rule, scaled)
         assert bell.ratio == pytest.approx(bell_ref.ratio, rel=1e-8)
 
     def test_never_exceeds_analytic_optimum(self, quick_rule, six_mode_run):
-        _, bell, _ = six_mode_run
+        _, _, bell, _ = six_mode_run
         closed = bell_value(StateSpec(6, 3), quick_rule).ratio
         assert bell.ratio <= closed * (1 + 1e-6)
 
     def test_ascent_is_monotone(self, six_mode_run):
-        _, _, history = six_mode_run
+        _, _, _, history = six_mode_run
         assert len(history) > 2
         diffs = np.diff(history)
         assert np.all(diffs >= -1e-12)
 
-    @pytest.mark.parametrize("n, r, eta", [(100, 50, 1.0), (60, 30, 0.9)])
-    def test_large_n_lands_on_the_analytic_family(self, quick_rule, n, r, eta):
+    @pytest.mark.parametrize("n, r, eta, init", [
+        pytest.param(100, 50, 1.0, Identity(), id="100-50-1.0"),
+        pytest.param(60, 30, 0.9, Identity(), id="60-30-0.9"),
+        pytest.param(7, 3, 1.0, SignBin(), id="7-3-1.0-signbin"),
+        pytest.param(9, 0, 1.0, Identity(), id="9-0-1.0"),
+    ])
+    def test_large_n_lands_on_the_analytic_family(self, quick_rule, n, r, eta, init):
         # the node values are free, and the reference eps comes from the
         # closed-form stationarity relation, not from the oracle
-        best, _ = optimize_function(StateSpec(n, r, 1.0, eta), quick_rule, Identity())
+        eps, best, _ = optimize_function(StateSpec(n, r, 1.0, eta), quick_rule, init)
         x = best.nodes
-        eps = optimal_epsilon(n, r, eta, quick_rule)
+        eps_ref = optimal_epsilon(n, r, eta, quick_rule)
+        assert abs(eps - eps_ref) <= 1e-9 * eps_ref
         # c fixed by the gauge: value/node = 1 at the smallest node
-        ref = (1.0 + eps * x[0] ** 2) * x / (1.0 + eps * x * x)
+        ref = (1.0 + eps_ref * x[0] ** 2) * x / (1.0 + eps_ref * x * x)
         assert np.max(np.abs(best.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_relaxed_pair_collapses_to_equal_functions(self, quick_rule):
@@ -155,7 +161,7 @@ class TestGradientMachinery:
         # the identity projects to eps = 26244 at (9, 0) and 78732 at (10, 0),
         # x^3 further still
         for init in (Identity(), lambda x: np.asarray(x) ** 3):
-            best, _ = optimize_function(StateSpec(n, r), quick_rule, init)
+            _, best, _ = optimize_function(StateSpec(n, r), quick_rule, init)
             assert euler_lagrange_residual(best, StateSpec(n, r), quick_rule) <= 1e-9
 
     @settings(max_examples=40, deadline=None)
@@ -164,7 +170,7 @@ class TestGradientMachinery:
     def test_map_reaches_stationarity(self, quick_rule, data, n, eta, p, init):
         r = data.draw(st.integers(0, n), label="r")
         spec = StateSpec(n, r, p, eta)
-        best, bell = optimize_function(spec, quick_rule, init)
+        _, best, bell = optimize_function(spec, quick_rule, init)
         assert euler_lagrange_residual(best, spec, quick_rule) <= 1e-9
         if r == n // 2:
             closed = bell_value(spec, quick_rule).ratio
@@ -172,23 +178,21 @@ class TestGradientMachinery:
 
 
 class TestFreeFunctionType:
+    """The start function's node values: gauge and validation."""
+
     def test_normalization_gauge(self, quick_rule):
-        ff = free_function_from(lambda x: 3.7 * np.asarray(x), quick_rule).normalized()
-        assert ff.values[0] == pytest.approx(ff.nodes[0], rel=1e-14)
+        _, f, _ = optimize_function(StateSpec(6, 3), quick_rule,
+                                    lambda x: 3.7 * np.asarray(x))
+        assert f.values[0] == pytest.approx(f.nodes[0], rel=1e-14)
 
     def test_zero_first_value_rejected(self, quick_rule):
         vals = np.ones_like(quick_rule.positive_nodes)
         vals[0] = 0.0
-        with pytest.raises(ValueError):
-            FreeFunction(quick_rule.positive_nodes, vals).normalized()
+        with pytest.raises(ValueError, match="first node"):
+            optimize_function(StateSpec(6, 3), quick_rule, lambda x: vals)
 
-    def test_fit_requires_matching_nodes(self, quick_rule, rule):
-        ff = free_function_from(Identity(), quick_rule)
-        with pytest.raises(ValueError):
-            fit_optimal_epsilon(ff, rule)
-
-    def test_csv_rows(self, quick_rule):
-        ff = free_function_from(Identity(), quick_rule)
-        rows = ff.to_csv_rows()
-        assert len(rows) == quick_rule.positive_nodes.size
-        assert rows[0][0] == pytest.approx(quick_rule.positive_nodes[0])
+    def test_nonfinite_values_rejected(self, quick_rule):
+        vals = np.ones_like(quick_rule.positive_nodes)
+        vals[-1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            optimize_function(StateSpec(6, 3), quick_rule, lambda x: vals)
