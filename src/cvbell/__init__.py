@@ -21,7 +21,6 @@ from .quadrature import (
     KernelIntegrals,
     QuadratureRule,
     gauss_hermite_rule,
-    integrate,
     kernel_integrals,
 )
 from .model import (
@@ -35,7 +34,6 @@ from .model import (
     SignBin,
     StateSpec,
     density_matrix,
-    single_mode_element,
     site_operator,
 )
 from .oracle import (
@@ -77,11 +75,10 @@ __all__ = [
     "__version__",
     "ConvergenceError", "MonotonicityError", "NumericalDomainError",
     "DEFAULT_ORDER", "QUICK_ORDER", "GAUSS_NORM",
-    "KernelIntegrals", "QuadratureRule", "gauss_hermite_rule", "integrate",
-    "kernel_integrals",
+    "KernelIntegrals", "QuadratureRule", "gauss_hermite_rule", "kernel_integrals",
     "AngleConfig", "Basis", "DensityMatrix", "Identity", "MeasurementFunction",
     "Optimal", "ProductOperator", "SignBin", "StateSpec", "density_matrix",
-    "single_mode_element", "site_operator",
+    "site_operator",
     "BellResult", "angle_scan", "evaluate", "optimize_epsilon_numeric",
     "orthogonal_angles", "random_product_mixture",
     "EpsilonSolution", "bell_value", "cfrd_bell_value", "ideal_epsilon",

@@ -34,7 +34,7 @@ from .mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
 from .model import Identity, Optimal, SignBin, StateSpec, canonical_split, density_matrix
 from .oracle import evaluate, orthogonal_angles
 from .quadrature import DEFAULT_ORDER, QUICK_ORDER, gauss_hermite_rule, kernel_integrals
-from .variational import euler_lagrange_residual, optimize_function
+from .variational import optimize_function
 
 ORACLE_CHECK_TOL = 1e-6
 MK_RSWEEP_TOL = 1e-8
@@ -245,10 +245,10 @@ def _cmd_optimize(args) -> int:
     status = 0
     updates = []
     try:
-        eps, best, bell = optimize_function(spec, rule, init,
-                                            iteration_callback=updates.append)
+        eps, best, bell, residual = optimize_function(spec, rule, init,
+                                                      iteration_callback=updates.append)
     except ConvergenceError as exc:
-        eps, best, bell = exc.best
+        (eps, best, bell), residual = exc.best, exc.residual
         status = 1
         print(f"warning: {exc}", file=sys.stderr)
 
@@ -268,7 +268,7 @@ def _cmd_optimize(args) -> int:
         "epsilon_deviation": abs(eps - eps_ref),
         "converged": status == 0,
         "updates": len(updates),
-        "stationarity_residual": euler_lagrange_residual(best, spec, rule),
+        "stationarity_residual": residual,
     }
     side = out.with_name(out.name + ".summary.json")
     side.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._accel import tensor_expectation
 from .errors import NumericalDomainError
-from .model import SQRT_2_OVER_PI, AngleConfig, DensityMatrix, StateSpec, _site_correlators
+from .model import AngleConfig, DensityMatrix, SignBin, StateSpec, _site_correlators, _site_scalars
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class MKResult:
     """
 
     s_value: float
-    bell_ratio: float
     angles: AngleConfig
     variant: str
 
@@ -61,7 +60,8 @@ def mk_optimal_angles(n: int, r: int) -> AngleConfig:
 
 def _correlator(rho: DensityMatrix, theta, theta_prime, site_scale=1.0) -> complex:
     """Pi_N with the site operators multiplied by ``site_scale`` (per site)."""
-    mats = _site_correlators(SQRT_2_OVER_PI, SQRT_2_OVER_PI, theta, theta_prime)
+    m = _site_scalars(SignBin.exact_integrals)[0]      # <0|sign(X)|1> = sqrt(2/pi)
+    mats = _site_correlators(m, m, theta, theta_prime)
     return tensor_expectation(rho.matrix, mats * np.reshape(site_scale, (-1, 1, 1)))
 
 
@@ -100,8 +100,7 @@ def mk_evaluate(rho: DensityMatrix, angles: AngleConfig) -> MKResult:
     if not np.isfinite(s_value):
         raise NumericalDomainError(
             f"binned oracle value at n = {n} overflows the float range")
-    return MKResult(s_value=float(s_value), bell_ratio=float(s_value),
-                    angles=angles, variant=variant)
+    return MKResult(s_value=float(s_value), angles=angles, variant=variant)
 
 
 def mk_bell_value(spec: StateSpec) -> float:

@@ -24,12 +24,13 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .quadrature import QuadratureRule, check_odd, integrate
+from .quadrature import GAUSS_NORM, KernelIntegrals, QuadratureRule, kernel_integrals
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 # Wavefunction products divided by the quadrature weight e^(-2x^2):
 #   psi_0 psi_1 -> sqrt(2/pi) 2x,  psi_0^2 -> sqrt(2/pi),  psi_1^2 -> sqrt(2/pi) 4x^2
+# so ``_site_scalars`` reads a function's site scalars off its kernel integrals.
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +86,13 @@ class SignBin(MeasurementFunction):
     """Binary binning of the outcome: +1 for x >= 0, -1 otherwise.
 
     The threshold sits exactly at 0 with f(0) = +1 (a measure-zero choice,
-    fixed for determinism).
+    fixed for determinism).  Its kernel integrals are exact, since a
+    quadrature rule sees the jump at 0 and converges only algebraically:
+    4 int |x| e^(-2x^2) = 2 and 4 int e^(-2x^2) = 16 int x^2 e^(-2x^2) = 4 sqrt(pi/2).
     """
 
     label = "sign_bin"
+    exact_integrals = KernelIntegrals(2.0, 4.0 * GAUSS_NORM, 4.0 * GAUSS_NORM)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -131,14 +135,6 @@ class Basis(MeasurementFunction):
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return np.sign(x) * np.interp(np.abs(x), self._xp, self._fp)
-
-
-def _as_odd_callable(f) -> Callable:
-    if isinstance(f, MeasurementFunction):
-        return f
-    if callable(f):
-        return f
-    raise ValueError(f"expected a measurement function or callable, got {type(f)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,44 +312,10 @@ def density_matrix(spec: StateSpec) -> DensityMatrix:
 # single-mode operators
 # ---------------------------------------------------------------------------
 
-def raising_amplitude(f, rule: QuadratureRule) -> float:
-    """<0|f(X)|1> = integral of f psi_0 psi_1 for an odd f.
-
-    Sign binning is integrated in closed form (sqrt(2/pi)); a quadrature rule
-    sees its jump at 0 and converges only algebraically.
-    """
-    if isinstance(f, SignBin):
-        return float(SQRT_2_OVER_PI)
-    fn = _as_odd_callable(f)
-    x = rule.nodes
-    return integrate(rule, SQRT_2_OVER_PI * 2.0 * x * np.asarray(fn(x), dtype=float))
-
-
-def squared_moments(f, rule: QuadratureRule) -> Tuple[float, float]:
-    """(<0|f^2|0>, <1|f^2|1>); exact (1, 1) for sign binning."""
-    if isinstance(f, SignBin):
-        return 1.0, 1.0
-    fn = _as_odd_callable(f)
-    x = rule.nodes
-    fx = np.asarray(fn(x), dtype=float)
-    q0 = integrate(rule, SQRT_2_OVER_PI * fx * fx)
-    q1 = integrate(rule, SQRT_2_OVER_PI * 4.0 * x * x * fx * fx)
-    return q0, q1
-
-
-def single_mode_element(f, m: int, n: int, theta: float, rule: QuadratureRule) -> complex:
-    """<m|f(X^theta)|n> on the {|0>,|1>} subspace.
-
-    Equals e^(i theta (m - n)) times the unrotated element; for odd f the
-    diagonal elements vanish identically, so they are returned as exact zero.
-    """
-    if m not in (0, 1) or n not in (0, 1):
-        raise ValueError(f"m and n must be 0 or 1, got {(m, n)!r}")
-    if m == n:
-        check_odd(_as_odd_callable(f), rule)
-        return 0.0 + 0.0j
-    amp = raising_amplitude(f, rule)
-    return np.exp(1j * theta * (m - n)) * amp
+def _site_scalars(k: KernelIntegrals) -> np.ndarray:
+    """(m, q0, q1) = (<0|f|1>, <0|f^2|0>, <1|f^2|1>) from the kernel integrals
+    of f: sqrt(2/pi) times (Ip/2, I0/4, I/4)."""
+    return SQRT_2_OVER_PI * np.array([k.i_plus / 2.0, k.i_zero / 4.0, k.i_cross / 4.0])
 
 
 def _site_correlators(mf: float, mg: float, theta, theta_prime) -> np.ndarray:
@@ -377,20 +339,13 @@ def site_operator(f, g, theta, theta_prime, rule: QuadratureRule):
     Returns (O, Q) with O = f(X^theta) + i g(X^theta') (zero diagonal,
     non-Hermitian, enters the correlator) and Q = f(X^theta)^2 + g(X^theta')^2
     (diagonal, angle-independent, enters the bound side).  Both depend on f
-    and g only through four site scalars: the raising amplitudes <0|f|1>,
-    <0|g|1> and the diagonal of Q; when g is f its moments are not computed
-    a second time.  Scalar angles give one 2x2 pair, length-n angle
-    sequences (n, 2, 2) stacks, with Q broadcast to the shape of O.
+    and g only through their kernel integrals, which give the raising
+    amplitudes <0|f|1>, <0|g|1> and the diagonal of Q; when g is f they are
+    not computed a second time.  Scalar angles give one 2x2 pair, length-n
+    angle sequences (n, 2, 2) stacks, with Q broadcast to the shape of O.
     """
-    for fn in (f,) if g is f else (f, g):
-        check_odd(_as_odd_callable(fn), rule)
-    mf = raising_amplitude(f, rule)
-    qf0, qf1 = squared_moments(f, rule)
-    if g is f:
-        mg, qg0, qg1 = mf, qf0, qf1
-    else:
-        mg = raising_amplitude(g, rule)
-        qg0, qg1 = squared_moments(g, rule)
+    mf, qf0, qf1 = _site_scalars(kernel_integrals(f, rule))
+    mg, qg0, qg1 = (mf, qf0, qf1) if g is f else _site_scalars(kernel_integrals(g, rule))
     O = _site_correlators(mf, mg, theta, theta_prime)
     Q = np.broadcast_to(np.diag([qf0 + qg0, qf1 + qg1]), O.shape)
     return O, Q

@@ -16,7 +16,7 @@ steps on the orthonormal Hermite functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -104,40 +104,19 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     return QuadratureRule(order=n, nodes=u / np.sqrt(2.0), weights=w / np.sqrt(2.0))
 
 
-def integrate(rule: QuadratureRule, integrand: Union[Callable, np.ndarray]) -> float:
-    """Integrate ``integrand`` against e^(-2x^2).
-
-    The Gaussian factor belongs to the rule, not the integrand.  ``integrand``
-    may be a callable of one array argument or an array of node values.
-    """
-    if callable(integrand):
-        vals = np.asarray(integrand(rule.nodes), dtype=float)
-    else:
-        vals = np.asarray(integrand, dtype=float)
-        if vals.shape != rule.nodes.shape:
-            raise ValueError(
-                f"integrand values have shape {vals.shape}, expected {rule.nodes.shape}"
-            )
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        node = rule.nodes[bad][0]
-        raise NumericalDomainError(f"integrand is not finite at node x={node!r}")
-    return float(np.dot(rule.weights, vals))
-
-
 @dataclass(frozen=True)
 class KernelIntegrals:
-    """The three moments of a measurement function that set the Bell ratio.
-
-    For an odd function f used on both quadratures of a site (the stationary
-    choice g = f, so f + g = 2f and f - g drops out):
+    """The three moments of one odd measurement function f that set the Bell ratio:
 
     - ``i_plus``  = 2 * int e^(-2x^2) x * 2f(x) dx       (linear moment)
     - ``i_cross`` = 4 * int x^2 e^(-2x^2) * 4f(x)^2 dx   (excited-level weight)
     - ``i_zero``  =     int e^(-2x^2) * 4f(x)^2 dx       (ground-level weight)
 
-    i_cross and i_zero are positive for any nonzero f; the linear moment of an
-    even function would vanish, which is why only odd functions are accepted.
+    They are per function: the oracle reads them for f and for g, the closed
+    forms use them with g = f on both quadratures of a site (the stationary
+    choice, so f + g = 2f and f - g drops out).  i_cross and i_zero are
+    positive for any nonzero f; the linear moment of an even function would
+    vanish, which is why only odd functions are accepted.
     """
 
     i_plus: float
@@ -163,7 +142,14 @@ def check_odd(f: Callable, rule: QuadratureRule, tol: float = 1e-10) -> None:
 
 
 def kernel_integrals(f: Callable, rule: QuadratureRule) -> KernelIntegrals:
-    """Evaluate the three kernel integrals of an odd function f (with g = f)."""
+    """The three kernel integrals of an odd function f, or the ``exact_integrals``
+    it carries (sign binning, whose jump a rule resolves only algebraically).
+    ValueError for a non-callable or a function that is not odd."""
+    exact = getattr(f, "exact_integrals", None)
+    if exact is not None:
+        return exact
+    if not callable(f):
+        raise ValueError(f"expected a measurement function or callable, got {type(f)!r}")
     check_odd(f, rule)
     x = rule.nodes
     fx = np.asarray(f(x), dtype=float)

@@ -139,17 +139,18 @@ def _check_stationary(residual: float, best: tuple) -> None:
 def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
                       iteration_callback: Optional[Callable[[float], None]] = None):
     """Solve the stationarity condition of the ratio in the node values;
-    returns (eps, f, BellResult) with f the gauge-fixed ``Basis`` of
-    x/(1 + eps x^2) on the rule's positive nodes.
+    returns (eps, f, BellResult, residual) with f the gauge-fixed ``Basis``
+    of x/(1 + eps x^2) on the rule's positive nodes and residual its
+    relative stationarity residual.
 
     The same function is used on both quadratures of every site, which is
     the stationary configuration.  ``iteration_callback`` receives the ratio
     at every map update: first at the start function, then on the family.
 
-    Raises ConvergenceError with the last (eps, f, BellResult) attached if
-    the relative stationarity residual exceeds 1e-7, and ValueError if the
-    start is not finite at the nodes, vanishes at the first node, or the
-    ratio is zero at the start.
+    Raises ConvergenceError with the last (eps, f, BellResult) attached as
+    ``best`` and the residual as ``residual`` if the residual exceeds 1e-7,
+    and ValueError if the start is not finite at the nodes, vanishes at the
+    first node, or the ratio is zero at the start.
     """
     problem = _RatioProblem(spec, rule)
     start = _gauged(Basis.from_function(init, rule))
@@ -170,8 +171,9 @@ def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
     bell = BellResult(lhs=raw.lhs, rhs=raw.rhs, ratio=raw.ratio, inequality_id="functional",
                       function_id="free_function", angles=raw.angles)
     eps = float(np.expm1(u))
-    _check_stationary(problem.residual(best.values), (eps, best, bell))
-    return eps, best, bell
+    residual = problem.residual(best.values)
+    _check_stationary(residual, (eps, best, bell))
+    return eps, best, bell, residual
 
 
 def optimize_function_pair(spec: StateSpec, rule: QuadratureRule, init, init_g):

@@ -186,7 +186,7 @@ def test_criterion_6_free_function_recovery(quick_rule, family_fit):
                 eps_ref = solve_epsilon_odd(n, 1.0, quick_rule).epsilon_odd
             ratios = []
             for init in (Identity(), SignBin()):
-                eps, best, bell = optimize_function(spec, quick_rule, init)
+                eps, best, bell, _ = optimize_function(spec, quick_rule, init)
                 eps_fit, rel_err = family_fit(best, quick_rule)
                 assert rel_err < 1e-3
                 assert abs(eps_fit - eps_ref) < 1e-3

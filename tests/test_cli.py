@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from cvbell.cli import main
+from cvbell.errors import ConvergenceError
 from cvbell.functional_bell import closed_form_sides, optimal_epsilon
 from cvbell.model import Optimal, StateSpec
 from cvbell.oracle import optimize_epsilon_numeric
 from cvbell.quadrature import gauss_hermite_rule, kernel_integrals
+from cvbell.variational import optimize_function
 
 
 def run_cli(argv):
@@ -298,6 +300,21 @@ class TestOptimize:
         # independently: the golden-section search stops at a 1e-8 bracket
         eps_numeric, _ = optimize_epsilon_numeric(StateSpec(9, 0), rule)
         assert abs(payload["reference_epsilon"] - eps_numeric) <= 1e-7
+
+    def test_unconverged_run_reports_the_error_residual(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def unconverged(*args, **kwargs):
+            eps, f, bell, _ = optimize_function(*args, **kwargs)
+            raise ConvergenceError("stationarity not reached", best=(eps, f, bell),
+                                   residual=3.5e-6)
+
+        monkeypatch.setattr("cvbell.cli.optimize_function", unconverged)
+        out = tmp_path / "opt.csv"
+        assert run_cli(["optimize", "--n", "5", "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is False
+        assert payload["stationarity_residual"] == 3.5e-6
+        assert out.read_text().startswith("node,f_value\n")
 
     def test_forty_modes_at_lopsided_split(self, tmp_path, capsys):
         # at r = 0 the map passes through large eps, where x/(1 + eps x^2)

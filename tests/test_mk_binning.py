@@ -66,7 +66,6 @@ class TestEvaluate:
         res = mk_evaluate(rho, mk_optimal_angles(3, 3))
         assert res.s_value == pytest.approx(SQRT2_HALF * (4 / np.pi) ** 1.5, rel=1e-12)
         assert abs(res.s_value - 1.0159) < 1e-4
-        assert res.bell_ratio == res.s_value
 
     def test_vacuum_gives_zero(self):
         factors = np.zeros((1, 3, 2, 2))

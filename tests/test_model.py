@@ -12,13 +12,27 @@ from cvbell.model import (
     branch_indices,
     density_matrix,
     loss_kraus,
-    raising_amplitude,
-    single_mode_element,
     site_operator,
 )
 from cvbell.oracle import evaluate, orthogonal_angles
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+
+
+def zero(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def element(f, theta, rule):
+    """<m|f(X^theta)|n> on the {|0>, |1>} subspace: site_operator's O with g = 0."""
+    O, _ = site_operator(f, zero, theta, 0.0, rule)
+    return O
+
+
+def raising_reference(f, rule):
+    """<0|f(X)|1> = int psi_0 psi_1 f, summed over the rule's nodes here."""
+    x, w = rule.nodes, rule.weights
+    return float(np.dot(w, SQRT_2_OVER_PI * 2.0 * x * f(x)))
 
 
 class TestStateSpec:
@@ -115,42 +129,39 @@ class TestDensityMatrix:
 
 
 class TestSingleModeElements:
+    """Single-mode elements read from ``site_operator``'s correlator O."""
+
     def test_sign_bin_amplitude(self, rule):
-        val = single_mode_element(SignBin(), 0, 1, 0.0, rule)
+        val = element(SignBin(), 0.0, rule)[0, 1]
         assert val == pytest.approx(SQRT_2_OVER_PI, abs=1e-15)
         assert abs(val - 0.7978846) < 1e-6
 
     def test_identity_amplitude(self, rule):
         # <0|X|1> = 1/2 in the variance-1/4 convention
-        val = single_mode_element(Identity(), 0, 1, 0.0, rule)
+        val = element(Identity(), 0.0, rule)[0, 1]
         assert val == pytest.approx(0.5, abs=1e-13)
 
     def test_odd_diagonal_exactly_zero(self, rule):
         for f in (Identity(), Optimal(1.7), SignBin()):
-            assert single_mode_element(f, 0, 0, 0.3, rule) == 0.0
-            assert single_mode_element(f, 1, 1, -0.7, rule) == 0.0
+            for theta in (0.3, -0.7):
+                O = element(f, theta, rule)
+                assert O[0, 0] == 0.0 and O[1, 1] == 0.0
 
     def test_conjugation_symmetry(self, rule):
         for theta in (0.0, 0.4, -2.2):
-            up = single_mode_element(Optimal(2.5), 0, 1, theta, rule)
-            down = single_mode_element(Optimal(2.5), 1, 0, theta, rule)
-            assert up == pytest.approx(np.conj(down), abs=1e-14)
+            O = element(Optimal(2.5), theta, rule)
+            assert O[0, 1] == pytest.approx(np.conj(O[1, 0]), abs=1e-14)
 
     def test_two_pi_periodicity(self, rule):
-        a = single_mode_element(Identity(), 1, 0, 0.9, rule)
-        b = single_mode_element(Identity(), 1, 0, 0.9 + 2 * np.pi, rule)
-        assert a == pytest.approx(b, abs=1e-13)
-
-    def test_invalid_levels(self, rule):
-        with pytest.raises(ValueError):
-            single_mode_element(Identity(), 2, 0, 0.0, rule)
+        a = element(Identity(), 0.9, rule)
+        b = element(Identity(), 0.9 + 2 * np.pi, rule)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
 
     def test_quadrature_cross_check(self, rule):
         # independent evaluation of the raising amplitude for f = x/(1+2x^2)
         f = Optimal(2.0)
-        x, w = rule.nodes, rule.weights
-        ref = float(np.dot(w, SQRT_2_OVER_PI * 2.0 * x * f(x)))
-        assert raising_amplitude(f, rule) == pytest.approx(ref, rel=1e-14)
+        assert element(f, 0.0, rule)[0, 1].real == pytest.approx(
+            raising_reference(f, rule), rel=1e-14)
 
 
 class TestSiteOperator:
@@ -171,7 +182,7 @@ class TestSiteOperator:
         eps = 1.9
         theta = 0.7
         O, _ = site_operator(Optimal(eps), Optimal(eps), theta, theta - np.pi / 2, rule)
-        m = raising_amplitude(Optimal(eps), rule)
+        m = raising_reference(Optimal(eps), rule)
         assert abs(O[0, 1]) < 1e-12
         assert O[1, 0] == pytest.approx(2.0 * np.exp(1j * theta) * m, abs=1e-12)
 

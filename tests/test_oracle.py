@@ -10,6 +10,7 @@ from cvbell.errors import NumericalDomainError
 from cvbell.functional_bell import (
     bell_value,
     cfrd_bell_value,
+    closed_form_sides,
     ideal_epsilon,
     optimal_epsilon,
     solve_epsilon_even,
@@ -23,9 +24,8 @@ from cvbell.model import (
     ProductOperator,
     SignBin,
     StateSpec,
+    _site_scalars,
     density_matrix,
-    raising_amplitude,
-    squared_moments,
 )
 from cvbell.oracle import (
     angle_scan,
@@ -35,6 +35,12 @@ from cvbell.oracle import (
     random_product_mixture,
     ratio_partials,
 )
+from cvbell.quadrature import kernel_integrals
+
+
+def site_scalars(f, rule):
+    """(<0|f|1>, <0|f^2|0>, <1|f^2|1>), the scalars the site operators read."""
+    return _site_scalars(kernel_integrals(f, rule))
 
 
 def vacuum(n):
@@ -141,6 +147,19 @@ class TestEvaluate:
         s_sq = res.lhs / 2.0 ** n
         assert res.ratio == pytest.approx(s_sq, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [6, 20])
+    def test_sign_bin_closed_form_matches_oracle(self, rule, n):
+        # the closed form and the oracle read the same exact sign-binning
+        # integrals; a quadrature of the jump would miss by 1.9% at N = 6
+        sb = SignBin()
+        ki = kernel_integrals(sb, rule)
+        for r, eta, p in ((n // 2, 1.0, 1.0), (n // 2, 0.8, 0.9), (1, 0.9, 0.5),
+                          (0, 0.6, 1.0)):
+            lhs, rhs = closed_form_sides(n, r, eta, p, ki)
+            res = evaluate(density_matrix(StateSpec(n, r, p, eta)), sb, sb,
+                           orthogonal_angles(n, r), rule)
+            assert res.ratio == pytest.approx(lhs / rhs, rel=1e-12)
+
 
 class TestAngleScan:
     def test_finds_orthogonal_maximizer(self, rule):
@@ -220,7 +239,7 @@ class TestFullAngleGrid:
     def test_einsum_helper_agrees_with_evaluate(self, rule):
         rho = density_matrix(StateSpec(2, 1, 0.9, 0.8))
         f = Optimal(1.3)
-        m01 = raising_amplitude(f, rule)
+        m01 = site_scalars(f, rule)[0]
         grid = self._grid_correlators(rho, m01, 4)
         angles = np.linspace(0.0, 2 * np.pi, 4, endpoint=False)
         for i, t1 in enumerate(angles):
@@ -235,7 +254,7 @@ class TestFullAngleGrid:
         rho = density_matrix(StateSpec(n, r))
         eps = ideal_epsilon(rule)
         f = Optimal(eps)
-        m01 = raising_amplitude(f, rule)
+        m01 = site_scalars(f, rule)[0]
         grid = np.abs(self._grid_correlators(rho, m01, 8)) ** 2
         res = evaluate(rho, f, f, orthogonal_angles(n, r), rule)
         assert grid.max() <= res.lhs * (1 + 1e-12)
@@ -271,8 +290,8 @@ class TestRatioPartials:
             p = ratio_partials(rho, f, g, angles, rule)
             assert p.ratio == evaluate(rho, f, g, angles, rule).ratio
             for k, fn in enumerate((f, g)):
-                q0, q1 = squared_moments(fn, rule)
-                exact = (p.d_amplitude[k] * raising_amplitude(fn, rule)
+                m, q0, q1 = site_scalars(fn, rule)
+                exact = (p.d_amplitude[k] * m
                          + 2.0 * (p.d_moments[0] * q0 + p.d_moments[1] * q1))
 
                 def ratio_at(t, k=k):
@@ -290,10 +309,10 @@ class TestRatioPartials:
         f = Optimal(2.0)
         p = ratio_partials(rho, f, f, orthogonal_angles(5, 2), rule)
         assert p.d_amplitude.shape == (1,)
-        q0, q1 = squared_moments(f, rule)
-        along_scale = (p.d_amplitude[0] * raising_amplitude(f, rule)
+        m, q0, q1 = site_scalars(f, rule)
+        along_scale = (p.d_amplitude[0] * m
                        + 4.0 * (p.d_moments[0] * q0 + p.d_moments[1] * q1))
-        assert abs(along_scale) < 1e-12 * abs(p.d_amplitude[0] * raising_amplitude(f, rule))
+        assert abs(along_scale) < 1e-12 * abs(p.d_amplitude[0] * m)
 
 
 def close(got, want, rel):

@@ -11,11 +11,15 @@ from cvbell.quadrature import (
     DEFAULT_ORDER,
     GAUSS_NORM,
     gauss_hermite_rule,
-    integrate,
     kernel_integrals,
 )
 
 SQ = GAUSS_NORM  # sqrt(pi/2)
+
+
+def integrate(rule, f):
+    """int f(x) e^(-2x^2) dx by the rule."""
+    return float(rule.weights @ f(rule.nodes))
 
 
 def gaussian_moment(k):
@@ -76,9 +80,11 @@ class TestRule:
 
 
 class TestIntegrate:
+    """Integration by the rule, sum(weights * f(nodes))."""
+
     def test_constant(self):
         r = gauss_hermite_rule(32)
-        assert abs(integrate(r, lambda x: np.ones_like(x)) - SQ) < 1e-14
+        assert abs(integrate(r, np.ones_like) - SQ) < 1e-14
 
     def test_odd_function_exact_zero(self):
         # node symmetry cancels odd integrands pairwise
@@ -99,13 +105,10 @@ class TestIntegrate:
             out[3] = np.inf
             return out
 
+        bad.is_odd = True   # declared odd, so only the finiteness check sees it
         with pytest.raises(NumericalDomainError) as err:
-            integrate(r, bad)
+            kernel_integrals(bad, r)
         assert "node" in str(err.value)
-
-    def test_array_input(self):
-        r = gauss_hermite_rule(16)
-        assert abs(integrate(r, np.ones_like(r.nodes)) - SQ) < 1e-14
 
 
 class TestKernelIntegrals:
@@ -138,6 +141,22 @@ class TestKernelIntegrals:
             evaluate(rho, even, even, angles, rule)
         with pytest.raises(ValueError, match="not odd"):
             site_operator(even, Identity(), 0.0, np.pi / 2, rule)
+
+    def test_rejects_non_callable(self, rule):
+        rho = density_matrix(StateSpec(2, 1))
+        angles = orthogonal_angles(2, 1)
+        for call in (lambda: kernel_integrals(0.5, rule),
+                     lambda: site_operator(Identity(), "x", 0.0, np.pi / 2, rule),
+                     lambda: evaluate(rho, 0.5, 0.5, angles, rule)):
+            with pytest.raises(ValueError, match="expected a measurement function"):
+                call()
+
+    @pytest.mark.parametrize("order", [33, 64, 256])
+    def test_sign_bin_exact(self, order):
+        # 4 int |x| e^(-2x^2) = 2 and 4 int e^(-2x^2) = 16 int x^2 e^(-2x^2) = 4 sqrt(pi/2);
+        # a rule sees the jump at 0 and would miss i_plus by 2.5% at order 33
+        ki = kernel_integrals(SignBin(), gauss_hermite_rule(order))
+        assert (ki.i_plus, ki.i_cross, ki.i_zero) == (2.0, 4.0 * SQ, 4.0 * SQ)
 
     def test_sign_bin_zero_node_tolerated(self):
         # odd order puts a node at 0 where the binning jump sits

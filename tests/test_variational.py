@@ -21,8 +21,8 @@ from cvbell.variational import (
 @pytest.fixture(scope="module")
 def six_mode_run(quick_rule):
     history = []
-    eps, best, bell = optimize_function(StateSpec(6, 3), quick_rule, Identity(),
-                                        iteration_callback=history.append)
+    eps, best, bell, _ = optimize_function(StateSpec(6, 3), quick_rule, Identity(),
+                                           iteration_callback=history.append)
     return eps, best, bell, history
 
 
@@ -39,14 +39,14 @@ class TestRecovery:
 
     def test_basin_robustness_from_binned_start(self, quick_rule, six_mode_run, family_fit):
         _, _, bell_identity, _ = six_mode_run
-        eps, best, bell = optimize_function(StateSpec(6, 3), quick_rule, SignBin())
+        eps, best, bell, _ = optimize_function(StateSpec(6, 3), quick_rule, SignBin())
         assert abs(bell.ratio - bell_identity.ratio) < 1e-6 * bell.ratio
         _, rel_err = family_fit(best, quick_rule)
         assert rel_err < 1e-3
         assert abs(eps - optimal_epsilon(6, 3, 1.0, quick_rule)) <= 1e-9
 
     def test_five_modes_recovers_odd_parameter(self, quick_rule, family_fit):
-        eps, best, bell = optimize_function(StateSpec(5, 2), quick_rule, SignBin())
+        eps, best, bell, _ = optimize_function(StateSpec(5, 2), quick_rule, SignBin())
         eps_fit, rel_err = family_fit(best, quick_rule)
         eps_ref = solve_epsilon_odd(5, 1.0, quick_rule).epsilon_odd
         assert rel_err < 1e-3
@@ -58,7 +58,7 @@ class TestRecovery:
         # so both runs converge to the same ratio within optimizer precision
         _, _, bell_ref, _ = six_mode_run
         scaled = lambda x: 10.0 * Identity()(x)
-        _, _, bell = optimize_function(StateSpec(6, 3), quick_rule, scaled)
+        _, _, bell, _ = optimize_function(StateSpec(6, 3), quick_rule, scaled)
         assert bell.ratio == pytest.approx(bell_ref.ratio, rel=1e-8)
 
     def test_never_exceeds_analytic_optimum(self, quick_rule, six_mode_run):
@@ -81,7 +81,7 @@ class TestRecovery:
     def test_large_n_lands_on_the_analytic_family(self, quick_rule, n, r, eta, init):
         # the node values are free, and the reference eps comes from the
         # closed-form stationarity relation, not from the oracle
-        eps, best, _ = optimize_function(StateSpec(n, r, 1.0, eta), quick_rule, init)
+        eps, best, _, _ = optimize_function(StateSpec(n, r, 1.0, eta), quick_rule, init)
         x = best.nodes
         eps_ref = optimal_epsilon(n, r, eta, quick_rule)
         assert abs(eps - eps_ref) <= 1e-9 * eps_ref
@@ -161,7 +161,8 @@ class TestGradientMachinery:
         # the identity projects to eps = 26244 at (9, 0) and 78732 at (10, 0),
         # x^3 further still
         for init in (Identity(), lambda x: np.asarray(x) ** 3):
-            _, best, _ = optimize_function(StateSpec(n, r), quick_rule, init)
+            _, best, _, residual = optimize_function(StateSpec(n, r), quick_rule, init)
+            assert residual <= 1e-9
             assert euler_lagrange_residual(best, StateSpec(n, r), quick_rule) <= 1e-9
 
     @settings(max_examples=40, deadline=None)
@@ -170,7 +171,8 @@ class TestGradientMachinery:
     def test_map_reaches_stationarity(self, quick_rule, data, n, eta, p, init):
         r = data.draw(st.integers(0, n), label="r")
         spec = StateSpec(n, r, p, eta)
-        _, best, bell = optimize_function(spec, quick_rule, init)
+        _, best, bell, residual = optimize_function(spec, quick_rule, init)
+        assert residual <= 1e-9
         assert euler_lagrange_residual(best, spec, quick_rule) <= 1e-9
         if r == n // 2:
             closed = bell_value(spec, quick_rule).ratio
@@ -181,8 +183,8 @@ class TestFreeFunctionType:
     """The start function's node values: gauge and validation."""
 
     def test_normalization_gauge(self, quick_rule):
-        _, f, _ = optimize_function(StateSpec(6, 3), quick_rule,
-                                    lambda x: 3.7 * np.asarray(x))
+        _, f, _, _ = optimize_function(StateSpec(6, 3), quick_rule,
+                                       lambda x: 3.7 * np.asarray(x))
         assert f.values[0] == pytest.approx(f.nodes[0], rel=1e-14)
 
     def test_zero_first_value_rejected(self, quick_rule):
