@@ -237,6 +237,8 @@ def _cmd_optimize(args) -> int:
         raise ValueError(
             f"--order must be at least 4 (one node value beyond the gauge), got {args.order}"
         )
+    if args.p == 0.0:
+        raise ValueError("--p must be positive: at purity 0 the ratio vanishes")
     rule = gauss_hermite_rule(args.order)
     r = args.r if args.r is not None else canonical_split(args.n)
     spec = StateSpec(n_modes=args.n, r_split=r, purity=args.p, efficiency=args.eta)

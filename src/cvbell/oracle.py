@@ -81,8 +81,8 @@ def _site_operators(rho: DensityMatrix, f, g, angles: AngleConfig,
     return site_operator(f, g, angles.theta, angles.theta_prime, rule)
 
 
-def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig, rule: QuadratureRule,
-             inequality_id: str = "functional") -> BellResult:
+def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig,
+             rule: QuadratureRule) -> BellResult:
     """Evaluate both sides of the inequality on an explicit density matrix.
 
     The tensor-product traces factorize over the sites of each product term
@@ -98,7 +98,7 @@ def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig, rule: QuadratureRule
         lhs=float(lhs),
         rhs=float(rhs),
         ratio=float(lhs / rhs),
-        inequality_id=inequality_id,
+        inequality_id="functional",
         function_id=_function_id(f, g),
         angles=angles,
     )

@@ -31,6 +31,7 @@ MAX_ORDER = 512
 
 #: integral of e^(-2x^2) over the line.
 GAUSS_NORM = np.sqrt(np.pi / 2.0)
+_ODD_TOL = 1e-10  # largest |f(x) + f(-x)| at a node that ``check_odd`` accepts
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ class KernelIntegrals:
     i_zero: float
 
 
-def check_odd(f: Callable, rule: QuadratureRule, tol: float = 1e-10) -> None:
+def check_odd(f: Callable, rule: QuadratureRule) -> None:
     """Raise ValueError unless f(-x) = -f(x) at the rule's nonzero nodes.
 
     A function declaring ``is_odd`` (every ``MeasurementFunction``) is odd by
@@ -137,7 +138,7 @@ def check_odd(f: Callable, rule: QuadratureRule, tol: float = 1e-10) -> None:
         return
     x = rule.positive_nodes
     resid = np.max(np.abs(np.asarray(f(x)) + np.asarray(f(-x)))) if x.size else 0.0
-    if resid > tol:
+    if resid > _ODD_TOL:
         raise ValueError(f"measurement function is not odd: max |f(x)+f(-x)| = {resid:.3e}")
 
 

@@ -11,15 +11,17 @@ and (b0, b1) = d ratio/d (Q0, Q1), the exact node gradient is
 grad_i = c_i (A x_i + 2 (b0 + 4 b1 x_i^2) v_i), which vanishes exactly at
 v proportional to x/(1 + eps x^2) with eps = 4 b1/b0.  So for any state the
 stationary functions are the paper's analytic family, with loss and noise
-entering through b0 and b1 only, and the optimizer iterates eps <- 4 b1/b0
-with the partials taken at the family member of the current eps.  The first
-update takes them at the start function, which projects any start onto the
-family.  The map is steep at large eps (at N = 9, r = 0 it falls from 4704
-eps at eps = 0.5 to 0.004 eps at eps = 20), so it runs in u = log(1 + eps),
-positive exactly where eps is, as the root of log(1 + 4 b1/b0) - u by the
-bracketed secant solver of ``functional_bell``.  The optimizer returns the
-eps it solved, eps = exp(u) - 1, with the node values of that family member;
-no fit recovers it afterwards.
+entering through b0 and b1 only.  A free g obeys the same relation with its
+own amplitude partial, and the optimum has g = +/- f (the tests check every
+node value of g on the oracle), so the optimizer puts f on both quadratures
+and iterates eps <- 4 b1/b0 with the partials taken at the family member of
+the current eps.  The first update takes them at the start function, which
+projects any start onto the family.  The map is steep at large eps (at
+N = 9, r = 0 it falls from 4704 eps at eps = 0.5 to 0.004 eps at eps = 20),
+so it runs in u = log(1 + eps), positive exactly where eps is, as the root of
+log(1 + 4 b1/b0) - u by the bracketed secant solver of ``functional_bell``.
+The optimizer returns the eps it solved, eps = exp(u) - 1, with the node
+values of that family member; no fit recovers it afterwards.
 
 The ratio is scale invariant.  The gauge pins the value at the smallest
 positive node to that node.  The stationarity residual is the gradient
@@ -34,7 +36,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericalDomainError
 from .functional_bell import _bracketed_root
 from .model import SQRT_2_OVER_PI, Basis, Optimal, StateSpec, density_matrix
 from .oracle import (
@@ -50,13 +52,11 @@ from .quadrature import QuadratureRule
 _MAP_TOL = 1e-12
 # relative gradient max-norm above which a result is not stationary
 _GTOL = 1e-7
-# bound on the relaxed pair's re-solves while its amplitude ratio settles
-_MAX_SWEEPS = 100
 
 
 class _RatioProblem:
     """Ratio, site-scalar partials and node-value gradient at a fixed
-    scenario and angles."""
+    scenario and angles, with the same function on both quadratures."""
 
     def __init__(self, spec: StateSpec, rule: QuadratureRule):
         self.rule = rule
@@ -70,37 +70,25 @@ class _RatioProblem:
         self._dq0 = c                              # dq0/dv, per unit v
         self._dq1 = 4.0 * c * self.nodes ** 2      # dq1/dv, per unit v
 
-    def result(self, values: np.ndarray, g_values: Optional[np.ndarray] = None) -> BellResult:
+    def result(self, values: np.ndarray) -> BellResult:
         f = Basis(self.nodes, values)
-        g = f if g_values is None else Basis(self.nodes, g_values)
-        return evaluate(self.rho, f, g, self.angles, self.rule)
+        return evaluate(self.rho, f, f, self.angles, self.rule)
 
-    def partials(self, values: np.ndarray,
-                 g_values: Optional[np.ndarray] = None) -> RatioPartials:
+    def partials(self, values: np.ndarray) -> RatioPartials:
         f = Basis(self.nodes, values)
-        g = f if g_values is None else Basis(self.nodes, g_values)
-        return ratio_partials(self.rho, f, g, self.angles, self.rule)
+        return ratio_partials(self.rho, f, f, self.angles, self.rule)
 
-    def ratio_and_gradient(self, values: np.ndarray,
-                           g_values: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
-        """The ratio and its gradient in the node values of f, then of g.
-
-        Without ``g_values`` the same function sits on both quadratures and
-        the gradient has one entry per node.
-        """
-        p = self.partials(values, g_values)
+    def ratio_and_gradient(self, values: np.ndarray) -> Tuple[float, np.ndarray]:
+        """The ratio and its gradient in the node values."""
+        p = self.partials(values)
         d_q0, d_q1 = p.d_moments
-        d_moments = d_q0 * self._dq0 + d_q1 * self._dq1
-        if g_values is None:
-            # Q0 = 2 q0 and Q1 = 2 q1 when f is on both quadratures
-            return p.ratio, p.d_amplitude[0] * self._dm + 2.0 * d_moments * values
-        d_mf, d_mg = p.d_amplitude
-        return p.ratio, np.concatenate((d_mf * self._dm + d_moments * values,
-                                        d_mg * self._dm + d_moments * g_values))
+        # Q0 = 2 q0 and Q1 = 2 q1 with f on both quadratures
+        d_moments = 2.0 * (d_q0 * self._dq0 + d_q1 * self._dq1)
+        return p.ratio, p.d_amplitude[0] * self._dm + d_moments * values
 
-    def residual(self, values: np.ndarray, g_values: Optional[np.ndarray] = None) -> float:
+    def residual(self, values: np.ndarray) -> float:
         """Gradient max-norm over all but the gauge node, relative to the ratio."""
-        ratio, grad = self.ratio_and_gradient(values, g_values)
+        ratio, grad = self.ratio_and_gradient(values)
         return float(np.max(np.abs(grad[1:])) / ratio)
 
     def family(self, u: float) -> np.ndarray:
@@ -111,13 +99,14 @@ class _RatioProblem:
         return Optimal(eps)(self.nodes) * (1.0 + eps * self.nodes[0] ** 2)
 
 
-def _stationary_epsilon(p: RatioPartials) -> float:
+def _stationary_epsilon(p: RatioPartials, n: int) -> float:
     """The eps at which the node gradient of ``p`` vanishes: 4 b1/b0."""
     b0, b1 = p.d_moments
     if not b0 < 0.0:
-        # every bound-side weight is nonnegative, so b0 < 0 whenever ratio > 0
-        raise ValueError("the ratio vanishes for every function (zero purity or a "
-                         "correlator below the float range): nothing to optimize")
+        # every bound-side weight is nonnegative, so b0 < 0 whenever ratio > 0;
+        # at nonzero purity a zero ratio is an underflow of the correlator side
+        raise NumericalDomainError(f"oracle correlator side at n = {n} is below the "
+                                   "float range: the ratio underflows to 0")
     return 4.0 * b1 / b0
 
 
@@ -128,14 +117,6 @@ def _gauged(f: Basis) -> Basis:
     return Basis(f.nodes, f.values * (f.nodes[0] / f.values[0]))
 
 
-def _check_stationary(residual: float, best: tuple) -> None:
-    if residual > _GTOL:
-        raise ConvergenceError(
-            f"stationarity not reached: relative gradient max-norm {residual:.3e} > {_GTOL:.1e}",
-            best=best, residual=residual,
-        )
-
-
 def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
                       iteration_callback: Optional[Callable[[float], None]] = None):
     """Solve the stationarity condition of the ratio in the node values;
@@ -143,15 +124,17 @@ def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
     of x/(1 + eps x^2) on the rule's positive nodes and residual its
     relative stationarity residual.
 
-    The same function is used on both quadratures of every site, which is
-    the stationary configuration.  ``iteration_callback`` receives the ratio
-    at every map update: first at the start function, then on the family.
+    ``iteration_callback`` receives the ratio at every map update: first at
+    the start function, then on the family.
 
     Raises ConvergenceError with the last (eps, f, BellResult) attached as
     ``best`` and the residual as ``residual`` if the residual exceeds 1e-7,
-    and ValueError if the start is not finite at the nodes, vanishes at the
-    first node, or the ratio is zero at the start.
+    ValueError if the start is not finite at the nodes or vanishes at the
+    first node, or if the purity is 0, and NumericalDomainError naming n when
+    a side of the ratio leaves the float range.
     """
+    if spec.purity == 0.0:
+        raise ValueError("the ratio vanishes for every function at purity 0")
     problem = _RatioProblem(spec, rule)
     start = _gauged(Basis.from_function(init, rule))
 
@@ -159,7 +142,7 @@ def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
         p = problem.partials(values)
         if iteration_callback is not None:
             iteration_callback(p.ratio)
-        return _stationary_epsilon(p)
+        return _stationary_epsilon(p, spec.n_modes)
 
     try:
         u = _bracketed_root(lambda u: np.log1p(update(problem.family(u))) - u,
@@ -172,47 +155,12 @@ def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
                       function_id="free_function", angles=raw.angles)
     eps = float(np.expm1(u))
     residual = problem.residual(best.values)
-    _check_stationary(residual, (eps, best, bell))
+    if residual > _GTOL:
+        raise ConvergenceError(
+            f"stationarity not reached: relative gradient max-norm {residual:.3e} > {_GTOL:.1e}",
+            best=(eps, best, bell), residual=residual,
+        )
     return eps, best, bell, residual
-
-
-def optimize_function_pair(spec: StateSpec, rule: QuadratureRule, init, init_g):
-    """Relaxed variant with f and g free; returns (f, g, BellResult), both
-    functions as ``Basis`` node values.
-
-    Stationarity in g gives g proportional to x/(1 + eps x^2) with the same
-    eps = 4 b1/b0 as f, so the map carries eps and the scale s of g = s f,
-    s <- (d ratio/d mg) / (d ratio/d mf).  f is gauge-fixed; g starts from
-    ``init_g`` as given.  s takes a plain step at every update; once eps has
-    converged each further solve returns after one update, and the solves
-    repeat until s settles too.  Used by the tests to confirm that g = +/- f
-    emerges instead of being imposed; production paths use
-    ``optimize_function``.
-    """
-    problem = _RatioProblem(spec, rule)
-    start = _gauged(Basis.from_function(init, rule))
-    scales = []
-
-    def update(fv: np.ndarray, gv: np.ndarray) -> float:
-        p = problem.partials(fv, gv)
-        d_mf, d_mg = p.d_amplitude
-        scales.append(d_mg / d_mf)
-        return _stationary_epsilon(p)
-
-    def map_residual(u: float) -> float:
-        fv = problem.family(u)
-        return np.log1p(update(fv, scales[-1] * fv)) - u
-
-    u = np.log1p(update(start.values, Basis.from_function(init_g, rule).values))
-    for _ in range(_MAX_SWEEPS):
-        u = _bracketed_root(map_residual, u, _MAP_TOL, "relaxed-pair")
-        if abs(scales[-1] - scales[-2]) <= _MAP_TOL * abs(scales[-1]):
-            break
-    f_best = _gauged(Basis(problem.nodes, problem.family(u)))
-    g_best = Basis(problem.nodes, scales[-1] * f_best.values)
-    bell = problem.result(f_best.values, g_best.values)
-    _check_stationary(problem.residual(f_best.values, g_best.values), (f_best, g_best, bell))
-    return f_best, g_best, bell
 
 
 def euler_lagrange_residual(f, spec: StateSpec, rule: QuadratureRule) -> float:

@@ -10,7 +10,7 @@ import pytest
 from cvbell.cli import main
 from cvbell.errors import ConvergenceError
 from cvbell.functional_bell import closed_form_sides, optimal_epsilon
-from cvbell.model import Optimal, StateSpec
+from cvbell.model import Identity, Optimal, StateSpec
 from cvbell.oracle import optimize_epsilon_numeric
 from cvbell.quadrature import gauss_hermite_rule, kernel_integrals
 from cvbell.variational import optimize_function
@@ -326,21 +326,24 @@ class TestOptimize:
         assert payload["epsilon_deviation"] < 1e-9
 
     def test_outside_float_range_names_the_mode_count(self, tmp_path, capsys):
+        # the bound side overflows at n = 400; the correlator side underflows
+        # at n = 500, r = 0 and at a purity whose square is below the float range
         out = tmp_path / "opt.csv"
-        assert run_cli(["optimize", "--n", "400", "--out", str(out)]) == 1
-        assert "bound side at n = 400" in capsys.readouterr().err
-        assert not out.exists()
+        for args, message in ((["--n", "400"], "bound side at n = 400"),
+                              (["--n", "500", "--r", "0"], "correlator side at n = 500"),
+                              (["--n", "6", "--p", "1e-170"], "correlator side at n = 6")):
+            assert run_cli(["optimize", *args, "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
-    def test_zero_purity_rejected(self, tmp_path, capsys):
-        # the ratio vanishes for every function, so nothing is stationary
-        with pytest.raises(SystemExit) as err:
-            run_cli(["optimize", "--n", "4", "--p", "0", "--out", str(tmp_path / "opt.csv")])
-        assert err.value.code == 2
-        assert "vanishes" in capsys.readouterr().err
-        assert not (tmp_path / "opt.csv").exists()
+    def test_zero_purity_rejected(self, quick_rule):
+        # the CLI refuses --p 0 with its arguments; the library call is a
+        # usage error too, since the ratio vanishes for every function
+        with pytest.raises(ValueError, match="vanishes"):
+            optimize_function(StateSpec(4, 2, 0.0), quick_rule, Identity())
 
     @pytest.mark.parametrize("flag, value", [
-        ("--n", "1"),
+        ("--n", "1"), ("--p", "0"),
         ("--order", "1"), ("--order", "2"), ("--order", "3"),
     ])
     def test_input_checked_before_work(self, tmp_path, capsys, monkeypatch, flag, value):
