@@ -33,7 +33,13 @@ from .functional_bell import (
 from .mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
 from .model import Identity, Optimal, SignBin, StateSpec, canonical_split, density_matrix
 from .oracle import evaluate, orthogonal_angles
-from .quadrature import DEFAULT_ORDER, QUICK_ORDER, gauss_hermite_rule, kernel_integrals
+from .quadrature import (
+    DEFAULT_ORDER,
+    QUICK_ORDER,
+    check_order,
+    gauss_hermite_rule,
+    kernel_integrals,
+)
 from .variational import optimize_function
 
 ORACLE_CHECK_TOL = 1e-6
@@ -70,7 +76,7 @@ def _write_sidecar(path: Path, command: str, config: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    rule = gauss_hermite_rule(args.order)
+    check_order(args.order)  # mk needs no rule but reports the order
     r = args.r if args.r is not None else canonical_split(args.n)
     spec = StateSpec(n_modes=args.n, r_split=r, purity=args.p, efficiency=args.eta)
     payload = {
@@ -82,6 +88,7 @@ def _cmd_eval(args) -> int:
         "order": args.order,
     }
     if args.ineq in ("functional", "cfrd"):
+        rule = gauss_hermite_rule(args.order)
         res = (bell_value if args.ineq == "functional" else cfrd_bell_value)(spec, rule)
         payload.update(
             function=res.function_id, lhs=res.lhs, rhs=res.rhs, ratio=res.ratio

@@ -46,7 +46,7 @@ from .functional_bell import (
     ideal_epsilon,
     optimal_epsilon,
 )
-from .mk_binning import mk_bell_value, mk_bell_value_product_form, mk_critical_product
+from .mk_binning import mk_bell_value, mk_critical_product
 from .model import Identity, Optimal, StateSpec, canonical_split
 from .quadrature import KernelIntegrals, QuadratureRule, kernel_integrals
 
@@ -163,10 +163,9 @@ def critical_purity(n: int, eta: float, inequality_id: str,
     """Smallest purity giving B = 1 at fixed efficiency; None if B(eta, 1) <= 1.
 
     The binned inequality uses the exact product inversion
-    p = sqrt(mk_critical_product(n) / eta), cross-checked against its
-    product-form observable.  The others have B(eta, p) = p^2 B(eta, 1),
-    since the optimal function depends on (n, eta) only, so
-    p = B(eta, 1)^(-1/2).
+    p = sqrt(mk_critical_product(n) / eta).  The others have
+    B(eta, p) = p^2 B(eta, 1), since the optimal function depends on
+    (n, eta) only, so p = B(eta, 1)^(-1/2).
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
@@ -174,13 +173,7 @@ def critical_purity(n: int, eta: float, inequality_id: str,
         target = mk_critical_product(n) / eta
         if target > 1.0:
             return None
-        p = float(np.sqrt(target))
-        check = mk_bell_value_product_form(StateSpec(n, canonical_split(n), p, eta))
-        if abs(check - 1.0) > 1e-9:
-            raise MonotonicityError(
-                f"product inversion failed its cross-check: B={check!r} at p={p!r}"
-            )
-        return p
+        return float(np.sqrt(target))
     b = bell_ratio(inequality_id, n, eta, 1.0, rule)
     if b <= 1.0:
         return None

@@ -8,9 +8,12 @@ Gauss-Hermite rule integrates them to near machine precision.
 
 The rule for weight e^(-2x^2) follows from the standard e^(-u^2) rule by
 u = sqrt(2) x: nodes shrink by 1/sqrt(2) and weights scale by 1/sqrt(2).
-The e^(-u^2) rule is built here with numpy alone, by one method for every
-order: Golub-Welsch eigenvalues of the Jacobi matrix, polished by Newton
-steps on the orthonormal Hermite functions.
+The e^(-u^2) rule comes from one method, with numpy alone: Golub-Welsch
+eigenvalues of the Jacobi matrix, polished by Newton steps on the
+orthonormal Hermite functions (``_golub_welsch``).  At the default orders
+(DEFAULT_ORDER and QUICK_ORDER) its output is shipped as an exact float64
+table, so those rules cost no eigen-solve and do not depend on the local
+LAPACK's rounding; every other order is computed when asked for.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._gauss_hermite_tables import POSITIVE_HALF
 from .errors import NumericalDomainError
 
 #: Production default; doubling it changes the kernel integrals of the
@@ -69,29 +73,16 @@ def _hermite_functions(n: int, u: np.ndarray):
     return prev, last
 
 
-def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """Build the e^(-2x^2) rule of the given order.
+def _golub_welsch(n: int) -> QuadratureRule:
+    """Compute the e^(-2x^2) rule with n nodes.
 
     The e^(-u^2) nodes are the eigenvalues of the Jacobi matrix (zero
     diagonal, off-diagonal sqrt(k/2)), polished by two Newton steps on
-    psi_order, whose derivative at a root is sqrt(2 order) psi_(order-1).  The
-    weights are e^(-u^2) / (order psi_(order-1)(u)^2), symmetrised and
-    normalised to sqrt(pi).
-
-    Parameters
-    ----------
-    order : int
-        Number of nodes, 1 <= order <= 512.
-
-    Returns
-    -------
-    QuadratureRule
+    psi_n, whose derivative at a root is sqrt(2 n) psi_(n-1).  The weights
+    are e^(-u^2) / (n psi_(n-1)(u)^2), symmetrised and normalised to
+    sqrt(pi).  ``_gauss_hermite_tables`` holds this function's output at the
+    default orders.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    n = int(order)
     off = np.sqrt(np.arange(1, n) / 2.0)
     u = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     for _ in range(2):
@@ -103,6 +94,39 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     w = 0.5 * (w + w[::-1])
     w *= np.sqrt(np.pi) / w.sum()
     return QuadratureRule(order=n, nodes=u / np.sqrt(2.0), weights=w / np.sqrt(2.0))
+
+
+def check_order(order) -> int:
+    """Return ``order`` as an int; ValueError unless it is an integer in [1, 512]."""
+    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
+        raise ValueError(f"order must be an integer, got {order!r}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    return int(order)
+
+
+def gauss_hermite_rule(order: int) -> QuadratureRule:
+    """The e^(-2x^2) rule of the given order, as fresh arrays.
+
+    Orders 64 and 256 mirror the exact table of ``_gauss_hermite_tables``
+    and need no linear algebra; every other order is computed by
+    ``_golub_welsch``.
+
+    Parameters
+    ----------
+    order : int
+        Number of nodes, 1 <= order <= 512.
+
+    Returns
+    -------
+    QuadratureRule
+    """
+    n = check_order(order)
+    if n not in POSITIVE_HALF:
+        return _golub_welsch(n)
+    x, w = map(np.array, POSITIVE_HALF[n])
+    return QuadratureRule(order=n, nodes=np.concatenate((-x[::-1], x)),
+                          weights=np.concatenate((w[::-1], w)))
 
 
 @dataclass(frozen=True)

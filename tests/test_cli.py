@@ -82,6 +82,22 @@ class TestEval:
         assert err.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("ineq", ["functional", "cfrd", "mk"])
+    @pytest.mark.parametrize("order", ["0", "513"])
+    def test_order_out_of_range_exit_code(self, capsys, ineq, order):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["eval", "--ineq", ineq, "--n", "3", "--order", order])
+        assert err.value.code == 2
+        assert f"order must be in [1, 512], got {order}" in capsys.readouterr().err
+
+    def test_mk_builds_no_rule(self, capsys, monkeypatch):
+        def not_reached(order):
+            raise AssertionError("the binned value read a quadrature rule")
+
+        monkeypatch.setattr("cvbell.cli.gauss_hermite_rule", not_reached)
+        assert run_cli(["eval", "--ineq", "mk", "--n", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 256
+
     @pytest.mark.parametrize("ineq, n", [("functional", 330), ("cfrd", 770)])
     def test_largest_representable_mode_count(self, capsys, ineq, n):
         assert run_cli(["eval", "--ineq", ineq, "--n", str(n)]) == 0

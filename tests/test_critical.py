@@ -20,7 +20,7 @@ from cvbell.functional_bell import (
     ideal_epsilon,
     optimal_epsilon,
 )
-from cvbell.mk_binning import mk_bell_value, mk_critical_product
+from cvbell.mk_binning import mk_bell_value, mk_bell_value_product_form, mk_critical_product
 from cvbell.model import Optimal, StateSpec, canonical_split
 from cvbell.quadrature import kernel_integrals
 
@@ -134,6 +134,19 @@ class TestCriticalPurity:
         p = critical_purity(5, 1.0, "mk", rule)
         assert p == pytest.approx(np.sqrt(2.0 ** (-9.0 / 5.0) * np.pi), rel=1e-12)
         assert abs(p - 0.9499) < 1e-3
+
+    def test_mk_inversion_matches_the_product_form(self, rule):
+        # the exact inversion against the binned product-form observable
+        checked = 0
+        for n in range(3, 301):
+            for eta in (1.0, 0.99, 0.95):
+                p = critical_purity(n, eta, "mk", rule)
+                if p is None:
+                    continue
+                b = mk_bell_value_product_form(StateSpec(n, canonical_split(n), p, eta))
+                assert abs(b - 1.0) <= 1e-9, (n, eta, p, b)
+                checked += 1
+        assert checked > 800
 
     def test_mk_no_violation_below_product(self, rule):
         assert critical_purity(3, 0.9, "mk", rule) is None

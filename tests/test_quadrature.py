@@ -10,6 +10,8 @@ from cvbell.oracle import evaluate, orthogonal_angles
 from cvbell.quadrature import (
     DEFAULT_ORDER,
     GAUSS_NORM,
+    QUICK_ORDER,
+    _golub_welsch,
     gauss_hermite_rule,
     kernel_integrals,
 )
@@ -77,6 +79,39 @@ class TestRule:
         for bad in (0, -3, 513, 2.5, "8"):
             with pytest.raises(ValueError):
                 gauss_hermite_rule(bad)
+
+
+class TestTable:
+    """The default orders mirror an exact table of ``_golub_welsch``'s output."""
+
+    @pytest.mark.parametrize("order", [QUICK_ORDER, DEFAULT_ORDER])
+    def test_matches_the_computed_rule(self, order):
+        # bitwise equal on the machine that wrote the table; the bounds allow
+        # for another LAPACK's rounding of the eigenvalues, which the Newton
+        # polish carries into the weights at up to ~3e-13
+        table, computed = gauss_hermite_rule(order), _golub_welsch(order)
+        assert table.order == computed.order == order
+        np.testing.assert_allclose(table.nodes, computed.nodes, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(table.weights, computed.weights, rtol=1e-12, atol=0)
+
+    def test_default_orders_need_no_eigen_solve(self, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("eigen-solve called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+        for order in (QUICK_ORDER, DEFAULT_ORDER):
+            assert gauss_hermite_rule(order).nodes.shape == (order,)
+        with pytest.raises(AssertionError, match="eigen-solve"):
+            gauss_hermite_rule(255)
+
+    def test_each_call_returns_fresh_arrays(self):
+        reference = gauss_hermite_rule(QUICK_ORDER)
+        spoiled = gauss_hermite_rule(QUICK_ORDER)
+        spoiled.nodes[:] = 0.0
+        spoiled.weights[:] = 0.0
+        again = gauss_hermite_rule(QUICK_ORDER)
+        np.testing.assert_array_equal(again.nodes, reference.nodes)
+        np.testing.assert_array_equal(again.weights, reference.weights)
 
 
 class TestIntegrate:
