@@ -36,14 +36,7 @@ from .model import (
     density_matrix,
     site_operator,
 )
-from .oracle import (
-    BellResult,
-    angle_scan,
-    evaluate,
-    optimize_epsilon_numeric,
-    orthogonal_angles,
-    random_product_mixture,
-)
+from .oracle import BellResult, evaluate, orthogonal_angles
 from .functional_bell import (
     EpsilonSolution,
     bell_value,
@@ -57,14 +50,12 @@ from .functional_bell import (
 from .mk_binning import (
     MKResult,
     mk_bell_value,
-    mk_bell_value_product_form,
     mk_critical_product,
     mk_evaluate,
     mk_optimal_angles,
 )
 from .variational import euler_lagrange_residual, optimize_function
 from .critical import (
-    AsymptoticProduct,
     asymptotic_product,
     bell_ratio,
     critical_efficiency,
@@ -79,13 +70,11 @@ __all__ = [
     "AngleConfig", "Basis", "DensityMatrix", "Identity", "MeasurementFunction",
     "Optimal", "ProductOperator", "SignBin", "StateSpec", "density_matrix",
     "site_operator",
-    "BellResult", "angle_scan", "evaluate", "optimize_epsilon_numeric",
-    "orthogonal_angles", "random_product_mixture",
+    "BellResult", "evaluate", "orthogonal_angles",
     "EpsilonSolution", "bell_value", "cfrd_bell_value", "ideal_epsilon",
     "lossy_epsilon_map", "optimal_epsilon", "solve_epsilon_even", "solve_epsilon_odd",
-    "MKResult", "mk_bell_value", "mk_bell_value_product_form",
-    "mk_critical_product", "mk_evaluate", "mk_optimal_angles",
+    "MKResult", "mk_bell_value", "mk_critical_product", "mk_evaluate",
+    "mk_optimal_angles",
     "euler_lagrange_residual", "optimize_function",
-    "AsymptoticProduct", "asymptotic_product", "bell_ratio", "critical_efficiency",
-    "critical_purity",
+    "asymptotic_product", "bell_ratio", "critical_efficiency", "critical_purity",
 ]

@@ -71,6 +71,14 @@ def _write_sidecar(path: Path, command: str, config: dict) -> None:
     side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _integrating_rule(order):
+    """The rule of ``order`` for a command that integrates odd functions."""
+    if check_order(order) == 1:
+        raise ValueError("--order 1 has its only node at x = 0, where every odd "
+                         "function vanishes; use --order 2 or more")
+    return gauss_hermite_rule(order)
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -88,7 +96,7 @@ def _cmd_eval(args) -> int:
         "order": args.order,
     }
     if args.ineq in ("functional", "cfrd"):
-        rule = gauss_hermite_rule(args.order)
+        rule = _integrating_rule(args.order)
         res = (bell_value if args.ineq == "functional" else cfrd_bell_value)(spec, rule)
         payload.update(
             function=res.function_id, lhs=res.lhs, rhs=res.rhs, ratio=res.ratio
@@ -118,7 +126,7 @@ def _cmd_eval(args) -> int:
 def _cmd_figure1(args) -> int:
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]")
-    rule = gauss_hermite_rule(args.order)
+    rule = _integrating_rule(args.order)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         spec = StateSpec(n_modes=n, r_split=canonical_split(n))
@@ -139,7 +147,8 @@ def _cmd_figure1(args) -> int:
 def _cmd_figure2(args) -> int:
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]")
-    rule = gauss_hermite_rule(args.order)
+    check_order(args.order)  # the binned thresholds need no rule
+    rule = None if args.ineq == "mk" else _integrating_rule(args.order)
     inequalities = ("functional", "cfrd", "mk") if args.ineq == "all" else (args.ineq,)
     rows = []
     for ineq in inequalities:
@@ -180,13 +189,18 @@ def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
                 rho = density_matrix(spec)
                 angles = orthogonal_angles(n, r)
 
+                label = f"functional n={n} eta={eta} p={p}"
                 eps_opt = optimal_epsilon(n, r, eta, rule)
-                ki = kernel_integrals(Optimal(eps_opt + perturb_eps), rule)
+                shifted = eps_opt + perturb_eps
+                if not shifted > 0.0:
+                    raise ValueError(f"--perturb-eps {perturb_eps:g} shifts epsilon at "
+                                     f"{label} to {shifted:.12g}, which is not positive")
+                ki = kernel_integrals(Optimal(shifted), rule)
                 lhs, rhs = closed_form_sides(n, r, eta, p, ki)
                 closed = lhs / rhs
                 f = Optimal(eps_opt)
                 orc = evaluate(rho, f, f, angles, rule).ratio
-                yield (f"functional n={n} eta={eta} p={p}", closed, orc)
+                yield (label, closed, orc)
 
                 closed_c = cfrd_bell_value(spec, rule).ratio
                 ident = Identity()
@@ -201,7 +215,9 @@ def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
 def _cmd_oracle_check(args) -> int:
     if not 3 <= args.n_min <= args.n_max:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]; n >= 3")
-    rule = gauss_hermite_rule(args.order)
+    if not abs(args.perturb_eps) < float("inf"):
+        raise ValueError(f"--perturb-eps must be finite, got {args.perturb_eps}")
+    rule = _integrating_rule(args.order)
     lines = []
     worst = 0.0
     worst_label = ""
@@ -254,10 +270,10 @@ def _cmd_optimize(args) -> int:
     status = 0
     updates = []
     try:
-        eps, best, bell, residual = optimize_function(spec, rule, init,
-                                                      iteration_callback=updates.append)
+        eps, best, ratio, residual = optimize_function(spec, rule, init,
+                                                       iteration_callback=updates.append)
     except ConvergenceError as exc:
-        (eps, best, bell), residual = exc.best, exc.residual
+        (eps, best, ratio), residual = exc.best, exc.residual
         status = 1
         print(f"warning: {exc}", file=sys.stderr)
 
@@ -271,7 +287,7 @@ def _cmd_optimize(args) -> int:
         "eta": args.eta,
         "p": args.p,
         "order": args.order,
-        "ratio": bell.ratio,
+        "ratio": ratio,
         "epsilon": eps,
         "reference_epsilon": eps_ref,
         "epsilon_deviation": abs(eps - eps_ref),

@@ -33,7 +33,6 @@ large-N limit is the exact root g = 1 (``asymptotic_product``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,15 +53,6 @@ INEQUALITIES = ("functional", "cfrd", "mk")
 
 _ETA_BRACKET = (0.3, 1.0)
 _LOG_RATIO_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class AsymptoticProduct:
-    """Large-N limit of a decoherence threshold curve."""
-
-    inequality_id: str
-    parameter: str
-    limit: float
 
 
 def _moment_integrals(inequality_id: str, n: int, eta: float,
@@ -199,7 +189,7 @@ def _per_site_root(ki) -> float:
     return float((b + np.sqrt(b * b + 4.0 * a * c)) / (2.0 * a))
 
 
-def asymptotic_product(inequality_id: str, rule: QuadratureRule) -> AsymptoticProduct:
+def asymptotic_product(inequality_id: str, rule: QuadratureRule) -> float:
     """Exact N -> infinity limit of the decoherence threshold of an inequality.
 
     The functional limit is the product s = eta*p at the noise-free optimal
@@ -208,11 +198,9 @@ def asymptotic_product(inequality_id: str, rule: QuadratureRule) -> AsymptoticPr
     efficiency, (1 + sqrt 5)/4.
     """
     if inequality_id == "functional":
-        ki = kernel_integrals(Optimal(ideal_epsilon(rule)), rule)
-        return AsymptoticProduct(inequality_id, "product", _per_site_root(ki))
+        return _per_site_root(kernel_integrals(Optimal(ideal_epsilon(rule)), rule))
     if inequality_id == "cfrd":
-        ki = kernel_integrals(Identity(), rule)
-        return AsymptoticProduct(inequality_id, "efficiency", _per_site_root(ki))
+        return _per_site_root(kernel_integrals(Identity(), rule))
     if inequality_id == "mk":
-        return AsymptoticProduct(inequality_id, "product", np.pi / 4.0)
+        return np.pi / 4.0
     raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")

@@ -277,11 +277,7 @@ def bell_value(spec: StateSpec, rule: QuadratureRule) -> BellResult:
     f = Optimal(optimal_epsilon(n, r, eta, rule))
     ki = kernel_integrals(f, rule)
     lhs, rhs = closed_form_sides(n, r, eta, p, ki)
-    return BellResult(
-        lhs=lhs, rhs=rhs, ratio=lhs / rhs,
-        inequality_id="functional",
-        function_id=f.label,
-    )
+    return BellResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs, function_id=f.label)
 
 
 def cfrd_bell_value(spec: StateSpec, rule: QuadratureRule) -> BellResult:
@@ -294,8 +290,4 @@ def cfrd_bell_value(spec: StateSpec, rule: QuadratureRule) -> BellResult:
     f = Identity()
     ki = kernel_integrals(f, rule)
     lhs, rhs = closed_form_sides(n, r, spec.efficiency, spec.purity, ki)
-    return BellResult(
-        lhs=lhs, rhs=rhs, ratio=lhs / rhs,
-        inequality_id="cfrd",
-        function_id=f.label,
-    )
+    return BellResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs, function_id=f.label)

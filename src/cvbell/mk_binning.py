@@ -29,7 +29,6 @@ class MKResult:
     """
 
     s_value: float
-    angles: AngleConfig
     variant: str
 
 
@@ -100,7 +99,7 @@ def mk_evaluate(rho: DensityMatrix, angles: AngleConfig) -> MKResult:
     if not np.isfinite(s_value):
         raise NumericalDomainError(
             f"binned oracle value at n = {n} overflows the float range")
-    return MKResult(s_value=float(s_value), angles=angles, variant=variant)
+    return MKResult(s_value=float(s_value), variant=variant)
 
 
 def mk_bell_value(spec: StateSpec) -> float:
@@ -114,18 +113,6 @@ def mk_bell_value(spec: StateSpec) -> float:
     n = spec.n_modes
     x = 4.0 * spec.efficiency / np.pi
     return float(spec.purity * (np.sqrt(2.0) / 2.0) * _half_power(x, n))
-
-
-def mk_bell_value_product_form(spec: StateSpec) -> float:
-    """Per-site decoherence-product form (sqrt(2)/2) * (4 eta p^2 / pi)^(N/2).
-
-    This treats eta p^2 as a single per-mode monomial, the convention behind
-    the critical-product threshold; it coincides with ``mk_bell_value`` at
-    p = 1 but is not the mixed-state expectation value at p < 1.
-    """
-    n = spec.n_modes
-    x = 4.0 * spec.efficiency * spec.purity ** 2 / np.pi
-    return float((np.sqrt(2.0) / 2.0) * _half_power(x, n))
 
 
 def _half_power(x: float, n: int) -> float:

@@ -260,27 +260,6 @@ class DensityMatrix:
             raise ValueError(f"matrix is not PSD: smallest eigenvalue {smallest:.3e}")
 
 
-def loss_kraus(eta: float):
-    """Amplitude-damping Kraus pair for photon survival probability eta.
-
-    K0 = |0><0| + sqrt(eta)|1><1|, K1 = sqrt(1-eta)|0><1|;
-    K0^dag K0 + K1^dag K1 = 1 exactly (trace preserving).
-    """
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(eta)]], dtype=complex)
-    k1 = np.array([[0.0, np.sqrt(1.0 - eta)], [0.0, 0.0]], dtype=complex)
-    return k0, k1
-
-
-def branch_indices(n: int, r: int) -> Tuple[int, int]:
-    """Bitstring indices of the two superposed occupation patterns.
-
-    Branch A has modes 0..r-1 occupied, branch B the complement.
-    """
-    a = ((1 << r) - 1) << (n - r)
-    b = (1 << (n - r)) - 1
-    return a, b
-
-
 def density_matrix(spec: StateSpec) -> DensityMatrix:
     """Detected-state density matrix for the given scenario.
 

@@ -1,54 +1,42 @@
-"""Exact brute-force evaluation of the functional-moment Bell observable.
+"""Exact evaluation of the functional-moment Bell observable on a state.
 
 Both sides of the inequality
 
     |< prod_k [f(x_k^theta_k) + i g(x_k^theta'_k)] >|^2
         <=  < prod_k [f(x_k^theta_k)^2 + g(x_k^theta'_k)^2] >
 
-are evaluated as Fock-space traces against an explicit density matrix, with
-no closed-form shortcuts.  Every analytic Bell value in the package is tested
-against this path.
+are traces of the state against tensor products of the site operators of
+``model.site_operator``.  The state is a sum of product terms, so each trace
+factorizes over sites and costs O(N).  No closed form of ``functional_bell``
+is used: f and g enter only through their 2x2 site operators.  ``evaluate``
+gives both sides and their ratio; ``ratio_partials`` gives the ratio with
+its partials in the site scalars, for the free-function optimizer.  Every
+analytic Bell value in the package is tested against this path; the tests'
+independent references (angle scan, golden-section eps search, separable
+states) live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ._accel import tensor_expectation, tensor_expectation_sums
 from .errors import normal_bound_side
-from .model import (
-    AngleConfig,
-    DensityMatrix,
-    Optimal,
-    ProductOperator,
-    StateSpec,
-    _site_correlators,
-    density_matrix,
-    site_operator,
-)
+from .model import AngleConfig, DensityMatrix, _site_correlators, site_operator
 from .quadrature import QuadratureRule
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class BellResult:
-    """One inequality evaluation: correlator side, bound side, and their ratio.
-
-    ``angles`` is the measurement setting of an oracle evaluation; closed
-    forms leave it None, since they hold at ``orthogonal_angles(n, r)``.
-    """
+    """One inequality evaluation: correlator side, bound side, and their ratio."""
 
     lhs: float
     rhs: float
     ratio: float
-    inequality_id: str
     function_id: str
-    angles: Optional[AngleConfig] = None
 
 
 def orthogonal_angles(n: int, r: int, base: float = 0.0) -> AngleConfig:
@@ -98,9 +86,7 @@ def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig,
         lhs=float(lhs),
         rhs=float(rhs),
         ratio=float(lhs / rhs),
-        inequality_id="functional",
         function_id=_function_id(f, g),
-        angles=angles,
     )
 
 
@@ -147,95 +133,3 @@ def ratio_partials(rho: DensityMatrix, f, g, angles: AngleConfig,
         d_amplitude=2.0 * (corr.conjugate() * d_corr).real / rhs,
         d_moments=-ratio * (d_rhs.real / rhs),
     )
-
-
-def angle_scan(rho: DensityMatrix, f, g, rule: QuadratureRule,
-               resolution: int = 4) -> Tuple[AngleConfig, BellResult]:
-    """Scan the orthogonal-angle family for the maximal ratio.
-
-    The scan covers every theta'_k = theta_k +/- pi/2 sign pattern combined
-    with a common-phase sweep of ``resolution`` values.  The bound side must
-    come out angle-invariant (to 1e-10); a violation of that aborts loudly
-    since it would mean the site operators are broken.
-    """
-    n = rho.n_modes
-    if n > 8:
-        raise ValueError(f"exhaustive pattern scan limited to 8 modes, got {n}")
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
-    phases = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    best: Tuple[AngleConfig, BellResult] | None = None
-    rhs_min = np.inf
-    rhs_max = -np.inf
-    for signs in itertools.product((1.0, -1.0), repeat=n):
-        for phi in phases:
-            cfg = AngleConfig(
-                theta=(phi,) * n,
-                theta_prime=tuple(phi + s * np.pi / 2.0 for s in signs),
-            )
-            res = evaluate(rho, f, g, cfg, rule)
-            rhs_min = min(rhs_min, res.rhs)
-            rhs_max = max(rhs_max, res.rhs)
-            if best is None or res.ratio > best[1].ratio:
-                best = (cfg, res)
-    if rhs_max - rhs_min > 1e-10 * max(1.0, abs(rhs_max)):
-        raise RuntimeError(
-            f"bound side varied with angles by {rhs_max - rhs_min:.3e}; "
-            "site operators violate their rotation identity"
-        )
-    return best
-
-
-def _golden_section_max(fn, a: float, b: float, xtol: float) -> float:
-    """Maximizer of a unimodal fn on [a, b]: the midpoint of the last
-    golden-section bracket narrower than xtol."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while d - c > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (c + d)
-
-
-def optimize_epsilon_numeric(spec: StateSpec,
-                             rule: QuadratureRule) -> Tuple[float, BellResult]:
-    """Golden-section maximization of the ratio over the one-parameter family.
-
-    f = g = x/(1 + eps x^2) at the correlator-maximizing angles, eps in
-    (0, 64], to a 1e-8 bracket: the oracle-side reference for
-    ``optimal_epsilon``.
-    """
-    rho = density_matrix(spec)
-    angles = orthogonal_angles(spec.n_modes, spec.r_split)
-
-    def ratio(eps: float) -> float:
-        f = Optimal(eps)
-        return evaluate(rho, f, f, angles, rule).ratio
-
-    eps = _golden_section_max(ratio, 1e-9, 64.0, 1e-8)
-    f = Optimal(eps)
-    return eps, evaluate(rho, f, f, angles, rule)
-
-
-def random_product_mixture(n: int, rng: np.random.Generator,
-                           n_states: int = 4) -> DensityMatrix:
-    """Convex mixture of random product states on the qubit subspace.
-
-    Local realism holds for such states, so any functional-moment ratio they
-    produce must stay at or below 1; the tests use them as the bound-side
-    sanity ensemble.
-    """
-    weights = rng.dirichlet(np.ones(n_states))
-    # per state and site, the Bloch angles (alpha, beta) in draw order
-    alpha, beta = np.moveaxis(
-        rng.uniform(0.0, (np.pi / 2.0, 2.0 * np.pi), size=(n_states, n, 2)), -1, 0)
-    kets = np.stack((np.cos(alpha), np.exp(1j * beta) * np.sin(alpha)), axis=-1)
-    factors = kets[..., :, None] * kets.conj()[..., None, :]
-    return DensityMatrix(n_modes=n, matrix=ProductOperator(weights, factors))

@@ -39,13 +39,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericalDomainError
 from .functional_bell import _bracketed_root
 from .model import SQRT_2_OVER_PI, Basis, Optimal, StateSpec, density_matrix
-from .oracle import (
-    BellResult,
-    RatioPartials,
-    evaluate,
-    orthogonal_angles,
-    ratio_partials,
-)
+from .oracle import RatioPartials, orthogonal_angles, ratio_partials
 from .quadrature import QuadratureRule
 
 # residual |log(1 + 4 b1/b0) - u| at which the map counts as converged
@@ -70,10 +64,6 @@ class _RatioProblem:
         self._dq0 = c                              # dq0/dv, per unit v
         self._dq1 = 4.0 * c * self.nodes ** 2      # dq1/dv, per unit v
 
-    def result(self, values: np.ndarray) -> BellResult:
-        f = Basis(self.nodes, values)
-        return evaluate(self.rho, f, f, self.angles, self.rule)
-
     def partials(self, values: np.ndarray) -> RatioPartials:
         f = Basis(self.nodes, values)
         return ratio_partials(self.rho, f, f, self.angles, self.rule)
@@ -86,10 +76,11 @@ class _RatioProblem:
         d_moments = 2.0 * (d_q0 * self._dq0 + d_q1 * self._dq1)
         return p.ratio, p.d_amplitude[0] * self._dm + d_moments * values
 
-    def residual(self, values: np.ndarray) -> float:
-        """Gradient max-norm over all but the gauge node, relative to the ratio."""
+    def ratio_and_residual(self, values: np.ndarray) -> Tuple[float, float]:
+        """The ratio, and the gradient max-norm over all but the gauge node
+        relative to it."""
         ratio, grad = self.ratio_and_gradient(values)
-        return float(np.max(np.abs(grad[1:])) / ratio)
+        return ratio, float(np.max(np.abs(grad[1:])) / ratio)
 
     def family(self, u: float) -> np.ndarray:
         """Node values of x/(1 + eps x^2) at eps = exp(u) - 1, scaled to value/node 1
@@ -120,14 +111,15 @@ def _gauged(f: Basis) -> Basis:
 def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
                       iteration_callback: Optional[Callable[[float], None]] = None):
     """Solve the stationarity condition of the ratio in the node values;
-    returns (eps, f, BellResult, residual) with f the gauge-fixed ``Basis``
-    of x/(1 + eps x^2) on the rule's positive nodes and residual its
-    relative stationarity residual.
+    returns (eps, f, ratio, residual) with f the gauge-fixed ``Basis`` of
+    x/(1 + eps x^2) on the rule's positive nodes, ratio the oracle ratio at
+    f and residual its relative stationarity residual, both from one pass of
+    ``ratio_partials``.
 
     ``iteration_callback`` receives the ratio at every map update: first at
     the start function, then on the family.
 
-    Raises ConvergenceError with the last (eps, f, BellResult) attached as
+    Raises ConvergenceError with the last (eps, f, ratio) attached as
     ``best`` and the residual as ``residual`` if the residual exceeds 1e-7,
     ValueError if the start is not finite at the nodes or vanishes at the
     first node, or if the purity is 0, and NumericalDomainError naming n when
@@ -150,17 +142,14 @@ def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
     except ConvergenceError as exc:
         u = exc.best        # judged by its gradient like any other end point
     best = _gauged(Basis(problem.nodes, problem.family(u)))
-    raw = problem.result(best.values)
-    bell = BellResult(lhs=raw.lhs, rhs=raw.rhs, ratio=raw.ratio, inequality_id="functional",
-                      function_id="free_function", angles=raw.angles)
     eps = float(np.expm1(u))
-    residual = problem.residual(best.values)
+    ratio, residual = problem.ratio_and_residual(best.values)
     if residual > _GTOL:
         raise ConvergenceError(
             f"stationarity not reached: relative gradient max-norm {residual:.3e} > {_GTOL:.1e}",
-            best=(eps, best, bell), residual=residual,
+            best=(eps, best, ratio), residual=residual,
         )
-    return eps, best, bell, residual
+    return eps, best, ratio, residual
 
 
 def euler_lagrange_residual(f, spec: StateSpec, rule: QuadratureRule) -> float:
@@ -172,4 +161,4 @@ def euler_lagrange_residual(f, spec: StateSpec, rule: QuadratureRule) -> float:
     (1e-12 and below) at a true optimum, order 1e-3 or larger away from one.
     """
     problem = _RatioProblem(spec, rule)
-    return problem.residual(_gauged(Basis.from_function(f, rule)).values)
+    return problem.ratio_and_residual(_gauged(Basis.from_function(f, rule)).values)[1]

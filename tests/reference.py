@@ -1,0 +1,166 @@
+"""Reference routes that only the tests call.
+
+Each function reaches a quantity the package computes by a route that shares
+no shortcut with the package's own:
+
+- ``angle_scan`` maximizes the oracle ratio over every orthogonal sign
+  pattern and a common-phase sweep, so ``orthogonal_angles`` is checked
+  against a search rather than assumed optimal;
+- ``optimize_epsilon_numeric`` maximizes the oracle ratio over eps by
+  golden-section search, a derivative-free check of ``optimal_epsilon``'s
+  stationarity root;
+- ``random_product_mixture`` draws separable states, on which local realism
+  bounds every ratio by 1, to check the bound side;
+- ``loss_kraus`` and ``branch_indices`` build the detected state with
+  full-size Kraus operators on explicit bitstrings, independently of
+  ``density_matrix``'s per-site factors;
+- ``mk_bell_value_product_form`` is the per-site decoherence-product
+  convention behind ``mk_critical_product``, which the threshold tests
+  invert.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Tuple
+
+import numpy as np
+
+from cvbell.mk_binning import _half_power
+from cvbell.model import (
+    AngleConfig,
+    DensityMatrix,
+    Optimal,
+    ProductOperator,
+    StateSpec,
+    density_matrix,
+)
+from cvbell.oracle import BellResult, evaluate, orthogonal_angles
+from cvbell.quadrature import QuadratureRule
+
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def angle_scan(rho: DensityMatrix, f, g, rule: QuadratureRule,
+               resolution: int = 4) -> Tuple[AngleConfig, BellResult]:
+    """Scan the orthogonal-angle family for the maximal ratio.
+
+    The scan covers every theta'_k = theta_k +/- pi/2 sign pattern combined
+    with a common-phase sweep of ``resolution`` values.  The bound side must
+    come out angle-invariant (to 1e-10); a violation of that aborts loudly
+    since it would mean the site operators are broken.
+    """
+    n = rho.n_modes
+    if n > 8:
+        raise ValueError(f"exhaustive pattern scan limited to 8 modes, got {n}")
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    phases = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    best: Tuple[AngleConfig, BellResult] | None = None
+    rhs_min = np.inf
+    rhs_max = -np.inf
+    for signs in itertools.product((1.0, -1.0), repeat=n):
+        for phi in phases:
+            cfg = AngleConfig(
+                theta=(phi,) * n,
+                theta_prime=tuple(phi + s * np.pi / 2.0 for s in signs),
+            )
+            res = evaluate(rho, f, g, cfg, rule)
+            rhs_min = min(rhs_min, res.rhs)
+            rhs_max = max(rhs_max, res.rhs)
+            if best is None or res.ratio > best[1].ratio:
+                best = (cfg, res)
+    if rhs_max - rhs_min > 1e-10 * max(1.0, abs(rhs_max)):
+        raise RuntimeError(
+            f"bound side varied with angles by {rhs_max - rhs_min:.3e}; "
+            "site operators violate their rotation identity"
+        )
+    return best
+
+
+def _golden_section_max(fn, a: float, b: float, xtol: float) -> float:
+    """Maximizer of a unimodal fn on [a, b]: the midpoint of the last
+    golden-section bracket narrower than xtol."""
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while d - c > xtol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    return 0.5 * (c + d)
+
+
+def optimize_epsilon_numeric(spec: StateSpec,
+                             rule: QuadratureRule) -> Tuple[float, BellResult]:
+    """Golden-section maximization of the ratio over the one-parameter family.
+
+    f = g = x/(1 + eps x^2) at the correlator-maximizing angles, eps in
+    (0, 64], to a 1e-8 bracket: the oracle-side reference for
+    ``optimal_epsilon``.
+    """
+    rho = density_matrix(spec)
+    angles = orthogonal_angles(spec.n_modes, spec.r_split)
+
+    def ratio(eps: float) -> float:
+        f = Optimal(eps)
+        return evaluate(rho, f, f, angles, rule).ratio
+
+    eps = _golden_section_max(ratio, 1e-9, 64.0, 1e-8)
+    f = Optimal(eps)
+    return eps, evaluate(rho, f, f, angles, rule)
+
+
+def random_product_mixture(n: int, rng: np.random.Generator,
+                           n_states: int = 4) -> DensityMatrix:
+    """Convex mixture of random product states on the qubit subspace.
+
+    Local realism holds for such states, so any functional-moment ratio they
+    produce must stay at or below 1; the tests use them as the bound-side
+    sanity ensemble.
+    """
+    weights = rng.dirichlet(np.ones(n_states))
+    # per state and site, the Bloch angles (alpha, beta) in draw order
+    alpha, beta = np.moveaxis(
+        rng.uniform(0.0, (np.pi / 2.0, 2.0 * np.pi), size=(n_states, n, 2)), -1, 0)
+    kets = np.stack((np.cos(alpha), np.exp(1j * beta) * np.sin(alpha)), axis=-1)
+    factors = kets[..., :, None] * kets.conj()[..., None, :]
+    return DensityMatrix(n_modes=n, matrix=ProductOperator(weights, factors))
+
+
+def loss_kraus(eta: float):
+    """Amplitude-damping Kraus pair for photon survival probability eta.
+
+    K0 = |0><0| + sqrt(eta)|1><1|, K1 = sqrt(1-eta)|0><1|;
+    K0^dag K0 + K1^dag K1 = 1 exactly (trace preserving).
+    """
+    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(eta)]], dtype=complex)
+    k1 = np.array([[0.0, np.sqrt(1.0 - eta)], [0.0, 0.0]], dtype=complex)
+    return k0, k1
+
+
+def branch_indices(n: int, r: int) -> Tuple[int, int]:
+    """Bitstring indices of the two superposed occupation patterns.
+
+    Branch A has modes 0..r-1 occupied, branch B the complement.
+    """
+    a = ((1 << r) - 1) << (n - r)
+    b = (1 << (n - r)) - 1
+    return a, b
+
+
+def mk_bell_value_product_form(spec: StateSpec) -> float:
+    """Per-site decoherence-product form (sqrt(2)/2) * (4 eta p^2 / pi)^(N/2).
+
+    This treats eta p^2 as a single per-mode monomial, the convention behind
+    the critical-product threshold; it coincides with ``mk_bell_value`` at
+    p = 1 but is not the mixed-state expectation value at p < 1.
+    """
+    n = spec.n_modes
+    x = 4.0 * spec.efficiency * spec.purity ** 2 / np.pi
+    return float((np.sqrt(2.0) / 2.0) * _half_power(x, n))

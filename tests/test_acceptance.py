@@ -36,9 +36,10 @@ from cvbell.model import (
     density_matrix,
     site_operator,
 )
-from cvbell.oracle import angle_scan, evaluate, orthogonal_angles, random_product_mixture
+from cvbell.oracle import evaluate, orthogonal_angles
 from cvbell.quadrature import kernel_integrals
 from cvbell.variational import optimize_function
+from reference import angle_scan, random_product_mixture
 
 
 @contextmanager
@@ -67,7 +68,7 @@ def test_criterion_2_binned_closed_form_identities(rule):
         assert abs(mk_critical_product(3) - 0.9897) < 5e-4
         assert abs(mk_critical_product(4) - 0.9336) < 5e-4
         assert abs(mk_critical_product(5) - 0.9022) < 5e-4
-        limit = asymptotic_product("mk", rule).limit
+        limit = asymptotic_product("mk", rule)
         assert abs(limit - np.pi / 4.0) < 1e-3
         # the product formula is the exact unit root of the per-site form
         eta3 = critical_efficiency(3, 1.0, "mk", rule)
@@ -80,7 +81,7 @@ def test_criterion_3_critical_efficiency_anchors(rule):
         assert abs(eta10 - 0.80) < 0.01
 
         cfrd = asymptotic_product("cfrd", rule)
-        assert abs(cfrd.limit - 0.81) < 0.005
+        assert abs(cfrd - 0.81) < 0.005
 
         eta58 = critical_efficiency(58, 1.0, "functional", rule)
         eta60 = critical_efficiency(60, 1.0, "functional", rule)
@@ -89,7 +90,7 @@ def test_criterion_3_critical_efficiency_anchors(rule):
         assert abs(eta_inf - 0.69) < 0.01
 
         prod = asymptotic_product("functional", rule)
-        assert abs(prod.limit - 0.6918) < 0.005
+        assert abs(prod - 0.6918) < 0.005
 
 
 def test_criterion_4_crossover_between_inequalities(rule):
@@ -186,12 +187,12 @@ def test_criterion_6_free_function_recovery(quick_rule, family_fit):
                 eps_ref = solve_epsilon_odd(n, 1.0, quick_rule).epsilon_odd
             ratios = []
             for init in (Identity(), SignBin()):
-                eps, best, bell, _ = optimize_function(spec, quick_rule, init)
+                eps, best, ratio, _ = optimize_function(spec, quick_rule, init)
                 eps_fit, rel_err = family_fit(best, quick_rule)
                 assert rel_err < 1e-3
                 assert abs(eps_fit - eps_ref) < 1e-3
                 assert abs(eps - eps_ref) <= 1e-9
-                ratios.append(bell.ratio)
+                ratios.append(ratio)
             assert abs(ratios[0] - ratios[1]) < 1e-6 * max(ratios)
 
 

@@ -11,9 +11,9 @@ from cvbell.cli import main
 from cvbell.errors import ConvergenceError
 from cvbell.functional_bell import closed_form_sides, optimal_epsilon
 from cvbell.model import Identity, Optimal, StateSpec
-from cvbell.oracle import optimize_epsilon_numeric
 from cvbell.quadrature import gauss_hermite_rule, kernel_integrals
 from cvbell.variational import optimize_function
+from reference import optimize_epsilon_numeric
 
 
 def run_cli(argv):
@@ -70,6 +70,26 @@ class TestEval:
         assert meta["command"] == "eval"
         assert meta["config"]["order"] == 256
 
+    def test_out_file_csv(self, tmp_path, capsys):
+        argv = ["eval", "--ineq", "functional", "--n", "6", "--eta", "1"]
+        assert run_cli(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        out = tmp_path / "res.csv"
+        assert run_cli(argv + ["--format", "csv", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out) == payload
+        header, row = out.read_text().splitlines()
+        keys = sorted(payload)
+        assert header.split(",") == keys
+        fields = dict(zip(keys, row.split(",")))
+        assert fields["eta"] == "1"
+        assert fields["violated"] == "True"
+        assert fields["ratio"] == f"{payload['ratio']:.12g}"
+        assert fields["lhs"] == f"{payload['lhs']:.12g}"
+        assert fields["function"] == payload["function"]
+        meta = json.loads((tmp_path / "res.csv.meta.json").read_text())
+        assert meta["command"] == "eval"
+        assert meta["config"]["format"] == "csv"
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli(["eval", "--ineq", "bogus", "--n", "3"])
@@ -97,6 +117,9 @@ class TestEval:
         monkeypatch.setattr("cvbell.cli.gauss_hermite_rule", not_reached)
         assert run_cli(["eval", "--ineq", "mk", "--n", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["order"] == 256
+        # it reads no rule, so the single-node rule is accepted too
+        assert run_cli(["eval", "--ineq", "mk", "--n", "3", "--order", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 1
 
     @pytest.mark.parametrize("ineq, n", [("functional", 330), ("cfrd", 770)])
     def test_largest_representable_mode_count(self, capsys, ineq, n):
@@ -116,6 +139,24 @@ class TestEval:
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
         assert "bound side at n = 5000 is outside the normal float range" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--ineq", "functional", "--n", "6"],
+        ["eval", "--ineq", "cfrd", "--n", "6"],
+        ["figure1", "--n-max", "6"],
+        ["figure2", "--n-max", "6"],
+        ["figure2", "--ineq", "cfrd", "--n-max", "6"],
+        ["oracle-check", "--n-max", "3"],
+    ])
+    def test_single_node_rule_rejected(self, tmp_path, capsys, argv):
+        # the one node of the order-1 rule is x = 0, where odd functions vanish
+        if argv[0].startswith("figure"):
+            argv = argv + ["--out", str(tmp_path / "fig.csv")]
+        with pytest.raises(SystemExit) as err:
+            run_cli(argv + ["--order", "1"])
+        assert err.value.code == 2
+        assert "--order 1" in capsys.readouterr().err
+        assert not (tmp_path / "fig.csv").exists()
 
     def test_mk_overflow_names_the_mode_count(self, capsys):
         assert run_cli(["eval", "--ineq", "mk", "--n", "5000"]) == 0
@@ -210,6 +251,23 @@ class TestFigure2:
         assert len(body) == 3
         assert all(row.startswith("mk,") for row in body)
 
+    def test_mk_builds_no_rule(self, tmp_path, capsys, monkeypatch):
+        def not_reached(order):
+            raise AssertionError("the binned thresholds read a quadrature rule")
+
+        monkeypatch.setattr("cvbell.cli.gauss_hermite_rule", not_reached)
+        out = tmp_path / "mk.csv"
+        for order in ("256", "300", "1"):
+            assert run_cli(["figure2", "--ineq", "mk", "--n-min", "3", "--n-max", "4",
+                            "--order", order, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "mk.csv.meta.json").read_text())["config"]["order"] == 1
+        with pytest.raises(SystemExit) as err:
+            run_cli(["figure2", "--ineq", "mk", "--n-min", "3", "--n-max", "4",
+                     "--order", "0", "--out", str(out)])
+        assert err.value.code == 2
+        assert "order must be in [1, 512], got 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ineq, n", [("functional", 131), ("cfrd", 298)])
     def test_purity_threshold_below_1e_9(self, tmp_path, capsys, ineq, n):
         out = tmp_path / "tail.csv"
@@ -248,6 +306,23 @@ class TestOracleCheck:
         report = capsys.readouterr().out
         assert code == 1
         assert "BREACH" in report
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_perturbation_rejected(self, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["oracle-check", "--n-max", "3", "--perturb-eps", value])
+        assert err.value.code == 2
+        assert f"--perturb-eps must be finite, got {value}" in capsys.readouterr().err
+
+    def test_perturbation_to_nonpositive_epsilon_names_the_cell(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["oracle-check", "--n-max", "3", "--perturb-eps", "-100"])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        eps = optimal_epsilon(3, 1, 1.0, gauss_hermite_rule(256))
+        assert "--perturb-eps -100" in message
+        assert "functional n=3 eta=1.0 p=1.0" in message
+        assert f"{eps - 100.0:.12g}" in message
 
     def test_grid_ceiling(self, capsys):
         assert run_cli(["oracle-check", "--n-min", "24", "--n-max", "24"]) == 0
@@ -320,8 +395,8 @@ class TestOptimize:
     def test_unconverged_run_reports_the_error_residual(self, tmp_path, capsys,
                                                        monkeypatch):
         def unconverged(*args, **kwargs):
-            eps, f, bell, _ = optimize_function(*args, **kwargs)
-            raise ConvergenceError("stationarity not reached", best=(eps, f, bell),
+            eps, f, ratio, _ = optimize_function(*args, **kwargs)
+            raise ConvergenceError("stationarity not reached", best=(eps, f, ratio),
                                    residual=3.5e-6)
 
         monkeypatch.setattr("cvbell.cli.optimize_function", unconverged)

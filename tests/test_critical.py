@@ -20,9 +20,10 @@ from cvbell.functional_bell import (
     ideal_epsilon,
     optimal_epsilon,
 )
-from cvbell.mk_binning import mk_bell_value, mk_bell_value_product_form, mk_critical_product
+from cvbell.mk_binning import mk_bell_value, mk_critical_product
 from cvbell.model import Optimal, StateSpec, canonical_split
 from cvbell.quadrature import kernel_integrals
+from reference import mk_bell_value_product_form
 
 
 class TestCanonicalSplit:
@@ -205,17 +206,17 @@ class TestThresholds:
 class TestAsymptotics:
     def test_functional_product_limit(self, rule):
         res = asymptotic_product("functional", rule)
-        assert abs(res.limit - 0.6918) < 0.005
+        assert abs(res - 0.6918) < 0.005
 
     def test_mk_product_limit(self, rule):
         res = asymptotic_product("mk", rule)
-        assert abs(res.limit - np.pi / 4.0) < 1e-3
+        assert abs(res - np.pi / 4.0) < 1e-3
 
     def test_cfrd_efficiency_limit(self, rule):
         res = asymptotic_product("cfrd", rule)
-        assert abs(res.limit - 0.81) < 0.005
+        assert abs(res - 0.81) < 0.005
         # exact fixed point of the asymptotic quadratic: (1 + sqrt(5))/4
-        assert abs(res.limit - (1 + np.sqrt(5)) / 4.0) < 2e-3
+        assert abs(res - (1 + np.sqrt(5)) / 4.0) < 2e-3
 
     def test_unknown_inequality(self, rule):
         with pytest.raises(ValueError):
@@ -239,7 +240,7 @@ class TestLargeN:
         return 0.5 * (lo + hi)
 
     def test_cfrd_limit_is_the_golden_ratio_half(self, rule):
-        limit = asymptotic_product("cfrd", rule).limit
+        limit = asymptotic_product("cfrd", rule)
         assert abs(limit - (1 + math.sqrt(5)) / 4.0) < 1e-13
 
     def test_functional_limit_is_the_quarter_quadratic(self, rule):
@@ -251,11 +252,11 @@ class TestLargeN:
                           -k * np.pi * ki.i_zero * (ki.i_cross - ki.i_zero),
                           -k * np.pi * ki.i_zero ** 2])
         want = max(roots.real)
-        limit = asymptotic_product("functional", rule).limit
+        limit = asymptotic_product("functional", rule)
         assert abs(limit - want) < 1e-12
 
     def test_mk_limit_is_quarter_pi(self, rule):
-        assert asymptotic_product("mk", rule).limit == np.pi / 4.0
+        assert asymptotic_product("mk", rule) == np.pi / 4.0
 
     @pytest.mark.parametrize("ineq", ["functional", "cfrd"])
     def test_efficiency_approaches_limit_from_above(self, rule, ineq):
@@ -263,7 +264,7 @@ class TestLargeN:
             limit = self._functional_efficiency_limit(rule)
             assert abs(limit - 0.6807145) < 1e-7
         else:
-            limit = asymptotic_product("cfrd", rule).limit
+            limit = asymptotic_product("cfrd", rule)
         etas = [critical_efficiency(n, 1.0, ineq, rule) for n in (1000, 3000, 10000)]
         assert np.all(np.diff(etas) < 0)
         assert min(etas) > limit

@@ -19,8 +19,9 @@ from cvbell.functional_bell import (
     solve_epsilon_odd,
 )
 from cvbell.model import Identity, Optimal, StateSpec, density_matrix
-from cvbell.oracle import evaluate, optimize_epsilon_numeric, orthogonal_angles
+from cvbell.oracle import evaluate, orthogonal_angles
 from cvbell.quadrature import gauss_hermite_rule, kernel_integrals
+from reference import optimize_epsilon_numeric
 
 # frozen from two independent numeric routes (damped fixed point and
 # golden-section maximization of the six-mode ratio)
@@ -302,11 +303,6 @@ class TestBellValue:
         b = bell_value(StateSpec(n, n - r, 0.9, 0.85), rule)
         assert a.ratio == pytest.approx(b.ratio, rel=1e-12)
         assert a.function_id == b.function_id
-
-    def test_closed_forms_carry_no_angles(self, rule):
-        spec = StateSpec(6, 3, 0.9, 0.9)
-        assert bell_value(spec, rule).angles is None
-        assert cfrd_bell_value(spec, rule).angles is None
 
     def test_lhs_rhs_consistent(self, rule):
         res = bell_value(StateSpec(6, 3, 0.9, 0.9), rule)

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from cvbell import _accel
-from cvbell.model import (
-    ProductOperator,
-    StateSpec,
-    branch_indices,
-    density_matrix,
-    loss_kraus,
-)
+from cvbell.model import ProductOperator, StateSpec, density_matrix
+from reference import branch_indices, loss_kraus
 
 
 def random_case(rng, n, sparse=False):

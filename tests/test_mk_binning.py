@@ -4,12 +4,12 @@ import pytest
 from cvbell.errors import NumericalDomainError
 from cvbell.mk_binning import (
     mk_bell_value,
-    mk_bell_value_product_form,
     mk_critical_product,
     mk_evaluate,
     mk_optimal_angles,
 )
 from cvbell.model import AngleConfig, DensityMatrix, ProductOperator, StateSpec, density_matrix
+from reference import mk_bell_value_product_form
 
 SQRT2_HALF = np.sqrt(2.0) / 2.0
 

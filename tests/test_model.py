@@ -9,12 +9,11 @@ from cvbell.model import (
     Optimal,
     SignBin,
     StateSpec,
-    branch_indices,
     density_matrix,
-    loss_kraus,
     site_operator,
 )
 from cvbell.oracle import evaluate, orthogonal_angles
+from reference import branch_indices, loss_kraus
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 

@@ -27,15 +27,9 @@ from cvbell.model import (
     _site_scalars,
     density_matrix,
 )
-from cvbell.oracle import (
-    angle_scan,
-    evaluate,
-    optimize_epsilon_numeric,
-    orthogonal_angles,
-    random_product_mixture,
-    ratio_partials,
-)
+from cvbell.oracle import evaluate, orthogonal_angles, ratio_partials
 from cvbell.quadrature import kernel_integrals
+from reference import angle_scan, optimize_epsilon_numeric, random_product_mixture
 
 
 def site_scalars(f, rule):

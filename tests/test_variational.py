@@ -25,32 +25,32 @@ from cvbell.variational import _RatioProblem, euler_lagrange_residual, optimize_
 @pytest.fixture(scope="module")
 def six_mode_run(quick_rule):
     history = []
-    eps, best, bell, _ = optimize_function(StateSpec(6, 3), quick_rule, Identity(),
-                                           iteration_callback=history.append)
-    return eps, best, bell, history
+    eps, best, ratio, _ = optimize_function(StateSpec(6, 3), quick_rule, Identity(),
+                                            iteration_callback=history.append)
+    return eps, best, ratio, history
 
 
 class TestRecovery:
     def test_six_modes_recovers_rational_family(self, quick_rule, six_mode_run, family_fit):
-        eps, best, bell, _ = six_mode_run
+        eps, best, ratio, _ = six_mode_run
         eps_fit, rel_err = family_fit(best, quick_rule)
         eps_ref = solve_epsilon_even(1.0, quick_rule).epsilon_lossy
         assert rel_err < 1e-3
         assert abs(eps_fit - eps_ref) < 1e-3
         assert abs(eps - optimal_epsilon(6, 3, 1.0, quick_rule)) <= 1e-9
         closed = bell_value(StateSpec(6, 3), quick_rule).ratio
-        assert abs(bell.ratio - closed) / closed < 1e-6
+        assert abs(ratio - closed) / closed < 1e-6
 
     def test_basin_robustness_from_binned_start(self, quick_rule, six_mode_run, family_fit):
-        _, _, bell_identity, _ = six_mode_run
-        eps, best, bell, _ = optimize_function(StateSpec(6, 3), quick_rule, SignBin())
-        assert abs(bell.ratio - bell_identity.ratio) < 1e-6 * bell.ratio
+        _, _, ratio_identity, _ = six_mode_run
+        eps, best, ratio, _ = optimize_function(StateSpec(6, 3), quick_rule, SignBin())
+        assert abs(ratio - ratio_identity) < 1e-6 * ratio
         _, rel_err = family_fit(best, quick_rule)
         assert rel_err < 1e-3
         assert abs(eps - optimal_epsilon(6, 3, 1.0, quick_rule)) <= 1e-9
 
     def test_five_modes_recovers_odd_parameter(self, quick_rule, family_fit):
-        eps, best, bell, _ = optimize_function(StateSpec(5, 2), quick_rule, SignBin())
+        eps, best, ratio, _ = optimize_function(StateSpec(5, 2), quick_rule, SignBin())
         eps_fit, rel_err = family_fit(best, quick_rule)
         eps_ref = solve_epsilon_odd(5, 1.0, quick_rule).epsilon_odd
         assert rel_err < 1e-3
@@ -60,15 +60,15 @@ class TestRecovery:
     def test_scaled_init_reaches_identical_ratio(self, quick_rule, six_mode_run):
         # gauge normalization cancels the overall scale up to float rounding,
         # so both runs converge to the same ratio within optimizer precision
-        _, _, bell_ref, _ = six_mode_run
+        _, _, ratio_ref, _ = six_mode_run
         scaled = lambda x: 10.0 * Identity()(x)
-        _, _, bell, _ = optimize_function(StateSpec(6, 3), quick_rule, scaled)
-        assert bell.ratio == pytest.approx(bell_ref.ratio, rel=1e-8)
+        _, _, ratio, _ = optimize_function(StateSpec(6, 3), quick_rule, scaled)
+        assert ratio == pytest.approx(ratio_ref, rel=1e-8)
 
     def test_never_exceeds_analytic_optimum(self, quick_rule, six_mode_run):
-        _, _, bell, _ = six_mode_run
+        _, _, ratio, _ = six_mode_run
         closed = bell_value(StateSpec(6, 3), quick_rule).ratio
-        assert bell.ratio <= closed * (1 + 1e-6)
+        assert ratio <= closed * (1 + 1e-6)
 
     def test_ascent_is_monotone(self, six_mode_run):
         _, _, _, history = six_mode_run
@@ -194,12 +194,12 @@ class TestGradientMachinery:
     def test_map_reaches_stationarity(self, quick_rule, data, n, eta, p, init):
         r = data.draw(st.integers(0, n), label="r")
         spec = StateSpec(n, r, p, eta)
-        _, best, bell, residual = optimize_function(spec, quick_rule, init)
+        _, best, ratio, residual = optimize_function(spec, quick_rule, init)
         assert residual <= 1e-9
         assert euler_lagrange_residual(best, spec, quick_rule) <= 1e-9
         if r == n // 2:
             closed = bell_value(spec, quick_rule).ratio
-            assert bell.ratio == pytest.approx(closed, rel=1e-10)
+            assert ratio == pytest.approx(closed, rel=1e-10)
 
 
 class TestFreeFunctionType:
