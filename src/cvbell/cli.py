@@ -11,6 +11,11 @@ optimize      free-function optimization vs the closed-form root, CSV + JSON
 All file outputs are deterministic: floats at 12 significant digits, LF line
 endings, plus a ``<out>.meta.json`` sidecar echoing the configuration and the
 quadrature order.
+
+Each subcommand imports the modules it runs when it is called, so a command
+loads and compiles only those: ``eval --ineq mk`` never loads the functional
+closed forms, the oracle, the thresholds or the optimizer.  Only the parser,
+``errors`` and ``quadrature`` (for the order defaults) load with this module.
 """
 
 from __future__ import annotations
@@ -21,26 +26,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._accel import backend_name
-from .critical import thresholds
 from .errors import ConvergenceError
-from .functional_bell import (
-    bell_value,
-    cfrd_bell_value,
-    closed_form_sides,
-    optimal_epsilon,
-)
-from .mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
-from .model import Identity, Optimal, SignBin, StateSpec, canonical_split, density_matrix
-from .oracle import evaluate, orthogonal_angles
-from .quadrature import (
-    DEFAULT_ORDER,
-    QUICK_ORDER,
-    check_order,
-    gauss_hermite_rule,
-    kernel_integrals,
-)
-from .variational import optimize_function
+from .quadrature import DEFAULT_ORDER, QUICK_ORDER, check_order, gauss_hermite_rule
 
 ORACLE_CHECK_TOL = 1e-6
 MK_RSWEEP_TOL = 1e-8
@@ -60,6 +47,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_sidecar(path: Path, command: str, config: dict) -> None:
+    from ._accel import backend_name
+
     meta = {
         "command": command,
         "config": {k: v for k, v in config.items()
@@ -84,6 +73,8 @@ def _integrating_rule(order):
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
+    from .model import StateSpec, canonical_split
+
     check_order(args.order)  # mk needs no rule but reports the order
     r = args.r if args.r is not None else canonical_split(args.n)
     spec = StateSpec(n_modes=args.n, r_split=r, purity=args.p, efficiency=args.eta)
@@ -96,12 +87,16 @@ def _cmd_eval(args) -> int:
         "order": args.order,
     }
     if args.ineq in ("functional", "cfrd"):
+        from .functional_bell import bell_value, cfrd_bell_value
+
         rule = _integrating_rule(args.order)
         res = (bell_value if args.ineq == "functional" else cfrd_bell_value)(spec, rule)
         payload.update(
             function=res.function_id, lhs=res.lhs, rhs=res.rhs, ratio=res.ratio
         )
     else:
+        from .mk_binning import mk_bell_value
+
         b = mk_bell_value(spec)
         payload.update(function="sign_bin", s_value=b, bound=1.0, ratio=b)
     payload["violated"] = bool(payload["ratio"] > 1.0)
@@ -124,6 +119,9 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_figure1(args) -> int:
+    from .functional_bell import bell_value, cfrd_bell_value
+    from .model import StateSpec, canonical_split
+
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]")
     rule = _integrating_rule(args.order)
@@ -145,6 +143,8 @@ def _cmd_figure1(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_figure2(args) -> int:
+    from .critical import thresholds
+
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]")
     check_order(args.order)  # the binned thresholds need no rule
@@ -179,6 +179,12 @@ def _cmd_figure2(args) -> int:
 
 def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
     """Yield (label, closed, oracle, rel_deviation) per grid cell."""
+    from .functional_bell import cfrd_bell_value, closed_form_sides, optimal_epsilon
+    from .mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
+    from .model import Identity, Optimal, StateSpec, canonical_split, density_matrix
+    from .oracle import evaluate, orthogonal_angles
+    from .quadrature import kernel_integrals
+
     etas = (1.0, 0.9, 0.8)
     ps = (1.0, 0.9)
     for n in range(n_min, n_max + 1):
@@ -213,6 +219,9 @@ def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
 
 
 def _cmd_oracle_check(args) -> int:
+    from .mk_binning import mk_evaluate, mk_optimal_angles
+    from .model import StateSpec, density_matrix
+
     if not 3 <= args.n_min <= args.n_max:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]; n >= 3")
     if not abs(args.perturb_eps) < float("inf"):
@@ -254,6 +263,10 @@ def _cmd_oracle_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_optimize(args) -> int:
+    from .functional_bell import optimal_epsilon
+    from .model import Identity, SignBin, StateSpec, canonical_split
+    from .variational import optimize_function
+
     if args.n < 2:
         raise ValueError(f"--n must be at least 2, got {args.n}")
     if args.order < 4:

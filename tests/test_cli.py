@@ -399,7 +399,7 @@ class TestOptimize:
             raise ConvergenceError("stationarity not reached", best=(eps, f, ratio),
                                    residual=3.5e-6)
 
-        monkeypatch.setattr("cvbell.cli.optimize_function", unconverged)
+        monkeypatch.setattr("cvbell.variational.optimize_function", unconverged)
         out = tmp_path / "opt.csv"
         assert run_cli(["optimize", "--n", "5", "--out", str(out)]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -441,7 +441,7 @@ class TestOptimize:
         def not_reached(*args, **kwargs):
             raise AssertionError("optimizer ran on rejected input")
 
-        monkeypatch.setattr("cvbell.cli.optimize_function", not_reached)
+        monkeypatch.setattr("cvbell.variational.optimize_function", not_reached)
         with pytest.raises(SystemExit) as err:
             run_cli(["optimize", flag, value, "--out", str(tmp_path / "opt.csv")])
         assert err.value.code == 2
