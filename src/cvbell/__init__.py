@@ -15,24 +15,30 @@ import importlib
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "errors": ("ConvergenceError", "MonotonicityError", "NumericalDomainError"),
-    "quadrature": ("DEFAULT_ORDER", "QUICK_ORDER", "GAUSS_NORM", "KernelIntegrals",
-                   "QuadratureRule", "gauss_hermite_rule", "kernel_integrals"),
-    "model": ("AngleConfig", "Basis", "DensityMatrix", "Identity", "MeasurementFunction",
-              "Optimal", "ProductOperator", "SignBin", "StateSpec", "density_matrix",
-              "site_operator"),
-    "oracle": ("BellResult", "evaluate", "orthogonal_angles"),
-    "functional_bell": ("EpsilonSolution", "bell_value", "cfrd_bell_value",
-                        "ideal_epsilon", "lossy_epsilon_map", "optimal_epsilon",
-                        "solve_epsilon_even", "solve_epsilon_odd"),
-    "mk_binning": ("MKResult", "mk_bell_value", "mk_critical_product", "mk_evaluate",
-                   "mk_optimal_angles"),
-    "variational": ("euler_lagrange_residual", "optimize_function"),
-    "critical": ("asymptotic_product", "bell_ratio", "critical_efficiency",
-                 "critical_purity"),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+# (module, names) runs, in the order of ``__all__``; each name is listed
+# with the submodule that defines it.
+_EXPORTS = (
+    ("errors", ("ConvergenceError", "MonotonicityError", "NumericalDomainError")),
+    ("quadrature", ("DEFAULT_ORDER", "QUICK_ORDER", "GAUSS_NORM", "KernelIntegrals",
+                    "QuadratureRule", "gauss_hermite_rule", "kernel_integrals")),
+    ("model", ("AngleConfig", "Basis", "DensityMatrix")),
+    ("quadrature", ("Identity", "MeasurementFunction", "Optimal")),
+    ("model", ("ProductOperator",)),
+    ("quadrature", ("SignBin",)),
+    ("scenario", ("StateSpec",)),
+    ("model", ("density_matrix", "site_operator")),
+    ("functional_bell", ("BellResult",)),
+    ("oracle", ("evaluate", "orthogonal_angles")),
+    ("functional_bell", ("EpsilonSolution", "bell_value", "cfrd_bell_value",
+                         "ideal_epsilon", "lossy_epsilon_map", "optimal_epsilon",
+                         "solve_epsilon_even", "solve_epsilon_odd")),
+    ("mk_binning", ("MKResult", "mk_bell_value", "mk_critical_product", "mk_evaluate",
+                    "mk_optimal_angles")),
+    ("variational", ("euler_lagrange_residual", "optimize_function")),
+    ("critical", ("asymptotic_product", "bell_ratio", "critical_efficiency",
+                  "critical_purity")),
+)
+_MODULE_OF = {name: module for module, names in _EXPORTS for name in names}
 
 __all__ = ["__version__", *_MODULE_OF]
 

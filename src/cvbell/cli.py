@@ -9,13 +9,17 @@ oracle-check  closed-form vs Fock-space agreement report (nonzero exit on breach
 optimize      free-function optimization vs the closed-form root, CSV + JSON
 
 All file outputs are deterministic: floats at 12 significant digits, LF line
-endings, plus a ``<out>.meta.json`` sidecar echoing the configuration and the
-quadrature order.
+endings, plus a ``<out>.meta.json`` sidecar echoing the configuration, the
+quadrature order and the package version.
 
 Each subcommand imports the modules it runs when it is called, so a command
 loads and compiles only those: ``eval --ineq mk`` never loads the functional
 closed forms, the oracle, the thresholds or the optimizer.  Only the parser,
-``errors`` and ``quadrature`` (for the order defaults) load with this module.
+``errors`` and ``quadrature`` (for the order defaults) load with this module,
+and none of them loads numpy.  ``eval``, ``figure1`` and ``figure2`` compute
+in plain floats and never load it at the tabulated orders 64 and 256; any
+other ``--order`` computes its rule with numpy.  ``oracle-check`` and
+``optimize`` build states and arrays, and load it.
 """
 
 from __future__ import annotations
@@ -47,14 +51,11 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_sidecar(path: Path, command: str, config: dict) -> None:
-    from ._accel import backend_name
-
     meta = {
         "command": command,
         "config": {k: v for k, v in config.items()
                    if k != "func" and not callable(v)},
         "package_version": __version__,
-        "contraction_backend": backend_name(),
     }
     side = path.with_name(path.name + ".meta.json")
     side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -73,7 +74,7 @@ def _integrating_rule(order):
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    from .model import StateSpec, canonical_split
+    from .scenario import StateSpec, canonical_split
 
     check_order(args.order)  # mk needs no rule but reports the order
     r = args.r if args.r is not None else canonical_split(args.n)
@@ -120,7 +121,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_figure1(args) -> int:
     from .functional_bell import bell_value, cfrd_bell_value
-    from .model import StateSpec, canonical_split
+    from .scenario import StateSpec, canonical_split
 
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]")
@@ -181,9 +182,10 @@ def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
     """Yield (label, closed, oracle, rel_deviation) per grid cell."""
     from .functional_bell import cfrd_bell_value, closed_form_sides, optimal_epsilon
     from .mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
-    from .model import Identity, Optimal, StateSpec, canonical_split, density_matrix
+    from .model import density_matrix
     from .oracle import evaluate, orthogonal_angles
-    from .quadrature import kernel_integrals
+    from .quadrature import Identity, Optimal, kernel_integrals
+    from .scenario import StateSpec, canonical_split
 
     etas = (1.0, 0.9, 0.8)
     ps = (1.0, 0.9)
@@ -220,7 +222,8 @@ def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
 
 def _cmd_oracle_check(args) -> int:
     from .mk_binning import mk_evaluate, mk_optimal_angles
-    from .model import StateSpec, density_matrix
+    from .model import density_matrix
+    from .scenario import StateSpec
 
     if not 3 <= args.n_min <= args.n_max:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]; n >= 3")
@@ -264,7 +267,8 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_optimize(args) -> int:
     from .functional_bell import optimal_epsilon
-    from .model import Identity, SignBin, StateSpec, canonical_split
+    from .quadrature import Identity, SignBin
+    from .scenario import StateSpec, canonical_split
     from .variational import optimize_function
 
     if args.n < 2:

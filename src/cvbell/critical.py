@@ -33,9 +33,8 @@ large-N limit is the exact root g = 1 (``asymptotic_product``).
 
 from __future__ import annotations
 
+import math
 from typing import Optional
-
-import numpy as np
 
 from .errors import MonotonicityError
 from .functional_bell import (
@@ -46,8 +45,8 @@ from .functional_bell import (
     optimal_epsilon,
 )
 from .mk_binning import mk_bell_value, mk_critical_product
-from .model import Identity, Optimal, StateSpec, canonical_split
-from .quadrature import KernelIntegrals, QuadratureRule, kernel_integrals
+from .quadrature import Identity, KernelIntegrals, Optimal, QuadratureRule, kernel_integrals
+from .scenario import StateSpec, canonical_split
 
 INEQUALITIES = ("functional", "cfrd", "mk")
 
@@ -163,7 +162,7 @@ def critical_purity(n: int, eta: float, inequality_id: str,
         target = mk_critical_product(n) / eta
         if target > 1.0:
             return None
-        return float(np.sqrt(target))
+        return math.sqrt(target)
     b = bell_ratio(inequality_id, n, eta, 1.0, rule)
     if b <= 1.0:
         return None
@@ -184,9 +183,9 @@ def _per_site_root(ki) -> float:
     """
     ip, ii, i0 = ki.i_plus, ki.i_cross, ki.i_zero
     a = 8.0 * ip ** 4
-    b = np.pi * i0 * (ii - i0)
-    c = np.pi * i0 * i0
-    return float((b + np.sqrt(b * b + 4.0 * a * c)) / (2.0 * a))
+    b = math.pi * i0 * (ii - i0)
+    c = math.pi * i0 * i0
+    return (b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
 
 
 def asymptotic_product(inequality_id: str, rule: QuadratureRule) -> float:
@@ -202,5 +201,5 @@ def asymptotic_product(inequality_id: str, rule: QuadratureRule) -> float:
     if inequality_id == "cfrd":
         return _per_site_root(kernel_integrals(Identity(), rule))
     if inequality_id == "mk":
-        return np.pi / 4.0
+        return math.pi / 4.0
     raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")

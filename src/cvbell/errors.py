@@ -1,5 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and input checks shared across the package."""
 
+import operator
 import sys
 
 
@@ -29,6 +30,15 @@ def normal_bound_side(value: float, n: int, source: str) -> float:
         raise NumericalDomainError(
             f"{source} bound side at n = {n} is outside the normal float range")
     return value
+
+
+def is_integer(value) -> bool:
+    """True for an int or an integer scalar of an array library (``__index__``)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 class MonotonicityError(RuntimeError):

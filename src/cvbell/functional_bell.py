@@ -13,6 +13,9 @@ scales only the two off-diagonal entries of the density matrix, so the
 correlator side scales by p and the ratio by p^2, independent of N.  The
 per-site decoherence-product forms that treat eta*p^2 (binned) or (eta p)^2
 (functional) as a single per-mode monomial live with the threshold solvers.
+
+The module computes in plain floats and imports no numpy.  ``BellResult``,
+which the oracle returns as well, is defined here.
 """
 
 from __future__ import annotations
@@ -21,16 +24,23 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import ConvergenceError, NumericalDomainError, normal_bound_side
-from .model import Identity, Optimal, StateSpec
-from .oracle import BellResult
-from .quadrature import KernelIntegrals, QuadratureRule, kernel_integrals
+from .quadrature import Identity, KernelIntegrals, Optimal, QuadratureRule, kernel_integrals
+from .scenario import StateSpec
 
 _IDEAL_CACHE: dict = {}   # rule order -> ideal fixed point; write-once per key
 _MAX_EVALS = 100
 _ULPS = 4   # a bracket this many float spacings wide pins the root
+
+
+@dataclass(frozen=True)
+class BellResult:
+    """One inequality evaluation: correlator side, bound side, and their ratio."""
+
+    lhs: float
+    rhs: float
+    ratio: float
+    function_id: str
 
 
 @dataclass(frozen=True)
@@ -62,7 +72,7 @@ def _integral_epsilon(eps: float, rule: QuadratureRule) -> float:
 
 
 def _bracketed_root(h, x: float, tol: float, name: str,
-                    lo: float = 0.0, hi: float = np.inf, hx=None) -> float:
+                    lo: float = 0.0, hi: float = math.inf, hx=None) -> float:
     """Root of h in (lo, hi), where h > 0 below the root and h < 0 above it.
 
     h returns its value, or a (value, slope) pair for a Newton step; without
@@ -77,9 +87,9 @@ def _bracketed_root(h, x: float, tol: float, name: str,
     bracket is a few ulps wide and the root is pinned to float precision,
     the evaluated point of smallest |h|.  ``hx`` is h(x) if already known.
     """
-    best = (np.inf, x)
+    best = (math.inf, x)
     prev = None
-    last = before_last = np.inf
+    last = before_last = math.inf
     for _ in range(_MAX_EVALS):
         out = h(x) if hx is None else hx
         value, slope = out if isinstance(out, tuple) else (out, None)
@@ -88,18 +98,19 @@ def _bracketed_root(h, x: float, tol: float, name: str,
         if abs(value) <= tol:
             return x
         lo, hi = (x, hi) if value > 0.0 else (lo, x)
-        if hi - lo <= _ULPS * np.spacing(hi):
+        # an open bracket (hi = inf) is never narrow, whatever inf's ulp is
+        if hi < math.inf and hi - lo <= _ULPS * math.ulp(hi):
             return best[1]
         if slope is not None:
-            step = -value / slope if slope < 0.0 else np.inf
+            step = -value / slope if slope < 0.0 else math.inf
         elif prev is None:
             step = value
         else:
             dh = value - prev[1]
-            step = -value * (x - prev[0]) / dh if dh != 0.0 else np.inf
+            step = -value * (x - prev[0]) / dh if dh != 0.0 else math.inf
         nxt = x + step
         if not (lo < nxt < hi and abs(step) < 0.5 * before_last):
-            if hi < np.inf:
+            if hi < math.inf:
                 nxt = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
             else:
                 nxt = x + value
@@ -120,7 +131,7 @@ def ideal_epsilon(rule: QuadratureRule) -> float:
 
 
 def _check_eta(eta: float) -> None:
-    if not (np.isfinite(eta) and 0.0 < eta <= 1.0):
+    if not (math.isfinite(eta) and 0.0 < eta <= 1.0):
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
 
 
@@ -232,15 +243,15 @@ def closed_form_sides(n: int, r: int, eta: float, p: float,
     try:
         rhs = scale * (c ** r * i0 ** (n - r) + i0 ** r * c ** (n - r))
     except OverflowError:
-        rhs = np.inf
+        rhs = math.inf
     rhs = normal_bound_side(rhs, n, "closed-form")
-    lhs = 0.25 * p * p * eta ** n * (2.0 / np.pi) ** n * ip ** (2 * n)
+    lhs = 0.25 * p * p * eta ** n * (2.0 / math.pi) ** n * ip ** (2 * n)
     return lhs, rhs
 
 
 def _bound_scale(n: int) -> float:
     """The bound side's prefactor 0.5 (2/pi)^(n/2) 2^-n; subnormal from n = 771."""
-    return normal_bound_side(0.5 * (2.0 / np.pi) ** (n / 2.0) * 2.0 ** (-n), n, "closed-form")
+    return normal_bound_side(0.5 * (2.0 / math.pi) ** (n / 2.0) * 2.0 ** (-n), n, "closed-form")
 
 
 def closed_form_log_ratio(n: int, r: int, eta: float, p: float,
@@ -260,7 +271,7 @@ def closed_form_log_ratio(n: int, r: int, eta: float, p: float,
     s = n - 2 * r
     w, v = _split_weights(c / i0, s)
     log_sum = r * math.log(c * i0) + s * math.log(max(c, i0)) - math.log(max(w, v))
-    log_ratio = (math.log(0.5 * p * p) + 0.5 * n * math.log(8.0 * eta * eta * ip ** 4 / np.pi)
+    log_ratio = (math.log(0.5 * p * p) + 0.5 * n * math.log(8.0 * eta * eta * ip ** 4 / math.pi)
                  - log_sum)
     return log_ratio, n / eta - (ii - i0) * (r + s * v) / c
 

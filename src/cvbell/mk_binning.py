@@ -5,17 +5,24 @@ f(x^theta) + i f(x^theta') into a two-outcome observable pair, for which the
 multipartite |S_N| <= 1 inequality applies.  The binned matrix elements have
 closed forms (<0|sign(X)|1> = sqrt(2/pi), sign^2 = 1), so this module needs
 no quadrature rule and the Fock-space evaluation is exact.
+
+The closed forms (``mk_bell_value``, ``mk_critical_product``) are plain
+floats; the Fock-space evaluation (``mk_evaluate``) and its angles import
+numpy and the state model when first called.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._accel import tensor_expectation
 from .errors import NumericalDomainError
-from .model import AngleConfig, DensityMatrix, SignBin, StateSpec, _site_correlators, _site_scalars
+from .quadrature import SignBin
+from .scenario import StateSpec
+
+if TYPE_CHECKING:
+    from .model import AngleConfig, DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,8 @@ def mk_optimal_angles(n: int, r: int) -> AngleConfig:
     theta'_k = theta_k + pi/2 for k <= r, and theta_k = (-1)^n pi (k-1) / (2n)
     with theta'_k = theta_k - pi/2 beyond.
     """
+    from .model import AngleConfig
+
     if not 1 <= r <= n:
         raise ValueError(f"r must lie in [1, {n}], got {r}")
     sign_front = (-1.0) ** (n + 1)
@@ -47,18 +56,23 @@ def mk_optimal_angles(n: int, r: int) -> AngleConfig:
     theta_prime = []
     for k in range(1, n + 1):
         if k <= r:
-            t = sign_front * np.pi * (k - 1) / (2.0 * n)
+            t = sign_front * math.pi * (k - 1) / (2.0 * n)
             theta.append(t)
-            theta_prime.append(t + np.pi / 2.0)
+            theta_prime.append(t + math.pi / 2.0)
         else:
-            t = sign_back * np.pi * (k - 1) / (2.0 * n)
+            t = sign_back * math.pi * (k - 1) / (2.0 * n)
             theta.append(t)
-            theta_prime.append(t - np.pi / 2.0)
+            theta_prime.append(t - math.pi / 2.0)
     return AngleConfig(theta=tuple(theta), theta_prime=tuple(theta_prime))
 
 
 def _correlator(rho: DensityMatrix, theta, theta_prime, site_scale=1.0) -> complex:
     """Pi_N with the site operators multiplied by ``site_scale`` (per site)."""
+    import numpy as np
+
+    from ._accel import tensor_expectation
+    from .model import _site_correlators, _site_scalars
+
     m = _site_scalars(SignBin.exact_integrals)[0]      # <0|sign(X)|1> = sqrt(2/pi)
     mats = _site_correlators(m, m, theta, theta_prime)
     return tensor_expectation(rho.matrix, mats * np.reshape(site_scale, (-1, 1, 1)))
@@ -75,6 +89,8 @@ def mk_evaluate(rho: DensityMatrix, angles: AngleConfig) -> MKResult:
     traces (about 1.6 each) in range wherever |S_N| is; beyond that
     NumericalDomainError names n.
     """
+    import numpy as np
+
     n = rho.n_modes
     if angles.n_modes != n:
         raise ValueError(
@@ -111,8 +127,8 @@ def mk_bell_value(spec: StateSpec) -> float:
     confirm directly.
     """
     n = spec.n_modes
-    x = 4.0 * spec.efficiency / np.pi
-    return float(spec.purity * (np.sqrt(2.0) / 2.0) * _half_power(x, n))
+    x = 4.0 * spec.efficiency / math.pi
+    return float(spec.purity * (math.sqrt(2.0) / 2.0) * _half_power(x, n))
 
 
 def _half_power(x: float, n: int) -> float:
@@ -132,4 +148,4 @@ def mk_critical_product(n: int) -> float:
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    return float(2.0 ** ((1.0 - 2.0 * n) / n) * np.pi)
+    return float(2.0 ** ((1.0 - 2.0 * n) / n) * math.pi)

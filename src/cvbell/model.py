@@ -14,6 +14,10 @@ psi_1(x) = (2/pi)^(1/4) 2x e^(-x^2).  A rotated quadrature measurement is
 X^theta = (a e^(-i theta) + a^dag e^(i theta))/2, implemented through
 f(X^theta) = U(theta) f(X) U(theta)^dag with U = e^(i theta a^dag a), which
 multiplies the Fock matrix element <m|f(X)|n> by e^(i theta (m - n)).
+
+This is the array layer.  The scenario (``scenario.StateSpec``) and the
+named measurement functions (``quadrature.Identity``, ``Optimal``,
+``SignBin``) are plain floats, so the closed forms run without numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .quadrature import GAUSS_NORM, KernelIntegrals, QuadratureRule, kernel_integrals
+from .quadrature import KernelIntegrals, MeasurementFunction, QuadratureRule, kernel_integrals
+from .scenario import StateSpec
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
@@ -34,70 +39,8 @@ SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 
 # ---------------------------------------------------------------------------
-# measurement functions
+# free measurement functions
 # ---------------------------------------------------------------------------
-
-class MeasurementFunction:
-    """An odd real function of a single quadrature outcome.
-
-    Instances are callable on scalars or arrays.  All concrete variants are
-    odd by construction, which the operator builders rely on (odd functions
-    have exactly vanishing diagonal Fock elements in the qubit subspace).
-    """
-
-    is_odd = True
-    label = "abstract"
-
-    def __call__(self, x):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Identity(MeasurementFunction):
-    """f(x) = x: plain homodyne outcome, the moment-correlation choice."""
-
-    label = "identity"
-
-    def __call__(self, x):
-        return np.asarray(x, dtype=float)
-
-
-@dataclass(frozen=True)
-class Optimal(MeasurementFunction):
-    """f(x) = x / (1 + epsilon x^2), the stationary family of the Bell ratio."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-
-    @property
-    def label(self) -> str:
-        return f"optimal(epsilon={self.epsilon:.12g})"
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return x / (1.0 + self.epsilon * x * x)
-
-
-@dataclass(frozen=True)
-class SignBin(MeasurementFunction):
-    """Binary binning of the outcome: +1 for x >= 0, -1 otherwise.
-
-    The threshold sits exactly at 0 with f(0) = +1 (a measure-zero choice,
-    fixed for determinism).  Its kernel integrals are exact, since a
-    quadrature rule sees the jump at 0 and converges only algebraically:
-    4 int |x| e^(-2x^2) = 2 and 4 int e^(-2x^2) = 16 int x^2 e^(-2x^2) = 4 sqrt(pi/2).
-    """
-
-    label = "sign_bin"
-    exact_integrals = KernelIntegrals(2.0, 4.0 * GAUSS_NORM, 4.0 * GAUSS_NORM)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, 1.0, -1.0)
-
 
 class Basis(MeasurementFunction):
     """Free odd function given by its values on a positive-axis node grid.
@@ -138,42 +81,8 @@ class Basis(MeasurementFunction):
 
 
 # ---------------------------------------------------------------------------
-# scenario description
+# measurement angles
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StateSpec:
-    """Physical scenario: mode count N, photon split r, purity p, efficiency eta.
-
-    The state superposes r occupied modes against the complementary pattern;
-    ``purity`` is the weight of the pure state against its occupation-basis
-    dephased mixture, and ``efficiency`` is the per-mode photon survival
-    probability of the detection chain.
-    """
-
-    n_modes: int
-    r_split: int
-    purity: float = 1.0
-    efficiency: float = 1.0
-
-    def __post_init__(self):
-        if not isinstance(self.n_modes, (int, np.integer)) or self.n_modes < 1:
-            raise ValueError(f"n_modes must be a positive integer, got {self.n_modes!r}")
-        if not isinstance(self.r_split, (int, np.integer)) or not 0 <= self.r_split <= self.n_modes:
-            raise ValueError(
-                f"r_split must be an integer in [0, {self.n_modes}], got {self.r_split!r}"
-            )
-        if not (np.isfinite(self.purity) and 0.0 <= self.purity <= 1.0):
-            raise ValueError(f"purity must lie in [0, 1], got {self.purity!r}")
-        if not (np.isfinite(self.efficiency) and 0.0 < self.efficiency <= 1.0):
-            raise ValueError(f"efficiency must lie in (0, 1], got {self.efficiency!r}")
-
-
-def canonical_split(n: int) -> int:
-    """The split r = n // 2 maximizing every ratio here; all of them are
-    symmetric under r <-> n - r, so (n + 1) // 2 gives the same values."""
-    return n // 2
-
 
 def _wrap_angles(angles) -> Tuple[float, ...]:
     """Reduce each angle to (-pi, pi]."""

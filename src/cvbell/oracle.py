@@ -25,18 +25,9 @@ import numpy as np
 
 from ._accel import tensor_expectation, tensor_expectation_sums
 from .errors import normal_bound_side
+from .functional_bell import BellResult
 from .model import AngleConfig, DensityMatrix, _site_correlators, site_operator
 from .quadrature import QuadratureRule
-
-
-@dataclass(frozen=True)
-class BellResult:
-    """One inequality evaluation: correlator side, bound side, and their ratio."""
-
-    lhs: float
-    rhs: float
-    ratio: float
-    function_id: str
 
 
 def orthogonal_angles(n: int, r: int, base: float = 0.0) -> AngleConfig:

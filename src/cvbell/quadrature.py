@@ -1,4 +1,5 @@
-"""Gauss-Hermite quadrature against the vacuum weight e^(-2x^2).
+"""Gauss-Hermite quadrature against the vacuum weight e^(-2x^2), the named
+measurement functions, and their kernel integrals.
 
 Homodyne outcome distributions in this package are built from the harmonic
 oscillator ground-state density |psi_0(x)|^2 = sqrt(2/pi) e^(-2x^2) (variance
@@ -8,64 +9,94 @@ Gauss-Hermite rule integrates them to near machine precision.
 
 The rule for weight e^(-2x^2) follows from the standard e^(-u^2) rule by
 u = sqrt(2) x: nodes shrink by 1/sqrt(2) and weights scale by 1/sqrt(2).
-The e^(-u^2) rule comes from one method, with numpy alone: Golub-Welsch
+The e^(-u^2) rule comes from one method, with numpy: Golub-Welsch
 eigenvalues of the Jacobi matrix, polished by Newton steps on the
 orthonormal Hermite functions (``_golub_welsch``).  At the default orders
 (DEFAULT_ORDER and QUICK_ORDER) its output is shipped as an exact float64
 table, so those rules cost no eigen-solve and do not depend on the local
 LAPACK's rounding; every other order is computed when asked for.
+
+Only the array parts import numpy, when first used: ``_golub_welsch``, the
+``nodes``/``weights``/``positive_nodes`` views of a rule, evaluating a named
+function, and integrating a free callable.  A table rule and the kernel
+integrals of the named functions are plain floats, so the closed-form
+commands never load numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
-import numpy as np
-
 from ._gauss_hermite_tables import POSITIVE_HALF
-from .errors import NumericalDomainError
+from .errors import NumericalDomainError, is_integer
 
-#: Production default; doubling it changes the kernel integrals of the
-#: optimal family by < 1e-12 relative while 2*order stays within MAX_ORDER.
+#: Production default.  Its kernel integrals of the optimal family are
+#: within 1e-12 relative of the exact ones only near eps = 3 (4.6e-14 at
+#: eps = 2.96, against 40-digit mpmath); the error grows with eps, to 4.9e-12
+#: at eps = 4 and 2.8e-9 at eps = 6.585, which lopsided splits reach.
 DEFAULT_ORDER = 256
 #: Cheap order for optimizer inner loops (~1e-6 relative on the same family).
 QUICK_ORDER = 64
 MAX_ORDER = 512
 
 #: integral of e^(-2x^2) over the line.
-GAUSS_NORM = np.sqrt(np.pi / 2.0)
+GAUSS_NORM = math.sqrt(math.pi / 2.0)
 _ODD_TOL = 1e-10  # largest |f(x) + f(-x)| at a node that ``check_odd`` accepts
+# nodes whose weight is below this share of the first positive node's add
+# less than half an ulp to every kernel integral of the optimal family
+_WEIGHT_CUT = 1e-40
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes/weights integrating f against e^(-2x^2) as sum(weights * f(nodes)).
 
-    Nodes are strictly increasing and symmetric about 0; weights are
-    nonnegative and symmetric (the outermost ones underflow to 0 from about
-    order 400); polynomials of degree <= 2*order - 1 are integrated exactly.
+    Stored as its positive half: ``half_nodes`` strictly increasing and
+    positive, ``half_weights`` nonnegative (the outermost ones underflow to 0
+    from about order 400), mirrored to the negative axis, plus a node at
+    x = 0 of weight ``center_weight`` when the order is odd.  Polynomials of
+    degree <= 2*order - 1 are integrated exactly.  The numpy views
+    ``nodes``, ``weights`` (the whole rule, increasing in x) and
+    ``positive_nodes`` are built when first read.
     """
 
     order: int
-    nodes: np.ndarray
-    weights: np.ndarray
+    half_nodes: tuple
+    half_weights: tuple
+    center_weight: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+    @cached_property
+    def nodes(self):
+        import numpy as np
 
-    @property
-    def positive_nodes(self) -> np.ndarray:
-        return self.nodes[self.nodes > 0.0]
+        x = np.array(self.half_nodes, dtype=float)
+        return np.concatenate((-x[::-1], [0.0] * (self.order % 2), x))
+
+    @cached_property
+    def weights(self):
+        import numpy as np
+
+        w = np.array(self.half_weights, dtype=float)
+        return np.concatenate((w[::-1], [self.center_weight] * (self.order % 2), w))
+
+    @cached_property
+    def positive_nodes(self):
+        import numpy as np
+
+        return np.array(self.half_nodes, dtype=float)
 
 
-def _hermite_functions(n: int, u: np.ndarray):
+def _hermite_functions(n: int, u):
     """(psi_{n-1}(u), psi_n(u)) of the orthonormal Hermite functions.
 
     psi_k(u) = h_k(u) e^(-u^2/2) with h_k orthonormal against e^(-u^2); the
     three-term recurrence stays in range for every order up to MAX_ORDER.
     """
+    import numpy as np
+
     prev = np.zeros_like(u)
     last = np.pi ** -0.25 * np.exp(-0.5 * u * u)
     for k in range(n):
@@ -80,9 +111,12 @@ def _golub_welsch(n: int) -> QuadratureRule:
     diagonal, off-diagonal sqrt(k/2)), polished by two Newton steps on
     psi_n, whose derivative at a root is sqrt(2 n) psi_(n-1).  The weights
     are e^(-u^2) / (n psi_(n-1)(u)^2), symmetrised and normalised to
-    sqrt(pi).  ``_gauss_hermite_tables`` holds this function's output at the
-    default orders.
+    sqrt(pi); the symmetrised rule is an exact mirror, so its positive half
+    and middle weight describe it.  ``_gauss_hermite_tables`` holds this
+    function's output at the default orders.
     """
+    import numpy as np
+
     off = np.sqrt(np.arange(1, n) / 2.0)
     u = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     for _ in range(2):
@@ -93,12 +127,16 @@ def _golub_welsch(n: int) -> QuadratureRule:
     u = 0.5 * (u - u[::-1])
     w = 0.5 * (w + w[::-1])
     w *= np.sqrt(np.pi) / w.sum()
-    return QuadratureRule(order=n, nodes=u / np.sqrt(2.0), weights=w / np.sqrt(2.0))
+    x, w = u / np.sqrt(2.0), w / np.sqrt(2.0)
+    half = n - n // 2
+    return QuadratureRule(order=n, half_nodes=tuple(x[half:].tolist()),
+                          half_weights=tuple(w[half:].tolist()),
+                          center_weight=float(w[n // 2]) if n % 2 else 0.0)
 
 
 def check_order(order) -> int:
     """Return ``order`` as an int; ValueError unless it is an integer in [1, 512]."""
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
+    if not is_integer(order) or isinstance(order, bool):
         raise ValueError(f"order must be an integer, got {order!r}")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
@@ -106,11 +144,12 @@ def check_order(order) -> int:
 
 
 def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """The e^(-2x^2) rule of the given order, as fresh arrays.
+    """The e^(-2x^2) rule of the given order.
 
-    Orders 64 and 256 mirror the exact table of ``_gauss_hermite_tables``
-    and need no linear algebra; every other order is computed by
-    ``_golub_welsch``.
+    Orders 64 and 256 are the exact table of ``_gauss_hermite_tables`` and
+    need no linear algebra and no numpy; every other order is computed by
+    ``_golub_welsch``.  Each call returns a new rule, whose array views are
+    its own.
 
     Parameters
     ----------
@@ -124,9 +163,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     n = check_order(order)
     if n not in POSITIVE_HALF:
         return _golub_welsch(n)
-    x, w = map(np.array, POSITIVE_HALF[n])
-    return QuadratureRule(order=n, nodes=np.concatenate((-x[::-1], x)),
-                          weights=np.concatenate((w[::-1], w)))
+    return QuadratureRule(n, *POSITIVE_HALF[n])
 
 
 @dataclass(frozen=True)
@@ -149,6 +186,89 @@ class KernelIntegrals:
     i_zero: float
 
 
+# ---------------------------------------------------------------------------
+# named measurement functions
+# ---------------------------------------------------------------------------
+
+class MeasurementFunction:
+    """An odd real function of a single quadrature outcome.
+
+    Instances are callable on scalars or arrays.  All concrete variants are
+    odd by construction, which the operator builders rely on (odd functions
+    have exactly vanishing diagonal Fock elements in the qubit subspace).
+    """
+
+    is_odd = True
+    label = "abstract"
+
+    def __call__(self, x):
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class Identity(MeasurementFunction):
+    """f(x) = x: plain homodyne outcome, the moment-correlation choice.
+
+    Its kernel integrals are Gaussian moments, carried exactly:
+    (Ip, I, I0) = sqrt(pi/2) (1, 3, 1) from int x^2 e^(-2x^2) = sqrt(pi/2)/4
+    and int x^4 e^(-2x^2) = 3 sqrt(pi/2)/16.  Any rule of order >= 3
+    integrates these moments exactly, so it differs only by roundoff.
+    """
+
+    label = "identity"
+    exact_integrals = KernelIntegrals(GAUSS_NORM, 3.0 * GAUSS_NORM, GAUSS_NORM)
+
+    def __call__(self, x):
+        import numpy as np
+
+        return np.asarray(x, dtype=float)
+
+
+@dataclass(frozen=True)
+class Optimal(MeasurementFunction):
+    """f(x) = x / (1 + epsilon x^2), the stationary family of the Bell ratio."""
+
+    epsilon: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+
+    @property
+    def label(self) -> str:
+        return f"optimal(epsilon={self.epsilon:.12g})"
+
+    def __call__(self, x):
+        import numpy as np
+
+        x = np.asarray(x, dtype=float)
+        return x / (1.0 + self.epsilon * x * x)
+
+
+@dataclass(frozen=True)
+class SignBin(MeasurementFunction):
+    """Binary binning of the outcome: +1 for x >= 0, -1 otherwise.
+
+    The threshold sits exactly at 0 with f(0) = +1 (a measure-zero choice,
+    fixed for determinism).  Its kernel integrals are exact, since a
+    quadrature rule sees the jump at 0 and converges only algebraically:
+    4 int |x| e^(-2x^2) = 2 and 4 int e^(-2x^2) = 16 int x^2 e^(-2x^2) = 4 sqrt(pi/2).
+    """
+
+    label = "sign_bin"
+    exact_integrals = KernelIntegrals(2.0, 4.0 * GAUSS_NORM, 4.0 * GAUSS_NORM)
+
+    def __call__(self, x):
+        import numpy as np
+
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= 0.0, 1.0, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# kernel integrals
+# ---------------------------------------------------------------------------
+
 def check_odd(f: Callable, rule: QuadratureRule) -> None:
     """Raise ValueError unless f(-x) = -f(x) at the rule's nonzero nodes.
 
@@ -160,22 +280,60 @@ def check_odd(f: Callable, rule: QuadratureRule) -> None:
     """
     if getattr(f, "is_odd", False):
         return
+    import numpy as np
+
     x = rule.positive_nodes
     resid = np.max(np.abs(np.asarray(f(x)) + np.asarray(f(-x)))) if x.size else 0.0
     if resid > _ODD_TOL:
         raise ValueError(f"measurement function is not odd: max |f(x)+f(-x)| = {resid:.3e}")
 
 
+def _optimal_integrals(eps: float, rule: QuadratureRule) -> KernelIntegrals:
+    """Kernel integrals of x/(1 + eps x^2), summed over the rule's positive half.
+
+    The integrands are even, so each positive node counts twice; a node at 0
+    adds nothing.  The outer nodes whose weight is below ``_WEIGHT_CUT``
+    times the innermost one's are left out, since they would not change a
+    bit; the sums run from the outermost remaining node inwards, smallest
+    terms first, which rounds about as well as numpy's dot product.
+    """
+    eps = float(eps)
+    nodes, weights = rule.half_nodes, rule.half_weights
+    live = len(weights)
+    while live and weights[live - 1] < _WEIGHT_CUT * weights[0]:
+        live -= 1
+    s_xf = s_xxff = s_ff = 0.0
+    for x, w in zip(reversed(nodes[:live]), reversed(weights[:live])):
+        xx = x * x
+        f = x / (1.0 + eps * xx)
+        wf = w * f
+        wff = wf * f
+        s_xf += wf * x
+        s_ff += wff
+        s_xxff += wff * xx
+    return KernelIntegrals(i_plus=8.0 * s_xf, i_cross=32.0 * s_xxff, i_zero=8.0 * s_ff)
+
+
 def kernel_integrals(f: Callable, rule: QuadratureRule) -> KernelIntegrals:
-    """The three kernel integrals of an odd function f, or the ``exact_integrals``
-    it carries (sign binning, whose jump a rule resolves only algebraically).
-    ValueError for a non-callable or a function that is not odd."""
+    """The three kernel integrals of an odd function f.
+
+    The named functions need no arrays: ``Identity`` and ``SignBin`` carry
+    their ``exact_integrals`` (for sign binning, whose jump a rule resolves
+    only algebraically, they are the only correct values) and ``Optimal`` is
+    summed in plain floats.  Any other callable is evaluated at the rule's
+    nodes with numpy.  ValueError for a non-callable or a function that is
+    not odd.
+    """
     exact = getattr(f, "exact_integrals", None)
     if exact is not None:
         return exact
+    if isinstance(f, Optimal):
+        return _optimal_integrals(f.epsilon, rule)
     if not callable(f):
         raise ValueError(f"expected a measurement function or callable, got {type(f)!r}")
     check_odd(f, rule)
+    import numpy as np
+
     x = rule.nodes
     fx = np.asarray(f(x), dtype=float)
     if not np.isfinite(fx).all():

@@ -38,9 +38,10 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalDomainError
 from .functional_bell import _bracketed_root
-from .model import SQRT_2_OVER_PI, Basis, Optimal, StateSpec, density_matrix
+from .model import SQRT_2_OVER_PI, Basis, density_matrix
 from .oracle import RatioPartials, orthogonal_angles, ratio_partials
-from .quadrature import QuadratureRule
+from .quadrature import Optimal, QuadratureRule
+from .scenario import StateSpec
 
 # residual |log(1 + 4 b1/b0) - u| at which the map counts as converged
 _MAP_TOL = 1e-12

@@ -7,8 +7,8 @@ no shortcut with the package's own:
   pattern and a common-phase sweep, so ``orthogonal_angles`` is checked
   against a search rather than assumed optimal;
 - ``optimize_epsilon_numeric`` maximizes the oracle ratio over eps by
-  golden-section search, a derivative-free check of ``optimal_epsilon``'s
-  stationarity root;
+  golden-section search and a parabola through three ratios, a
+  derivative-free check of ``optimal_epsilon``'s stationarity root;
 - ``random_product_mixture`` draws separable states, on which local realism
   bounds every ratio by 1, to check the bound side;
 - ``loss_kraus`` and ``branch_indices`` build the detected state with
@@ -27,16 +27,11 @@ from typing import Tuple
 import numpy as np
 
 from cvbell.mk_binning import _half_power
-from cvbell.model import (
-    AngleConfig,
-    DensityMatrix,
-    Optimal,
-    ProductOperator,
-    StateSpec,
-    density_matrix,
-)
-from cvbell.oracle import BellResult, evaluate, orthogonal_angles
-from cvbell.quadrature import QuadratureRule
+from cvbell.functional_bell import BellResult
+from cvbell.model import AngleConfig, DensityMatrix, ProductOperator, density_matrix
+from cvbell.oracle import evaluate, orthogonal_angles
+from cvbell.quadrature import Optimal, QuadratureRule
+from cvbell.scenario import StateSpec
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -98,11 +93,17 @@ def _golden_section_max(fn, a: float, b: float, xtol: float) -> float:
 
 def optimize_epsilon_numeric(spec: StateSpec,
                              rule: QuadratureRule) -> Tuple[float, BellResult]:
-    """Golden-section maximization of the ratio over the one-parameter family.
+    """Maximization of the ratio over the one-parameter family.
 
     f = g = x/(1 + eps x^2) at the correlator-maximizing angles, eps in
-    (0, 64], to a 1e-8 bracket: the oracle-side reference for
-    ``optimal_epsilon``.
+    (0, 64], by golden section to a 1e-8 bracket and then the vertex of the
+    parabola through the ratio at eps and eps +/- 1e-4: the oracle-side
+    reference for ``optimal_epsilon``.  The bracket alone is only as good as
+    the ratio's roundoff allows: about 2e-15 relative against a curvature of
+    about 0.05 per unit eps^2 at (N, r) = (9, 0), so it lands anywhere within
+    about 2e-7 of the maximum.  Over 1e-4 the curvature is far above the
+    roundoff, and the vertex lands within 2e-9 of ``optimal_epsilon`` at
+    (N, r) = (5-11, 0-3), orders 64 and 256.
     """
     rho = density_matrix(spec)
     angles = orthogonal_angles(spec.n_modes, spec.r_split)
@@ -112,6 +113,9 @@ def optimize_epsilon_numeric(spec: StateSpec,
         return evaluate(rho, f, f, angles, rule).ratio
 
     eps = _golden_section_max(ratio, 1e-9, 64.0, 1e-8)
+    h = 1e-4
+    below, mid, above = ratio(eps - h), ratio(eps), ratio(eps + h)
+    eps += 0.5 * h * (below - above) / (below - 2.0 * mid + above)
     f = Optimal(eps)
     return eps, evaluate(rho, f, f, angles, rule)
 

@@ -27,17 +27,10 @@ from cvbell.mk_binning import (
     mk_evaluate,
     mk_optimal_angles,
 )
-from cvbell.model import (
-    AngleConfig,
-    Identity,
-    Optimal,
-    SignBin,
-    StateSpec,
-    density_matrix,
-    site_operator,
-)
+from cvbell.model import AngleConfig, density_matrix, site_operator
 from cvbell.oracle import evaluate, orthogonal_angles
-from cvbell.quadrature import kernel_integrals
+from cvbell.quadrature import Identity, Optimal, SignBin, kernel_integrals
+from cvbell.scenario import StateSpec
 from cvbell.variational import optimize_function
 from reference import angle_scan, random_product_mixture
 

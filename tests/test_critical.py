@@ -21,8 +21,8 @@ from cvbell.functional_bell import (
     optimal_epsilon,
 )
 from cvbell.mk_binning import mk_bell_value, mk_critical_product
-from cvbell.model import Optimal, StateSpec, canonical_split
-from cvbell.quadrature import kernel_integrals
+from cvbell.quadrature import Optimal, kernel_integrals
+from cvbell.scenario import StateSpec, canonical_split
 from reference import mk_bell_value_product_form
 
 

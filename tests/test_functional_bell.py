@@ -18,9 +18,10 @@ from cvbell.functional_bell import (
     solve_epsilon_even,
     solve_epsilon_odd,
 )
-from cvbell.model import Identity, Optimal, StateSpec, density_matrix
+from cvbell.model import density_matrix
 from cvbell.oracle import evaluate, orthogonal_angles
-from cvbell.quadrature import gauss_hermite_rule, kernel_integrals
+from cvbell.quadrature import Identity, Optimal, gauss_hermite_rule, kernel_integrals
+from cvbell.scenario import StateSpec
 from reference import optimize_epsilon_numeric
 
 # frozen from two independent numeric routes (damped fixed point and
@@ -119,6 +120,20 @@ class TestAcceleratedFixedPoint:
         # the root lies within roundoff of zero here; the solve must stay above it
         assert solve_epsilon_even(eta, rule).epsilon_lossy > 0.0
         assert solve_epsilon_odd(7, eta, rule).epsilon_odd > 0.0
+
+    def test_open_bracket_is_never_narrow(self):
+        # with no upper end the bracket is (lo, inf), and math.ulp(inf) is inf:
+        # the first step must still be taken, not the start returned
+        assert functional_bell._bracketed_root(lambda x: 5.0 - x, 1.0, 1e-13, "t") == 5.0
+
+    @pytest.mark.parametrize("order, before", [(64, 2.9648570205240925),
+                                               (256, 2.9648362177243106)])
+    def test_ideal_epsilon_unchanged(self, order, before):
+        # ``before`` is the fixed point with the integrals summed by numpy's
+        # dot product; the plain-float sums round differently (1 ulp at
+        # order 256), well inside the solve's tolerance 1e-13
+        with mock.patch.dict(functional_bell._IDEAL_CACHE, clear=True):
+            assert ideal_epsilon(RULES[order]) == pytest.approx(before, rel=0, abs=1e-13)
 
     def test_map_without_fixed_point_raises(self):
         calls = []

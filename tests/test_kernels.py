@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cvbell import _accel
-from cvbell.model import ProductOperator, StateSpec, density_matrix
+from cvbell.model import ProductOperator, density_matrix
+from cvbell.scenario import StateSpec
 from reference import branch_indices, loss_kraus
 
 

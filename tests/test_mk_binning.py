@@ -8,7 +8,8 @@ from cvbell.mk_binning import (
     mk_evaluate,
     mk_optimal_angles,
 )
-from cvbell.model import AngleConfig, DensityMatrix, ProductOperator, StateSpec, density_matrix
+from cvbell.model import AngleConfig, DensityMatrix, ProductOperator, density_matrix
+from cvbell.scenario import StateSpec
 from reference import mk_bell_value_product_form
 
 SQRT2_HALF = np.sqrt(2.0) / 2.0

@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 
 from cvbell.functional_bell import bell_value, cfrd_bell_value, optimal_epsilon
-from cvbell.model import (
-    AngleConfig,
-    Basis,
-    Identity,
-    Optimal,
-    SignBin,
-    StateSpec,
-    density_matrix,
-    site_operator,
-)
+from cvbell.model import AngleConfig, Basis, density_matrix, site_operator
 from cvbell.oracle import evaluate, orthogonal_angles
+from cvbell.quadrature import Identity, Optimal, SignBin
+from cvbell.scenario import StateSpec
 from reference import branch_indices, loss_kraus
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)

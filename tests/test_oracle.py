@@ -19,16 +19,13 @@ from cvbell.mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
 from cvbell.model import (
     AngleConfig,
     DensityMatrix,
-    Identity,
-    Optimal,
     ProductOperator,
-    SignBin,
-    StateSpec,
     _site_scalars,
     density_matrix,
 )
 from cvbell.oracle import evaluate, orthogonal_angles, ratio_partials
-from cvbell.quadrature import kernel_integrals
+from cvbell.quadrature import Identity, Optimal, SignBin, kernel_integrals
+from cvbell.scenario import StateSpec
 from reference import angle_scan, optimize_epsilon_numeric, random_product_mixture
 
 

@@ -10,23 +10,27 @@ import pytest
 
 import cvbell
 
-EXPORTS = {
-    "errors": ("ConvergenceError", "MonotonicityError", "NumericalDomainError"),
-    "quadrature": ("DEFAULT_ORDER", "QUICK_ORDER", "GAUSS_NORM", "KernelIntegrals",
-                   "QuadratureRule", "gauss_hermite_rule", "kernel_integrals"),
-    "model": ("AngleConfig", "Basis", "DensityMatrix", "Identity", "MeasurementFunction",
-              "Optimal", "ProductOperator", "SignBin", "StateSpec", "density_matrix",
-              "site_operator"),
-    "oracle": ("BellResult", "evaluate", "orthogonal_angles"),
-    "functional_bell": ("EpsilonSolution", "bell_value", "cfrd_bell_value",
-                        "ideal_epsilon", "lossy_epsilon_map", "optimal_epsilon",
-                        "solve_epsilon_even", "solve_epsilon_odd"),
-    "mk_binning": ("MKResult", "mk_bell_value", "mk_critical_product", "mk_evaluate",
-                   "mk_optimal_angles"),
-    "variational": ("euler_lagrange_residual", "optimize_function"),
-    "critical": ("asymptotic_product", "bell_ratio", "critical_efficiency",
-                 "critical_purity"),
-}
+EXPORTS = (
+    ("errors", ("ConvergenceError", "MonotonicityError", "NumericalDomainError")),
+    ("quadrature", ("DEFAULT_ORDER", "QUICK_ORDER", "GAUSS_NORM", "KernelIntegrals",
+                    "QuadratureRule", "gauss_hermite_rule", "kernel_integrals")),
+    ("model", ("AngleConfig", "Basis", "DensityMatrix")),
+    ("quadrature", ("Identity", "MeasurementFunction", "Optimal")),
+    ("model", ("ProductOperator",)),
+    ("quadrature", ("SignBin",)),
+    ("scenario", ("StateSpec",)),
+    ("model", ("density_matrix", "site_operator")),
+    ("functional_bell", ("BellResult",)),
+    ("oracle", ("evaluate", "orthogonal_angles")),
+    ("functional_bell", ("EpsilonSolution", "bell_value", "cfrd_bell_value",
+                         "ideal_epsilon", "lossy_epsilon_map", "optimal_epsilon",
+                         "solve_epsilon_even", "solve_epsilon_odd")),
+    ("mk_binning", ("MKResult", "mk_bell_value", "mk_critical_product", "mk_evaluate",
+                    "mk_optimal_angles")),
+    ("variational", ("euler_lagrange_residual", "optimize_function")),
+    ("critical", ("asymptotic_product", "bell_ratio", "critical_efficiency",
+                  "critical_purity")),
+)
 
 
 def _loaded_modules(code):
@@ -43,12 +47,12 @@ def _loaded_modules(code):
 
 class TestNamespace:
     def test_all_is_unchanged(self):
-        expected = ["__version__", *(n for names in EXPORTS.values() for n in names)]
+        expected = ["__version__", *(n for _, names in EXPORTS for n in names)]
         assert len(expected) == 44
         assert cvbell.__all__ == expected
 
     def test_names_are_the_defining_objects(self):
-        for module, names in EXPORTS.items():
+        for module, names in EXPORTS:
             defining = importlib.import_module(f"cvbell.{module}")
             for name in names:
                 assert getattr(cvbell, name) is getattr(defining, name), name
@@ -72,26 +76,46 @@ class TestNamespace:
         assert set(cvbell.__all__) <= set(dir(cvbell))
 
 
+# modules every command loads: the parser and the base of the scalar layer
+_SCALAR = ("cli", "errors", "quadrature", "_gauss_hermite_tables", "scenario")
+# the array layer, loaded only by the commands that build states
+_ARRAYS = ("model", "_accel", "oracle")
+_THRESHOLDS = ("functional_bell", "critical", "mk_binning")
+
+
 class TestStartupImports:
     def test_package_import_loads_nothing(self):
         loaded = _loaded_modules("import cvbell")
         assert "numpy" not in loaded
         assert sorted(m for m in loaded if m.startswith("cvbell.")) == []
 
-    @pytest.mark.parametrize("argv, runs, absent", [
-        (["eval", "--ineq", "mk", "--n", "3"], "mk_binning",
-         ("functional_bell", "oracle", "critical", "variational")),
+    @pytest.mark.parametrize("argv, modules, numpy", [
+        (["eval", "--ineq", "mk", "--n", "3"], ("mk_binning",), False),
+        (["eval", "--ineq", "functional", "--n", "6"], ("functional_bell",), False),
+        (["eval", "--ineq", "cfrd", "--n", "12", "--order", "64"], ("functional_bell",), False),
         (["figure1", "--n-min", "4", "--n-max", "6", "--out", "{tmp}/f1.csv"],
-         "functional_bell", ("critical", "mk_binning", "variational")),
-        (["figure2", "--n-min", "3", "--n-max", "5", "--out", "{tmp}/f2.csv"],
-         "critical", ("variational",)),
-        (["oracle-check", "--n-min", "3", "--n-max", "3"], "oracle",
-         ("critical", "variational")),
+         ("functional_bell",), False),
+        (["figure1", "--n-min", "4", "--n-max", "6", "--order", "64", "--out", "{tmp}/f1.csv"],
+         ("functional_bell",), False),
+        (["figure2", "--n-min", "3", "--n-max", "5", "--out", "{tmp}/f2.csv"], _THRESHOLDS, False),
+        (["figure2", "--n-min", "3", "--n-max", "5", "--ineq", "functional", "--order", "64",
+          "--out", "{tmp}/f2.csv"], _THRESHOLDS, False),
+        (["figure2", "--n-min", "3", "--n-max", "5", "--ineq", "cfrd", "--out", "{tmp}/f2.csv"],
+         _THRESHOLDS, False),
+        (["figure2", "--n-min", "3", "--n-max", "5", "--ineq", "mk", "--out", "{tmp}/f2.csv"],
+         _THRESHOLDS, False),
+        # an order without a table computes its rule with numpy
+        (["eval", "--ineq", "functional", "--n", "6", "--order", "100"], ("functional_bell",), True),
+        (["oracle-check", "--n-min", "3", "--n-max", "3"],
+         ("functional_bell", "mk_binning", *_ARRAYS), True),
         (["optimize", "--n", "4", "--init", "signbin", "--out", "{tmp}/opt.csv"],
-         "variational", ("critical", "mk_binning")),
-    ], ids=["eval-mk", "figure1", "figure2", "oracle-check", "optimize"])
-    def test_command_loads_only_what_it_runs(self, tmp_path, argv, runs, absent):
+         ("functional_bell", "variational", *_ARRAYS), True),
+    ], ids=["eval-mk", "eval-functional", "eval-cfrd-o64", "figure1", "figure1-o64", "figure2",
+            "figure2-functional-o64", "figure2-cfrd", "figure2-mk", "eval-o100", "oracle-check",
+            "optimize"])
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv, modules, numpy):
         argv = [a.format(tmp=tmp_path) for a in argv]
         loaded = _loaded_modules(f"from cvbell.cli import main\nassert main({argv!r}) == 0")
-        assert f"cvbell.{runs}" in loaded
-        assert [m for m in absent if f"cvbell.{m}" in loaded] == []
+        assert (sorted(m.removeprefix("cvbell.") for m in loaded if m.startswith("cvbell."))
+                == sorted(_SCALAR + modules))
+        assert ("numpy" in loaded) is numpy

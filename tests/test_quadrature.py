@@ -1,22 +1,50 @@
+import functools
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvbell.errors import NumericalDomainError
 from cvbell.functional_bell import cfrd_bell_value, ideal_epsilon
-from cvbell.model import Identity, Optimal, SignBin, StateSpec, density_matrix, site_operator
+from cvbell.model import density_matrix, site_operator
 from cvbell.oracle import evaluate, orthogonal_angles
 from cvbell.quadrature import (
     DEFAULT_ORDER,
     GAUSS_NORM,
     QUICK_ORDER,
+    Identity,
+    Optimal,
+    SignBin,
     _golub_welsch,
     gauss_hermite_rule,
     kernel_integrals,
 )
+from cvbell.scenario import StateSpec
 
 SQ = GAUSS_NORM  # sqrt(pi/2)
+
+
+@functools.cache
+def cached_rule(order):
+    return gauss_hermite_rule(order)
+
+
+def full_loop(eps, rule):
+    """The optimal family's kernel integrals summed over every positive node,
+    outermost first: the reference for the sums that skip negligible nodes."""
+    s_xf = s_xxff = s_ff = 0.0
+    for x, w in zip(reversed(rule.half_nodes), reversed(rule.half_weights)):
+        xx = x * x
+        f = x / (1.0 + eps * xx)
+        wf = w * f
+        wff = wf * f
+        s_xf += wf * x
+        s_ff += wff
+        s_xxff += wff * xx
+    return (8.0 * s_xf, 32.0 * s_xxff, 8.0 * s_ff)
 
 
 def integrate(rule, f):
@@ -225,3 +253,42 @@ class TestKernelIntegrals:
         for a, b in ((k1.i_plus, k2.i_plus), (k1.i_cross, k2.i_cross),
                      (k1.i_zero, k2.i_zero)):
             assert abs(a - b) / abs(b) < 1e-12
+
+
+class TestScalarIntegrals:
+    """The named functions' integrals in plain floats against the numpy route,
+    which integrates any callable at the rule's nodes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(eps=st.floats(1e-3, 1e3), order=st.sampled_from([2, 3, 64, 255, 256, 512]))
+    def test_optimal_matches_the_numpy_route(self, eps, order):
+        rule = cached_rule(order)
+        scalar = astuple(kernel_integrals(Optimal(eps), rule))
+        plain = astuple(kernel_integrals(lambda x: x / (1.0 + eps * x * x), rule))
+        for a, b in zip(scalar, plain):
+            assert abs(a - b) <= 1e-14 * abs(b)
+        # skipping the nodes of negligible weight changes no bit
+        assert scalar == full_loop(eps, rule)
+
+    @pytest.mark.parametrize("order", [3, 4, 7, 64, 255, 256, 512])
+    def test_identity_constants_match_the_rule(self, order):
+        # (Ip, I, I0) = sqrt(pi/2) (1, 3, 1): degree-4 moments, exact for
+        # order >= 3, so only the rule's roundoff separates them (at most
+        # 2.1e-15 relative over orders 3-512, 1.1e-15 at order 256)
+        exact = kernel_integrals(Identity(), cached_rule(order))
+        assert astuple(exact) == (SQ, 3.0 * SQ, SQ)
+        plain = kernel_integrals(lambda x: np.asarray(x, dtype=float), cached_rule(order))
+        for a, b in zip(astuple(plain), astuple(exact)):
+            assert abs(a - b) <= 4e-15 * b
+
+    @pytest.mark.parametrize("order", [1, 2, 33, 64])
+    def test_views_mirror_the_half(self, order):
+        rule = gauss_hermite_rule(order)
+        half = len(rule.half_nodes)
+        assert half == order // 2
+        np.testing.assert_array_equal(rule.nodes[order - half:], rule.half_nodes)
+        np.testing.assert_array_equal(rule.nodes[:half], -rule.positive_nodes[::-1])
+        np.testing.assert_array_equal(rule.weights[order - half:], rule.half_weights)
+        np.testing.assert_array_equal(rule.weights[:half], rule.weights[order - half:][::-1])
+        if order % 2:
+            assert rule.nodes[half] == 0.0 and rule.weights[half] == rule.center_weight

@@ -9,16 +9,10 @@ from cvbell.functional_bell import (
     solve_epsilon_even,
     solve_epsilon_odd,
 )
-from cvbell.model import (
-    SQRT_2_OVER_PI,
-    Basis,
-    Identity,
-    Optimal,
-    SignBin,
-    StateSpec,
-    density_matrix,
-)
+from cvbell.model import SQRT_2_OVER_PI, Basis, density_matrix
 from cvbell.oracle import evaluate, orthogonal_angles, ratio_partials
+from cvbell.quadrature import Identity, Optimal, SignBin
+from cvbell.scenario import StateSpec
 from cvbell.variational import _RatioProblem, euler_lagrange_residual, optimize_function
 
 
