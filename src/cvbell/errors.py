@@ -33,7 +33,10 @@ def normal_bound_side(value: float, n: int, source: str) -> float:
 
 
 def is_integer(value) -> bool:
-    """True for an int or an integer scalar of an array library (``__index__``)."""
+    """True for an int or an integer scalar of an array library (``__index__``);
+    False for a bool, which is a flag, not a count."""
+    if isinstance(value, bool):
+        return False
     try:
         operator.index(value)
     except TypeError:

@@ -22,7 +22,6 @@ named measurement functions (``quadrature.Identity``, ``Optimal``,
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -68,7 +67,7 @@ class Basis(MeasurementFunction):
 
     @classmethod
     def from_function(cls, fn: Callable, rule: QuadratureRule) -> "Basis":
-        x = rule.positive_nodes
+        x = np.array(rule.half_nodes, dtype=float)
         return cls(x, np.asarray(fn(x), dtype=float))
 
     @property
@@ -137,11 +136,6 @@ class ProductOperator:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "factors", a)
 
-    def toarray(self) -> np.ndarray:
-        """The dense 2^N x 2^N matrix, built by ``np.kron`` (small N only)."""
-        return sum(w * functools.reduce(np.kron, sites)
-                   for w, sites in zip(self.weights, self.factors))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -153,20 +147,6 @@ class DensityMatrix:
     def __post_init__(self):
         if self.matrix.factors.shape[1] != self.n_modes:
             raise ValueError(f"{self.matrix.factors.shape[1]} sites for {self.n_modes} modes")
-
-    def check(self) -> None:
-        """Validate Hermiticity and unit trace (each to 1e-12) and positive
-        semidefiniteness (smallest eigenvalue at least -1e-10)."""
-        m = self.matrix.toarray()
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > 1e-12:
-            raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"trace is {tr!r}, expected 1")
-        smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < -1e-10:
-            raise ValueError(f"matrix is not PSD: smallest eigenvalue {smallest:.3e}")
 
 
 def density_matrix(spec: StateSpec) -> DensityMatrix:

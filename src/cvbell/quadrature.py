@@ -16,18 +16,18 @@ orthonormal Hermite functions (``_golub_welsch``).  At the default orders
 table, so those rules cost no eigen-solve and do not depend on the local
 LAPACK's rounding; every other order is computed when asked for.
 
-Only the array parts import numpy, when first used: ``_golub_welsch``, the
-``nodes``/``weights``/``positive_nodes`` views of a rule, evaluating a named
-function, and integrating a free callable.  A table rule and the kernel
-integrals of the named functions are plain floats, so the closed-form
-commands never load numpy.
+A rule is stored only as its positive half, in plain floats, and every
+kernel integral is one sum over that half.  numpy is imported only where
+arrays are asked for: ``_golub_welsch``, evaluating a named function on an
+array, and evaluating a free callable at the rule's nodes.  A table rule and
+the kernel integrals of the named functions need none of these, so the
+closed-form commands never load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from ._gauss_hermite_tables import POSITIVE_HALF
@@ -58,35 +58,13 @@ class QuadratureRule:
     positive, ``half_weights`` nonnegative (the outermost ones underflow to 0
     from about order 400), mirrored to the negative axis, plus a node at
     x = 0 of weight ``center_weight`` when the order is odd.  Polynomials of
-    degree <= 2*order - 1 are integrated exactly.  The numpy views
-    ``nodes``, ``weights`` (the whole rule, increasing in x) and
-    ``positive_nodes`` are built when first read.
+    degree <= 2*order - 1 are integrated exactly.
     """
 
     order: int
     half_nodes: tuple
     half_weights: tuple
     center_weight: float = 0.0
-
-    @cached_property
-    def nodes(self):
-        import numpy as np
-
-        x = np.array(self.half_nodes, dtype=float)
-        return np.concatenate((-x[::-1], [0.0] * (self.order % 2), x))
-
-    @cached_property
-    def weights(self):
-        import numpy as np
-
-        w = np.array(self.half_weights, dtype=float)
-        return np.concatenate((w[::-1], [self.center_weight] * (self.order % 2), w))
-
-    @cached_property
-    def positive_nodes(self):
-        import numpy as np
-
-        return np.array(self.half_nodes, dtype=float)
 
 
 def _hermite_functions(n: int, u):
@@ -136,7 +114,7 @@ def _golub_welsch(n: int) -> QuadratureRule:
 
 def check_order(order) -> int:
     """Return ``order`` as an int; ValueError unless it is an integer in [1, 512]."""
-    if not is_integer(order) or isinstance(order, bool):
+    if not is_integer(order):
         raise ValueError(f"order must be an integer, got {order!r}")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
@@ -148,8 +126,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
 
     Orders 64 and 256 are the exact table of ``_gauss_hermite_tables`` and
     need no linear algebra and no numpy; every other order is computed by
-    ``_golub_welsch``.  Each call returns a new rule, whose array views are
-    its own.
+    ``_golub_welsch``.
 
     Parameters
     ----------
@@ -242,7 +219,7 @@ class Optimal(MeasurementFunction):
         import numpy as np
 
         x = np.asarray(x, dtype=float)
-        return x / (1.0 + self.epsilon * x * x)
+        return x / (1.0 + self.epsilon * (x * x))
 
 
 @dataclass(frozen=True)
@@ -276,71 +253,67 @@ def check_odd(f: Callable, rule: QuadratureRule) -> None:
     construction and passes at once.  Other callables arrive as opaque
     evaluators, so their oddness is checked by sampling.  A node at exactly
     x = 0 is skipped: odd functions with a jump there (sign binning) carry an
-    arbitrary convention at the single point.
+    arbitrary convention at the single point.  A value that is not finite at
+    a positive node is left to the caller's finiteness check.
     """
     if getattr(f, "is_odd", False):
         return
     import numpy as np
 
-    x = rule.positive_nodes
-    resid = np.max(np.abs(np.asarray(f(x)) + np.asarray(f(-x)))) if x.size else 0.0
-    if resid > _ODD_TOL:
+    x = np.array(rule.half_nodes, dtype=float)
+    fx = np.asarray(f(x), dtype=float)
+    resid = np.max(np.abs(fx + np.asarray(f(-x), dtype=float)), initial=0.0)
+    if not resid <= _ODD_TOL and np.isfinite(fx).all():
         raise ValueError(f"measurement function is not odd: max |f(x)+f(-x)| = {resid:.3e}")
-
-
-def _optimal_integrals(eps: float, rule: QuadratureRule) -> KernelIntegrals:
-    """Kernel integrals of x/(1 + eps x^2), summed over the rule's positive half.
-
-    The integrands are even, so each positive node counts twice; a node at 0
-    adds nothing.  The outer nodes whose weight is below ``_WEIGHT_CUT``
-    times the innermost one's are left out, since they would not change a
-    bit; the sums run from the outermost remaining node inwards, smallest
-    terms first, which rounds about as well as numpy's dot product.
-    """
-    eps = float(eps)
-    nodes, weights = rule.half_nodes, rule.half_weights
-    live = len(weights)
-    while live and weights[live - 1] < _WEIGHT_CUT * weights[0]:
-        live -= 1
-    s_xf = s_xxff = s_ff = 0.0
-    for x, w in zip(reversed(nodes[:live]), reversed(weights[:live])):
-        xx = x * x
-        f = x / (1.0 + eps * xx)
-        wf = w * f
-        wff = wf * f
-        s_xf += wf * x
-        s_ff += wff
-        s_xxff += wff * xx
-    return KernelIntegrals(i_plus=8.0 * s_xf, i_cross=32.0 * s_xxff, i_zero=8.0 * s_ff)
 
 
 def kernel_integrals(f: Callable, rule: QuadratureRule) -> KernelIntegrals:
     """The three kernel integrals of an odd function f.
 
-    The named functions need no arrays: ``Identity`` and ``SignBin`` carry
-    their ``exact_integrals`` (for sign binning, whose jump a rule resolves
-    only algebraically, they are the only correct values) and ``Optimal`` is
-    summed in plain floats.  Any other callable is evaluated at the rule's
-    nodes with numpy.  ValueError for a non-callable or a function that is
-    not odd.
+    ``Identity`` and ``SignBin`` carry their ``exact_integrals`` (for sign
+    binning, whose jump a rule resolves only algebraically, they are the
+    only correct values).  Any other function is summed over the rule's
+    positive half, from the outermost node inwards: the integrands are even,
+    so each node counts twice, and a node at x = 0 counts once, in ``i_zero``
+    alone.
+    ``Optimal`` is evaluated in plain floats, without the outer nodes whose
+    weight is below ``_WEIGHT_CUT`` times the innermost one's, which would
+    not change a bit; any other callable is evaluated with numpy.
+    ValueError for a non-callable or a function that is not odd,
+    NumericalDomainError for one that is not finite at a node.
     """
     exact = getattr(f, "exact_integrals", None)
     if exact is not None:
         return exact
+    nodes, weights = rule.half_nodes, rule.half_weights
     if isinstance(f, Optimal):
-        return _optimal_integrals(f.epsilon, rule)
-    if not callable(f):
-        raise ValueError(f"expected a measurement function or callable, got {type(f)!r}")
-    check_odd(f, rule)
-    import numpy as np
+        live = len(weights)
+        cut = _WEIGHT_CUT * weights[0] if live else 0.0
+        while live and weights[live - 1] < cut:
+            live -= 1
+        nodes, weights = nodes[:live], weights[:live]
+        eps = float(f.epsilon)
+        values = [x / (1.0 + eps * (x * x)) for x in nodes]
+    else:
+        if not callable(f):
+            raise ValueError(f"expected a measurement function or callable, got {type(f)!r}")
+        check_odd(f, rule)
+        import numpy as np
 
-    x = rule.nodes
-    fx = np.asarray(f(x), dtype=float)
-    if not np.isfinite(fx).all():
-        node = x[~np.isfinite(fx)][0]
-        raise NumericalDomainError(f"measurement function not finite at node x={node!r}")
-    w = rule.weights
-    i_plus = 4.0 * float(np.dot(w, x * fx))
-    i_cross = 16.0 * float(np.dot(w, x * x * fx * fx))
-    i_zero = 4.0 * float(np.dot(w, fx * fx))
-    return KernelIntegrals(i_plus=i_plus, i_cross=i_cross, i_zero=i_zero)
+        if rule.order % 2:
+            # half the weight of x = 0, which the sums below count twice
+            nodes, weights = (0.0,) + nodes, (0.5 * rule.center_weight,) + weights
+        x = np.array(nodes, dtype=float)
+        fx = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+        if not np.isfinite(fx).all():
+            node = x[~np.isfinite(fx)][0]
+            raise NumericalDomainError(f"measurement function not finite at node x={node!r}")
+        values = fx.tolist()
+    s_xf = s_xxff = s_ff = 0.0
+    for x, w, v in zip(reversed(nodes), reversed(weights), reversed(values)):
+        wv = w * v
+        wvv = wv * v
+        s_xf += wv * x
+        s_ff += wvv
+        s_xxff += wvv * (x * x)
+    return KernelIntegrals(i_plus=8.0 * s_xf, i_cross=32.0 * s_xxff, i_zero=8.0 * s_ff)

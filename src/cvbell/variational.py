@@ -57,10 +57,10 @@ class _RatioProblem:
         self.rule = rule
         self.rho = density_matrix(spec)
         self.angles = orthogonal_angles(spec.n_modes, spec.r_split)
-        self.nodes = rule.positive_nodes
+        self.nodes = np.array(rule.half_nodes, dtype=float)
         # node-value derivatives of the site scalars; the odd mirror doubles
         # every positive-node weight
-        c = 4.0 * SQRT_2_OVER_PI * rule.weights[rule.nodes > 0.0]
+        c = 4.0 * SQRT_2_OVER_PI * np.array(rule.half_weights, dtype=float)
         self._dm = c * self.nodes                  # dm/dv
         self._dq0 = c                              # dq0/dv, per unit v
         self._dq1 = 4.0 * c * self.nodes ** 2      # dq1/dv, per unit v

@@ -23,14 +23,14 @@ def quick_rule():
 def _family_fit(f, rule):
     """Weighted least-squares fit of c x/(1 + eps x^2) to the node values of ``f``.
 
-    Returns (eps, relative_l2_error) with the Gaussian weights of the rule's
-    positive nodes as the error measure; c is eliminated in closed form and
-    eps searched by bounded Brent on [1e-9, 64].  An independent check of the
-    eps that ``optimize_function`` returns.
+    Returns (eps, relative_l2_error) with the rule's positive-half weights as
+    the error measure; c is eliminated in closed form and eps searched by
+    bounded Brent on [1e-9, 64].  An independent check of the eps that
+    ``optimize_function`` returns.
     """
     x, v = f.nodes, f.values
-    assert np.array_equal(x, rule.positive_nodes)
-    w = rule.weights[rule.nodes > 0.0]
+    assert np.array_equal(x, rule.half_nodes)
+    w = np.array(rule.half_weights)
 
     def sse(eps):
         phi = x / (1.0 + eps * x * x)

@@ -16,11 +16,17 @@ no shortcut with the package's own:
   ``density_matrix``'s per-site factors;
 - ``mk_bell_value_product_form`` is the per-site decoherence-product
   convention behind ``mk_critical_product``, which the threshold tests
-  invert.
+  invert;
+- ``mirrored`` spells a quadrature rule out over the whole line, which the
+  package never does, so that tests can sum a rule as a dot product;
+- ``dense_matrix`` and ``check_density_matrix`` form a product operator's
+  full 2^N x 2^N matrix, which no command builds, to check it entry by
+  entry.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Tuple
 
@@ -168,3 +174,35 @@ def mk_bell_value_product_form(spec: StateSpec) -> float:
     n = spec.n_modes
     x = 4.0 * spec.efficiency * spec.purity ** 2 / np.pi
     return float((np.sqrt(2.0) / 2.0) * _half_power(x, n))
+
+
+def dense_matrix(op: ProductOperator) -> np.ndarray:
+    """The dense 2^N x 2^N matrix of a product operator, built by ``np.kron``
+    (small N only)."""
+    return sum(w * functools.reduce(np.kron, sites)
+               for w, sites in zip(op.weights, op.factors))
+
+
+def check_density_matrix(rho: DensityMatrix) -> None:
+    """Validate Hermiticity and unit trace (each to 1e-12) and positive
+    semidefiniteness (smallest eigenvalue at least -1e-10)."""
+    m = dense_matrix(rho.matrix)
+    herm = np.max(np.abs(m - m.conj().T))
+    if herm > 1e-12:
+        raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
+    tr = np.trace(m)
+    if abs(tr - 1.0) > 1e-12:
+        raise ValueError(f"trace is {tr!r}, expected 1")
+    smallest = float(np.linalg.eigvalsh(m)[0])
+    if smallest < -1e-10:
+        raise ValueError(f"matrix is not PSD: smallest eigenvalue {smallest:.3e}")
+
+
+def mirrored(rule: QuadratureRule) -> Tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the whole rule, increasing in x: the positive half,
+    its mirror image and, at an odd order, the node at 0."""
+    x = np.array(rule.half_nodes, dtype=float)
+    w = np.array(rule.half_weights, dtype=float)
+    odd = rule.order % 2
+    return (np.concatenate((-x[::-1], [0.0] * odd, x)),
+            np.concatenate((w[::-1], [rule.center_weight] * odd, w)))

@@ -293,6 +293,19 @@ def test_figures_reproduce_golden_bytes(tmp_path, capsys, argv, golden):
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure1", "--n-min", "329", "--n-max", "332"],
+    ["figure2", "--ineq", "functional", "--n-min", "330", "--n-max", "332"],
+])
+def test_figures_outside_float_range_write_nothing(tmp_path, capsys, argv):
+    # n = 331 is the first mode count whose functional bound side leaves the
+    # normal float range; the run stops there, before any file is written
+    assert run_cli(argv + ["--out", str(tmp_path / "fig.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "bound side at n = 331 is outside the normal float range" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestOracleCheck:
     def test_default_grid_passes(self, capsys):
         assert run_cli(["oracle-check", "--n-min", "3", "--n-max", "5"]) == 0

@@ -4,7 +4,7 @@ import pytest
 from cvbell import _accel
 from cvbell.model import ProductOperator, density_matrix
 from cvbell.scenario import StateSpec
-from reference import branch_indices, loss_kraus
+from reference import branch_indices, dense_matrix, loss_kraus
 
 
 def random_case(rng, n, sparse=False):
@@ -49,7 +49,7 @@ class TestBackends:
         for n in range(1, 7):
             rho, mats = random_case(rng, n)
             got = _accel.tensor_expectation(rho, mats)
-            assert got == pytest.approx(dense_reference(rho.toarray(), mats), rel=1e-13)
+            assert got == pytest.approx(dense_reference(dense_matrix(rho), mats), rel=1e-13)
 
     @pytest.mark.filterwarnings("error")
     def test_term_with_a_zero_site_trace_contributes_zero(self):
@@ -66,14 +66,14 @@ class TestBackends:
         for n in range(1, 7):
             rho, mats = random_case(rng, n, sparse=True)
             got = _accel.tensor_expectation(rho, mats)
-            assert got == pytest.approx(dense_reference(rho.toarray(), mats), rel=1e-12)
+            assert got == pytest.approx(dense_reference(dense_matrix(rho), mats), rel=1e-12)
 
     def test_detected_state_against_dense_kron(self):
         rng = np.random.default_rng(5)
         for n in range(1, 7):
             rho = density_matrix(StateSpec(n, n // 2, 0.9, 0.7))
             mats = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-            expected = dense_reference(rho.matrix.toarray(), mats)
+            expected = dense_reference(dense_matrix(rho.matrix), mats)
             got = _accel.tensor_expectation(rho.matrix, mats)
             assert got == pytest.approx(expected, rel=1e-13)
 
@@ -91,7 +91,7 @@ class TestBackends:
                 for k in range(n):
                     replaced = mats.copy()
                     replaced[k] = d[k]
-                    want += dense_reference(rho.toarray(), replaced)
+                    want += dense_reference(dense_matrix(rho), replaced)
                 assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -101,7 +101,7 @@ class TestSparseState:
             for n in range(1, 6):
                 for r in range(n + 1):
                     spec = StateSpec(n, r, p, eta)
-                    np.testing.assert_allclose(density_matrix(spec).matrix.toarray(),
+                    np.testing.assert_allclose(dense_matrix(density_matrix(spec).matrix),
                                                dense_state(spec), rtol=0, atol=1e-15)
 
     def test_entry_count(self):

@@ -6,7 +6,7 @@ from cvbell.model import AngleConfig, Basis, density_matrix, site_operator
 from cvbell.oracle import evaluate, orthogonal_angles
 from cvbell.quadrature import Identity, Optimal, SignBin
 from cvbell.scenario import StateSpec
-from reference import branch_indices, loss_kraus
+from reference import branch_indices, check_density_matrix, dense_matrix, loss_kraus, mirrored
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
@@ -23,7 +23,7 @@ def element(f, theta, rule):
 
 def raising_reference(f, rule):
     """<0|f(X)|1> = int psi_0 psi_1 f, summed over the rule's nodes here."""
-    x, w = rule.nodes, rule.weights
+    x, w = mirrored(rule)
     return float(np.dot(w, SQRT_2_OVER_PI * 2.0 * x * f(x)))
 
 
@@ -41,6 +41,8 @@ class TestStateSpec:
         (4, 2, -0.1, 1.0),
         (4, 2, 1.0, 0.0),
         (4, 2, 1.0, 1.3),
+        (True, 0, 1.0, 1.0),
+        (4, True, 1.0, 1.0),
     ])
     def test_invalid(self, args):
         with pytest.raises(ValueError):
@@ -74,23 +76,23 @@ class TestDensityMatrix:
     def test_two_mode_pure(self):
         rho = density_matrix(StateSpec(2, 1, 1.0, 1.0))
         # superposition of |01> and |10>; off-diagonal exactly 1/2
-        m = rho.matrix.toarray()
+        m = dense_matrix(rho.matrix)
         assert m[int("10", 2), int("01", 2)] == pytest.approx(0.5, abs=1e-15)
         assert m[int("10", 2), int("10", 2)] == pytest.approx(0.5, abs=1e-15)
         assert abs(m[0, 0]) < 1e-15
 
     def test_full_damping_limit(self):
         rho = density_matrix(StateSpec(3, 1, 1.0, 1e-12))
-        assert rho.matrix.toarray()[0, 0].real == pytest.approx(1.0, abs=1e-11)
+        assert dense_matrix(rho.matrix)[0, 0].real == pytest.approx(1.0, abs=1e-11)
 
     def test_coherence_entry_by_hand(self):
         # purity and per-mode sqrt(eta) multiply the cross-branch entry:
         # 0.9 * (1/2) * (sqrt(0.8))^4 = 0.288
         rho = density_matrix(StateSpec(4, 2, 0.9, 0.8))
         a, b = branch_indices(4, 2)
-        assert rho.matrix.toarray()[a, b].real == pytest.approx(0.288, abs=1e-14)
-        assert np.trace(rho.matrix.toarray()).real == pytest.approx(1.0, abs=1e-13)
-        rho.check()
+        assert dense_matrix(rho.matrix)[a, b].real == pytest.approx(0.288, abs=1e-14)
+        assert np.trace(dense_matrix(rho.matrix)).real == pytest.approx(1.0, abs=1e-13)
+        check_density_matrix(rho)
 
     def test_random_grid_is_physical(self):
         rng = np.random.default_rng(7)
@@ -100,7 +102,7 @@ class TestDensityMatrix:
             p = float(rng.uniform(0, 1))
             eta = float(rng.uniform(0.05, 1.0))
             rho = density_matrix(StateSpec(n, r, p, eta))
-            rho.check()
+            check_density_matrix(rho)
 
     def test_forty_modes_match_closed_forms(self, rule):
         # r = 0 puts all 40 photons in one branch: 2^40 + 2 nonzero entries
@@ -188,7 +190,8 @@ class TestBasis:
     def test_exact_on_own_grid(self, rule):
         f = Optimal(2.4)
         b = Basis.from_function(f, rule)
-        np.testing.assert_allclose(b(rule.nodes), f(rule.nodes), atol=1e-15)
+        x, _ = mirrored(rule)
+        np.testing.assert_allclose(b(x), f(x), atol=1e-15)
 
     def test_odd_extension(self, rule):
         b = Basis.from_function(Optimal(1.1), rule)

@@ -26,7 +26,8 @@ from cvbell.model import (
 from cvbell.oracle import evaluate, orthogonal_angles, ratio_partials
 from cvbell.quadrature import Identity, Optimal, SignBin, kernel_integrals
 from cvbell.scenario import StateSpec
-from reference import angle_scan, optimize_epsilon_numeric, random_product_mixture
+from reference import (angle_scan, dense_matrix, optimize_epsilon_numeric,
+                       random_product_mixture)
 
 
 def site_scalars(f, rule):
@@ -224,7 +225,7 @@ class TestFullAngleGrid:
             f"{combo_axes[k]}{cols[k]}{rows[k]}" for k in range(n)
         )
         sub = f"{rows}{cols},{terms}->{combo_axes}"
-        t = rho.matrix.toarray().reshape((2,) * (2 * n))
+        t = dense_matrix(rho.matrix).reshape((2,) * (2 * n))
         return np.einsum(sub, t, *([combos] * n))
 
     def test_einsum_helper_agrees_with_evaluate(self, rule):
@@ -261,7 +262,7 @@ class TestContractionBackend:
         rho = ProductOperator(weights, factors)
         mats = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
         dense = np.kron(np.kron(mats[0], mats[1]), mats[2])
-        expected = np.trace(rho.toarray() @ dense)
+        expected = np.trace(dense_matrix(rho) @ dense)
         got = tensor_expectation(rho, mats)
         assert got == pytest.approx(expected, rel=1e-13)
 

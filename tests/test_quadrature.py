@@ -23,6 +23,7 @@ from cvbell.quadrature import (
     kernel_integrals,
 )
 from cvbell.scenario import StateSpec
+from reference import mirrored
 
 SQ = GAUSS_NORM  # sqrt(pi/2)
 
@@ -49,7 +50,8 @@ def full_loop(eps, rule):
 
 def integrate(rule, f):
     """int f(x) e^(-2x^2) dx by the rule."""
-    return float(rule.weights @ f(rule.nodes))
+    x, w = mirrored(rule)
+    return float(w @ f(x))
 
 
 def gaussian_moment(k):
@@ -66,14 +68,15 @@ class TestRule:
     def test_weight_normalization(self):
         for order in (1, 2, 7, 64, 256, 512):
             r = gauss_hermite_rule(order)
-            assert abs(r.weights.sum() - SQ) / SQ < 1e-12
+            assert abs(mirrored(r)[1].sum() - SQ) / SQ < 1e-12
 
     def test_nodes_increasing_and_symmetric(self):
+        # symmetric by storage: the positive half, mirrored
         r = gauss_hermite_rule(51)
-        assert np.all(np.diff(r.nodes) > 0)
-        np.testing.assert_allclose(r.nodes, -r.nodes[::-1], atol=1e-14)
-        np.testing.assert_allclose(r.weights, r.weights[::-1], rtol=1e-13)
-        assert np.all(r.weights > 0)
+        x, w = np.array(r.half_nodes), np.array(r.half_weights)
+        assert len(x) == len(w) == 25
+        assert x[0] > 0 and np.all(np.diff(x) > 0)
+        assert np.all(w > 0) and r.center_weight > 0
 
     def test_polynomial_exactness(self):
         # degree <= 2*order - 1 is exact
@@ -84,9 +87,8 @@ class TestRule:
 
     def test_order_one(self):
         r = gauss_hermite_rule(1)
-        assert r.nodes.shape == (1,)
-        assert abs(r.nodes[0]) < 1e-14
-        assert abs(r.weights[0] - 1.2533141) < 1e-6
+        assert r.half_nodes == r.half_weights == ()
+        assert abs(r.center_weight - 1.2533141) < 1e-6
 
     def test_second_and_fourth_moments(self):
         r = gauss_hermite_rule(8)
@@ -104,7 +106,7 @@ class TestRule:
                 exact, rel=2e-13), n
 
     def test_order_bounds(self):
-        for bad in (0, -3, 513, 2.5, "8"):
+        for bad in (0, -3, 513, 2.5, "8", True):
             with pytest.raises(ValueError):
                 gauss_hermite_rule(bad)
 
@@ -119,8 +121,9 @@ class TestTable:
         # polish carries into the weights at up to ~3e-13
         table, computed = gauss_hermite_rule(order), _golub_welsch(order)
         assert table.order == computed.order == order
-        np.testing.assert_allclose(table.nodes, computed.nodes, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(table.weights, computed.weights, rtol=1e-12, atol=0)
+        assert table.center_weight == computed.center_weight == 0.0
+        np.testing.assert_allclose(table.half_nodes, computed.half_nodes, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(table.half_weights, computed.half_weights, rtol=1e-12, atol=0)
 
     def test_default_orders_need_no_eigen_solve(self, monkeypatch):
         def no_lapack(*args, **kwargs):
@@ -128,18 +131,9 @@ class TestTable:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
         for order in (QUICK_ORDER, DEFAULT_ORDER):
-            assert gauss_hermite_rule(order).nodes.shape == (order,)
+            assert len(gauss_hermite_rule(order).half_nodes) == order // 2
         with pytest.raises(AssertionError, match="eigen-solve"):
             gauss_hermite_rule(255)
-
-    def test_each_call_returns_fresh_arrays(self):
-        reference = gauss_hermite_rule(QUICK_ORDER)
-        spoiled = gauss_hermite_rule(QUICK_ORDER)
-        spoiled.nodes[:] = 0.0
-        spoiled.weights[:] = 0.0
-        again = gauss_hermite_rule(QUICK_ORDER)
-        np.testing.assert_array_equal(again.nodes, reference.nodes)
-        np.testing.assert_array_equal(again.weights, reference.weights)
 
 
 class TestIntegrate:
@@ -172,6 +166,11 @@ class TestIntegrate:
         with pytest.raises(NumericalDomainError) as err:
             kernel_integrals(bad, r)
         assert "node" in str(err.value)
+
+    def test_scalar_valued_callable_broadcasts(self):
+        # the zero function, written as a constant, is odd and integrates to 0
+        ki = kernel_integrals(lambda x: 0.0, gauss_hermite_rule(16))
+        assert astuple(ki) == (0.0, 0.0, 0.0)
 
 
 class TestKernelIntegrals:
@@ -256,19 +255,21 @@ class TestKernelIntegrals:
 
 
 class TestScalarIntegrals:
-    """The named functions' integrals in plain floats against the numpy route,
-    which integrates any callable at the rule's nodes."""
+    """The named functions' integrals against the sum over the positive half
+    that every other callable takes."""
 
     @settings(max_examples=150, deadline=None)
     @given(eps=st.floats(1e-3, 1e3), order=st.sampled_from([2, 3, 64, 255, 256, 512]))
     def test_optimal_matches_the_numpy_route(self, eps, order):
         rule = cached_rule(order)
         scalar = astuple(kernel_integrals(Optimal(eps), rule))
+        # the same function as an opaque callable, evaluated with numpy at
+        # every node: skipping the nodes of negligible weight changes no bit
+        assert scalar == astuple(kernel_integrals(lambda x: Optimal(eps)(x), rule))
+        assert scalar == full_loop(eps, rule)
         plain = astuple(kernel_integrals(lambda x: x / (1.0 + eps * x * x), rule))
         for a, b in zip(scalar, plain):
             assert abs(a - b) <= 1e-14 * abs(b)
-        # skipping the nodes of negligible weight changes no bit
-        assert scalar == full_loop(eps, rule)
 
     @pytest.mark.parametrize("order", [3, 4, 7, 64, 255, 256, 512])
     def test_identity_constants_match_the_rule(self, order):
@@ -283,12 +284,41 @@ class TestScalarIntegrals:
 
     @pytest.mark.parametrize("order", [1, 2, 33, 64])
     def test_views_mirror_the_half(self, order):
+        # the whole rule that the tests sum against is the positive half
+        # mirrored, with the node at 0 of an odd order
         rule = gauss_hermite_rule(order)
         half = len(rule.half_nodes)
-        assert half == order // 2
-        np.testing.assert_array_equal(rule.nodes[order - half:], rule.half_nodes)
-        np.testing.assert_array_equal(rule.nodes[:half], -rule.positive_nodes[::-1])
-        np.testing.assert_array_equal(rule.weights[order - half:], rule.half_weights)
-        np.testing.assert_array_equal(rule.weights[:half], rule.weights[order - half:][::-1])
+        assert half == len(rule.half_weights) == order // 2
+        assert (rule.center_weight > 0.0) == bool(order % 2)
+        x, w = mirrored(rule)
+        np.testing.assert_array_equal(x[order - half:], rule.half_nodes)
+        np.testing.assert_array_equal(x[:half], -x[order - half:][::-1])
+        np.testing.assert_array_equal(w[order - half:], rule.half_weights)
+        np.testing.assert_array_equal(w[:half], w[order - half:][::-1])
         if order % 2:
-            assert rule.nodes[half] == 0.0 and rule.weights[half] == rule.center_weight
+            assert x[half] == 0.0 and w[half] == rule.center_weight
+
+    @pytest.mark.parametrize("order", [1, 33])
+    def test_center_node_counts_once(self, order):
+        # a declared-odd callable with f(0) = 1 adds the node at 0 once to
+        # i_zero and nothing to the other two integrals
+        def step(x):
+            return np.where(np.asarray(x) >= 0.0, 1.0, -1.0)
+
+        step.is_odd = True
+        rule = gauss_hermite_rule(order)
+        x, w = mirrored(rule)
+        ki = kernel_integrals(step, rule)
+        assert ki.i_zero == pytest.approx(4.0 * w.sum(), rel=1e-15)
+        assert ki.i_plus == pytest.approx(4.0 * (w @ np.abs(x)), rel=1e-15)
+        assert ki.i_cross == pytest.approx(16.0 * (w @ (x * x)), rel=1e-15)
+
+    def test_not_finite_on_the_negative_axis_is_not_odd(self):
+        # the sums read the positive half only, so a value that is not finite
+        # at -x alone must fail the oddness check
+        def one_sided(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x >= 0.0, x, np.nan)
+
+        with pytest.raises(ValueError, match="not odd"):
+            kernel_integrals(one_sided, gauss_hermite_rule(16))

@@ -98,7 +98,7 @@ class TestRecovery:
         rho, angles = density_matrix(spec), orthogonal_angles(n, r)
         x = f.nodes
         # node-value derivatives of the site scalars m, Q0 and Q1
-        c = 4.0 * SQRT_2_OVER_PI * quick_rule.weights[quick_rule.nodes > 0.0]
+        c = 4.0 * SQRT_2_OVER_PI * np.array(quick_rule.half_weights)
         rng = np.random.default_rng(n)
         for sign in (1.0, -1.0):
             g = Basis(x, sign * f.values)
@@ -156,7 +156,7 @@ class TestGradientMachinery:
         problem = _RatioProblem(spec, quick_rule)
         rho, angles = density_matrix(spec), orthogonal_angles(n, r)
         rng = np.random.default_rng(seed)
-        nodes = quick_rule.positive_nodes
+        nodes = np.array(quick_rule.half_nodes)
         x = Optimal(rng.uniform(0.2, 5.0))(nodes) * (1.0 + 0.1 * rng.normal(size=nodes.size))
         ratio, grad = problem.ratio_and_gradient(x)
 
@@ -205,13 +205,13 @@ class TestFreeFunctionType:
         assert f.values[0] == pytest.approx(f.nodes[0], rel=1e-14)
 
     def test_zero_first_value_rejected(self, quick_rule):
-        vals = np.ones_like(quick_rule.positive_nodes)
+        vals = np.ones(len(quick_rule.half_nodes))
         vals[0] = 0.0
         with pytest.raises(ValueError, match="first node"):
             optimize_function(StateSpec(6, 3), quick_rule, lambda x: vals)
 
     def test_nonfinite_values_rejected(self, quick_rule):
-        vals = np.ones_like(quick_rule.positive_nodes)
+        vals = np.ones(len(quick_rule.half_nodes))
         vals[-1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             optimize_function(StateSpec(6, 3), quick_rule, lambda x: vals)

@@ -25,8 +25,8 @@ Generated from ``quadrature._golub_welsch``; do not edit.  Rebuild with::
 
 ``POSITIVE_HALF[order]`` is (nodes, weights): the order // 2 positive nodes,
 increasing, and their weights, written with ``repr`` so that every float64
-round-trips exactly.  ``quadrature.gauss_hermite_rule`` wraps each half as a
-``QuadratureRule``, whose ``nodes`` and ``weights`` views mirror it.
+round-trips exactly.  ``quadrature.gauss_hermite_rule`` wraps each half as it
+stands in a ``QuadratureRule``, which stores a rule as its positive half.
 """
 
 '''
