@@ -21,7 +21,7 @@ _EXPORTS = (
     ("errors", ("ConvergenceError", "MonotonicityError", "NumericalDomainError")),
     ("quadrature", ("DEFAULT_ORDER", "QUICK_ORDER", "GAUSS_NORM", "KernelIntegrals",
                     "QuadratureRule", "gauss_hermite_rule", "kernel_integrals")),
-    ("model", ("AngleConfig", "Basis", "DensityMatrix")),
+    ("model", ("AngleConfig", "DensityMatrix")),
     ("quadrature", ("Identity", "MeasurementFunction", "Optimal")),
     ("model", ("ProductOperator",)),
     ("quadrature", ("SignBin",)),

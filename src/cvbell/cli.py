@@ -297,7 +297,7 @@ def _cmd_optimize(args) -> int:
     eps_ref = optimal_epsilon(args.n, r, args.eta, rule)
 
     out = Path(args.out)
-    _write_csv(out, ["node", "f_value"], zip(best.nodes, best.values))
+    _write_csv(out, ["node", "f_value"], zip(rule.half_nodes, best))
     summary = {
         "n": args.n,
         "r": r,

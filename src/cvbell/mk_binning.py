@@ -32,11 +32,9 @@ class MKResult:
     ``s_value`` is the largest |S_N| over the allowed combinations (real,
     imaginary, their sum/difference, the root-sum-square form for odd N, and
     the observable-exchanged partner of each); local realism bounds it by 1.
-    ``variant`` records which combination won.
     """
 
     s_value: float
-    variant: str
 
 
 def mk_optimal_angles(n: int, r: int) -> AngleConfig:
@@ -97,25 +95,18 @@ def mk_evaluate(rho: DensityMatrix, angles: AngleConfig) -> MKResult:
             f"angle list has {angles.n_modes} sites but the state has {n} modes"
         )
     halves = np.where(np.arange(n) % 2 == 1, 0.5, 1.0)
-    candidates = []
-    for swapped in (False, True):
-        th = angles.theta_prime if swapped else angles.theta
-        thp = angles.theta if swapped else angles.theta_prime
+    values = []
+    for th, thp in ((angles.theta, angles.theta_prime), (angles.theta_prime, angles.theta)):
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
             pi_n = _correlator(rho, th, thp, halves)
-        suffix = "_swapped" if swapped else ""
-        if n % 2 == 0:
-            candidates.append((abs(pi_n.real + pi_n.imag), "re_plus_im" + suffix))
-            candidates.append((abs(pi_n.real - pi_n.imag), "re_minus_im" + suffix))
-        else:
-            candidates.append((abs(pi_n.real), "re" + suffix))
-            candidates.append((abs(pi_n.imag), "im" + suffix))
-            candidates.append((abs(pi_n), "rss" + suffix))
-    s_value, variant = max(candidates, key=lambda c: c[0])
+        # odd N: |Pi_N| bounds |Re| and |Im|; even N: |Re| + |Im| is the
+        # larger of |Re + Im| and |Re - Im|, exactly in floats
+        values.append(abs(pi_n) if n % 2 else abs(pi_n.real) + abs(pi_n.imag))
+    s_value = max(values)
     if not np.isfinite(s_value):
         raise NumericalDomainError(
             f"binned oracle value at n = {n} overflows the float range")
-    return MKResult(s_value=float(s_value), variant=variant)
+    return MKResult(s_value=float(s_value))
 
 
 def mk_bell_value(spec: StateSpec) -> float:

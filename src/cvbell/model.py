@@ -23,11 +23,11 @@ named measurement functions (``quadrature.Identity``, ``Optimal``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .quadrature import KernelIntegrals, MeasurementFunction, QuadratureRule, kernel_integrals
+from .quadrature import KernelIntegrals, QuadratureRule, kernel_integrals
 from .scenario import StateSpec
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -35,48 +35,6 @@ SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 # Wavefunction products divided by the quadrature weight e^(-2x^2):
 #   psi_0 psi_1 -> sqrt(2/pi) 2x,  psi_0^2 -> sqrt(2/pi),  psi_1^2 -> sqrt(2/pi) 4x^2
 # so ``_site_scalars`` reads a function's site scalars off its kernel integrals.
-
-
-# ---------------------------------------------------------------------------
-# free measurement functions
-# ---------------------------------------------------------------------------
-
-class Basis(MeasurementFunction):
-    """Free odd function given by its values on a positive-axis node grid.
-
-    Values are extended to negative x by oddness and to off-grid points by
-    linear interpolation through (0, 0); beyond the last node the last value
-    is held.  When evaluated exactly on its own grid the stored values are
-    returned unchanged, so quadrature consumers built on the same rule see no
-    interpolation error.
-    """
-
-    def __init__(self, nodes, values):
-        nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != values.shape:
-            raise ValueError("nodes and values must be 1-D arrays of equal length")
-        if nodes.size == 0 or np.any(nodes <= 0.0) or np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("nodes must be strictly increasing and positive")
-        if not np.isfinite(values).all():
-            raise ValueError("node values must be finite")
-        self.nodes = nodes
-        self.values = values
-        self._xp = np.concatenate(([0.0], nodes))
-        self._fp = np.concatenate(([0.0], values))
-
-    @classmethod
-    def from_function(cls, fn: Callable, rule: QuadratureRule) -> "Basis":
-        x = np.array(rule.half_nodes, dtype=float)
-        return cls(x, np.asarray(fn(x), dtype=float))
-
-    @property
-    def label(self) -> str:
-        return f"basis[{self.nodes.size}]"
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.sign(x) * np.interp(np.abs(x), self._xp, self._fp)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +166,10 @@ def site_operator(f, g, theta, theta_prime, rule: QuadratureRule):
     non-Hermitian, enters the correlator) and Q = f(X^theta)^2 + g(X^theta')^2
     (diagonal, angle-independent, enters the bound side).  Both depend on f
     and g only through their kernel integrals, which give the raising
-    amplitudes <0|f|1>, <0|g|1> and the diagonal of Q; when g is f they are
-    not computed a second time.  Scalar angles give one 2x2 pair, length-n
-    angle sequences (n, 2, 2) stacks, with Q broadcast to the shape of O.
+    amplitudes <0|f|1>, <0|g|1> and the diagonal of Q, so either may be its
+    ``KernelIntegrals``; when g is f they are not computed a second time.
+    Scalar angles give one 2x2 pair, length-n angle sequences (n, 2, 2)
+    stacks, with Q broadcast to the shape of O.
     """
     mf, qf0, qf1 = _site_scalars(kernel_integrals(f, rule))
     mg, qg0, qg1 = (mf, qf0, qf1) if g is f else _site_scalars(kernel_integrals(g, rule))

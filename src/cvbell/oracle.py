@@ -8,12 +8,13 @@ Both sides of the inequality
 are traces of the state against tensor products of the site operators of
 ``model.site_operator``.  The state is a sum of product terms, so each trace
 factorizes over sites and costs O(N).  No closed form of ``functional_bell``
-is used: f and g enter only through their 2x2 site operators.  ``evaluate``
-gives both sides and their ratio; ``ratio_partials`` gives the ratio with
-its partials in the site scalars, for the free-function optimizer.  Every
-analytic Bell value in the package is tested against this path; the tests'
-independent references (angle scan, golden-section eps search, separable
-states) live in ``tests/reference.py``.
+is used: f and g enter only through their kernel integrals, so either may
+be given as its ``KernelIntegrals``.  ``evaluate`` gives both sides and
+their ratio; ``ratio_partials`` gives the ratio with its partials in the
+site scalars, for the free-function optimizer.  Every analytic Bell value in
+the package is tested against this path; the tests' independent references
+(angle scan, golden-section eps search, separable states) live in
+``tests/reference.py``.
 """
 
 from __future__ import annotations

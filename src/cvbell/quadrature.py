@@ -267,21 +267,37 @@ def check_odd(f: Callable, rule: QuadratureRule) -> None:
         raise ValueError(f"measurement function is not odd: max |f(x)+f(-x)| = {resid:.3e}")
 
 
-def kernel_integrals(f: Callable, rule: QuadratureRule) -> KernelIntegrals:
+def _node_integrals(nodes, weights, values) -> KernelIntegrals:
+    """Kernel integrals of the odd function with ``values`` at the positive
+    ``nodes``, summed in plain floats from the outermost node inwards; the
+    integrands are even, so each node counts twice."""
+    s_xf = s_xxff = s_ff = 0.0
+    for x, w, v in zip(reversed(nodes), reversed(weights), reversed(values)):
+        wv = w * v
+        wvv = wv * v
+        s_xf += wv * x
+        s_ff += wvv
+        s_xxff += wvv * (x * x)
+    return KernelIntegrals(i_plus=8.0 * s_xf, i_cross=32.0 * s_xxff, i_zero=8.0 * s_ff)
+
+
+def kernel_integrals(f, rule: QuadratureRule) -> KernelIntegrals:
     """The three kernel integrals of an odd function f.
 
-    ``Identity`` and ``SignBin`` carry their ``exact_integrals`` (for sign
+    A ``KernelIntegrals`` is returned as it is, so it can stand in for its
+    function.  ``Identity`` and ``SignBin`` carry their ``exact_integrals`` (for sign
     binning, whose jump a rule resolves only algebraically, they are the
     only correct values).  Any other function is summed over the rule's
-    positive half, from the outermost node inwards: the integrands are even,
-    so each node counts twice, and a node at x = 0 counts once, in ``i_zero``
-    alone.
+    positive half by ``_node_integrals``; a node at x = 0 counts once, in
+    ``i_zero`` alone.
     ``Optimal`` is evaluated in plain floats, without the outer nodes whose
     weight is below ``_WEIGHT_CUT`` times the innermost one's, which would
     not change a bit; any other callable is evaluated with numpy.
     ValueError for a non-callable or a function that is not odd,
     NumericalDomainError for one that is not finite at a node.
     """
+    if isinstance(f, KernelIntegrals):
+        return f
     exact = getattr(f, "exact_integrals", None)
     if exact is not None:
         return exact
@@ -301,7 +317,7 @@ def kernel_integrals(f: Callable, rule: QuadratureRule) -> KernelIntegrals:
         import numpy as np
 
         if rule.order % 2:
-            # half the weight of x = 0, which the sums below count twice
+            # half the weight of x = 0, which the sums count twice
             nodes, weights = (0.0,) + nodes, (0.5 * rule.center_weight,) + weights
         x = np.array(nodes, dtype=float)
         fx = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
@@ -309,11 +325,4 @@ def kernel_integrals(f: Callable, rule: QuadratureRule) -> KernelIntegrals:
             node = x[~np.isfinite(fx)][0]
             raise NumericalDomainError(f"measurement function not finite at node x={node!r}")
         values = fx.tolist()
-    s_xf = s_xxff = s_ff = 0.0
-    for x, w, v in zip(reversed(nodes), reversed(weights), reversed(values)):
-        wv = w * v
-        wvv = wv * v
-        s_xf += wv * x
-        s_ff += wvv
-        s_xxff += wvv * (x * x)
-    return KernelIntegrals(i_plus=8.0 * s_xf, i_cross=32.0 * s_xxff, i_zero=8.0 * s_ff)
+    return _node_integrals(nodes, weights, values)

@@ -21,7 +21,8 @@ N = 9, r = 0 it falls from 4704 eps at eps = 0.5 to 0.004 eps at eps = 20),
 so it runs in u = log(1 + eps), positive exactly where eps is, as the root of
 log(1 + 4 b1/b0) - u by the bracketed secant solver of ``functional_bell``.
 The optimizer returns the eps it solved, eps = exp(u) - 1, with the node
-values of that family member; no fit recovers it afterwards.
+values of that family member as an array; no fit recovers it afterwards.
+The oracle sees node values as their kernel integrals (``_node_integrals``).
 
 The ratio is scale invariant.  The gauge pins the value at the smallest
 positive node to that node.  The stationarity residual is the gradient
@@ -38,9 +39,9 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalDomainError
 from .functional_bell import _bracketed_root
-from .model import SQRT_2_OVER_PI, Basis, density_matrix
+from .model import SQRT_2_OVER_PI, density_matrix
 from .oracle import RatioPartials, orthogonal_angles, ratio_partials
-from .quadrature import Optimal, QuadratureRule
+from .quadrature import Optimal, QuadratureRule, _node_integrals
 from .scenario import StateSpec
 
 # residual |log(1 + 4 b1/b0) - u| at which the map counts as converged
@@ -66,8 +67,8 @@ class _RatioProblem:
         self._dq1 = 4.0 * c * self.nodes ** 2      # dq1/dv, per unit v
 
     def partials(self, values: np.ndarray) -> RatioPartials:
-        f = Basis(self.nodes, values)
-        return ratio_partials(self.rho, f, f, self.angles, self.rule)
+        k = _node_integrals(self.rule.half_nodes, self.rule.half_weights, values.tolist())
+        return ratio_partials(self.rho, k, k, self.angles, self.rule)
 
     def ratio_and_gradient(self, values: np.ndarray) -> Tuple[float, np.ndarray]:
         """The ratio and its gradient in the node values."""
@@ -102,34 +103,41 @@ def _stationary_epsilon(p: RatioPartials, n: int) -> float:
     return 4.0 * b1 / b0
 
 
-def _gauged(f: Basis) -> Basis:
-    """``f`` rescaled to value/node 1 at the smallest node."""
-    if f.values[0] == 0.0:
+def _gauged(nodes: np.ndarray, values) -> np.ndarray:
+    """Node values rescaled to value/node 1 at the smallest node; ValueError
+    unless there is one finite value per node, nonzero at the first."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != nodes.shape:
+        raise ValueError(f"expected one value per node ({nodes.size}), got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("node values must be finite")
+    if values[0] == 0.0:
         raise ValueError("cannot gauge-fix a function vanishing at the first node")
-    return Basis(f.nodes, f.values * (f.nodes[0] / f.values[0]))
+    return values * (nodes[0] / values[0])
 
 
 def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
                       iteration_callback: Optional[Callable[[float], None]] = None):
     """Solve the stationarity condition of the ratio in the node values;
-    returns (eps, f, ratio, residual) with f the gauge-fixed ``Basis`` of
-    x/(1 + eps x^2) on the rule's positive nodes, ratio the oracle ratio at
-    f and residual its relative stationarity residual, both from one pass of
-    ``ratio_partials``.
+    returns (eps, values, ratio, residual) with values the gauge-fixed node
+    values of x/(1 + eps x^2) at ``rule.half_nodes``, ratio the oracle ratio
+    there and residual its relative stationarity residual, both from one pass
+    of ``ratio_partials``.
 
     ``iteration_callback`` receives the ratio at every map update: first at
     the start function, then on the family.
 
-    Raises ConvergenceError with the last (eps, f, ratio) attached as
+    Raises ConvergenceError with the last (eps, values, ratio) attached as
     ``best`` and the residual as ``residual`` if the residual exceeds 1e-7,
-    ValueError if the start is not finite at the nodes or vanishes at the
-    first node, or if the purity is 0, and NumericalDomainError naming n when
-    a side of the ratio leaves the float range.
+    ValueError if ``init`` at the positive nodes is not one finite value per
+    node or vanishes at the first node, or if the purity is 0, and
+    NumericalDomainError naming n when a side of the ratio leaves the float
+    range.
     """
     if spec.purity == 0.0:
         raise ValueError("the ratio vanishes for every function at purity 0")
     problem = _RatioProblem(spec, rule)
-    start = _gauged(Basis.from_function(init, rule))
+    start = _gauged(problem.nodes, init(problem.nodes))
 
     def update(values: np.ndarray) -> float:
         p = problem.partials(values)
@@ -139,12 +147,12 @@ def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
 
     try:
         u = _bracketed_root(lambda u: np.log1p(update(problem.family(u))) - u,
-                            np.log1p(update(start.values)), _MAP_TOL, "free-function")
+                            np.log1p(update(start)), _MAP_TOL, "free-function")
     except ConvergenceError as exc:
         u = exc.best        # judged by its gradient like any other end point
-    best = _gauged(Basis(problem.nodes, problem.family(u)))
+    best = _gauged(problem.nodes, problem.family(u))
     eps = float(np.expm1(u))
-    ratio, residual = problem.ratio_and_residual(best.values)
+    ratio, residual = problem.ratio_and_residual(best)
     if residual > _GTOL:
         raise ConvergenceError(
             f"stationarity not reached: relative gradient max-norm {residual:.3e} > {_GTOL:.1e}",
@@ -162,4 +170,4 @@ def euler_lagrange_residual(f, spec: StateSpec, rule: QuadratureRule) -> float:
     (1e-12 and below) at a true optimum, order 1e-3 or larger away from one.
     """
     problem = _RatioProblem(spec, rule)
-    return problem.ratio_and_residual(_gauged(Basis.from_function(f, rule)).values)[1]
+    return problem.ratio_and_residual(_gauged(problem.nodes, f(problem.nodes)))[1]

@@ -20,17 +20,17 @@ def quick_rule():
     return gauss_hermite_rule(QUICK_ORDER)
 
 
-def _family_fit(f, rule):
-    """Weighted least-squares fit of c x/(1 + eps x^2) to the node values of ``f``.
+def _family_fit(v, rule):
+    """Weighted least-squares fit of c x/(1 + eps x^2) to the values ``v`` at
+    the rule's positive nodes.
 
     Returns (eps, relative_l2_error) with the rule's positive-half weights as
     the error measure; c is eliminated in closed form and eps searched by
     bounded Brent on [1e-9, 64].  An independent check of the eps that
     ``optimize_function`` returns.
     """
-    x, v = f.nodes, f.values
-    assert np.array_equal(x, rule.half_nodes)
-    w = np.array(rule.half_weights)
+    x, w = np.array(rule.half_nodes), np.array(rule.half_weights)
+    assert v.shape == x.shape
 
     def sse(eps):
         phi = x / (1.0 + eps * x * x)

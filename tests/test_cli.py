@@ -344,6 +344,25 @@ class TestOracleCheck:
         assert run_cli(["oracle-check", "--n-min", "340", "--n-max", "340"]) == 1
         assert "bound side at n = 340" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order, perturb, n_range, code, message", [
+        ("3", "-2.9", ("3", "4"), 2, "shifts epsilon at functional n=3"),
+        ("2", "1e-12", ("3", "4"), 0, "status: OK"),
+        ("5", "100", ("5", "6"), 1, "status: BREACH"),
+        # the perturbed integrals underflow
+        ("256", "1e300", ("3", "4"), 1, "closed-form bound side at n = 3 is outside"),
+        ("64", "1", ("329", "330"), 1, "closed-form bound side at n = 329 is outside"),
+    ])
+    def test_exit_codes(self, capsys, order, perturb, n_range, code, message):
+        # only an argument check exits 2; a domain failure exits 1 naming n
+        try:
+            rc = run_cli(["oracle-check", "--order", order, "--perturb-eps", perturb,
+                          "--n-min", n_range[0], "--n-max", n_range[1]])
+        except SystemExit as err:
+            rc = err.code
+        captured = capsys.readouterr()
+        assert rc == code
+        assert message in captured.out + captured.err
+
     def test_report_file(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
         assert run_cli(["oracle-check", "--n-min", "3", "--n-max", "3",

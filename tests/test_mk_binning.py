@@ -96,12 +96,6 @@ class TestEvaluate:
                 res = mk_evaluate(rho, mk_optimal_angles(n, r))
                 assert res.s_value == pytest.approx(expected, rel=1e-8)
 
-    def test_variant_tags(self):
-        res3 = mk_evaluate(density_matrix(StateSpec(3, 3)), mk_optimal_angles(3, 3))
-        assert res3.variant in ("im", "rss", "im_swapped", "rss_swapped")
-        res4 = mk_evaluate(density_matrix(StateSpec(4, 2)), mk_optimal_angles(4, 2))
-        assert "re" in res4.variant
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mk_evaluate(density_matrix(StateSpec(3, 1)), mk_optimal_angles(4, 2))

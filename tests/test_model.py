@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cvbell.functional_bell import bell_value, cfrd_bell_value, optimal_epsilon
-from cvbell.model import AngleConfig, Basis, density_matrix, site_operator
+from cvbell.model import AngleConfig, density_matrix, site_operator
 from cvbell.oracle import evaluate, orthogonal_angles
 from cvbell.quadrature import Identity, Optimal, SignBin
 from cvbell.scenario import StateSpec
@@ -184,23 +184,3 @@ class TestSiteOperator:
         _, q1 = site_operator(Optimal(1.0), Optimal(1.0), 0.0, 1.0, rule)
         _, q2 = site_operator(Optimal(1.0), Optimal(1.0), 2.0, -0.5, rule)
         np.testing.assert_allclose(q1, q2, atol=1e-15)
-
-
-class TestBasis:
-    def test_exact_on_own_grid(self, rule):
-        f = Optimal(2.4)
-        b = Basis.from_function(f, rule)
-        x, _ = mirrored(rule)
-        np.testing.assert_allclose(b(x), f(x), atol=1e-15)
-
-    def test_odd_extension(self, rule):
-        b = Basis.from_function(Optimal(1.1), rule)
-        x = np.array([0.3, 1.7, 5.0])
-        np.testing.assert_allclose(b(-x), -b(x), atol=1e-15)
-        assert b(0.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Basis([1.0, 0.5], [1.0, 1.0])   # not increasing
-        with pytest.raises(ValueError):
-            Basis([0.5, 1.0], [1.0, np.nan])

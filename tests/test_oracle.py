@@ -332,3 +332,32 @@ class TestSparseOracleProperties:
             spec_mk = StateSpec(n, r_mk, p, eta)
             s_value = mk_evaluate(density_matrix(spec_mk), mk_optimal_angles(n, r_mk)).s_value
             assert close(s_value, mk_bell_value(spec_mk), 1e-9)
+
+
+class TestIntegralsInPlaceOfFunctions:
+    """A function's ``KernelIntegrals`` give the oracle the same bits as the
+    function itself; g is f ties the amplitude either way."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), eps=st.floats(0.05, 20.0), i=st.integers(0, 3),
+           j=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_same_bits(self, quick_rule, n, eps, i, j, seed):
+        def plain(x):
+            return np.sin(np.asarray(x, dtype=float))
+
+        functions = (Optimal(eps), Identity(), SignBin(), plain)
+        f, g = functions[i], functions[j]
+        kf = kernel_integrals(f, quick_rule)
+        kg = kf if g is f else kernel_integrals(g, quick_rule)
+        rng = np.random.default_rng(seed)
+        rho = random_product_mixture(n, rng)
+        angles = AngleConfig(tuple(rng.uniform(-np.pi, np.pi, n)),
+                             tuple(rng.uniform(-np.pi, np.pi, n)))
+        direct = evaluate(rho, f, g, angles, quick_rule)
+        passed = evaluate(rho, kf, kg, angles, quick_rule)
+        assert (passed.lhs, passed.rhs, passed.ratio) == (direct.lhs, direct.rhs, direct.ratio)
+        direct = ratio_partials(rho, f, g, angles, quick_rule)
+        passed = ratio_partials(rho, kf, kg, angles, quick_rule)
+        assert passed.ratio == direct.ratio
+        np.testing.assert_array_equal(passed.d_amplitude, direct.d_amplitude)
+        np.testing.assert_array_equal(passed.d_moments, direct.d_moments)

@@ -16,9 +16,11 @@ from cvbell.quadrature import (
     GAUSS_NORM,
     QUICK_ORDER,
     Identity,
+    KernelIntegrals,
     Optimal,
     SignBin,
     _golub_welsch,
+    _node_integrals,
     gauss_hermite_rule,
     kernel_integrals,
 )
@@ -204,6 +206,11 @@ class TestKernelIntegrals:
         with pytest.raises(ValueError, match="not odd"):
             site_operator(even, Identity(), 0.0, np.pi / 2, rule)
 
+    def test_integrals_pass_through(self, rule):
+        # integrals stand for the function they were taken from
+        for k in (kernel_integrals(Optimal(1.5), rule), KernelIntegrals(1.0, 2.0, 3.0)):
+            assert kernel_integrals(k, rule) is k
+
     def test_rejects_non_callable(self, rule):
         rho = density_matrix(StateSpec(2, 1))
         angles = orthogonal_angles(2, 1)
@@ -322,3 +329,20 @@ class TestScalarIntegrals:
 
         with pytest.raises(ValueError, match="not odd"):
             kernel_integrals(one_sided, gauss_hermite_rule(16))
+
+
+class TestNodeIntegrals:
+    """The sum over values at the positive nodes, which the optimizer passes
+    to the oracle in place of a function."""
+
+    @pytest.mark.parametrize("order", [2, 5, 33, 64, 255, 256])
+    def test_matches_kernel_integrals(self, order):
+        # kernel_integrals adds the node at 0 of an odd order, where an odd
+        # callable contributes exact zeros
+        def f(x):
+            return np.arctan(3.0 * np.asarray(x, dtype=float))
+
+        rule = cached_rule(order)
+        values = f(np.array(rule.half_nodes)).tolist()
+        summed = _node_integrals(rule.half_nodes, rule.half_weights, values)
+        assert astuple(summed) == astuple(kernel_integrals(f, rule))

@@ -9,11 +9,17 @@ from cvbell.functional_bell import (
     solve_epsilon_even,
     solve_epsilon_odd,
 )
-from cvbell.model import SQRT_2_OVER_PI, Basis, density_matrix
+from cvbell.model import SQRT_2_OVER_PI, density_matrix
 from cvbell.oracle import evaluate, orthogonal_angles, ratio_partials
-from cvbell.quadrature import Identity, Optimal, SignBin
+from cvbell.quadrature import Identity, Optimal, SignBin, _node_integrals
 from cvbell.scenario import StateSpec
 from cvbell.variational import _RatioProblem, euler_lagrange_residual, optimize_function
+
+
+def node_integrals(values, rule):
+    """The kernel integrals of the odd function with ``values`` at the rule's
+    positive nodes, which the oracle takes in place of the function."""
+    return _node_integrals(rule.half_nodes, rule.half_weights, values.tolist())
 
 
 @pytest.fixture(scope="module")
@@ -80,12 +86,12 @@ class TestRecovery:
         # the node values are free, and the reference eps comes from the
         # closed-form stationarity relation, not from the oracle
         eps, best, _, _ = optimize_function(StateSpec(n, r, 1.0, eta), quick_rule, init)
-        x = best.nodes
+        x = np.array(quick_rule.half_nodes)
         eps_ref = optimal_epsilon(n, r, eta, quick_rule)
         assert abs(eps - eps_ref) <= 1e-9 * eps_ref
         # c fixed by the gauge: value/node = 1 at the smallest node
         ref = (1.0 + eps_ref * x[0] ** 2) * x / (1.0 + eps_ref * x * x)
-        assert np.max(np.abs(best.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(best - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n, r, eta, p", [
         (5, 2, 1.0, 1.0), (6, 3, 0.8, 0.9), (9, 0, 1.0, 1.0),
@@ -94,24 +100,26 @@ class TestRecovery:
         # g is a function of its own on the oracle, so g = +/- f is checked in
         # every node value rather than imposed
         spec = StateSpec(n, r, p, eta)
-        _, f, _, _ = optimize_function(spec, quick_rule, Identity())
+        _, fv, _, _ = optimize_function(spec, quick_rule, Identity())
         rho, angles = density_matrix(spec), orthogonal_angles(n, r)
-        x = f.nodes
+        x = np.array(quick_rule.half_nodes)
+        f = node_integrals(fv, quick_rule)
         # node-value derivatives of the site scalars m, Q0 and Q1
         c = 4.0 * SQRT_2_OVER_PI * np.array(quick_rule.half_weights)
         rng = np.random.default_rng(n)
         for sign in (1.0, -1.0):
-            g = Basis(x, sign * f.values)
+            gv = sign * fv
+            g = node_integrals(gv, quick_rule)
             partials = ratio_partials(rho, f, g, angles, quick_rule)
             b0, b1 = partials.d_moments
             grad = np.concatenate([c * (a * x + (b0 + 4.0 * b1 * x * x) * v) for a, v in
-                                   zip(partials.d_amplitude, (f.values, g.values))])
-            scale = np.max(np.abs(f.values))
+                                   zip(partials.d_amplitude, (fv, gv))])
+            scale = np.max(np.abs(fv))
             assert np.max(np.abs(grad)) * scale <= 1e-10 * partials.ratio
             ratio = evaluate(rho, f, g, angles, quick_rule).ratio
             for _ in range(50):
                 d = rng.normal(size=x.size)
-                moved = Basis(x, g.values + 1e-2 * scale * d / np.linalg.norm(d))
+                moved = node_integrals(gv + 1e-2 * scale * d / np.linalg.norm(d), quick_rule)
                 assert evaluate(rho, f, moved, angles, quick_rule).ratio <= ratio * (1 + 1e-13)
 
 
@@ -161,8 +169,8 @@ class TestGradientMachinery:
         ratio, grad = problem.ratio_and_gradient(x)
 
         def ratio_at(z):
-            f = Basis(nodes, z)
-            return evaluate(rho, f, f, angles, quick_rule).ratio
+            k = node_integrals(z, quick_rule)
+            return evaluate(rho, k, k, angles, quick_rule).ratio
 
         scale = np.max(np.abs(x))
         h = 1e-5 * scale
@@ -178,9 +186,9 @@ class TestGradientMachinery:
         # the identity projects to eps = 26244 at (9, 0) and 78732 at (10, 0),
         # x^3 further still
         for init in (Identity(), lambda x: np.asarray(x) ** 3):
-            _, best, _, residual = optimize_function(StateSpec(n, r), quick_rule, init)
+            eps, _, _, residual = optimize_function(StateSpec(n, r), quick_rule, init)
             assert residual <= 1e-9
-            assert euler_lagrange_residual(best, StateSpec(n, r), quick_rule) <= 1e-9
+            assert euler_lagrange_residual(Optimal(eps), StateSpec(n, r), quick_rule) <= 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(2, 10), eta=st.floats(0.3, 1.0),
@@ -188,9 +196,9 @@ class TestGradientMachinery:
     def test_map_reaches_stationarity(self, quick_rule, data, n, eta, p, init):
         r = data.draw(st.integers(0, n), label="r")
         spec = StateSpec(n, r, p, eta)
-        _, best, ratio, residual = optimize_function(spec, quick_rule, init)
+        eps, _, ratio, residual = optimize_function(spec, quick_rule, init)
         assert residual <= 1e-9
-        assert euler_lagrange_residual(best, spec, quick_rule) <= 1e-9
+        assert euler_lagrange_residual(Optimal(eps), spec, quick_rule) <= 1e-9
         if r == n // 2:
             closed = bell_value(spec, quick_rule).ratio
             assert ratio == pytest.approx(closed, rel=1e-10)
@@ -202,7 +210,7 @@ class TestFreeFunctionType:
     def test_normalization_gauge(self, quick_rule):
         _, f, _, _ = optimize_function(StateSpec(6, 3), quick_rule,
                                        lambda x: 3.7 * np.asarray(x))
-        assert f.values[0] == pytest.approx(f.nodes[0], rel=1e-14)
+        assert f[0] == pytest.approx(quick_rule.half_nodes[0], rel=1e-14)
 
     def test_zero_first_value_rejected(self, quick_rule):
         vals = np.ones(len(quick_rule.half_nodes))
