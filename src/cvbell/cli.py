@@ -16,10 +16,11 @@ Each subcommand imports the modules it runs when it is called, so a command
 loads and compiles only those: ``eval --ineq mk`` never loads the functional
 closed forms, the oracle, the thresholds or the optimizer.  Only the parser,
 ``errors`` and ``quadrature`` (for the order defaults) load with this module,
-and none of them loads numpy.  ``eval``, ``figure1`` and ``figure2`` compute
-in plain floats and never load it at the tabulated orders 64 and 256; any
-other ``--order`` computes its rule with numpy.  ``oracle-check`` and
-``optimize`` build states and arrays, and load it.
+and none of them loads numpy.  Every subcommand computes in plain floats,
+so none loads it at the tabulated orders 64 and 256: ``oracle-check`` and
+``optimize`` build their states, site operators and contractions from
+floats and complex numbers too.  Any other ``--order`` computes its rule
+with numpy, as does a free callable evaluated at a rule's nodes.
 """
 
 from __future__ import annotations
@@ -189,34 +190,36 @@ def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
 
     etas = (1.0, 0.9, 0.8)
     ps = (1.0, 0.9)
+    ident = Identity()
     for n in range(n_min, n_max + 1):
         r = canonical_split(n)
+        angles = orthogonal_angles(n, r)
+        mk_angles = mk_optimal_angles(n, r)
         for eta in etas:
+            # the function and its shift depend on the efficiency, not the purity
+            eps_opt = optimal_epsilon(n, r, eta, rule)
+            f = Optimal(eps_opt)
+            shifted = eps_opt + perturb_eps
             for p in ps:
                 spec = StateSpec(n_modes=n, r_split=r, purity=p, efficiency=eta)
                 rho = density_matrix(spec)
-                angles = orthogonal_angles(n, r)
 
                 label = f"functional n={n} eta={eta} p={p}"
-                eps_opt = optimal_epsilon(n, r, eta, rule)
-                shifted = eps_opt + perturb_eps
                 if not shifted > 0.0:
                     raise ValueError(f"--perturb-eps {perturb_eps:g} shifts epsilon at "
                                      f"{label} to {shifted:.12g}, which is not positive")
                 ki = kernel_integrals(Optimal(shifted), rule)
                 lhs, rhs = closed_form_sides(n, r, eta, p, ki)
                 closed = lhs / rhs
-                f = Optimal(eps_opt)
                 orc = evaluate(rho, f, f, angles, rule).ratio
                 yield (label, closed, orc)
 
                 closed_c = cfrd_bell_value(spec, rule).ratio
-                ident = Identity()
                 orc_c = evaluate(rho, ident, ident, angles, rule).ratio
                 yield (f"cfrd n={n} eta={eta} p={p}", closed_c, orc_c)
 
                 closed_m = mk_bell_value(spec)
-                orc_m = mk_evaluate(rho, mk_optimal_angles(n, r)).s_value
+                orc_m = mk_evaluate(rho, mk_angles).s_value
                 yield (f"mk n={n} eta={eta} p={p}", closed_m, orc_m)
 
 

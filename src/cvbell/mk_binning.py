@@ -6,13 +6,15 @@ multipartite |S_N| <= 1 inequality applies.  The binned matrix elements have
 closed forms (<0|sign(X)|1> = sqrt(2/pi), sign^2 = 1), so this module needs
 no quadrature rule and the Fock-space evaluation is exact.
 
-The closed forms (``mk_bell_value``, ``mk_critical_product``) are plain
-floats; the Fock-space evaluation (``mk_evaluate``) and its angles import
-numpy and the state model when first called.
+Everything here computes in plain floats.  The closed forms
+(``mk_bell_value``, ``mk_critical_product``) need nothing else; the
+Fock-space evaluation (``mk_evaluate``) and its angles import the state
+model and the contraction kernel when first called.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -64,16 +66,27 @@ def mk_optimal_angles(n: int, r: int) -> AngleConfig:
     return AngleConfig(theta=tuple(theta), theta_prime=tuple(theta_prime))
 
 
-def _correlator(rho: DensityMatrix, theta, theta_prime, site_scale=1.0) -> complex:
-    """Pi_N with the site operators multiplied by ``site_scale`` (per site)."""
-    import numpy as np
+def _correlators(rho: DensityMatrix, theta, theta_prime, site_scale=(1.0,)):
+    """Pi_N and its exchanged partner, with theta and theta' swapped at every
+    site, with the site operators multiplied by ``site_scale``, cycled over
+    the sites.
 
+    Each site operator is ``model._site_correlator(a, a, ...)`` at the
+    scaled amplitude a = site_scale * <0|sign(X)|1>, written out here for
+    both angle orders from one set of sines and cosines; a power of two
+    scales it exactly.
+    """
     from ._accel import tensor_expectation
-    from .model import _site_correlators, _site_scalars
+    from .model import _site_scalars
 
     m = _site_scalars(SignBin.exact_integrals)[0]      # <0|sign(X)|1> = sqrt(2/pi)
-    mats = _site_correlators(m, m, theta, theta_prime)
-    return tensor_expectation(rho.matrix, mats * np.reshape(site_scale, (-1, 1, 1)))
+    ops, exchanged = [], []
+    for s, th, thp in zip(itertools.cycle(site_scale), theta, theta_prime):
+        a = s * m
+        c, sn, cp, sp = math.cos(th) * a, math.sin(th) * a, math.cos(thp) * a, math.sin(thp) * a
+        ops.append(((0.0, complex(c + sp, cp - sn)), (complex(c - sp, sn + cp), 0.0)))
+        exchanged.append(((0.0, complex(cp + sn, c - sp)), (complex(cp - sn, sp + c), 0.0)))
+    return tensor_expectation(rho.matrix, ops), tensor_expectation(rho.matrix, exchanged)
 
 
 def mk_evaluate(rho: DensityMatrix, angles: AngleConfig) -> MKResult:
@@ -87,23 +100,21 @@ def mk_evaluate(rho: DensityMatrix, angles: AngleConfig) -> MKResult:
     traces (about 1.6 each) in range wherever |S_N| is; beyond that
     NumericalDomainError names n.
     """
-    import numpy as np
-
     n = rho.n_modes
     if angles.n_modes != n:
         raise ValueError(
             f"angle list has {angles.n_modes} sites but the state has {n} modes"
         )
-    halves = np.where(np.arange(n) % 2 == 1, 0.5, 1.0)
     values = []
-    for th, thp in ((angles.theta, angles.theta_prime), (angles.theta_prime, angles.theta)):
-        with np.errstate(over="ignore", invalid="ignore"):   # checked below
-            pi_n = _correlator(rho, th, thp, halves)
+    for pi_n in _correlators(rho, angles.theta, angles.theta_prime, (1.0, 0.5)):
         # odd N: |Pi_N| bounds |Re| and |Im|; even N: |Re| + |Im| is the
         # larger of |Re + Im| and |Re - Im|, exactly in floats
-        values.append(abs(pi_n) if n % 2 else abs(pi_n.real) + abs(pi_n.imag))
+        try:
+            values.append(abs(pi_n) if n % 2 else abs(pi_n.real) + abs(pi_n.imag))
+        except OverflowError:       # |Pi_N| beyond the float range
+            values.append(math.inf)
     s_value = max(values)
-    if not np.isfinite(s_value):
+    if not math.isfinite(s_value):
         raise NumericalDomainError(
             f"binned oracle value at n = {n} overflows the float range")
     return MKResult(s_value=float(s_value))

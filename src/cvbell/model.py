@@ -15,22 +15,26 @@ X^theta = (a e^(-i theta) + a^dag e^(i theta))/2, implemented through
 f(X^theta) = U(theta) f(X) U(theta)^dag with U = e^(i theta a^dag a), which
 multiplies the Fock matrix element <m|f(X)|n> by e^(i theta (m - n)).
 
-This is the array layer.  The scenario (``scenario.StateSpec``) and the
-named measurement functions (``quadrature.Identity``, ``Optimal``,
-``SignBin``) are plain floats, so the closed forms run without numpy.
+The model computes in plain Python floats and complex numbers with
+``math``, and imports no numpy.  A 2x2 site factor or site operator is the
+nested tuple ((a00, a01), (a10, a11)); a state is one tuple of site factors
+per product term.  Equal factors are one shared object, as are equal site
+operators at neighbouring sites, which lets the contraction of ``_accel``
+reuse a site trace.  ``ProductOperator`` also accepts numpy arrays and
+converts them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Tuple
-
-import numpy as np
 
 from .quadrature import KernelIntegrals, QuadratureRule, kernel_integrals
 from .scenario import StateSpec
 
-SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # Wavefunction products divided by the quadrature weight e^(-2x^2):
 #   psi_0 psi_1 -> sqrt(2/pi) 2x,  psi_0^2 -> sqrt(2/pi),  psi_1^2 -> sqrt(2/pi) 4x^2
@@ -43,8 +47,8 @@ SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 def _wrap_angles(angles) -> Tuple[float, ...]:
     """Reduce each angle to (-pi, pi]."""
-    a = np.asarray(angles, dtype=float)
-    return tuple((np.pi - np.mod(np.pi - a, 2.0 * np.pi)).tolist())
+    pi, two_pi = math.pi, 2.0 * math.pi
+    return tuple([pi - (pi - a) % two_pi for a in map(float, angles)])
 
 
 @dataclass(frozen=True)
@@ -73,24 +77,33 @@ class AngleConfig:
 # density matrix
 # ---------------------------------------------------------------------------
 
+def _nested_tuples(x):
+    """A (nested) list, as ``tolist`` returns, as (nested) tuples."""
+    return tuple(map(_nested_tuples, x)) if isinstance(x, list) else x
+
+
 @dataclass(frozen=True)
 class ProductOperator:
     """Sum of tensor products of 2x2 site factors:
-    sum_t weights[t] * factors[t, 0] (x) factors[t, 1] (x) ... (x) factors[t, N-1].
+    sum_t weights[t] * factors[t][0] (x) factors[t][1] (x) ... (x) factors[t][N-1].
 
-    ``weights`` is (T,) and ``factors`` is (T, N, 2, 2), both stored complex;
-    site 0 is the most significant bit of the 2^N-dimensional index.
+    ``weights`` holds T numbers and ``factors`` T terms of N site factors
+    each, every factor the nested tuple ((a00, a01), (a10, a11)); site 0 is
+    the most significant bit of the 2^N-dimensional index.  Numpy arrays of
+    shapes (T,) and (T, N, 2, 2) are converted.
     """
 
-    weights: np.ndarray
-    factors: np.ndarray
+    weights: tuple
+    factors: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=complex)
-        a = np.asarray(self.factors, dtype=complex)
-        if w.ndim != 1 or a.ndim != 4 or a.shape[0] != w.size or a.shape[2:] != (2, 2):
-            raise ValueError(
-                f"expected weights (T,), factors (T, N, 2, 2); got {w.shape}, {a.shape}")
+        w, a = self.weights, self.factors
+        w = tuple(w.tolist() if hasattr(w, "tolist") else w)
+        a = _nested_tuples(a.tolist()) if hasattr(a, "tolist") else tuple(map(tuple, a))
+        sites = {len(term) for term in a}
+        if len(a) != len(w) or len(sites) > 1:
+            raise ValueError(f"expected T weights and T terms of equally many site factors; "
+                             f"got {len(w)} weights and terms of {sorted(sites)} sites")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "factors", a)
 
@@ -103,8 +116,9 @@ class DensityMatrix:
     matrix: ProductOperator
 
     def __post_init__(self):
-        if self.matrix.factors.shape[1] != self.n_modes:
-            raise ValueError(f"{self.matrix.factors.shape[1]} sites for {self.n_modes} modes")
+        for term in self.matrix.factors:
+            if len(term) != self.n_modes:
+                raise ValueError(f"{len(term)} sites for {self.n_modes} modes")
 
 
 def density_matrix(spec: StateSpec) -> DensityMatrix:
@@ -117,20 +131,21 @@ def density_matrix(spec: StateSpec) -> DensityMatrix:
     each term stays one: an occupied site of a branch becomes
     diag(1 - eta, eta), an empty one diag(1, 0), and a coherence site
     sqrt(eta)|1><0| or sqrt(eta)|0><1|.  Dephasing and loss commute for this
-    family.
+    family.  Each of these four factors is one object shared by its sites.
     """
     n, r, eta = spec.n_modes, spec.r_split, spec.efficiency
-    occupied = np.array([[1.0 - eta, 0.0], [0.0, eta]])
-    empty = np.array([[1.0, 0.0], [0.0, 0.0]])
-    up = np.array([[0.0, 0.0], [np.sqrt(eta), 0.0]])      # sqrt(eta)|1><0|
-    in_a = (np.arange(n) < r)[:, None, None]
-    factors = np.stack([
-        np.where(in_a, occupied, empty),                   # |A><A|
-        np.where(in_a, empty, occupied),                   # |B><B|
-        np.where(in_a, up, up.T),                          # |A><B|
-        np.where(in_a, up.T, up),                          # |B><A|
-    ])
-    weights = 0.5 * np.array([1.0, 1.0, spec.purity, spec.purity])
+    occupied = ((1.0 - eta, 0.0), (0.0, eta))
+    empty = ((1.0, 0.0), (0.0, 0.0))
+    amplitude = math.sqrt(eta)
+    up = ((0.0, 0.0), (amplitude, 0.0))                # sqrt(eta)|1><0|
+    down = ((0.0, amplitude), (0.0, 0.0))              # sqrt(eta)|0><1|
+    factors = (
+        (occupied,) * r + (empty,) * (n - r),          # |A><A|
+        (empty,) * r + (occupied,) * (n - r),          # |B><B|
+        (up,) * r + (down,) * (n - r),                 # |A><B|
+        (down,) * r + (up,) * (n - r),                 # |B><A|
+    )
+    weights = (0.5, 0.5, 0.5 * spec.purity, 0.5 * spec.purity)
     return DensityMatrix(n_modes=n, matrix=ProductOperator(weights, factors))
 
 
@@ -138,25 +153,41 @@ def density_matrix(spec: StateSpec) -> DensityMatrix:
 # single-mode operators
 # ---------------------------------------------------------------------------
 
-def _site_scalars(k: KernelIntegrals) -> np.ndarray:
+def _site_scalars(k: KernelIntegrals) -> Tuple[float, float, float]:
     """(m, q0, q1) = (<0|f|1>, <0|f^2|0>, <1|f^2|1>) from the kernel integrals
     of f: sqrt(2/pi) times (Ip/2, I0/4, I/4)."""
-    return SQRT_2_OVER_PI * np.array([k.i_plus / 2.0, k.i_zero / 4.0, k.i_cross / 4.0])
+    return (SQRT_2_OVER_PI * (k.i_plus / 2.0), SQRT_2_OVER_PI * (k.i_zero / 4.0),
+            SQRT_2_OVER_PI * (k.i_cross / 4.0))
 
 
-def _site_correlators(mf: float, mg: float, theta, theta_prime) -> np.ndarray:
-    """Correlator operators f(X^theta_k) + i g(X^theta'_k), stacked over sites.
+def _site_correlator(mf: float, mg: float, theta: float, theta_prime: float):
+    """f(X^theta) + i g(X^theta') on one site, from the raising amplitudes
+    ``mf`` = <0|f|1> and ``mg`` = <0|g|1>; the diagonal is zero for odd
+    functions.
 
-    ``mf`` and ``mg`` are the raising amplitudes <0|f|1> and <0|g|1>; the
-    diagonal is zero for odd functions.  Scalar angles give one 2x2 matrix,
-    length-n angle sequences an (n, 2, 2) stack.
+    The upper element is e^(-i theta) mf + i e^(-i theta') mg and the lower
+    one e^(i theta) mf + i e^(i theta') mg, written out in real parts: the
+    same floats as the complex expressions, with two sines and two cosines.
     """
-    th = np.asarray(theta, dtype=float)
-    thp = np.asarray(theta_prime, dtype=float)
-    o = np.zeros(th.shape + (2, 2), dtype=complex)
-    o[..., 0, 1] = np.exp(-1j * th) * mf + 1j * np.exp(-1j * thp) * mg
-    o[..., 1, 0] = np.exp(1j * th) * mf + 1j * np.exp(1j * thp) * mg
-    return o
+    c, s = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(theta_prime), math.sin(theta_prime)
+    upper = complex(c * mf + sp * mg, cp * mg - s * mf)
+    lower = complex(c * mf - sp * mg, s * mf + cp * mg)
+    return ((0.0, upper), (lower, 0.0))
+
+
+def _site_correlators(mf: float, mg: float, theta, theta_prime):
+    """Correlator operators f(X^theta_k) + i g(X^theta'_k), one per site.
+
+    Scalar angles give one 2x2 operator, length-n angle sequences a tuple of
+    n; neighbouring sites with the same angles share one operator object.
+    """
+    if not hasattr(theta, "__iter__"):
+        return _site_correlator(mf, mg, theta, theta_prime)
+    ops = []
+    for angles, run in itertools.groupby(zip(theta, theta_prime)):
+        ops += [_site_correlator(mf, mg, *angles)] * len(list(run))
+    return tuple(ops)
 
 
 def site_operator(f, g, theta, theta_prime, rule: QuadratureRule):
@@ -168,11 +199,13 @@ def site_operator(f, g, theta, theta_prime, rule: QuadratureRule):
     and g only through their kernel integrals, which give the raising
     amplitudes <0|f|1>, <0|g|1> and the diagonal of Q, so either may be its
     ``KernelIntegrals``; when g is f they are not computed a second time.
-    Scalar angles give one 2x2 pair, length-n angle sequences (n, 2, 2)
-    stacks, with Q broadcast to the shape of O.
+    Scalar angles give one 2x2 pair, length-n angle sequences a tuple of n
+    operators each, with one Q object at every site.
     """
     mf, qf0, qf1 = _site_scalars(kernel_integrals(f, rule))
     mg, qg0, qg1 = (mf, qf0, qf1) if g is f else _site_scalars(kernel_integrals(g, rule))
     O = _site_correlators(mf, mg, theta, theta_prime)
-    Q = np.broadcast_to(np.diag([qf0 + qg0, qf1 + qg1]), O.shape)
+    Q = ((qf0 + qg0, 0.0), (0.0, qf1 + qg1))
+    if hasattr(theta, "__iter__"):
+        Q = (Q,) * len(O)
     return O, Q

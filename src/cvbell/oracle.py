@@ -14,15 +14,15 @@ their ratio; ``ratio_partials`` gives the ratio with its partials in the
 site scalars, for the free-function optimizer.  Every analytic Bell value in
 the package is tested against this path; the tests' independent references
 (angle scan, golden-section eps search, separable states) live in
-``tests/reference.py``.
+``tests/reference.py``.  Like ``model`` and ``_accel``, the module
+computes in plain floats and imports no numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
-
-import numpy as np
 
 from ._accel import tensor_expectation, tensor_expectation_sums
 from .errors import normal_bound_side
@@ -40,7 +40,7 @@ def orthogonal_angles(n: int, r: int, base: float = 0.0) -> AngleConfig:
     """
     theta = (base,) * n
     theta_prime = tuple(
-        base + (np.pi / 2.0 if k < r else -np.pi / 2.0) for k in range(n)
+        base + (math.pi / 2.0 if k < r else -math.pi / 2.0) for k in range(n)
     )
     return AngleConfig(theta=theta, theta_prime=theta_prime)
 
@@ -52,8 +52,8 @@ def _function_id(f, g) -> str:
 
 
 def _site_operators(rho: DensityMatrix, f, g, angles: AngleConfig,
-                    rule: QuadratureRule) -> Tuple[np.ndarray, np.ndarray]:
-    """``model.site_operator`` of every site, (n, 2, 2) each."""
+                    rule: QuadratureRule) -> Tuple[tuple, tuple]:
+    """``model.site_operator`` of every site, n operators each."""
     if angles.n_modes != rho.n_modes:
         raise ValueError(
             f"angle list has {angles.n_modes} sites but the state has {rho.n_modes} modes"
@@ -86,14 +86,18 @@ def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig,
 class RatioPartials:
     """The Bell ratio and its partial derivatives in the site scalars.
 
-    ``d_amplitude`` is (d ratio/d mf, d ratio/d mg), or, when g is f, the
-    single derivative along the common amplitude mf = mg.  ``d_moments`` is
-    (d ratio/d Q0, d ratio/d Q1).
+    ``d_amplitude`` is the tuple (d ratio/d mf, d ratio/d mg), or, when g is
+    f, the 1-tuple of the derivative along the common amplitude mf = mg.
+    ``d_moments`` is (d ratio/d Q0, d ratio/d Q1).
     """
 
     ratio: float
-    d_amplitude: np.ndarray
-    d_moments: np.ndarray
+    d_amplitude: Tuple[float, ...]
+    d_moments: Tuple[float, float]
+
+
+# the derivatives of the bound-side operator in Q0 and Q1
+_UNIT_MOMENTS = (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 1.0)))
 
 
 def ratio_partials(rho: DensityMatrix, f, g, angles: AngleConfig,
@@ -114,14 +118,13 @@ def ratio_partials(rho: DensityMatrix, f, g, angles: AngleConfig,
     amplitudes = [(1.0, 1.0)] if g is f else [(1.0, 0.0), (0.0, 1.0)]
     corr, d_corr = tensor_expectation_sums(
         rho.matrix, o_mats, [_site_correlators(a, b, th, thp) for a, b in amplitudes])
-    rhs, d_rhs = tensor_expectation_sums(
-        rho.matrix, q_mats, [np.broadcast_to(np.diag(e), (n, 2, 2))
-                             for e in ((1.0, 0.0), (0.0, 1.0))])
+    rhs, d_rhs = tensor_expectation_sums(rho.matrix, q_mats,
+                                         [(e,) * n for e in _UNIT_MOMENTS])
     rhs = normal_bound_side(rhs.real, n, "oracle")
     ratio = float(abs(corr) ** 2 / rhs)
     # ratio = |corr|^2 / rhs, d|corr|^2 = 2 Re(conj(corr) d corr); ratio / rhs may overflow
     return RatioPartials(
         ratio=ratio,
-        d_amplitude=2.0 * (corr.conjugate() * d_corr).real / rhs,
-        d_moments=-ratio * (d_rhs.real / rhs),
+        d_amplitude=tuple(2.0 * (corr.conjugate() * d).real / rhs for d in d_corr),
+        d_moments=tuple(-ratio * (d.real / rhs) for d in d_rhs),
     )

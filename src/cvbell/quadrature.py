@@ -27,7 +27,7 @@ closed-form commands never load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ._gauss_hermite_tables import POSITIVE_HALF
@@ -59,12 +59,26 @@ class QuadratureRule:
     from about order 400), mirrored to the negative axis, plus a node at
     x = 0 of weight ``center_weight`` when the order is odd.  Polynomials of
     degree <= 2*order - 1 are integrated exactly.
+
+    ``live_half`` is the part of that half, innermost node first, that the
+    optimal family's integrals see: the nodes whose weight is at least
+    ``_WEIGHT_CUT`` times the innermost one's.  It depends only on the rule,
+    so it is cut once, here.
     """
 
     order: int
     half_nodes: tuple
     half_weights: tuple
     center_weight: float = 0.0
+    live_half: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        weights = self.half_weights
+        live = len(weights)
+        cut = _WEIGHT_CUT * weights[0] if live else 0.0
+        while live and weights[live - 1] < cut:
+            live -= 1
+        object.__setattr__(self, "live_half", (self.half_nodes[:live], weights[:live]))
 
 
 def _hermite_functions(n: int, u):
@@ -170,9 +184,12 @@ class KernelIntegrals:
 class MeasurementFunction:
     """An odd real function of a single quadrature outcome.
 
-    Instances are callable on scalars or arrays.  All concrete variants are
-    odd by construction, which the operator builders rely on (odd functions
-    have exactly vanishing diagonal Fock elements in the qubit subspace).
+    Instances are callable on scalars or arrays (with numpy), and the
+    concrete variants' ``values_at(nodes)`` gives the values at a sequence of
+    points as a list of plain floats, without numpy.  All concrete variants
+    are odd by construction, which the operator builders rely on (odd
+    functions have exactly vanishing diagonal Fock elements in the qubit
+    subspace).
     """
 
     is_odd = True
@@ -200,6 +217,9 @@ class Identity(MeasurementFunction):
 
         return np.asarray(x, dtype=float)
 
+    def values_at(self, nodes) -> list:
+        return [float(x) for x in nodes]
+
 
 @dataclass(frozen=True)
 class Optimal(MeasurementFunction):
@@ -221,6 +241,10 @@ class Optimal(MeasurementFunction):
         x = np.asarray(x, dtype=float)
         return x / (1.0 + self.epsilon * (x * x))
 
+    def values_at(self, nodes) -> list:
+        eps = float(self.epsilon)
+        return [x / (1.0 + eps * (x * x)) for x in nodes]
+
 
 @dataclass(frozen=True)
 class SignBin(MeasurementFunction):
@@ -240,6 +264,9 @@ class SignBin(MeasurementFunction):
 
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0.0, 1.0, -1.0)
+
+    def values_at(self, nodes) -> list:
+        return [1.0 if x >= 0.0 else -1.0 for x in nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +308,21 @@ def _node_integrals(nodes, weights, values) -> KernelIntegrals:
     return KernelIntegrals(i_plus=8.0 * s_xf, i_cross=32.0 * s_xxff, i_zero=8.0 * s_ff)
 
 
+def node_values(f, nodes) -> list:
+    """The values of f at ``nodes`` as a list of floats.
+
+    A function with ``values_at`` (every named ``MeasurementFunction``) is
+    evaluated in plain floats; any other callable is called once on a numpy
+    array of the nodes, and its result is returned by ``tolist``.
+    """
+    values_at = getattr(f, "values_at", None)
+    if values_at is not None:
+        return values_at(nodes)
+    import numpy as np
+
+    return np.asarray(f(np.array(nodes, dtype=float)), dtype=float).tolist()
+
+
 def kernel_integrals(f, rule: QuadratureRule) -> KernelIntegrals:
     """The three kernel integrals of an odd function f.
 
@@ -290,9 +332,9 @@ def kernel_integrals(f, rule: QuadratureRule) -> KernelIntegrals:
     only correct values).  Any other function is summed over the rule's
     positive half by ``_node_integrals``; a node at x = 0 counts once, in
     ``i_zero`` alone.
-    ``Optimal`` is evaluated in plain floats, without the outer nodes whose
-    weight is below ``_WEIGHT_CUT`` times the innermost one's, which would
-    not change a bit; any other callable is evaluated with numpy.
+    ``Optimal`` is evaluated in plain floats over the rule's ``live_half``:
+    the outer nodes it drops would not change a bit.  Any other callable is
+    evaluated with numpy.
     ValueError for a non-callable or a function that is not odd,
     NumericalDomainError for one that is not finite at a node.
     """
@@ -301,28 +343,21 @@ def kernel_integrals(f, rule: QuadratureRule) -> KernelIntegrals:
     exact = getattr(f, "exact_integrals", None)
     if exact is not None:
         return exact
-    nodes, weights = rule.half_nodes, rule.half_weights
     if isinstance(f, Optimal):
-        live = len(weights)
-        cut = _WEIGHT_CUT * weights[0] if live else 0.0
-        while live and weights[live - 1] < cut:
-            live -= 1
-        nodes, weights = nodes[:live], weights[:live]
-        eps = float(f.epsilon)
-        values = [x / (1.0 + eps * (x * x)) for x in nodes]
-    else:
-        if not callable(f):
-            raise ValueError(f"expected a measurement function or callable, got {type(f)!r}")
-        check_odd(f, rule)
-        import numpy as np
+        nodes, weights = rule.live_half
+        return _node_integrals(nodes, weights, f.values_at(nodes))
+    if not callable(f):
+        raise ValueError(f"expected a measurement function or callable, got {type(f)!r}")
+    check_odd(f, rule)
+    nodes, weights = rule.half_nodes, rule.half_weights
+    if rule.order % 2:
+        # half the weight of x = 0, which the sums count twice
+        nodes, weights = (0.0,) + nodes, (0.5 * rule.center_weight,) + weights
+    import numpy as np
 
-        if rule.order % 2:
-            # half the weight of x = 0, which the sums count twice
-            nodes, weights = (0.0,) + nodes, (0.5 * rule.center_weight,) + weights
-        x = np.array(nodes, dtype=float)
-        fx = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
-        if not np.isfinite(fx).all():
-            node = x[~np.isfinite(fx)][0]
-            raise NumericalDomainError(f"measurement function not finite at node x={node!r}")
-        values = fx.tolist()
-    return _node_integrals(nodes, weights, values)
+    x = np.array(nodes, dtype=float)
+    fx = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    if not np.isfinite(fx).all():
+        node = x[~np.isfinite(fx)][0]
+        raise NumericalDomainError(f"measurement function not finite at node x={node!r}")
+    return _node_integrals(nodes, weights, fx.tolist())

@@ -21,8 +21,10 @@ N = 9, r = 0 it falls from 4704 eps at eps = 0.5 to 0.004 eps at eps = 20),
 so it runs in u = log(1 + eps), positive exactly where eps is, as the root of
 log(1 + 4 b1/b0) - u by the bracketed secant solver of ``functional_bell``.
 The optimizer returns the eps it solved, eps = exp(u) - 1, with the node
-values of that family member as an array; no fit recovers it afterwards.
-The oracle sees node values as their kernel integrals (``_node_integrals``).
+values of that family member as a list of floats; no fit recovers it
+afterwards.  The oracle sees node values as their kernel integrals
+(``_node_integrals``).  The module computes in plain floats and imports no
+numpy; a free start function is evaluated by ``quadrature.node_values``.
 
 The ratio is scale invariant.  The gauge pins the value at the smallest
 positive node to that node.  The stationarity residual is the gradient
@@ -33,15 +35,14 @@ when it is at most 1e-7.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
-
-import numpy as np
+import math
+from typing import Callable, List, Optional, Tuple
 
 from .errors import ConvergenceError, NumericalDomainError
 from .functional_bell import _bracketed_root
 from .model import SQRT_2_OVER_PI, density_matrix
 from .oracle import RatioPartials, orthogonal_angles, ratio_partials
-from .quadrature import Optimal, QuadratureRule, _node_integrals
+from .quadrature import Optimal, QuadratureRule, _node_integrals, node_values
 from .scenario import StateSpec
 
 # residual |log(1 + 4 b1/b0) - u| at which the map counts as converged
@@ -58,38 +59,42 @@ class _RatioProblem:
         self.rule = rule
         self.rho = density_matrix(spec)
         self.angles = orthogonal_angles(spec.n_modes, spec.r_split)
-        self.nodes = np.array(rule.half_nodes, dtype=float)
+        self.nodes = rule.half_nodes
         # node-value derivatives of the site scalars; the odd mirror doubles
         # every positive-node weight
-        c = 4.0 * SQRT_2_OVER_PI * np.array(rule.half_weights, dtype=float)
-        self._dm = c * self.nodes                  # dm/dv
-        self._dq0 = c                              # dq0/dv, per unit v
-        self._dq1 = 4.0 * c * self.nodes ** 2      # dq1/dv, per unit v
+        scale = 4.0 * SQRT_2_OVER_PI
+        c = [scale * w for w in rule.half_weights]
+        self._dm = [ci * x for ci, x in zip(c, self.nodes)]                # dm/dv
+        self._dq0 = c                                                       # dq0/dv, per unit v
+        self._dq1 = [(4.0 * ci) * (x * x) for ci, x in zip(c, self.nodes)]  # dq1/dv, per unit v
 
-    def partials(self, values: np.ndarray) -> RatioPartials:
-        k = _node_integrals(self.rule.half_nodes, self.rule.half_weights, values.tolist())
+    def partials(self, values: List[float]) -> RatioPartials:
+        k = _node_integrals(self.rule.half_nodes, self.rule.half_weights, values)
         return ratio_partials(self.rho, k, k, self.angles, self.rule)
 
-    def ratio_and_gradient(self, values: np.ndarray) -> Tuple[float, np.ndarray]:
+    def ratio_and_gradient(self, values: List[float]) -> Tuple[float, List[float]]:
         """The ratio and its gradient in the node values."""
         p = self.partials(values)
         d_q0, d_q1 = p.d_moments
+        a = p.d_amplitude[0]
         # Q0 = 2 q0 and Q1 = 2 q1 with f on both quadratures
-        d_moments = 2.0 * (d_q0 * self._dq0 + d_q1 * self._dq1)
-        return p.ratio, p.d_amplitude[0] * self._dm + d_moments * values
+        return p.ratio, [a * dm + (2.0 * (d_q0 * dq0 + d_q1 * dq1)) * v
+                         for dm, dq0, dq1, v in zip(self._dm, self._dq0, self._dq1, values)]
 
-    def ratio_and_residual(self, values: np.ndarray) -> Tuple[float, float]:
+    def ratio_and_residual(self, values: List[float]) -> Tuple[float, float]:
         """The ratio, and the gradient max-norm over all but the gauge node
         relative to it."""
         ratio, grad = self.ratio_and_gradient(values)
-        return ratio, float(np.max(np.abs(grad[1:])) / ratio)
+        return ratio, max(abs(g) for g in grad[1:]) / ratio
 
-    def family(self, u: float) -> np.ndarray:
+    def family(self, u: float) -> List[float]:
         """Node values of x/(1 + eps x^2) at eps = exp(u) - 1, scaled to value/node 1
         at the gauge node: the ratio and the map ignore the scale, and it keeps
         the bound side in the float range at large eps."""
-        eps = np.expm1(u)
-        return Optimal(eps)(self.nodes) * (1.0 + eps * self.nodes[0] ** 2)
+        eps = math.expm1(u)
+        x0 = self.nodes[0]
+        scale = 1.0 + eps * (x0 * x0)
+        return [v * scale for v in Optimal(eps).values_at(self.nodes)]
 
 
 def _stationary_epsilon(p: RatioPartials, n: int) -> float:
@@ -103,17 +108,18 @@ def _stationary_epsilon(p: RatioPartials, n: int) -> float:
     return 4.0 * b1 / b0
 
 
-def _gauged(nodes: np.ndarray, values) -> np.ndarray:
+def _gauged(nodes, values) -> List[float]:
     """Node values rescaled to value/node 1 at the smallest node; ValueError
     unless there is one finite value per node, nonzero at the first."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != nodes.shape:
-        raise ValueError(f"expected one value per node ({nodes.size}), got shape {values.shape}")
-    if not np.isfinite(values).all():
+    if not isinstance(values, list) or len(values) != len(nodes):
+        got = f"{len(values)} values" if isinstance(values, list) else repr(values)
+        raise ValueError(f"expected one value per node ({len(nodes)}), got {got}")
+    if not all(math.isfinite(v) for v in values):
         raise ValueError("node values must be finite")
     if values[0] == 0.0:
         raise ValueError("cannot gauge-fix a function vanishing at the first node")
-    return values * (nodes[0] / values[0])
+    scale = nodes[0] / values[0]
+    return [v * scale for v in values]
 
 
 def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
@@ -137,21 +143,21 @@ def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
     if spec.purity == 0.0:
         raise ValueError("the ratio vanishes for every function at purity 0")
     problem = _RatioProblem(spec, rule)
-    start = _gauged(problem.nodes, init(problem.nodes))
+    start = _gauged(problem.nodes, node_values(init, problem.nodes))
 
-    def update(values: np.ndarray) -> float:
+    def update(values: List[float]) -> float:
         p = problem.partials(values)
         if iteration_callback is not None:
             iteration_callback(p.ratio)
         return _stationary_epsilon(p, spec.n_modes)
 
     try:
-        u = _bracketed_root(lambda u: np.log1p(update(problem.family(u))) - u,
-                            np.log1p(update(start)), _MAP_TOL, "free-function")
+        u = _bracketed_root(lambda u: math.log1p(update(problem.family(u))) - u,
+                            math.log1p(update(start)), _MAP_TOL, "free-function")
     except ConvergenceError as exc:
         u = exc.best        # judged by its gradient like any other end point
     best = _gauged(problem.nodes, problem.family(u))
-    eps = float(np.expm1(u))
+    eps = math.expm1(u)
     ratio, residual = problem.ratio_and_residual(best)
     if residual > _GTOL:
         raise ConvergenceError(
@@ -170,4 +176,4 @@ def euler_lagrange_residual(f, spec: StateSpec, rule: QuadratureRule) -> float:
     (1e-12 and below) at a true optimum, order 1e-3 or larger away from one.
     """
     problem = _RatioProblem(spec, rule)
-    return problem.ratio_and_residual(_gauged(problem.nodes, f(problem.nodes)))[1]
+    return problem.ratio_and_residual(_gauged(problem.nodes, node_values(f, problem.nodes)))[1]

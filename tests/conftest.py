@@ -30,6 +30,7 @@ def _family_fit(v, rule):
     ``optimize_function`` returns.
     """
     x, w = np.array(rule.half_nodes), np.array(rule.half_weights)
+    v = np.asarray(v, dtype=float)
     assert v.shape == x.shape
 
     def sse(eps):

@@ -21,7 +21,12 @@ no shortcut with the package's own:
   package never does, so that tests can sum a rule as a dot product;
 - ``dense_matrix`` and ``check_density_matrix`` form a product operator's
   full 2^N x 2^N matrix, which no command builds, to check it entry by
-  entry.
+  entry;
+- ``einsum_expectation`` and ``einsum_expectation_sums`` are the numpy
+  contraction the package used before its plain-float kernel, and
+  ``einsum_ratio`` and ``einsum_mk_value`` the oracle and binned values on
+  top of it with numpy-built site operators, so that tests can require the
+  kernel's results bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from cvbell.mk_binning import _half_power
 from cvbell.functional_bell import BellResult
 from cvbell.model import AngleConfig, DensityMatrix, ProductOperator, density_matrix
 from cvbell.oracle import evaluate, orthogonal_angles
-from cvbell.quadrature import Optimal, QuadratureRule
+from cvbell.quadrature import Optimal, QuadratureRule, SignBin, kernel_integrals
 from cvbell.scenario import StateSpec
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -179,7 +184,7 @@ def mk_bell_value_product_form(spec: StateSpec) -> float:
 def dense_matrix(op: ProductOperator) -> np.ndarray:
     """The dense 2^N x 2^N matrix of a product operator, built by ``np.kron``
     (small N only)."""
-    return sum(w * functools.reduce(np.kron, sites)
+    return sum(w * functools.reduce(np.kron, np.asarray(sites, dtype=complex))
                for w, sites in zip(op.weights, op.factors))
 
 
@@ -206,3 +211,70 @@ def mirrored(rule: QuadratureRule) -> Tuple[np.ndarray, np.ndarray]:
     odd = rule.order % 2
     return (np.concatenate((-x[::-1], [0.0] * odd, x)),
             np.concatenate((w[::-1], [rule.center_weight] * odd, w)))
+
+
+def _einsum_traces(op: ProductOperator, mats) -> np.ndarray:
+    """tr(a_tk M_k) for every term t and site k; (terms, n)."""
+    return np.einsum("tkij,kji->tk", np.asarray(op.factors, dtype=complex),
+                     np.asarray(mats, dtype=complex))
+
+
+def einsum_expectation(op: ProductOperator, mats) -> complex:
+    """Tr(op M_1 (x) ... (x) M_n) as w @ prod_k einsum("tkij,kji->tk"), over
+    the terms with no zero site trace."""
+    traces = _einsum_traces(op, mats)
+    live = traces.all(axis=1)
+    return complex(np.asarray(op.weights, dtype=complex)[live] @ traces[live].prod(axis=1))
+
+
+def einsum_expectation_sums(op: ProductOperator, mats, replacements):
+    """``einsum_expectation`` without the live-term filter, and the sums over
+    sites of the contraction with one site's operator replaced, from prefix
+    and suffix products of the site traces."""
+    w = np.asarray(op.weights, dtype=complex)
+    traces = [_einsum_traces(op, m) for m in [mats, *replacements]]
+    f = traces[0]
+    ones = np.ones_like(f[:, :1])
+    prefix = np.concatenate((ones, np.cumprod(f[:, :-1], axis=1)), axis=1)
+    suffix = np.concatenate((np.cumprod(f[:, :0:-1], axis=1)[:, ::-1], ones), axis=1)
+    others = prefix * suffix
+    sums = np.array([(others * d).sum(axis=1) @ w for d in traces[1:]])
+    return complex(w @ f.prod(axis=1)), sums
+
+
+def _numpy_correlators(mf: float, mg: float, theta, theta_prime) -> np.ndarray:
+    """(n, 2, 2) stack of f(X^theta_k) + i g(X^theta'_k) built with numpy."""
+    th = np.asarray(theta, dtype=float)
+    thp = np.asarray(theta_prime, dtype=float)
+    o = np.zeros(th.shape + (2, 2), dtype=complex)
+    o[..., 0, 1] = np.exp(-1j * th) * mf + 1j * np.exp(-1j * thp) * mg
+    o[..., 1, 0] = np.exp(1j * th) * mf + 1j * np.exp(1j * thp) * mg
+    return o
+
+
+def _numpy_scalars(f, rule: QuadratureRule) -> np.ndarray:
+    k = kernel_integrals(f, rule)
+    return np.sqrt(2.0 / np.pi) * np.array([k.i_plus / 2.0, k.i_zero / 4.0, k.i_cross / 4.0])
+
+
+def einsum_ratio(rho: DensityMatrix, f, g, angles: AngleConfig,
+                 rule: QuadratureRule) -> float:
+    """The oracle ratio |<prod O_k>|^2 / <prod Q_k> by the numpy route."""
+    mf, qf0, qf1 = _numpy_scalars(f, rule)
+    mg, qg0, qg1 = _numpy_scalars(g, rule)
+    o = _numpy_correlators(mf, mg, angles.theta, angles.theta_prime)
+    q = np.broadcast_to(np.diag([qf0 + qg0, qf1 + qg1]), o.shape)
+    corr = einsum_expectation(rho.matrix, o)
+    return float(abs(corr) ** 2 / einsum_expectation(rho.matrix, q).real)
+
+
+def einsum_mk_value(rho: DensityMatrix, angles: AngleConfig) -> float:
+    """The binned |S_N| by the numpy route, every second site halved."""
+    n = rho.n_modes
+    m = _numpy_scalars(SignBin(), None)[0]
+    halves = np.where(np.arange(n) % 2 == 1, 0.5, 1.0).reshape(-1, 1, 1)
+    values = []
+    for th, thp in ((angles.theta, angles.theta_prime), (angles.theta_prime, angles.theta)):
+        pi_n = einsum_expectation(rho.matrix, _numpy_correlators(m, m, th, thp) * halves)
+        values.append(abs(pi_n) if n % 2 else abs(pi_n.real) + abs(pi_n.imag))
+    return max(values)

@@ -21,7 +21,7 @@ from cvbell.functional_bell import (
     solve_epsilon_odd,
 )
 from cvbell.mk_binning import (
-    _correlator,
+    _correlators,
     mk_bell_value,
     mk_critical_product,
     mk_evaluate,
@@ -219,7 +219,7 @@ def test_criterion_7_structural_invariants(rule):
         cfg = mk_optimal_angles(5, 2)
         res = evaluate(rho5, sb, sb, cfg, rule)
         assert res.rhs == pytest.approx(2.0 ** n, abs=1e-12)
-        pi_n = _correlator(rho5, cfg.theta, cfg.theta_prime)
+        pi_n = _correlators(rho5, cfg.theta, cfg.theta_prime)[0]
         assert np.sqrt(res.lhs) == pytest.approx(abs(pi_n), rel=1e-12)
 
         # the ratio ignores a common rescaling of the functions

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvbell import _accel
-from cvbell.model import ProductOperator, density_matrix
+from cvbell.mk_binning import mk_evaluate, mk_optimal_angles
+from cvbell.model import ProductOperator, density_matrix, site_operator
+from cvbell.oracle import evaluate, orthogonal_angles
+from cvbell.quadrature import Optimal
 from cvbell.scenario import StateSpec
-from reference import branch_indices, dense_matrix, loss_kraus
+from reference import (branch_indices, dense_matrix, einsum_expectation, einsum_expectation_sums,
+                       einsum_mk_value, einsum_ratio, loss_kraus)
 
 
 def random_case(rng, n, sparse=False):
@@ -77,6 +83,12 @@ class TestBackends:
             got = _accel.tensor_expectation(rho.matrix, mats)
             assert got == pytest.approx(expected, rel=1e-13)
 
+    def test_pairwise_sum_is_numpys(self):
+        rng = np.random.default_rng(7)
+        for n in range(0, 300):
+            terms = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert _accel._pairwise_sum(terms.tolist()) == terms.sum()
+
     def test_replacement_sums_against_site_loop(self):
         # reference: one dense contraction per site with that site's operator
         # replaced
@@ -95,6 +107,36 @@ class TestBackends:
                 assert got == pytest.approx(want, rel=1e-12)
 
 
+class TestEinsumBits:
+    """On the detected states the plain-float kernel, and the oracle and
+    binned values on it, give the bits of the numpy einsum contraction they
+    replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 60), data=st.data(),
+           eta=st.floats(0.0, 1.0, exclude_min=True), p=st.floats(0.0, 1.0, exclude_min=True),
+           eps=st.floats(0.05, 20.0))
+    def test_detected_states(self, rule, n, data, eta, p, eps):
+        r = data.draw(st.integers(0, n), label="r")
+        rho = density_matrix(StateSpec(n, r, p, eta))
+        angles = orthogonal_angles(n, r)
+        f = Optimal(eps)
+        o_mats, q_mats = site_operator(f, f, angles.theta, angles.theta_prime, rule)
+        for mats in (o_mats, q_mats):
+            assert _accel.tensor_expectation(rho.matrix, mats) == einsum_expectation(rho.matrix,
+                                                                                     mats)
+        assert evaluate(rho, f, f, angles, rule).ratio == einsum_ratio(rho, f, f, angles, rule)
+        if r:       # the binned pattern is defined for r >= 1
+            mk_angles = mk_optimal_angles(n, r)
+            assert mk_evaluate(rho, mk_angles).s_value == einsum_mk_value(rho, mk_angles)
+        # the replacement sums differ from numpy's only in the rounding of
+        # its fused complex products
+        value, sums = _accel.tensor_expectation_sums(rho.matrix, o_mats, [o_mats])
+        want, want_sums = einsum_expectation_sums(rho.matrix, o_mats, [o_mats])
+        assert value == want
+        assert sums[0] == pytest.approx(want_sums[0], rel=1e-13)
+
+
 class TestSparseState:
     def test_matches_full_kraus_channel(self):
         for eta, p in ((0.7, 0.8), (0.25, 1.0), (1.0, 0.6)):
@@ -110,5 +152,5 @@ class TestSparseState:
             for n in range(1, 13):
                 for r in range(n + 1):
                     rho = density_matrix(StateSpec(n, r, p, eta))
-                    assert rho.matrix.weights.shape == (4,)
-                    assert rho.matrix.factors.shape == (4, n, 2, 2)
+                    assert len(rho.matrix.weights) == 4
+                    assert np.shape(rho.matrix.factors) == (4, n, 2, 2)

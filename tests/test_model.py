@@ -18,7 +18,7 @@ def zero(x):
 def element(f, theta, rule):
     """<m|f(X^theta)|n> on the {|0>, |1>} subspace: site_operator's O with g = 0."""
     O, _ = site_operator(f, zero, theta, 0.0, rule)
-    return O
+    return np.asarray(O)
 
 
 def raising_reference(f, rule):
@@ -162,6 +162,7 @@ class TestSiteOperator:
     def test_identity_gives_lowering_operator(self, rule):
         # f = g = x with orthogonal phases reproduces the mode operator a
         O, Q = site_operator(Identity(), Identity(), 0.0, np.pi / 2, rule)
+        O = np.asarray(O)
         assert O[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert abs(O[1, 0]) < 1e-12
         assert abs(O[0, 0]) == 0.0 and abs(O[1, 1]) == 0.0
@@ -176,6 +177,7 @@ class TestSiteOperator:
         eps = 1.9
         theta = 0.7
         O, _ = site_operator(Optimal(eps), Optimal(eps), theta, theta - np.pi / 2, rule)
+        O = np.asarray(O)
         m = raising_reference(Optimal(eps), rule)
         assert abs(O[0, 1]) < 1e-12
         assert O[1, 0] == pytest.approx(2.0 * np.exp(1j * theta) * m, abs=1e-12)

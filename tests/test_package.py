@@ -78,7 +78,7 @@ class TestNamespace:
 
 # modules every command loads: the parser and the base of the scalar layer
 _SCALAR = ("cli", "errors", "quadrature", "_gauss_hermite_tables", "scenario")
-# the array layer, loaded only by the commands that build states
+# the state model and the oracle, loaded only by the commands that build states
 _ARRAYS = ("model", "_accel", "oracle")
 _THRESHOLDS = ("functional_bell", "critical", "mk_binning")
 
@@ -104,15 +104,19 @@ class TestStartupImports:
          _THRESHOLDS, False),
         (["figure2", "--n-min", "3", "--n-max", "5", "--ineq", "mk", "--out", "{tmp}/f2.csv"],
          _THRESHOLDS, False),
+        (["oracle-check", "--n-min", "3", "--n-max", "3"],
+         ("functional_bell", "mk_binning", *_ARRAYS), False),
+        (["optimize", "--n", "4", "--init", "signbin", "--out", "{tmp}/opt.csv"],
+         ("functional_bell", "variational", *_ARRAYS), False),
         # an order without a table computes its rule with numpy
         (["eval", "--ineq", "functional", "--n", "6", "--order", "100"], ("functional_bell",), True),
-        (["oracle-check", "--n-min", "3", "--n-max", "3"],
+        (["oracle-check", "--n-min", "3", "--n-max", "3", "--order", "100"],
          ("functional_bell", "mk_binning", *_ARRAYS), True),
-        (["optimize", "--n", "4", "--init", "signbin", "--out", "{tmp}/opt.csv"],
-         ("functional_bell", "variational", *_ARRAYS), True),
+        (["optimize", "--n", "4", "--init", "signbin", "--order", "100",
+          "--out", "{tmp}/opt.csv"], ("functional_bell", "variational", *_ARRAYS), True),
     ], ids=["eval-mk", "eval-functional", "eval-cfrd-o64", "figure1", "figure1-o64", "figure2",
-            "figure2-functional-o64", "figure2-cfrd", "figure2-mk", "eval-o100", "oracle-check",
-            "optimize"])
+            "figure2-functional-o64", "figure2-cfrd", "figure2-mk", "oracle-check", "optimize",
+            "eval-o100", "oracle-check-o100", "optimize-o100"])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, modules, numpy):
         argv = [a.format(tmp=tmp_path) for a in argv]
         loaded = _loaded_modules(f"from cvbell.cli import main\nassert main({argv!r}) == 0")

@@ -346,3 +346,14 @@ class TestNodeIntegrals:
         values = f(np.array(rule.half_nodes)).tolist()
         summed = _node_integrals(rule.half_nodes, rule.half_weights, values)
         assert astuple(summed) == astuple(kernel_integrals(f, rule))
+
+    @pytest.mark.parametrize("order", [2, 5, 33, 64, 255, 256, 512])
+    def test_weight_cut_changes_no_bit(self, order):
+        # Optimal sums only the rule's live_half; the nodes it leaves out
+        # would not change the sums
+        rule = cached_rule(order)
+        for eps in (0.05, 1.0, 2.96, 6.585, 20.0):
+            f = Optimal(eps)
+            full = _node_integrals(rule.half_nodes, rule.half_weights,
+                                   f.values_at(rule.half_nodes))
+            assert astuple(kernel_integrals(f, rule)) == astuple(full)

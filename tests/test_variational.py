@@ -19,7 +19,7 @@ from cvbell.variational import _RatioProblem, euler_lagrange_residual, optimize_
 def node_integrals(values, rule):
     """The kernel integrals of the odd function with ``values`` at the rule's
     positive nodes, which the oracle takes in place of the function."""
-    return _node_integrals(rule.half_nodes, rule.half_weights, values.tolist())
+    return _node_integrals(rule.half_nodes, rule.half_weights, np.asarray(values).tolist())
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +101,7 @@ class TestRecovery:
         # every node value rather than imposed
         spec = StateSpec(n, r, p, eta)
         _, fv, _, _ = optimize_function(spec, quick_rule, Identity())
+        fv = np.asarray(fv)
         rho, angles = density_matrix(spec), orthogonal_angles(n, r)
         x = np.array(quick_rule.half_nodes)
         f = node_integrals(fv, quick_rule)
