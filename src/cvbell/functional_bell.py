@@ -21,8 +21,7 @@ which the oracle returns as well, is defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConvergenceError, NumericalDomainError, normal_bound_side
 from .quadrature import Identity, KernelIntegrals, Optimal, QuadratureRule, kernel_integrals
@@ -33,8 +32,7 @@ _MAX_EVALS = 100
 _ULPS = 4   # a bracket this many float spacings wide pins the root
 
 
-@dataclass(frozen=True)
-class BellResult:
+class BellResult(NamedTuple):
     """One inequality evaluation: correlator side, bound side, and their ratio."""
 
     lhs: float
@@ -43,8 +41,7 @@ class BellResult:
     function_id: str
 
 
-@dataclass(frozen=True)
-class EpsilonSolution:
+class EpsilonSolution(NamedTuple):
     """Solved parameters of the optimal measurement function.
 
     ``epsilon_ideal`` is the ratio 4*I0/I at the converged function (the

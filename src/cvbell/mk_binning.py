@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NumericalDomainError
 from .quadrature import SignBin
@@ -27,8 +26,7 @@ if TYPE_CHECKING:
     from .model import AngleConfig, DensityMatrix
 
 
-@dataclass(frozen=True)
-class MKResult:
+class MKResult(NamedTuple):
     """Outcome of one binned multipartite evaluation.
 
     ``s_value`` is the largest |S_N| over the allowed combinations (real,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 from .quadrature import KernelIntegrals, QuadratureRule, kernel_integrals
@@ -51,22 +50,20 @@ def _wrap_angles(angles) -> Tuple[float, ...]:
     return tuple([pi - (pi - a) % two_pi for a in map(float, angles)])
 
 
-@dataclass(frozen=True)
 class AngleConfig:
     """Per-site quadrature phases (theta_k, theta_prime_k), stored in (-pi, pi]."""
 
-    theta: Tuple[float, ...]
-    theta_prime: Tuple[float, ...]
+    __slots__ = ("theta", "theta_prime")
 
-    def __post_init__(self):
-        th = _wrap_angles(self.theta)
-        thp = _wrap_angles(self.theta_prime)
+    def __init__(self, theta, theta_prime):
+        th = _wrap_angles(theta)
+        thp = _wrap_angles(theta_prime)
         if len(th) != len(thp):
             raise ValueError("theta and theta_prime must have the same length")
         if len(th) == 0:
             raise ValueError("angle lists must be non-empty")
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "theta_prime", thp)
+        self.theta = th
+        self.theta_prime = thp
 
     @property
     def n_modes(self) -> int:
@@ -82,7 +79,6 @@ def _nested_tuples(x):
     return tuple(map(_nested_tuples, x)) if isinstance(x, list) else x
 
 
-@dataclass(frozen=True)
 class ProductOperator:
     """Sum of tensor products of 2x2 site factors:
     sum_t weights[t] * factors[t][0] (x) factors[t][1] (x) ... (x) factors[t][N-1].
@@ -93,32 +89,31 @@ class ProductOperator:
     shapes (T,) and (T, N, 2, 2) are converted.
     """
 
-    weights: tuple
-    factors: tuple
+    __slots__ = ("weights", "factors")
 
-    def __post_init__(self):
-        w, a = self.weights, self.factors
-        w = tuple(w.tolist() if hasattr(w, "tolist") else w)
-        a = _nested_tuples(a.tolist()) if hasattr(a, "tolist") else tuple(map(tuple, a))
+    def __init__(self, weights, factors):
+        w = tuple(weights.tolist() if hasattr(weights, "tolist") else weights)
+        a = (_nested_tuples(factors.tolist()) if hasattr(factors, "tolist")
+             else tuple(map(tuple, factors)))
         sites = {len(term) for term in a}
         if len(a) != len(w) or len(sites) > 1:
             raise ValueError(f"expected T weights and T terms of equally many site factors; "
                              f"got {len(w)} weights and terms of {sorted(sites)} sites")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "factors", a)
+        self.weights = w
+        self.factors = a
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
     """Density matrix on N modes, stored as a ``ProductOperator``."""
 
-    n_modes: int
-    matrix: ProductOperator
+    __slots__ = ("n_modes", "matrix")
 
-    def __post_init__(self):
-        for term in self.matrix.factors:
-            if len(term) != self.n_modes:
-                raise ValueError(f"{len(term)} sites for {self.n_modes} modes")
+    def __init__(self, n_modes: int, matrix: ProductOperator):
+        for term in matrix.factors:
+            if len(term) != n_modes:
+                raise ValueError(f"{len(term)} sites for {n_modes} modes")
+        self.n_modes = n_modes
+        self.matrix = matrix
 
 
 def density_matrix(spec: StateSpec) -> DensityMatrix:

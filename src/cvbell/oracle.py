@@ -21,8 +21,7 @@ computes in plain floats and imports no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from ._accel import tensor_expectation, tensor_expectation_sums
 from .errors import normal_bound_side
@@ -82,8 +81,7 @@ def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig,
     )
 
 
-@dataclass(frozen=True)
-class RatioPartials:
+class RatioPartials(NamedTuple):
     """The Bell ratio and its partial derivatives in the site scalars.
 
     ``d_amplitude`` is the tuple (d ratio/d mf, d ratio/d mg), or, when g is

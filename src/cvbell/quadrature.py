@@ -27,8 +27,7 @@ closed-form commands never load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._gauss_hermite_tables import POSITIVE_HALF
 from .errors import NumericalDomainError, is_integer
@@ -50,7 +49,6 @@ _ODD_TOL = 1e-10  # largest |f(x) + f(-x)| at a node that ``check_odd`` accepts
 _WEIGHT_CUT = 1e-40
 
 
-@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes/weights integrating f against e^(-2x^2) as sum(weights * f(nodes)).
 
@@ -66,19 +64,19 @@ class QuadratureRule:
     so it is cut once, here.
     """
 
-    order: int
-    half_nodes: tuple
-    half_weights: tuple
-    center_weight: float = 0.0
-    live_half: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("order", "half_nodes", "half_weights", "center_weight", "live_half")
 
-    def __post_init__(self):
-        weights = self.half_weights
-        live = len(weights)
-        cut = _WEIGHT_CUT * weights[0] if live else 0.0
-        while live and weights[live - 1] < cut:
+    def __init__(self, order: int, half_nodes: tuple, half_weights: tuple,
+                 center_weight: float = 0.0):
+        self.order = order
+        self.half_nodes = half_nodes
+        self.half_weights = half_weights
+        self.center_weight = center_weight
+        live = len(half_weights)
+        cut = _WEIGHT_CUT * half_weights[0] if live else 0.0
+        while live and half_weights[live - 1] < cut:
             live -= 1
-        object.__setattr__(self, "live_half", (self.half_nodes[:live], weights[:live]))
+        self.live_half = (half_nodes[:live], half_weights[:live])
 
 
 def _hermite_functions(n: int, u):
@@ -157,8 +155,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     return QuadratureRule(n, *POSITIVE_HALF[n])
 
 
-@dataclass(frozen=True)
-class KernelIntegrals:
+class KernelIntegrals(NamedTuple):
     """The three moments of one odd measurement function f that set the Bell ratio:
 
     - ``i_plus``  = 2 * int e^(-2x^2) x * 2f(x) dx       (linear moment)
@@ -192,6 +189,7 @@ class MeasurementFunction:
     subspace).
     """
 
+    __slots__ = ()
     is_odd = True
     label = "abstract"
 
@@ -199,7 +197,6 @@ class MeasurementFunction:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Identity(MeasurementFunction):
     """f(x) = x: plain homodyne outcome, the moment-correlation choice.
 
@@ -221,15 +218,15 @@ class Identity(MeasurementFunction):
         return [float(x) for x in nodes]
 
 
-@dataclass(frozen=True)
 class Optimal(MeasurementFunction):
     """f(x) = x / (1 + epsilon x^2), the stationary family of the Bell ratio."""
 
-    epsilon: float
+    __slots__ = ("epsilon",)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+    def __init__(self, epsilon: float):
+        if not (math.isfinite(epsilon) and epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+        self.epsilon = epsilon
 
     @property
     def label(self) -> str:
@@ -246,7 +243,6 @@ class Optimal(MeasurementFunction):
         return [x / (1.0 + eps * (x * x)) for x in nodes]
 
 
-@dataclass(frozen=True)
 class SignBin(MeasurementFunction):
     """Binary binning of the outcome: +1 for x >= 0, -1 otherwise.
 

@@ -8,12 +8,10 @@ builds; ``canonical_split`` is the split every ratio here is maximal at.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import is_integer
 
 
-@dataclass(frozen=True)
 class StateSpec:
     """Physical scenario: mode count N, photon split r, purity p, efficiency eta.
 
@@ -23,22 +21,24 @@ class StateSpec:
     probability of the detection chain.
     """
 
-    n_modes: int
-    r_split: int
-    purity: float = 1.0
-    efficiency: float = 1.0
+    __slots__ = ("n_modes", "r_split", "purity", "efficiency")
 
-    def __post_init__(self):
-        if not is_integer(self.n_modes) or self.n_modes < 1:
-            raise ValueError(f"n_modes must be a positive integer, got {self.n_modes!r}")
-        if not is_integer(self.r_split) or not 0 <= self.r_split <= self.n_modes:
+    def __init__(self, n_modes: int, r_split: int, purity: float = 1.0,
+                 efficiency: float = 1.0):
+        if not is_integer(n_modes) or n_modes < 1:
+            raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
+        if not is_integer(r_split) or not 0 <= r_split <= n_modes:
             raise ValueError(
-                f"r_split must be an integer in [0, {self.n_modes}], got {self.r_split!r}"
+                f"r_split must be an integer in [0, {n_modes}], got {r_split!r}"
             )
-        if not (math.isfinite(self.purity) and 0.0 <= self.purity <= 1.0):
-            raise ValueError(f"purity must lie in [0, 1], got {self.purity!r}")
-        if not (math.isfinite(self.efficiency) and 0.0 < self.efficiency <= 1.0):
-            raise ValueError(f"efficiency must lie in (0, 1], got {self.efficiency!r}")
+        if not (math.isfinite(purity) and 0.0 <= purity <= 1.0):
+            raise ValueError(f"purity must lie in [0, 1], got {purity!r}")
+        if not (math.isfinite(efficiency) and 0.0 < efficiency <= 1.0):
+            raise ValueError(f"efficiency must lie in (0, 1], got {efficiency!r}")
+        self.n_modes = n_modes
+        self.r_split = r_split
+        self.purity = purity
+        self.efficiency = efficiency
 
 
 def canonical_split(n: int) -> int:

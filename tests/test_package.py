@@ -1,4 +1,5 @@
-"""The lazy ``cvbell`` namespace, and what each command loads in a fresh interpreter."""
+"""The lazy ``cvbell`` namespace, what each command loads in a fresh interpreter,
+and the constructors and records of the public types."""
 
 import importlib
 import json
@@ -123,3 +124,82 @@ class TestStartupImports:
         assert (sorted(m.removeprefix("cvbell.") for m in loaded if m.startswith("cvbell."))
                 == sorted(_SCALAR + modules))
         assert ("numpy" in loaded) is numpy
+        if not numpy:  # numpy imports inspect itself
+            assert not loaded & {"dataclasses", "inspect"}
+
+
+class TestPublicTypes:
+    """Construction and validation of the public classes; the records are immutable."""
+
+    def test_construct_by_position_and_keyword(self):
+        rule = cvbell.QuadratureRule(2, (0.5,), (0.25,))
+        assert (rule.order, rule.half_nodes, rule.half_weights, rule.center_weight) == (
+            2, (0.5,), (0.25,), 0.0)
+        rule = cvbell.QuadratureRule(order=3, half_nodes=(0.5,), half_weights=(0.25,),
+                                     center_weight=0.75)
+        assert (rule.order, rule.center_weight) == (3, 0.75)
+        for spec in (cvbell.StateSpec(6, 3, 0.9, 0.8),
+                     cvbell.StateSpec(n_modes=6, r_split=3, purity=0.9, efficiency=0.8)):
+            assert (spec.n_modes, spec.r_split, spec.purity, spec.efficiency) == (6, 3, 0.9, 0.8)
+        spec = cvbell.StateSpec(4, 2)
+        assert (spec.purity, spec.efficiency) == (1.0, 1.0)
+        assert cvbell.Optimal(2.5).epsilon == cvbell.Optimal(epsilon=2.5).epsilon == 2.5
+        angles = cvbell.AngleConfig((0.1, 0.2), (0.3, 0.4))
+        assert angles.n_modes == 2
+        assert angles.theta + angles.theta_prime == pytest.approx((0.1, 0.2, 0.3, 0.4))
+        by_name = cvbell.AngleConfig(theta=[0.1, 0.2], theta_prime=[0.3, 0.4])
+        assert (by_name.theta, by_name.theta_prime) == (angles.theta, angles.theta_prime)
+        site = ((1.0, 0.0), (0.0, 0.0))
+        for op in (cvbell.ProductOperator([1.0], [[site, site]]),
+                   cvbell.ProductOperator(weights=(1.0,), factors=((site, site),))):
+            assert (op.weights, op.factors) == ((1.0,), ((site, site),))
+        for rho in (cvbell.DensityMatrix(2, op), cvbell.DensityMatrix(n_modes=2, matrix=op)):
+            assert rho.n_modes == 2 and rho.matrix is op
+
+    @pytest.mark.parametrize("module, name, args, fields", [
+        ("quadrature", "KernelIntegrals", (1.0, 3.0, 1.0), ("i_plus", "i_cross", "i_zero")),
+        ("functional_bell", "BellResult", (1.0, 2.0, 0.5, "identity"),
+         ("lhs", "rhs", "ratio", "function_id")),
+        ("functional_bell", "EpsilonSolution", (3.0, 2.5, None, 1e-15),
+         ("epsilon_ideal", "epsilon_lossy", "epsilon_odd", "residual")),
+        ("mk_binning", "MKResult", (1.2,), ("s_value",)),
+        ("oracle", "RatioPartials", (2.0, (0.5,), (-1.0, -2.0)),
+         ("ratio", "d_amplitude", "d_moments")),
+    ])
+    def test_records(self, module, name, args, fields):
+        cls = getattr(importlib.import_module(f"cvbell.{module}"), name)
+        record = cls(*args)
+        assert record == cls(**dict(zip(fields, args)))
+        assert tuple(getattr(record, f) for f in fields) == args
+        assert name in repr(record)
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, f, 0.0)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: cvbell.Optimal(0.0), "epsilon must be positive and finite, got 0.0"),
+        (lambda: cvbell.Optimal(float("nan")), "epsilon must be positive and finite, got nan"),
+        (lambda: cvbell.AngleConfig((), ()), "angle lists must be non-empty"),
+        (lambda: cvbell.AngleConfig((0.0,), (0.0, 1.0)),
+         "theta and theta_prime must have the same length"),
+        (lambda: cvbell.DensityMatrix(3, cvbell.ProductOperator((1.0,), (((1.0,),) * 2,))),
+         "2 sites for 3 modes"),
+        (lambda: cvbell.ProductOperator((1.0, 0.5), (((1.0,),) * 2,)),
+         "expected T weights and T terms of equally many site factors; "
+         "got 2 weights and terms of [2] sites"),
+        (lambda: cvbell.ProductOperator((1.0, 0.5), (((1.0,),) * 2, ((1.0,),) * 3)),
+         "expected T weights and T terms of equally many site factors; "
+         "got 2 weights and terms of [2, 3] sites"),
+    ], ids=["optimal-zero", "optimal-nan", "angles-empty", "angles-mismatched",
+            "density-sites", "product-count", "product-sites"])
+    def test_validation_messages(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_live_half_is_the_weight_cut(self):
+        rule = cvbell.gauss_hermite_rule(256)
+        cut = 1e-40 * rule.half_weights[0]
+        live = [i for i, w in enumerate(rule.half_weights) if w >= cut]
+        assert live == list(range(len(live))) and 0 < len(live) < len(rule.half_weights)
+        assert rule.live_half == (rule.half_nodes[:len(live)], rule.half_weights[:len(live)])

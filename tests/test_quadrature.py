@@ -1,5 +1,4 @@
 import functools
-from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -172,7 +171,7 @@ class TestIntegrate:
     def test_scalar_valued_callable_broadcasts(self):
         # the zero function, written as a constant, is odd and integrates to 0
         ki = kernel_integrals(lambda x: 0.0, gauss_hermite_rule(16))
-        assert astuple(ki) == (0.0, 0.0, 0.0)
+        assert tuple(ki) == (0.0, 0.0, 0.0)
 
 
 class TestKernelIntegrals:
@@ -269,12 +268,12 @@ class TestScalarIntegrals:
     @given(eps=st.floats(1e-3, 1e3), order=st.sampled_from([2, 3, 64, 255, 256, 512]))
     def test_optimal_matches_the_numpy_route(self, eps, order):
         rule = cached_rule(order)
-        scalar = astuple(kernel_integrals(Optimal(eps), rule))
+        scalar = tuple(kernel_integrals(Optimal(eps), rule))
         # the same function as an opaque callable, evaluated with numpy at
         # every node: skipping the nodes of negligible weight changes no bit
-        assert scalar == astuple(kernel_integrals(lambda x: Optimal(eps)(x), rule))
+        assert scalar == tuple(kernel_integrals(lambda x: Optimal(eps)(x), rule))
         assert scalar == full_loop(eps, rule)
-        plain = astuple(kernel_integrals(lambda x: x / (1.0 + eps * x * x), rule))
+        plain = tuple(kernel_integrals(lambda x: x / (1.0 + eps * x * x), rule))
         for a, b in zip(scalar, plain):
             assert abs(a - b) <= 1e-14 * abs(b)
 
@@ -284,9 +283,9 @@ class TestScalarIntegrals:
         # order >= 3, so only the rule's roundoff separates them (at most
         # 2.1e-15 relative over orders 3-512, 1.1e-15 at order 256)
         exact = kernel_integrals(Identity(), cached_rule(order))
-        assert astuple(exact) == (SQ, 3.0 * SQ, SQ)
+        assert tuple(exact) == (SQ, 3.0 * SQ, SQ)
         plain = kernel_integrals(lambda x: np.asarray(x, dtype=float), cached_rule(order))
-        for a, b in zip(astuple(plain), astuple(exact)):
+        for a, b in zip(tuple(plain), tuple(exact)):
             assert abs(a - b) <= 4e-15 * b
 
     @pytest.mark.parametrize("order", [1, 2, 33, 64])
@@ -345,7 +344,7 @@ class TestNodeIntegrals:
         rule = cached_rule(order)
         values = f(np.array(rule.half_nodes)).tolist()
         summed = _node_integrals(rule.half_nodes, rule.half_weights, values)
-        assert astuple(summed) == astuple(kernel_integrals(f, rule))
+        assert tuple(summed) == tuple(kernel_integrals(f, rule))
 
     @pytest.mark.parametrize("order", [2, 5, 33, 64, 255, 256, 512])
     def test_weight_cut_changes_no_bit(self, order):
@@ -356,4 +355,4 @@ class TestNodeIntegrals:
             f = Optimal(eps)
             full = _node_integrals(rule.half_nodes, rule.half_weights,
                                    f.values_at(rule.half_nodes))
-            assert astuple(kernel_integrals(f, rule)) == astuple(full)
+            assert tuple(kernel_integrals(f, rule)) == tuple(full)
