@@ -15,12 +15,9 @@ quadrature order and the package version.
 Each subcommand imports the modules it runs when it is called, so a command
 loads and compiles only those: ``eval --ineq mk`` never loads the functional
 closed forms, the oracle, the thresholds or the optimizer.  Only the parser,
-``errors`` and ``quadrature`` (for the order defaults) load with this module,
-and none of them loads numpy.  Every subcommand computes in plain floats,
-so none loads it at the tabulated orders 64 and 256: ``oracle-check`` and
-``optimize`` build their states, site operators and contractions from
-floats and complex numbers too.  Any other ``--order`` computes its rule
-with numpy, as does a free callable evaluated at a rule's nodes.
+``errors`` and ``quadrature`` (for the order defaults) load with this module.
+Every subcommand computes in plain floats and complex numbers at every
+``--order``, and none loads numpy.
 """
 
 from __future__ import annotations
@@ -77,6 +74,8 @@ def _integrating_rule(order):
 def _cmd_eval(args) -> int:
     from .scenario import StateSpec, canonical_split
 
+    if args.n < 2:
+        raise ValueError(f"--n must be at least 2, got {args.n}")
     check_order(args.order)  # mk needs no rule but reports the order
     r = args.r if args.r is not None else canonical_split(args.n)
     spec = StateSpec(n_modes=args.n, r_split=r, purity=args.p, efficiency=args.eta)

@@ -9,19 +9,16 @@ Gauss-Hermite rule integrates them to near machine precision.
 
 The rule for weight e^(-2x^2) follows from the standard e^(-u^2) rule by
 u = sqrt(2) x: nodes shrink by 1/sqrt(2) and weights scale by 1/sqrt(2).
-The e^(-u^2) rule comes from one method, with numpy: Golub-Welsch
-eigenvalues of the Jacobi matrix, polished by Newton steps on the
-orthonormal Hermite functions (``_golub_welsch``).  At the default orders
-(DEFAULT_ORDER and QUICK_ORDER) its output is shipped as an exact float64
-table, so those rules cost no eigen-solve and do not depend on the local
-LAPACK's rounding; every other order is computed when asked for.
+The e^(-u^2) rule is computed by Newton's method on the orthonormal Hermite
+functions (``_newton_rule``).  At the default orders (DEFAULT_ORDER and
+QUICK_ORDER) an exact float64 table is shipped instead, written by
+``tools/gen_gauss_hermite_tables.py`` from Golub-Welsch eigenvalues; the two
+agree within 1e-15 relative in the nodes and 1e-12 in the weights.
 
-A rule is stored only as its positive half, in plain floats, and every
-kernel integral is one sum over that half.  numpy is imported only where
-arrays are asked for: ``_golub_welsch``, evaluating a named function on an
-array, and evaluating a free callable at the rule's nodes.  A table rule and
-the kernel integrals of the named functions need none of these, so the
-closed-form commands never load numpy.
+A rule is stored only as its positive half, and every kernel integral is one
+sum over that half.  Everything is computed in plain floats with ``math``:
+a measurement function is called on one point at a time, and the module
+imports no numpy.
 """
 
 from __future__ import annotations
@@ -79,49 +76,60 @@ class QuadratureRule:
         self.live_half = (half_nodes[:live], half_weights[:live])
 
 
-def _hermite_functions(n: int, u):
-    """(psi_{n-1}(u), psi_n(u)) of the orthonormal Hermite functions.
+def _hermite_functions(recurrence, u: float):
+    """(psi_(n-1)(u), psi_n(u)) of the orthonormal Hermite functions.
 
-    psi_k(u) = h_k(u) e^(-u^2/2) with h_k orthonormal against e^(-u^2); the
-    three-term recurrence stays in range for every order up to MAX_ORDER.
+    psi_k(u) = h_k(u) e^(-u^2/2) with h_k orthonormal against e^(-u^2).
+    ``recurrence`` holds the n pairs (sqrt(2/k), sqrt((k-1)/k)) of
+    psi_k = sqrt(2/k) u psi_(k-1) - sqrt((k-1)/k) psi_(k-2), a recurrence
+    that stays in range for every order up to MAX_ORDER.
     """
-    import numpy as np
-
-    prev = np.zeros_like(u)
-    last = np.pi ** -0.25 * np.exp(-0.5 * u * u)
-    for k in range(n):
-        prev, last = last, np.sqrt(2.0 / (k + 1)) * u * last - np.sqrt(k / (k + 1)) * prev
+    prev, last = 0.0, math.pi ** -0.25 * math.exp(-0.5 * u * u)
+    for a, b in recurrence:
+        prev, last = last, a * u * last - b * prev
     return prev, last
 
 
-def _golub_welsch(n: int) -> QuadratureRule:
+def _newton_rule(n: int) -> QuadratureRule:
     """Compute the e^(-2x^2) rule with n nodes.
 
-    The e^(-u^2) nodes are the eigenvalues of the Jacobi matrix (zero
-    diagonal, off-diagonal sqrt(k/2)), polished by two Newton steps on
-    psi_n, whose derivative at a root is sqrt(2 n) psi_(n-1).  The weights
-    are e^(-u^2) / (n psi_(n-1)(u)^2), symmetrised and normalised to
-    sqrt(pi); the symmetrised rule is an exact mirror, so its positive half
-    and middle weight describe it.  ``_gauss_hermite_tables`` holds this
-    function's output at the default orders.
+    The positive roots of psi_n, largest first, by Newton's method with
+    psi_n' = sqrt(2n) psi_(n-1) - u psi_n, from the asymptotic guesses of the
+    ``gauher`` routine (Press et al., *Numerical Recipes*, section 4.5); a
+    root is done once a step is below 1e-14 of it.  The weights are
+    e^(-u^2) / (n psi_(n-1)(u)^2), at u = 0 too for odd n, normalised to
+    sqrt(pi).
     """
-    import numpy as np
-
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    u = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    for _ in range(2):
-        prev, last = _hermite_functions(n, u)
-        u = u - last / (np.sqrt(2.0 * n) * prev - u * last)
-    prev, _ = _hermite_functions(n, u)
-    w = np.exp(-u * u) / (n * prev * prev)
-    u = 0.5 * (u - u[::-1])
-    w = 0.5 * (w + w[::-1])
-    w *= np.sqrt(np.pi) / w.sum()
-    x, w = u / np.sqrt(2.0), w / np.sqrt(2.0)
-    half = n - n // 2
-    return QuadratureRule(order=n, half_nodes=tuple(x[half:].tolist()),
-                          half_weights=tuple(w[half:].tolist()),
-                          center_weight=float(w[n // 2]) if n % 2 else 0.0)
+    recurrence = [(math.sqrt(2.0 / k), math.sqrt((k - 1) / k)) for k in range(1, n + 1)]
+    roots, weights = [], []
+    for i in range(n // 2):
+        if i == 0:
+            u = math.sqrt(2 * n + 1) - 1.85575 * (2 * n + 1) ** (-1.0 / 6.0)
+        elif i == 1:
+            u -= 1.14 * n ** 0.426 / u
+        elif i == 2:
+            u = 1.86 * u - 0.86 * roots[0]
+        elif i == 3:
+            u = 1.91 * u - 0.91 * roots[1]
+        else:
+            u = 2.0 * u - roots[i - 2]
+        for _ in range(10):  # no order up to MAX_ORDER takes more than 5
+            prev, last = _hermite_functions(recurrence, u)
+            step = last / (math.sqrt(2.0 * n) * prev - u * last)
+            u -= step
+            if abs(step) <= 1e-14 * u:
+                break
+        prev, _ = _hermite_functions(recurrence, u)
+        roots.append(u)
+        weights.append(math.exp(-u * u) / (n * prev * prev))
+    center = 0.0
+    if n % 2:
+        prev, _ = _hermite_functions(recurrence, 0.0)
+        center = 1.0 / (n * prev * prev)
+    # normalise to sqrt(pi), then scale to e^(-2x^2) by x = u / sqrt(2)
+    scale = math.sqrt(math.pi) / (2.0 * math.fsum(weights) + center) / math.sqrt(2.0)
+    return QuadratureRule(n, tuple(u / math.sqrt(2.0) for u in reversed(roots)),
+                          tuple(w * scale for w in reversed(weights)), center * scale)
 
 
 def check_order(order) -> int:
@@ -136,9 +144,8 @@ def check_order(order) -> int:
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """The e^(-2x^2) rule of the given order.
 
-    Orders 64 and 256 are the exact table of ``_gauss_hermite_tables`` and
-    need no linear algebra and no numpy; every other order is computed by
-    ``_golub_welsch``.
+    Orders 64 and 256 are the exact table of ``_gauss_hermite_tables``;
+    every other order is computed by ``_newton_rule``.
 
     Parameters
     ----------
@@ -151,7 +158,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     """
     n = check_order(order)
     if n not in POSITIVE_HALF:
-        return _golub_welsch(n)
+        return _newton_rule(n)
     return QuadratureRule(n, *POSITIVE_HALF[n])
 
 
@@ -181,12 +188,10 @@ class KernelIntegrals(NamedTuple):
 class MeasurementFunction:
     """An odd real function of a single quadrature outcome.
 
-    Instances are callable on scalars or arrays (with numpy), and the
-    concrete variants' ``values_at(nodes)`` gives the values at a sequence of
-    points as a list of plain floats, without numpy.  All concrete variants
-    are odd by construction, which the operator builders rely on (odd
-    functions have exactly vanishing diagonal Fock elements in the qubit
-    subspace).
+    Instances are called on one float and return one float.  All concrete
+    variants are odd by construction, which the operator builders rely on
+    (odd functions have exactly vanishing diagonal Fock elements in the
+    qubit subspace).
     """
 
     __slots__ = ()
@@ -209,13 +214,8 @@ class Identity(MeasurementFunction):
     label = "identity"
     exact_integrals = KernelIntegrals(GAUSS_NORM, 3.0 * GAUSS_NORM, GAUSS_NORM)
 
-    def __call__(self, x):
-        import numpy as np
-
-        return np.asarray(x, dtype=float)
-
-    def values_at(self, nodes) -> list:
-        return [float(x) for x in nodes]
+    def __call__(self, x: float) -> float:
+        return float(x)
 
 
 class Optimal(MeasurementFunction):
@@ -232,10 +232,7 @@ class Optimal(MeasurementFunction):
     def label(self) -> str:
         return f"optimal(epsilon={self.epsilon:.12g})"
 
-    def __call__(self, x):
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
+    def __call__(self, x: float) -> float:
         return x / (1.0 + self.epsilon * (x * x))
 
     def values_at(self, nodes) -> list:
@@ -255,39 +252,46 @@ class SignBin(MeasurementFunction):
     label = "sign_bin"
     exact_integrals = KernelIntegrals(2.0, 4.0 * GAUSS_NORM, 4.0 * GAUSS_NORM)
 
-    def __call__(self, x):
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, 1.0, -1.0)
-
-    def values_at(self, nodes) -> list:
-        return [1.0 if x >= 0.0 else -1.0 for x in nodes]
+    def __call__(self, x: float) -> float:
+        return 1.0 if x >= 0.0 else -1.0
 
 
 # ---------------------------------------------------------------------------
 # kernel integrals
 # ---------------------------------------------------------------------------
 
+def _value_at(f, x: float) -> float:
+    """f(x) as a float; ValueError naming x unless f returns one real number."""
+    value = f(x)
+    try:
+        len(value)  # a sequence, a string or an array of more than one point
+    except TypeError:
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"measurement function must return one real number, "
+                     f"got {type(value).__name__} at x={x!r}")
+
+
 def check_odd(f: Callable, rule: QuadratureRule) -> None:
     """Raise ValueError unless f(-x) = -f(x) at the rule's nonzero nodes.
 
-    A function declaring ``is_odd`` (every ``MeasurementFunction``) is odd by
-    construction and passes at once.  Other callables arrive as opaque
-    evaluators, so their oddness is checked by sampling.  A node at exactly
+    A function declaring ``is_odd`` (every ``MeasurementFunction``) passes at
+    once; any other callable is sampled, one point at a time.  The node at
     x = 0 is skipped: odd functions with a jump there (sign binning) carry an
     arbitrary convention at the single point.  A value that is not finite at
-    a positive node is left to the caller's finiteness check.
+    a positive node is left to the caller's finiteness check; one that is not
+    finite at its mirror alone fails here.
     """
     if getattr(f, "is_odd", False):
         return
-    import numpy as np
-
-    x = np.array(rule.half_nodes, dtype=float)
-    fx = np.asarray(f(x), dtype=float)
-    resid = np.max(np.abs(fx + np.asarray(f(-x), dtype=float)), initial=0.0)
-    if not resid <= _ODD_TOL and np.isfinite(fx).all():
-        raise ValueError(f"measurement function is not odd: max |f(x)+f(-x)| = {resid:.3e}")
+    for x in rule.half_nodes:
+        fx = _value_at(f, x)
+        gap = abs(fx + _value_at(f, -x))
+        if math.isfinite(fx) and not gap <= _ODD_TOL:  # a nan gap fails too
+            raise ValueError(f"measurement function is not odd: "
+                             f"|f(x)+f(-x)| = {gap:.3e} at x={x!r}")
 
 
 def _node_integrals(nodes, weights, values) -> KernelIntegrals:
@@ -305,18 +309,12 @@ def _node_integrals(nodes, weights, values) -> KernelIntegrals:
 
 
 def node_values(f, nodes) -> list:
-    """The values of f at ``nodes`` as a list of floats.
-
-    A function with ``values_at`` (every named ``MeasurementFunction``) is
-    evaluated in plain floats; any other callable is called once on a numpy
-    array of the nodes, and its result is returned by ``tolist``.
-    """
-    values_at = getattr(f, "values_at", None)
-    if values_at is not None:
-        return values_at(nodes)
-    import numpy as np
-
-    return np.asarray(f(np.array(nodes, dtype=float)), dtype=float).tolist()
+    """The values of f at ``nodes`` as a list of floats: ``Optimal`` in one
+    pass, any other callable once per node, where it must return one real
+    number (a callable that works only on arrays fails)."""
+    if isinstance(f, Optimal):
+        return f.values_at(nodes)
+    return [_value_at(f, x) for x in nodes]
 
 
 def kernel_integrals(f, rule: QuadratureRule) -> KernelIntegrals:
@@ -325,14 +323,12 @@ def kernel_integrals(f, rule: QuadratureRule) -> KernelIntegrals:
     A ``KernelIntegrals`` is returned as it is, so it can stand in for its
     function.  ``Identity`` and ``SignBin`` carry their ``exact_integrals`` (for sign
     binning, whose jump a rule resolves only algebraically, they are the
-    only correct values).  Any other function is summed over the rule's
-    positive half by ``_node_integrals``; a node at x = 0 counts once, in
-    ``i_zero`` alone.
-    ``Optimal`` is evaluated in plain floats over the rule's ``live_half``:
-    the outer nodes it drops would not change a bit.  Any other callable is
-    evaluated with numpy.
-    ValueError for a non-callable or a function that is not odd,
-    NumericalDomainError for one that is not finite at a node.
+    only correct values).  ``Optimal`` is summed by ``_node_integrals`` over
+    the rule's ``live_half`` (the outer nodes it drops would not change a
+    bit), any other callable over the whole positive half, called once per
+    node; a node at x = 0 counts once, in ``i_zero`` alone.
+    ValueError for a non-callable, a function that is not odd or not one real
+    number at a node, NumericalDomainError for one not finite at a node.
     """
     if isinstance(f, KernelIntegrals):
         return f
@@ -349,11 +345,8 @@ def kernel_integrals(f, rule: QuadratureRule) -> KernelIntegrals:
     if rule.order % 2:
         # half the weight of x = 0, which the sums count twice
         nodes, weights = (0.0,) + nodes, (0.5 * rule.center_weight,) + weights
-    import numpy as np
-
-    x = np.array(nodes, dtype=float)
-    fx = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
-    if not np.isfinite(fx).all():
-        node = x[~np.isfinite(fx)][0]
-        raise NumericalDomainError(f"measurement function not finite at node x={node!r}")
-    return _node_integrals(nodes, weights, fx.tolist())
+    values = node_values(f, nodes)
+    for x, v in zip(nodes, values):
+        if not math.isfinite(v):
+            raise NumericalDomainError(f"measurement function not finite at node x={x!r}")
+    return _node_integrals(nodes, weights, values)

@@ -23,8 +23,8 @@ log(1 + 4 b1/b0) - u by the bracketed secant solver of ``functional_bell``.
 The optimizer returns the eps it solved, eps = exp(u) - 1, with the node
 values of that family member as a list of floats; no fit recovers it
 afterwards.  The oracle sees node values as their kernel integrals
-(``_node_integrals``).  The module computes in plain floats and imports no
-numpy; a free start function is evaluated by ``quadrature.node_values``.
+(``_node_integrals``).  The module computes in plain floats; a free start
+function is called once per node by ``quadrature.node_values``.
 
 The ratio is scale invariant.  The gauge pins the value at the smallest
 positive node to that node.  The stationarity residual is the gradient

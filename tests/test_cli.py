@@ -103,6 +103,20 @@ class TestEval:
         capsys.readouterr()
 
     @pytest.mark.parametrize("ineq", ["functional", "cfrd", "mk"])
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_fewer_than_two_modes_rejected(self, capsys, monkeypatch, ineq, n):
+        # one party has no Bell ratio; rejected before a rule is built or
+        # the order read
+        def not_reached(order):
+            raise AssertionError("eval built a rule")
+
+        monkeypatch.setattr("cvbell.cli.gauss_hermite_rule", not_reached)
+        with pytest.raises(SystemExit) as err:
+            run_cli(["eval", "--ineq", ineq, "--n", n, "--order", "0"])
+        assert err.value.code == 2
+        assert f"--n must be at least 2, got {n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ineq", ["functional", "cfrd", "mk"])
     @pytest.mark.parametrize("order", ["0", "513"])
     def test_order_out_of_range_exit_code(self, capsys, ineq, order):
         with pytest.raises(SystemExit) as err:

@@ -90,42 +90,57 @@ class TestStartupImports:
         assert "numpy" not in loaded
         assert sorted(m for m in loaded if m.startswith("cvbell.")) == []
 
-    @pytest.mark.parametrize("argv, modules, numpy", [
-        (["eval", "--ineq", "mk", "--n", "3"], ("mk_binning",), False),
-        (["eval", "--ineq", "functional", "--n", "6"], ("functional_bell",), False),
-        (["eval", "--ineq", "cfrd", "--n", "12", "--order", "64"], ("functional_bell",), False),
+    @pytest.mark.parametrize("argv, modules", [
+        (["eval", "--ineq", "mk", "--n", "3"], ("mk_binning",)),
+        (["eval", "--ineq", "functional", "--n", "6"], ("functional_bell",)),
+        (["eval", "--ineq", "cfrd", "--n", "12", "--order", "64"], ("functional_bell",)),
         (["figure1", "--n-min", "4", "--n-max", "6", "--out", "{tmp}/f1.csv"],
-         ("functional_bell",), False),
+         ("functional_bell",)),
         (["figure1", "--n-min", "4", "--n-max", "6", "--order", "64", "--out", "{tmp}/f1.csv"],
-         ("functional_bell",), False),
-        (["figure2", "--n-min", "3", "--n-max", "5", "--out", "{tmp}/f2.csv"], _THRESHOLDS, False),
+         ("functional_bell",)),
+        (["figure2", "--n-min", "3", "--n-max", "5", "--out", "{tmp}/f2.csv"], _THRESHOLDS),
         (["figure2", "--n-min", "3", "--n-max", "5", "--ineq", "functional", "--order", "64",
-          "--out", "{tmp}/f2.csv"], _THRESHOLDS, False),
+          "--out", "{tmp}/f2.csv"], _THRESHOLDS),
         (["figure2", "--n-min", "3", "--n-max", "5", "--ineq", "cfrd", "--out", "{tmp}/f2.csv"],
-         _THRESHOLDS, False),
+         _THRESHOLDS),
         (["figure2", "--n-min", "3", "--n-max", "5", "--ineq", "mk", "--out", "{tmp}/f2.csv"],
-         _THRESHOLDS, False),
+         _THRESHOLDS),
         (["oracle-check", "--n-min", "3", "--n-max", "3"],
-         ("functional_bell", "mk_binning", *_ARRAYS), False),
+         ("functional_bell", "mk_binning", *_ARRAYS)),
         (["optimize", "--n", "4", "--init", "signbin", "--out", "{tmp}/opt.csv"],
-         ("functional_bell", "variational", *_ARRAYS), False),
-        # an order without a table computes its rule with numpy
-        (["eval", "--ineq", "functional", "--n", "6", "--order", "100"], ("functional_bell",), True),
+         ("functional_bell", "variational", *_ARRAYS)),
+        # an order without a table computes its rule, in plain floats too
+        (["eval", "--ineq", "functional", "--n", "6", "--order", "100"], ("functional_bell",)),
         (["oracle-check", "--n-min", "3", "--n-max", "3", "--order", "100"],
-         ("functional_bell", "mk_binning", *_ARRAYS), True),
+         ("functional_bell", "mk_binning", *_ARRAYS)),
         (["optimize", "--n", "4", "--init", "signbin", "--order", "100",
-          "--out", "{tmp}/opt.csv"], ("functional_bell", "variational", *_ARRAYS), True),
+          "--out", "{tmp}/opt.csv"], ("functional_bell", "variational", *_ARRAYS)),
     ], ids=["eval-mk", "eval-functional", "eval-cfrd-o64", "figure1", "figure1-o64", "figure2",
             "figure2-functional-o64", "figure2-cfrd", "figure2-mk", "oracle-check", "optimize",
             "eval-o100", "oracle-check-o100", "optimize-o100"])
-    def test_command_loads_only_what_it_runs(self, tmp_path, argv, modules, numpy):
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv, modules):
         argv = [a.format(tmp=tmp_path) for a in argv]
         loaded = _loaded_modules(f"from cvbell.cli import main\nassert main({argv!r}) == 0")
         assert (sorted(m.removeprefix("cvbell.") for m in loaded if m.startswith("cvbell."))
                 == sorted(_SCALAR + modules))
-        assert ("numpy" in loaded) is numpy
-        if not numpy:  # numpy imports inspect itself
-            assert not loaded & {"dataclasses", "inspect"}
+        assert not loaded & {"numpy", "dataclasses", "inspect"}
+
+    def test_every_command_runs_without_numpy(self, tmp_path):
+        # numpy made unimportable, at an order that has no table
+        commands = [
+            ["eval", "--ineq", "functional", "--n", "6"],
+            ["eval", "--ineq", "cfrd", "--n", "8"],
+            ["eval", "--ineq", "mk", "--n", "3"],
+            ["figure1", "--n-min", "4", "--n-max", "6", "--out", f"{tmp_path}/f1.csv"],
+            ["figure2", "--n-min", "3", "--n-max", "4", "--out", f"{tmp_path}/f2.csv"],
+            ["oracle-check", "--n-min", "3", "--n-max", "4"],
+            ["optimize", "--n", "4", "--init", "signbin", "--out", f"{tmp_path}/opt.csv"],
+        ]
+        code = ("sys.modules['numpy'] = None\n"
+                "from cvbell.cli import main\n"
+                f"for argv in {commands!r}:\n"
+                "    assert main(argv + ['--order', '33']) == 0, argv")
+        _loaded_modules(code)  # exits 0, or an import of numpy raised
 
 
 class TestPublicTypes:

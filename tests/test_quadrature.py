@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvbell.quadrature as quadrature
 from cvbell.errors import NumericalDomainError
 from cvbell.functional_bell import cfrd_bell_value, ideal_epsilon
 from cvbell.model import density_matrix, site_operator
@@ -18,12 +20,13 @@ from cvbell.quadrature import (
     KernelIntegrals,
     Optimal,
     SignBin,
-    _golub_welsch,
+    _newton_rule,
     _node_integrals,
     gauss_hermite_rule,
     kernel_integrals,
 )
 from cvbell.scenario import StateSpec
+from gen_gauss_hermite_tables import _golub_welsch
 from reference import mirrored
 
 SQ = GAUSS_NORM  # sqrt(pi/2)
@@ -32,6 +35,11 @@ SQ = GAUSS_NORM  # sqrt(pi/2)
 @functools.cache
 def cached_rule(order):
     return gauss_hermite_rule(order)
+
+
+@functools.cache
+def cached_golub_welsch(order):
+    return _golub_welsch(order)
 
 
 def full_loop(eps, rule):
@@ -68,7 +76,7 @@ def gaussian_moment(k):
 class TestRule:
     def test_weight_normalization(self):
         for order in (1, 2, 7, 64, 256, 512):
-            r = gauss_hermite_rule(order)
+            r = cached_rule(order)
             assert abs(mirrored(r)[1].sum() - SQ) / SQ < 1e-12
 
     def test_nodes_increasing_and_symmetric(self):
@@ -100,7 +108,7 @@ class TestRule:
     def test_cfrd_ratio_matches_exact_fraction(self, order):
         # the ideal CFRD ratio is (4/3)^floor(N/2) / 4 exactly and carries the
         # rule's second and fourth moments to powers of order N
-        rule = gauss_hermite_rule(order)
+        rule = cached_rule(order)
         for n in range(4, 301):
             exact = float(Fraction(4, 3) ** (n // 2) / 4)
             assert cfrd_bell_value(StateSpec(n, n // 2), rule).ratio == pytest.approx(
@@ -113,28 +121,68 @@ class TestRule:
 
 
 class TestTable:
-    """The default orders mirror an exact table of ``_golub_welsch``'s output."""
+    """The default orders are an exact table of the generator's Golub-Welsch
+    output, which the package's own Newton rule reproduces."""
 
     @pytest.mark.parametrize("order", [QUICK_ORDER, DEFAULT_ORDER])
     def test_matches_the_computed_rule(self, order):
-        # bitwise equal on the machine that wrote the table; the bounds allow
-        # for another LAPACK's rounding of the eigenvalues, which the Newton
-        # polish carries into the weights at up to ~3e-13
-        table, computed = gauss_hermite_rule(order), _golub_welsch(order)
+        # the two methods round differently: the nodes agree to 2.8e-16
+        # relative and the weights to 2.8e-13, largest in the far tail
+        table, computed = gauss_hermite_rule(order), _newton_rule(order)
         assert table.order == computed.order == order
         assert table.center_weight == computed.center_weight == 0.0
         np.testing.assert_allclose(table.half_nodes, computed.half_nodes, rtol=1e-14, atol=0)
         np.testing.assert_allclose(table.half_weights, computed.half_weights, rtol=1e-12, atol=0)
 
-    def test_default_orders_need_no_eigen_solve(self, monkeypatch):
-        def no_lapack(*args, **kwargs):
-            raise AssertionError("eigen-solve called")
+    def test_table_orders_build_nothing(self, monkeypatch):
+        def no_build(order):
+            raise AssertionError("rule built")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+        monkeypatch.setattr(quadrature, "_newton_rule", no_build)
         for order in (QUICK_ORDER, DEFAULT_ORDER):
             assert len(gauss_hermite_rule(order).half_nodes) == order // 2
-        with pytest.raises(AssertionError, match="eigen-solve"):
+        with pytest.raises(AssertionError, match="rule built"):
             gauss_hermite_rule(255)
+
+
+# every order up to 40, and orders on both sides of the powers of two and
+# of the tables, up to MAX_ORDER
+NEWTON_ORDERS = [*range(1, 41), 63, 100, 127, 255, 300, 511, 512]
+
+
+class TestNewtonRule:
+    """The computed rule of every order that has no table."""
+
+    @pytest.mark.parametrize("order", NEWTON_ORDERS)
+    def test_shape(self, order):
+        rule = cached_rule(order)
+        x, w = rule.half_nodes, rule.half_weights
+        assert len(x) == len(w) == order // 2
+        assert all(a < b for a, b in zip((0.0,) + x, x))  # positive, increasing
+        assert min(w, default=0.0) >= 0.0 and rule.center_weight >= 0.0
+        assert (rule.center_weight > 0.0) == bool(order % 2)
+        total = 2.0 * math.fsum(w) + rule.center_weight
+        assert abs(total - SQ) <= 1e-13 * SQ
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_polynomial_exactness(self, order):
+        # odd moments vanish by the mirror; the even ones up to degree
+        # 2 order - 2 are exact
+        rule = cached_rule(order)
+        for k in range(0, 2 * order, 2):
+            approx = 2.0 * math.fsum(w * x ** k for x, w in
+                                     zip(rule.half_nodes, rule.half_weights))
+            approx += rule.center_weight if k == 0 else 0.0
+            assert approx == pytest.approx(gaussian_moment(k), rel=1e-13, abs=0), k
+
+    @pytest.mark.parametrize("order", NEWTON_ORDERS)
+    def test_matches_golub_welsch(self, order):
+        # over every order 1-512 the nodes agree to 5.8e-16 relative and the
+        # weights to 7.1e-13
+        rule, gw = cached_rule(order), cached_golub_welsch(order)
+        np.testing.assert_allclose(rule.half_nodes, gw.half_nodes, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(rule.half_weights, gw.half_weights, rtol=1e-12, atol=0)
+        assert rule.center_weight == pytest.approx(gw.center_weight, rel=1e-12, abs=0)
 
 
 class TestIntegrate:
@@ -157,21 +205,41 @@ class TestIntegrate:
 
     def test_nonfinite_integrand_names_node(self):
         r = gauss_hermite_rule(16)
+        node = r.half_nodes[3]
 
         def bad(x):
-            out = np.asarray(x, dtype=float).copy()
-            out[3] = np.inf
-            return out
+            return math.inf if x == node else x
 
         bad.is_odd = True   # declared odd, so only the finiteness check sees it
         with pytest.raises(NumericalDomainError) as err:
             kernel_integrals(bad, r)
-        assert "node" in str(err.value)
+        assert f"node x={node!r}" in str(err.value)
 
     def test_scalar_valued_callable_broadcasts(self):
         # the zero function, written as a constant, is odd and integrates to 0
         ki = kernel_integrals(lambda x: 0.0, gauss_hermite_rule(16))
         assert tuple(ki) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("declared_odd", [False, True])
+    @pytest.mark.parametrize("value, kind", [
+        ([1.0, 2.0], "list"), (np.ones(3), "ndarray"), ("1.0", "str"), (None, "NoneType"),
+    ])
+    def test_one_real_number_per_node(self, value, kind, declared_odd):
+        # a callable is called once per node, by the oddness check and by the
+        # sums alike; anything but one real number there is rejected, naming
+        # the node
+        r = gauss_hermite_rule(16)
+        node = r.half_nodes[2]
+
+        def bad(x):
+            return value if x == node else x
+
+        if declared_odd:
+            bad.is_odd = True
+        with pytest.raises(ValueError) as err:
+            kernel_integrals(bad, r)
+        assert str(err.value) == ("measurement function must return one real number, "
+                                  f"got {kind} at x={node!r}")
 
 
 class TestKernelIntegrals:
@@ -251,7 +319,7 @@ class TestKernelIntegrals:
         # spectral convergence: doubling the production order moves the
         # optimal-family integrals by less than 1e-12 relative
         r1 = gauss_hermite_rule(DEFAULT_ORDER)
-        r2 = gauss_hermite_rule(2 * DEFAULT_ORDER)
+        r2 = cached_rule(2 * DEFAULT_ORDER)
         eps = ideal_epsilon(r1)
         k1 = kernel_integrals(Optimal(eps), r1)
         k2 = kernel_integrals(Optimal(eps), r2)
@@ -269,8 +337,8 @@ class TestScalarIntegrals:
     def test_optimal_matches_the_numpy_route(self, eps, order):
         rule = cached_rule(order)
         scalar = tuple(kernel_integrals(Optimal(eps), rule))
-        # the same function as an opaque callable, evaluated with numpy at
-        # every node: skipping the nodes of negligible weight changes no bit
+        # the same function as an opaque callable, called at every node:
+        # skipping the nodes of negligible weight changes no bit
         assert scalar == tuple(kernel_integrals(lambda x: Optimal(eps)(x), rule))
         assert scalar == full_loop(eps, rule)
         plain = tuple(kernel_integrals(lambda x: x / (1.0 + eps * x * x), rule))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,13 +216,26 @@ class TestFreeFunctionType:
         assert f[0] == pytest.approx(quick_rule.half_nodes[0], rel=1e-14)
 
     def test_zero_first_value_rejected(self, quick_rule):
-        vals = np.ones(len(quick_rule.half_nodes))
-        vals[0] = 0.0
+        first = quick_rule.half_nodes[0]
         with pytest.raises(ValueError, match="first node"):
-            optimize_function(StateSpec(6, 3), quick_rule, lambda x: vals)
+            optimize_function(StateSpec(6, 3), quick_rule,
+                              lambda x: 0.0 if x == first else 1.0)
 
     def test_nonfinite_values_rejected(self, quick_rule):
-        vals = np.ones(len(quick_rule.half_nodes))
-        vals[-1] = np.nan
+        last = quick_rule.half_nodes[-1]
         with pytest.raises(ValueError, match="finite"):
-            optimize_function(StateSpec(6, 3), quick_rule, lambda x: vals)
+            optimize_function(StateSpec(6, 3), quick_rule,
+                              lambda x: math.nan if x == last else 1.0)
+
+    @pytest.mark.parametrize("value, kind", [
+        ([1.0, 2.0], "list"), (np.ones(3), "ndarray"), ("1.0", "str"), (None, "NoneType"),
+    ])
+    def test_one_real_number_per_node(self, quick_rule, value, kind):
+        # a callable is called once per node; anything but one real number
+        # there is rejected, naming the node
+        first = quick_rule.half_nodes[0]
+        with pytest.raises(ValueError) as err:
+            optimize_function(StateSpec(6, 3), quick_rule,
+                              lambda x: value if x == first else x)
+        assert str(err.value) == ("measurement function must return one real number, "
+                                  f"got {kind} at x={first!r}")
