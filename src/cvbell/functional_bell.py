@@ -14,6 +14,11 @@ correlator side scales by p and the ratio by p^2, independent of N.  The
 per-site decoherence-product forms that treat eta*p^2 (binned) or (eta p)^2
 (functional) as a single per-mode monomial live with the threshold solvers.
 
+The optimal family's kernel integrals are exact (``optimal_integrals``), as
+the identity's are, so no number here depends on a quadrature rule: the
+``rule`` the functions take is passed on to ``kernel_integrals``, which does
+not read it for a named function.
+
 The module computes in plain floats and imports no numpy.  ``BellResult``,
 which the oracle returns as well, is defined here.
 """
@@ -24,10 +29,15 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import ConvergenceError, NumericalDomainError, normal_bound_side
-from .quadrature import Identity, KernelIntegrals, Optimal, QuadratureRule, kernel_integrals
+from .quadrature import (Identity, KernelIntegrals, Optimal, QuadratureRule, kernel_integrals,
+                         optimal_integrals)
 from .scenario import StateSpec
 
-_IDEAL_CACHE: dict = {}   # rule order -> ideal fixed point; write-once per key
+#: Fixed point of eps = 4*I0(eps)/I(eps) on the exact integrals: the noise-free
+#: optimal function.  ``_bracketed_root`` from 1.0 at tolerance 1e-13
+#: re-derives it bit for bit; it is within 8.1e-15 relative of the fixed
+#: point of 40-digit mpmath.
+IDEAL_EPSILON = 2.9648362177238927
 _MAX_EVALS = 100
 _ULPS = 4   # a bracket this many float spacings wide pins the root
 
@@ -62,9 +72,10 @@ def lossy_epsilon_map(eps: float, eta: float) -> float:
     return 2.0 * eta * eps / (2.0 * eta + (1.0 - eta) * eps)
 
 
-def _integral_epsilon(eps: float, rule: QuadratureRule) -> float:
-    """The integral ratio 4*I0/I of the family member x/(1 + eps x^2)."""
-    ki = kernel_integrals(Optimal(eps), rule)
+def _integral_epsilon(eps: float, integrals=optimal_integrals) -> float:
+    """The integral ratio 4*I0/I of the family member x/(1 + eps x^2), whose
+    kernel integrals ``integrals`` maps eps to (by default the exact ones)."""
+    ki = integrals(eps)
     return 4.0 * ki.i_zero / ki.i_cross
 
 
@@ -118,13 +129,10 @@ def _bracketed_root(h, x: float, tol: float, name: str,
     )
 
 
-def ideal_epsilon(rule: QuadratureRule) -> float:
-    """Fixed point of eps = 4*I0(eps)/I(eps), cached per rule order."""
-    cached = _IDEAL_CACHE.get(rule.order)
-    if cached is None:
-        cached = _bracketed_root(lambda e: _integral_epsilon(e, rule) - e, 1.0, 1e-13, "ideal")
-        _IDEAL_CACHE[rule.order] = cached
-    return cached
+def ideal_epsilon(rule: Optional[QuadratureRule] = None) -> float:
+    """Fixed point of eps = 4*I0(eps)/I(eps): ``IDEAL_EPSILON``.  ``rule`` is
+    not read; the family's integrals are exact for every rule."""
+    return IDEAL_EPSILON
 
 
 def _check_eta(eta: float) -> None:
@@ -161,17 +169,24 @@ def _stationary_update(n: int, r: int, eta: float, e: float) -> float:
     return lossy_epsilon_map(e, eta) * (r + s * v) / (r + s * ((1.0 - eta) * v + c * w) / k)
 
 
-def optimal_epsilon(n: int, r: int, eta: float, rule: QuadratureRule) -> float:
+def optimal_epsilon(n: int, r: int, eta: float, rule: Optional[QuadratureRule] = None,
+                    integrals=optimal_integrals) -> float:
     """Function parameter maximizing the closed-form ratio at split r of n modes:
     the root of ``_stationary_update`` at the integrals of eps itself; raises
-    NumericalDomainError where a term weight or the function underflows."""
+    NumericalDomainError where a term weight or the function underflows.
+
+    ``integrals`` maps eps to the kernel integrals of x/(1 + eps x^2): the
+    exact ones by default, or a rule's sums of them for the optimum that an
+    optimizer over that rule's nodes lands on (``variational.family_integrals``).
+    ``rule`` is not read.
+    """
     _check_eta(eta)
     if not 0 <= r <= n:
         raise ValueError(f"split r must lie in [0, {n}], got {r}")
     try:
         return _bracketed_root(
-            lambda x: _stationary_update(n, r, eta, _integral_epsilon(x, rule)) - x,
-            ideal_epsilon(rule), 1e-12, "stationarity",
+            lambda x: _stationary_update(n, r, eta, _integral_epsilon(x, integrals)) - x,
+            IDEAL_EPSILON, 1e-12, "stationarity",
         )
     except ZeroDivisionError:
         raise NumericalDomainError(
@@ -188,11 +203,11 @@ def solve_epsilon_even(eta: float, rule: QuadratureRule) -> EpsilonSolution:
     """
     _check_eta(eta)
     if eta == 1.0:
-        eps = ideal_epsilon(rule)
+        eps = IDEAL_EPSILON
         return EpsilonSolution(epsilon_ideal=eps, epsilon_lossy=eps, epsilon_odd=None,
-                               residual=abs(eps - _integral_epsilon(eps, rule)))
+                               residual=abs(eps - _integral_epsilon(eps)))
     eps_l = optimal_epsilon(2, 1, eta, rule)
-    eps = _integral_epsilon(eps_l, rule)
+    eps = _integral_epsilon(eps_l)
     return EpsilonSolution(epsilon_ideal=eps, epsilon_lossy=eps_l, epsilon_odd=None,
                            residual=abs(eps_l - _stationary_update(2, 1, eta, eps)))
 
@@ -207,7 +222,7 @@ def solve_epsilon_odd(n: int, eta: float, rule: QuadratureRule) -> EpsilonSoluti
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be an odd integer >= 3, got {n}")
     eps_p = optimal_epsilon(n, n // 2, eta, rule)
-    eps = _integral_epsilon(eps_p, rule)
+    eps = _integral_epsilon(eps_p)
     return EpsilonSolution(
         epsilon_ideal=eps,
         epsilon_lossy=lossy_epsilon_map(eps, eta),

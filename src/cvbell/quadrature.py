@@ -15,10 +15,11 @@ QUICK_ORDER) an exact float64 table is shipped instead, written by
 ``tools/gen_gauss_hermite_tables.py`` from Golub-Welsch eigenvalues; the two
 agree within 1e-15 relative in the nodes and 1e-12 in the weights.
 
-A rule is stored only as its positive half, and every kernel integral is one
-sum over that half.  Everything is computed in plain floats with ``math``:
-a measurement function is called on one point at a time, and the module
-imports no numpy.
+The named functions carry exact kernel integrals (``Identity``, ``SignBin``,
+and ``Optimal`` through ``optimal_integrals``), so no rule enters them; a
+rule integrates only other callables, as one sum over its positive half.
+Everything is computed in plain floats with ``math``: a measurement function
+is called on one point at a time, and the module imports no numpy.
 """
 
 from __future__ import annotations
@@ -29,21 +30,24 @@ from typing import Callable, NamedTuple
 from ._gauss_hermite_tables import POSITIVE_HALF
 from .errors import NumericalDomainError, is_integer
 
-#: Production default.  Its kernel integrals of the optimal family are
-#: within 1e-12 relative of the exact ones only near eps = 3 (4.6e-14 at
-#: eps = 2.96, against 40-digit mpmath); the error grows with eps, to 4.9e-12
-#: at eps = 4 and 2.8e-9 at eps = 6.585, which lopsided splits reach.
+#: Default ``--order`` of ``eval``, ``figure1``, ``figure2`` and
+#: ``oracle-check``.  The functions they integrate carry exact kernel
+#: integrals, so none of their numbers reads the rule; it sums free
+#: callables only.  On the optimal family as a plain callable its sums are
+#: within 4.6e-14 relative of the exact integrals at eps = 2.96, 4.9e-12 at
+#: eps = 4 and 2.8e-9 at eps = 6.585.
 DEFAULT_ORDER = 256
-#: Cheap order for optimizer inner loops (~1e-6 relative on the same family).
+#: Default order of the free-function optimizer, whose node values it sums
+#: (about 1e-6 relative on the optimal family).
 QUICK_ORDER = 64
 MAX_ORDER = 512
 
 #: integral of e^(-2x^2) over the line.
 GAUSS_NORM = math.sqrt(math.pi / 2.0)
-_ODD_TOL = 1e-10  # largest |f(x) + f(-x)| at a node that ``check_odd`` accepts
-# nodes whose weight is below this share of the first positive node's add
-# less than half an ulp to every kernel integral of the optimal family
-_WEIGHT_CUT = 1e-40
+_ODD_TOL = 1e-10  # largest |f(x) + f(-x)| at a node that ``_odd_values`` accepts
+_SQRT_PI = math.sqrt(math.pi)
+# terms of the erfc continued fraction summed backwards below eps = 1
+_FRACTION_TERMS = 80
 
 
 class QuadratureRule:
@@ -54,14 +58,9 @@ class QuadratureRule:
     from about order 400), mirrored to the negative axis, plus a node at
     x = 0 of weight ``center_weight`` when the order is odd.  Polynomials of
     degree <= 2*order - 1 are integrated exactly.
-
-    ``live_half`` is the part of that half, innermost node first, that the
-    optimal family's integrals see: the nodes whose weight is at least
-    ``_WEIGHT_CUT`` times the innermost one's.  It depends only on the rule,
-    so it is cut once, here.
     """
 
-    __slots__ = ("order", "half_nodes", "half_weights", "center_weight", "live_half")
+    __slots__ = ("order", "half_nodes", "half_weights", "center_weight")
 
     def __init__(self, order: int, half_nodes: tuple, half_weights: tuple,
                  center_weight: float = 0.0):
@@ -69,11 +68,6 @@ class QuadratureRule:
         self.half_nodes = half_nodes
         self.half_weights = half_weights
         self.center_weight = center_weight
-        live = len(half_weights)
-        cut = _WEIGHT_CUT * half_weights[0] if live else 0.0
-        while live and half_weights[live - 1] < cut:
-            live -= 1
-        self.live_half = (half_nodes[:live], half_weights[:live])
 
 
 def _hermite_functions(recurrence, u: float):
@@ -219,7 +213,10 @@ class Identity(MeasurementFunction):
 
 
 class Optimal(MeasurementFunction):
-    """f(x) = x / (1 + epsilon x^2), the stationary family of the Bell ratio."""
+    """f(x) = x / (1 + epsilon x^2), the stationary family of the Bell ratio.
+
+    Its kernel integrals are exact, from ``optimal_integrals``.
+    """
 
     __slots__ = ("epsilon",)
 
@@ -235,9 +232,65 @@ class Optimal(MeasurementFunction):
     def __call__(self, x: float) -> float:
         return x / (1.0 + self.epsilon * (x * x))
 
+    @property
+    def exact_integrals(self) -> KernelIntegrals:
+        return optimal_integrals(self.epsilon)
+
     def values_at(self, nodes) -> list:
         eps = float(self.epsilon)
         return [x / (1.0 + eps * (x * x)) for x in nodes]
+
+
+def _erfc_tails(z: float, eps: float) -> tuple:
+    """(D0, D1, D2) of the Laplace continued fraction of erfc (Abramowitz and
+    Stegun 7.1.14): sqrt(pi) e^(z^2) erfc(z) = 1/(z + D0) with
+    D_k = ((k+1)/2) / (z + D_(k+1)), at z = sqrt(2/eps).
+
+    Where eps >= 1 (z <= sqrt 2) the tails are taken forward from
+    ``math.erfc``; the forward recursion loses digits as z grows.  Below,
+    they are summed backward over ``_FRACTION_TERMS`` terms, starting from
+    the asymptotic tail D (z + D) = (K+1)/2; the fraction converges the more
+    slowly the smaller z is.
+    """
+    if eps >= 1.0:
+        d0 = 1.0 / (_SQRT_PI * math.exp(z * z) * math.erfc(z)) - z
+        d1 = 0.5 / d0 - z
+        return d0, d1, 1.0 / d1 - z
+    c = 0.5 * (_FRACTION_TERMS + 1)
+    d = c / (0.5 * z + math.hypot(0.5 * z, math.sqrt(c)))
+    for k in range(_FRACTION_TERMS - 1, 2, -1):
+        d = 0.5 * (k + 1) / (z + d)
+    d2 = 1.5 / (z + d)
+    d1 = 1.0 / (z + d2)
+    return 0.5 / (z + d1), d1, d2
+
+
+def optimal_integrals(eps: float) -> KernelIntegrals:
+    """Exact kernel integrals of x/(1 + eps x^2), for any positive finite eps.
+
+    They follow from G(eps) = int e^(-2x^2)/(1 + eps x^2) dx
+    = pi a e^(2a^2) erfc(sqrt2 a), a = eps^(-1/2), and its derivative.  With
+    z = sqrt(2/eps), S = sqrt(pi/2) and the tails of ``_erfc_tails`` they are
+    products free of cancellation:
+
+    - Ip = 2 z^2 S D0/(z + D0);
+    - I0 = S z^3 D1/((z + D0)(z + D1));
+    - I  = (4/eps) S z^2 D2/((z + D0)(z + D1)(z + D2)) = 2 S z^4 D2/(...).
+
+    Each power of z is grouped with a factor that cancels its growth (z D_k
+    tends to (k+1)/2 as eps -> 0, z/(z + D_k) to 1), so nothing overflows
+    as eps -> 0, and as eps -> infinity only values below the float range
+    underflow.  Within 1e-14 relative of 40-digit mpmath over
+    eps in [1e-3, 50].
+    """
+    # two roundings; 2/eps overflows below 1.1e-308, where z takes three
+    z = math.sqrt(2.0 / eps) if eps > 1e-300 else math.sqrt(2.0) / math.sqrt(eps)
+    d0, d1, d2 = _erfc_tails(z, eps)
+    g0 = GAUSS_NORM * (z / (z + d0))
+    g1 = g0 * (z / (z + d1))
+    return KernelIntegrals(i_plus=2.0 * g0 * (z * d0),
+                           i_cross=2.0 * g1 * (z / (z + d2)) * (z * d2),
+                           i_zero=g1 * (z * d1))
 
 
 class SignBin(MeasurementFunction):
@@ -274,24 +327,23 @@ def _value_at(f, x: float) -> float:
                      f"got {type(value).__name__} at x={x!r}")
 
 
-def check_odd(f: Callable, rule: QuadratureRule) -> None:
-    """Raise ValueError unless f(-x) = -f(x) at the rule's nonzero nodes.
+def _odd_values(f: Callable, nodes) -> list:
+    """The values of f at the positive ``nodes``, called once per node;
+    ValueError unless f(-x) = -f(x) there.
 
-    A function declaring ``is_odd`` (every ``MeasurementFunction``) passes at
-    once; any other callable is sampled, one point at a time.  The node at
-    x = 0 is skipped: odd functions with a jump there (sign binning) carry an
-    arbitrary convention at the single point.  A value that is not finite at
-    a positive node is left to the caller's finiteness check; one that is not
-    finite at its mirror alone fails here.
+    A function declaring ``is_odd`` (every ``MeasurementFunction``) is taken
+    at its word; any other callable is called once more at each mirror.  A
+    value that is not finite at a positive node is left to the caller's
+    finiteness check; one that is not finite at its mirror alone fails here.
     """
-    if getattr(f, "is_odd", False):
-        return
-    for x in rule.half_nodes:
-        fx = _value_at(f, x)
-        gap = abs(fx + _value_at(f, -x))
-        if math.isfinite(fx) and not gap <= _ODD_TOL:  # a nan gap fails too
-            raise ValueError(f"measurement function is not odd: "
-                             f"|f(x)+f(-x)| = {gap:.3e} at x={x!r}")
+    values = [_value_at(f, x) for x in nodes]
+    if not getattr(f, "is_odd", False):
+        for x, fx in zip(nodes, values):
+            gap = abs(fx + _value_at(f, -x))
+            if math.isfinite(fx) and not gap <= _ODD_TOL:  # a nan gap fails too
+                raise ValueError(f"measurement function is not odd: "
+                                 f"|f(x)+f(-x)| = {gap:.3e} at x={x!r}")
+    return values
 
 
 def _node_integrals(nodes, weights, values) -> KernelIntegrals:
@@ -321,12 +373,12 @@ def kernel_integrals(f, rule: QuadratureRule) -> KernelIntegrals:
     """The three kernel integrals of an odd function f.
 
     A ``KernelIntegrals`` is returned as it is, so it can stand in for its
-    function.  ``Identity`` and ``SignBin`` carry their ``exact_integrals`` (for sign
-    binning, whose jump a rule resolves only algebraically, they are the
-    only correct values).  ``Optimal`` is summed by ``_node_integrals`` over
-    the rule's ``live_half`` (the outer nodes it drops would not change a
-    bit), any other callable over the whole positive half, called once per
-    node; a node at x = 0 counts once, in ``i_zero`` alone.
+    function.  The named functions carry their ``exact_integrals`` and do not
+    read the rule (for sign binning, whose jump a rule resolves only
+    algebraically, they are the only correct values).  Any other callable is
+    summed by ``_node_integrals`` over the rule's positive half, called once
+    per node and once per mirror (``_odd_values``); a node at x = 0 counts
+    once, in ``i_zero`` alone.
     ValueError for a non-callable, a function that is not odd or not one real
     number at a node, NumericalDomainError for one not finite at a node.
     """
@@ -335,17 +387,14 @@ def kernel_integrals(f, rule: QuadratureRule) -> KernelIntegrals:
     exact = getattr(f, "exact_integrals", None)
     if exact is not None:
         return exact
-    if isinstance(f, Optimal):
-        nodes, weights = rule.live_half
-        return _node_integrals(nodes, weights, f.values_at(nodes))
     if not callable(f):
         raise ValueError(f"expected a measurement function or callable, got {type(f)!r}")
-    check_odd(f, rule)
     nodes, weights = rule.half_nodes, rule.half_weights
+    values = _odd_values(f, nodes)
     if rule.order % 2:
         # half the weight of x = 0, which the sums count twice
         nodes, weights = (0.0,) + nodes, (0.5 * rule.center_weight,) + weights
-    values = node_values(f, nodes)
+        values.insert(0, _value_at(f, 0.0))
     for x, v in zip(nodes, values):
         if not math.isfinite(v):
             raise NumericalDomainError(f"measurement function not finite at node x={x!r}")

@@ -26,6 +26,10 @@ afterwards.  The oracle sees node values as their kernel integrals
 (``_node_integrals``).  The module computes in plain floats; a free start
 function is called once per node by ``quadrature.node_values``.
 
+So the optimum it lands on is the stationarity root on the rule's sums of
+the family (``family_integrals``), not on their exact values: at order 64
+the two roots differ by 2.7e-5 at (N, r) = (7, 3).
+
 The ratio is scale invariant.  The gauge pins the value at the smallest
 positive node to that node.  The stationarity residual is the gradient
 max-norm over the other nodes divided by the ratio, free of the function's
@@ -42,7 +46,7 @@ from .errors import ConvergenceError, NumericalDomainError
 from .functional_bell import _bracketed_root
 from .model import SQRT_2_OVER_PI, density_matrix
 from .oracle import RatioPartials, orthogonal_angles, ratio_partials
-from .quadrature import Optimal, QuadratureRule, _node_integrals, node_values
+from .quadrature import KernelIntegrals, Optimal, QuadratureRule, _node_integrals, node_values
 from .scenario import StateSpec
 
 # residual |log(1 + 4 b1/b0) - u| at which the map counts as converged
@@ -120,6 +124,14 @@ def _gauged(nodes, values) -> List[float]:
         raise ValueError("cannot gauge-fix a function vanishing at the first node")
     scale = nodes[0] / values[0]
     return [v * scale for v in values]
+
+
+def family_integrals(rule: QuadratureRule) -> Callable[[float], KernelIntegrals]:
+    """eps -> the rule's sums of the kernel integrals of x/(1 + eps x^2) over
+    its positive half, as the optimizer takes them; ``optimal_epsilon`` on
+    these gives the root that ``optimize_function`` converges to."""
+    nodes, weights = rule.half_nodes, rule.half_weights
+    return lambda eps: _node_integrals(nodes, weights, Optimal(eps).values_at(nodes))
 
 
 def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,

@@ -26,7 +26,12 @@ no shortcut with the package's own:
   contraction the package used before its plain-float kernel, and
   ``einsum_ratio`` and ``einsum_mk_value`` the oracle and binned values on
   top of it with numpy-built site operators, so that tests can require the
-  kernel's results bit for bit.
+  kernel's results bit for bit;
+- ``mp_integrals`` takes the optimal family's kernel integrals from the erfc
+  closed form of G(eps) and its derivative in mpmath, at the caller's
+  precision, to check ``optimal_integrals``'s continued fraction;
+- ``rule_epsilon`` and ``rule_ratio`` are the closed-form optimum on a
+  rule's sums of the family, where the free-function optimizer lands.
 """
 
 from __future__ import annotations
@@ -35,14 +40,16 @@ import functools
 import itertools
 from typing import Tuple
 
+import mpmath
 import numpy as np
 
 from cvbell.mk_binning import _half_power
-from cvbell.functional_bell import BellResult
+from cvbell.functional_bell import BellResult, closed_form_sides, optimal_epsilon
 from cvbell.model import AngleConfig, DensityMatrix, ProductOperator, density_matrix
 from cvbell.oracle import evaluate, orthogonal_angles
 from cvbell.quadrature import Optimal, QuadratureRule, SignBin, kernel_integrals
 from cvbell.scenario import StateSpec
+from cvbell.variational import family_integrals
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -129,6 +136,38 @@ def optimize_epsilon_numeric(spec: StateSpec,
     eps += 0.5 * h * (below - above) / (below - 2.0 * mid + above)
     f = Optimal(eps)
     return eps, evaluate(rho, f, f, angles, rule)
+
+
+def mp_integrals(eps) -> Tuple:
+    """(Ip, I, I0) of x/(1 + eps x^2) in mpmath, at its working precision.
+
+    G(eps) = int e^(-2x^2)/(1 + eps x^2) dx = pi a e^(2a^2) erfc(sqrt2 a),
+    a = eps^(-1/2); then Ip = (4/eps)(sqrt(pi/2) - G), I0 = -4 G'(eps) and
+    I = (16/eps)(Ip/4 + G'(eps)), with G' by mpmath's numerical derivative.
+    The cancellations cost a few of the working digits at small eps.
+    """
+    def g(e):
+        return mpmath.pi / mpmath.sqrt(e) * mpmath.exp(2 / e) * mpmath.erfc(mpmath.sqrt(2 / e))
+
+    e = mpmath.mpf(eps)
+    dg = mpmath.diff(g, e)
+    ip = 4 / e * (mpmath.sqrt(mpmath.pi / 2) - g(e))
+    return ip, 16 / e * (ip / 4 + dg), -4 * dg
+
+
+def rule_epsilon(n: int, r: int, eta: float, rule: QuadratureRule) -> float:
+    """``optimal_epsilon`` on the rule's sums of the family: the eps that the
+    free-function optimizer over the rule's nodes lands on."""
+    return optimal_epsilon(n, r, eta, integrals=family_integrals(rule))
+
+
+def rule_ratio(spec: StateSpec, rule: QuadratureRule) -> float:
+    """The closed-form ratio at ``rule_epsilon`` on the rule's sums: the
+    ratio that the free-function optimizer over the rule's nodes reaches."""
+    n, r, eta = spec.n_modes, spec.r_split, spec.efficiency
+    sums = family_integrals(rule)
+    lhs, rhs = closed_form_sides(n, r, eta, spec.purity, sums(rule_epsilon(n, r, eta, rule)))
+    return lhs / rhs
 
 
 def random_product_mixture(n: int, rng: np.random.Generator,

@@ -32,7 +32,7 @@ from cvbell.oracle import evaluate, orthogonal_angles
 from cvbell.quadrature import Identity, Optimal, SignBin, kernel_integrals
 from cvbell.scenario import StateSpec
 from cvbell.variational import optimize_function
-from reference import angle_scan, random_product_mixture
+from reference import angle_scan, random_product_mixture, rule_epsilon
 
 
 @contextmanager
@@ -178,13 +178,15 @@ def test_criterion_6_free_function_recovery(quick_rule, family_fit):
                 eps_ref = solve_epsilon_even(1.0, quick_rule).epsilon_lossy
             else:
                 eps_ref = solve_epsilon_odd(n, 1.0, quick_rule).epsilon_odd
+            # the optimizer sums the rule, so it lands on the root on those sums
+            eps_rule = rule_epsilon(n, n // 2, 1.0, quick_rule)
             ratios = []
             for init in (Identity(), SignBin()):
                 eps, best, ratio, _ = optimize_function(spec, quick_rule, init)
                 eps_fit, rel_err = family_fit(best, quick_rule)
                 assert rel_err < 1e-3
                 assert abs(eps_fit - eps_ref) < 1e-3
-                assert abs(eps - eps_ref) <= 1e-9
+                assert abs(eps - eps_rule) <= 1e-9
                 ratios.append(ratio)
             assert abs(ratios[0] - ratios[1]) < 1e-6 * max(ratios)
 

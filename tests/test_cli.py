@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +14,7 @@ from cvbell.functional_bell import closed_form_sides, optimal_epsilon
 from cvbell.quadrature import Identity, Optimal, gauss_hermite_rule, kernel_integrals
 from cvbell.scenario import StateSpec
 from cvbell.variational import optimize_function
-from reference import optimize_epsilon_numeric
+from reference import mp_integrals, optimize_epsilon_numeric, rule_epsilon
 
 
 def run_cli(argv):
@@ -153,6 +154,30 @@ class TestEval:
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
         assert "bound side at n = 5000 is outside the normal float range" in err
+
+    def test_lopsided_split_matches_mpmath(self, capsys):
+        # the stationarity root at (N, r) = (100, 0) lies at eps = 6.53, where
+        # the order-256 rule's sums were off by about 3e-9 (the ratio read
+        # 6186602161651.85); the ratio is stationary in eps, so the printed
+        # eps is enough for the reference
+        assert run_cli(["eval", "--ineq", "functional", "--n", "100", "--r", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        eps = float(payload["function"][len("optimal(epsilon="):-1])
+        with mpmath.workdps(40):
+            ip, ii, i0 = mp_integrals(eps)
+            # at r = 0 and eta = p = 1: B = (8 Ip^4/pi)^(N/2) / (2 (I0^N + I^N))
+            want = (8 * ip ** 4 / mpmath.pi) ** 50 / (2 * (i0 ** 100 + ii ** 100))
+        assert abs(payload["ratio"] - want) <= 1e-12 * want
+
+    def test_order_changes_no_closed_form(self, capsys):
+        # the closed forms read exact integrals: at order 2, a rule that cannot
+        # integrate the family (its ratio read 16.0), the value is the default's
+        payloads = []
+        for order in ("2", "256"):
+            assert run_cli(["eval", "--ineq", "functional", "--n", "6", "--order", order]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert [p.pop("order") for p in payloads] == [2, 256]
+        assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--ineq", "functional", "--n", "6"],
@@ -432,11 +457,13 @@ class TestOptimize:
         assert run_cli(["optimize", "--n", "9", "--r", "0", "--out", str(out)]) == 0
         payload = json.loads(capsys.readouterr().out)
         rule = gauss_hermite_rule(64)
-        assert payload["reference_epsilon"] == optimal_epsilon(9, 0, 1.0, rule)
+        # the root on the order-64 rule's sums, where the optimizer lands
+        assert payload["reference_epsilon"] == rule_epsilon(9, 0, 1.0, rule)
         assert payload["epsilon_deviation"] <= 1e-10
-        # independently: the oracle-side search lands within about 2e-9
+        # independently: the oracle-side search lands on the exact root within
+        # about 2e-9
         eps_numeric, _ = optimize_epsilon_numeric(StateSpec(9, 0), rule)
-        assert abs(payload["reference_epsilon"] - eps_numeric) <= 1e-7
+        assert abs(optimal_epsilon(9, 0, 1.0) - eps_numeric) <= 1e-7
 
     def test_unconverged_run_reports_the_error_residual(self, tmp_path, capsys,
                                                        monkeypatch):

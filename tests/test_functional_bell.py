@@ -2,6 +2,7 @@ import math
 import sys
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,9 +24,11 @@ from cvbell.functional_bell import (
 from cvbell.mk_binning import mk_bell_value
 from cvbell.model import density_matrix
 from cvbell.oracle import evaluate, orthogonal_angles
-from cvbell.quadrature import Identity, Optimal, gauss_hermite_rule, kernel_integrals
+from cvbell.quadrature import (Identity, Optimal, gauss_hermite_rule, kernel_integrals,
+                               optimal_integrals)
 from cvbell.scenario import StateSpec
-from reference import optimize_epsilon_numeric
+from cvbell.variational import family_integrals
+from reference import mp_integrals, optimize_epsilon_numeric
 
 # frozen from two independent numeric routes (damped fixed point and
 # golden-section maximization of the six-mode ratio)
@@ -43,6 +46,13 @@ PURITY_POWER = {"functional": 2, "cfrd": 2, "mk": 1}
 def _counted_quadratures():
     return mock.patch.object(functional_bell, "_integral_epsilon",
                              wraps=functional_bell._integral_epsilon)
+
+
+def _ideal_root(integrals):
+    """The fixed point of eps = 4*I0/I on ``integrals``, solved as
+    ``IDEAL_EPSILON`` was."""
+    return functional_bell._bracketed_root(
+        lambda e: functional_bell._integral_epsilon(e, integrals) - e, 1.0, 1e-13, "ideal")
 
 
 def _literal_odd_update(n, eps, eta):
@@ -132,12 +142,25 @@ class TestAcceleratedFixedPoint:
 
     @pytest.mark.parametrize("order", sorted(RULES))
     def test_ideal_solve_budget(self, order):
-        rule = RULES[order]
-        with mock.patch.dict(functional_bell._IDEAL_CACHE, clear=True), \
-                _counted_quadratures() as counted:
-            eps = ideal_epsilon(rule)
+        # the fixed point on a rule's sums of the family, as the optimizer has them
+        sums = family_integrals(RULES[order])
+        with _counted_quadratures() as counted:
+            eps = _ideal_root(sums)
         assert counted.call_count <= MAX_QUADRATURES
-        assert abs(eps - functional_bell._integral_epsilon(eps, rule)) <= MAX_RESIDUAL
+        assert abs(eps - functional_bell._integral_epsilon(eps, sums)) <= MAX_RESIDUAL
+
+    def test_ideal_epsilon_rederived(self):
+        # the constant is the solve on the exact integrals, bit for bit, and
+        # within 1e-14 of the fixed point of the integrals in 40-digit mpmath
+        assert _ideal_root(optimal_integrals) == functional_bell.IDEAL_EPSILON
+        assert ideal_epsilon() == ideal_epsilon(RULES[64]) == functional_bell.IDEAL_EPSILON
+        with mpmath.workdps(40):
+            def ratio(e):
+                ip, ii, i0 = mp_integrals(e)
+                return 4 * i0 / ii
+
+            fixed = mpmath.findroot(lambda e: ratio(e) - e, mpmath.mpf(3))
+            assert abs(functional_bell.IDEAL_EPSILON - fixed) <= 1e-14 * fixed
 
     @pytest.mark.parametrize("n, eta", [(2, 0.9), (2, 0.3), (3, 1.0), (7, 0.55), (101, 0.8)])
     def test_lands_on_the_plain_damped_fixed_point(self, rule, n, eta):
@@ -145,11 +168,11 @@ class TestAcceleratedFixedPoint:
         if n % 2 == 0:
             solved = solve_epsilon_even(eta, rule).epsilon_lossy
             plain = _plain_damped_fixed_point(
-                lambda e: lossy_epsilon_map(t(e, rule), eta), ideal_epsilon(rule), 1e-12)
+                lambda e: lossy_epsilon_map(t(e), eta), ideal_epsilon(rule), 1e-12)
         else:
             solved = solve_epsilon_odd(n, eta, rule).epsilon_odd
             plain = _plain_damped_fixed_point(
-                lambda e: _literal_odd_update(n, t(e, rule), eta),
+                lambda e: _literal_odd_update(n, t(e), eta),
                 ideal_epsilon(rule), 1e-12)
         assert solved == pytest.approx(plain, abs=5e-12)
 
@@ -167,11 +190,11 @@ class TestAcceleratedFixedPoint:
     @pytest.mark.parametrize("order, before", [(64, 2.9648570205240925),
                                                (256, 2.9648362177243106)])
     def test_ideal_epsilon_unchanged(self, order, before):
-        # ``before`` is the fixed point with the integrals summed by numpy's
-        # dot product; the plain-float sums round differently (1 ulp at
-        # order 256), well inside the solve's tolerance 1e-13
-        with mock.patch.dict(functional_bell._IDEAL_CACHE, clear=True):
-            assert ideal_epsilon(RULES[order]) == pytest.approx(before, rel=0, abs=1e-13)
+        # ``before`` is the fixed point on the rule's sums of the family, summed
+        # by numpy's dot product; the plain-float sums round differently (1 ulp
+        # at order 256), well inside the solve's tolerance 1e-13
+        root = _ideal_root(family_integrals(RULES[order]))
+        assert root == pytest.approx(before, rel=0, abs=1e-13)
 
     def test_map_without_fixed_point_raises(self):
         calls = []
@@ -317,7 +340,7 @@ class TestEpsilonOdd:
         for eta in (0.9, 0.8):
             lit = solve_epsilon_odd(n, eta, rule).epsilon_odd
             mat = _plain_damped_fixed_point(
-                lambda e: _matched_odd_update(n, functional_bell._integral_epsilon(e, rule), eta),
+                lambda e: _matched_odd_update(n, functional_bell._integral_epsilon(e), eta),
                 ideal_epsilon(rule), 1e-12)
 
             def ratio(eps):
@@ -335,7 +358,7 @@ class TestEpsilonOdd:
     def test_readings_coincide_without_loss(self, rule):
         lit = solve_epsilon_odd(7, 1.0, rule).epsilon_odd
         mat = _plain_damped_fixed_point(
-            lambda e: _matched_odd_update(7, functional_bell._integral_epsilon(e, rule), 1.0),
+            lambda e: _matched_odd_update(7, functional_bell._integral_epsilon(e), 1.0),
             ideal_epsilon(rule), 1e-12)
         assert lit == pytest.approx(mat, abs=1e-11)
 

@@ -211,10 +211,3 @@ class TestPublicTypes:
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == message
-
-    def test_live_half_is_the_weight_cut(self):
-        rule = cvbell.gauss_hermite_rule(256)
-        cut = 1e-40 * rule.half_weights[0]
-        live = [i for i, w in enumerate(rule.half_weights) if w >= cut]
-        assert live == list(range(len(live))) and 0 < len(live) < len(rule.half_weights)
-        assert rule.live_half == (rule.half_nodes[:len(live)], rule.half_weights[:len(live)])

@@ -2,9 +2,10 @@ import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvbell.quadrature as quadrature
@@ -24,10 +25,12 @@ from cvbell.quadrature import (
     _node_integrals,
     gauss_hermite_rule,
     kernel_integrals,
+    optimal_integrals,
 )
 from cvbell.scenario import StateSpec
+from cvbell.variational import family_integrals
 from gen_gauss_hermite_tables import _golub_welsch
-from reference import mirrored
+from reference import mirrored, mp_integrals
 
 SQ = GAUSS_NORM  # sqrt(pi/2)
 
@@ -44,7 +47,7 @@ def cached_golub_welsch(order):
 
 def full_loop(eps, rule):
     """The optimal family's kernel integrals summed over every positive node,
-    outermost first: the reference for the sums that skip negligible nodes."""
+    outermost first: the reference for a rule's sums of the family."""
     s_xf = s_xxff = s_ff = 0.0
     for x, w in zip(reversed(rule.half_nodes), reversed(rule.half_weights)):
         xx = x * x
@@ -317,15 +320,17 @@ class TestKernelIntegrals:
 
     def test_doubling_stability(self):
         # spectral convergence: doubling the production order moves the
-        # optimal-family integrals by less than 1e-12 relative
+        # rule's sums of the optimal family by less than 1e-12 relative, and
+        # the doubled order's sums meet the exact integrals (2.6e-15 apart)
         r1 = gauss_hermite_rule(DEFAULT_ORDER)
         r2 = cached_rule(2 * DEFAULT_ORDER)
         eps = ideal_epsilon(r1)
-        k1 = kernel_integrals(Optimal(eps), r1)
-        k2 = kernel_integrals(Optimal(eps), r2)
-        for a, b in ((k1.i_plus, k2.i_plus), (k1.i_cross, k2.i_cross),
-                     (k1.i_zero, k2.i_zero)):
+        k1 = family_integrals(r1)(eps)
+        k2 = family_integrals(r2)(eps)
+        exact = kernel_integrals(Optimal(eps), r1)
+        for a, b, c in zip(k1, k2, exact):
             assert abs(a - b) / abs(b) < 1e-12
+            assert abs(b - c) / abs(c) < 5e-15
 
 
 class TestScalarIntegrals:
@@ -335,14 +340,16 @@ class TestScalarIntegrals:
     @settings(max_examples=150, deadline=None)
     @given(eps=st.floats(1e-3, 1e3), order=st.sampled_from([2, 3, 64, 255, 256, 512]))
     def test_optimal_matches_the_numpy_route(self, eps, order):
+        # the family as an opaque callable takes the general route: one sum
+        # over the whole positive half (a node at 0 adds exact zeros), bit
+        # for bit, and the same function written out differs by roundoff
         rule = cached_rule(order)
-        scalar = tuple(kernel_integrals(Optimal(eps), rule))
-        # the same function as an opaque callable, called at every node:
-        # skipping the nodes of negligible weight changes no bit
-        assert scalar == tuple(kernel_integrals(lambda x: Optimal(eps)(x), rule))
-        assert scalar == full_loop(eps, rule)
+        f = Optimal(eps)
+        general = tuple(kernel_integrals(lambda x: f(x), rule))
+        half = _node_integrals(rule.half_nodes, rule.half_weights, f.values_at(rule.half_nodes))
+        assert general == tuple(half) == full_loop(eps, rule)
         plain = tuple(kernel_integrals(lambda x: x / (1.0 + eps * x * x), rule))
-        for a, b in zip(scalar, plain):
+        for a, b in zip(general, plain):
             assert abs(a - b) <= 1e-14 * abs(b)
 
     @pytest.mark.parametrize("order", [3, 4, 7, 64, 255, 256, 512])
@@ -415,12 +422,86 @@ class TestNodeIntegrals:
         assert tuple(summed) == tuple(kernel_integrals(f, rule))
 
     @pytest.mark.parametrize("order", [2, 5, 33, 64, 255, 256, 512])
-    def test_weight_cut_changes_no_bit(self, order):
-        # Optimal sums only the rule's live_half; the nodes it leaves out
-        # would not change the sums
+    def test_family_sums_are_the_general_route(self, order):
+        # the optimizer's sums of the family, which its reference root reads,
+        # are the general route's sums of the family as a plain callable
         rule = cached_rule(order)
+        sums = family_integrals(rule)
         for eps in (0.05, 1.0, 2.96, 6.585, 20.0):
             f = Optimal(eps)
-            full = _node_integrals(rule.half_nodes, rule.half_weights,
-                                   f.values_at(rule.half_nodes))
-            assert tuple(kernel_integrals(f, rule)) == tuple(full)
+            assert sums(eps) == kernel_integrals(lambda x: f(x), rule)
+
+    @pytest.mark.parametrize("order", [16, 17])
+    def test_free_callable_called_once_per_point(self, order):
+        # once at each positive node and once at its mirror for the oddness
+        # check, whose values the sums reuse, plus x = 0 at an odd order
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.atan(3.0 * x)
+
+        rule = gauss_hermite_rule(order)
+        kernel_integrals(f, rule)
+        assert len(calls) == len(set(calls)) == order
+
+
+def _log_grid(lo, hi, count):
+    return [lo * (hi / lo) ** (k / (count - 1)) for k in range(count)]
+
+
+class TestOptimalIntegrals:
+    """The exact kernel integrals of x/(1 + eps x^2), ``optimal_integrals``."""
+
+    def test_matches_the_erfc_closed_form(self):
+        # both routes of the continued fraction: backward below eps = 1,
+        # forward from math.erfc above
+        for eps in _log_grid(1e-3, 50.0, 61) + [0.999999, 1.0, 1.2]:
+            got = kernel_integrals(Optimal(eps), cached_rule(2))
+            with mpmath.workdps(40):
+                want = mp_integrals(eps)
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 2e-14 * b, eps
+
+    @pytest.mark.parametrize("eps", [2.96, 6.585])
+    def test_matches_quadrature(self, eps):
+        with mpmath.workdps(30):
+            e = mpmath.mpf(eps)
+            line = [-mpmath.inf, 0, mpmath.inf]
+            f = lambda x: x / (1 + e * x * x)
+            w = lambda x: mpmath.exp(-2 * x * x)
+            want = (mpmath.quad(lambda x: 4 * w(x) * x * f(x), line),
+                    mpmath.quad(lambda x: 16 * x * x * w(x) * f(x) ** 2, line),
+                    mpmath.quad(lambda x: 4 * w(x) * f(x) ** 2, line))
+        for a, b in zip(optimal_integrals(eps), want):
+            assert abs(a - b) <= 2e-14 * b
+
+    def test_no_rule_is_read(self):
+        for eps in (0.05, 2.96, 6.585):
+            exact = optimal_integrals(eps)
+            assert all(kernel_integrals(Optimal(eps), cached_rule(order)) == exact
+                       for order in (2, 3, 64, 256))
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_eps=st.floats(-300.0, 300.0))
+    @example(log_eps=-300.0)
+    @example(log_eps=100.0)
+    @example(log_eps=300.0)
+    @example(log_eps=0.0)
+    def test_cauchy_schwarz_bounds(self, log_eps):
+        # (int w x f)^2 <= int w x^2 int w f^2 and int w int w x^2 f^2 give
+        # Ip^2 <= I0 sqrt(pi/2), tight as eps -> 0, and Ip^2 <= I sqrt(pi/2),
+        # tight as eps -> inf; near the float range's bottom a few subnormal
+        # spacings of slack
+        eps = 10.0 ** log_eps
+        ip, ii, i0 = optimal_integrals(eps)
+        assert all(math.isfinite(v) and v >= 0.0 for v in (ip, ii, i0))
+        if eps <= 1e150:   # below, I ~ 16 sqrt(pi/2)/eps^2 is a normal float
+            assert min(ip, ii, i0) > 0.0
+        slack = 4 * math.ulp(0.0)
+        assert ip * ip <= (1 + 1e-14) * (i0 * SQ) + slack
+        assert ip * ip <= (1 + 1e-14) * (ii * SQ) + slack
+        if eps <= 1e-100:
+            assert ip * ip == pytest.approx(i0 * SQ, rel=1e-14)
+        if 1e100 <= eps <= 1e150:
+            assert ip * ip == pytest.approx(ii * SQ, rel=1e-14)

@@ -5,17 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvbell.functional_bell import (
-    bell_value,
-    optimal_epsilon,
-    solve_epsilon_even,
-    solve_epsilon_odd,
-)
+from cvbell.functional_bell import bell_value, solve_epsilon_even, solve_epsilon_odd
 from cvbell.model import SQRT_2_OVER_PI, density_matrix
 from cvbell.oracle import evaluate, orthogonal_angles, ratio_partials
 from cvbell.quadrature import Identity, Optimal, SignBin, _node_integrals
 from cvbell.scenario import StateSpec
 from cvbell.variational import _RatioProblem, euler_lagrange_residual, optimize_function
+from reference import rule_epsilon, rule_ratio
 
 
 def node_integrals(values, rule):
@@ -39,7 +35,7 @@ class TestRecovery:
         eps_ref = solve_epsilon_even(1.0, quick_rule).epsilon_lossy
         assert rel_err < 1e-3
         assert abs(eps_fit - eps_ref) < 1e-3
-        assert abs(eps - optimal_epsilon(6, 3, 1.0, quick_rule)) <= 1e-9
+        assert abs(eps - rule_epsilon(6, 3, 1.0, quick_rule)) <= 1e-9
         closed = bell_value(StateSpec(6, 3), quick_rule).ratio
         assert abs(ratio - closed) / closed < 1e-6
 
@@ -49,7 +45,7 @@ class TestRecovery:
         assert abs(ratio - ratio_identity) < 1e-6 * ratio
         _, rel_err = family_fit(best, quick_rule)
         assert rel_err < 1e-3
-        assert abs(eps - optimal_epsilon(6, 3, 1.0, quick_rule)) <= 1e-9
+        assert abs(eps - rule_epsilon(6, 3, 1.0, quick_rule)) <= 1e-9
 
     def test_five_modes_recovers_odd_parameter(self, quick_rule, family_fit):
         eps, best, ratio, _ = optimize_function(StateSpec(5, 2), quick_rule, SignBin())
@@ -57,7 +53,7 @@ class TestRecovery:
         eps_ref = solve_epsilon_odd(5, 1.0, quick_rule).epsilon_odd
         assert rel_err < 1e-3
         assert abs(eps_fit - eps_ref) < 1e-3
-        assert abs(eps - optimal_epsilon(5, 2, 1.0, quick_rule)) <= 1e-9
+        assert abs(eps - rule_epsilon(5, 2, 1.0, quick_rule)) <= 1e-9
 
     def test_scaled_init_reaches_identical_ratio(self, quick_rule, six_mode_run):
         # gauge normalization cancels the overall scale up to float rounding,
@@ -89,7 +85,7 @@ class TestRecovery:
         # closed-form stationarity relation, not from the oracle
         eps, best, _, _ = optimize_function(StateSpec(n, r, 1.0, eta), quick_rule, init)
         x = np.array(quick_rule.half_nodes)
-        eps_ref = optimal_epsilon(n, r, eta, quick_rule)
+        eps_ref = rule_epsilon(n, r, eta, quick_rule)
         assert abs(eps - eps_ref) <= 1e-9 * eps_ref
         # c fixed by the gauge: value/node = 1 at the smallest node
         ref = (1.0 + eps_ref * x[0] ** 2) * x / (1.0 + eps_ref * x * x)
@@ -128,7 +124,7 @@ class TestRecovery:
 
 class TestStationarityResidual:
     def test_small_at_analytic_optimum(self, quick_rule):
-        eps = solve_epsilon_even(1.0, quick_rule).epsilon_lossy
+        eps = rule_epsilon(6, 3, 1.0, quick_rule)
         res = euler_lagrange_residual(Optimal(eps), StateSpec(6, 3), quick_rule)
         assert res < 1e-7
 
@@ -149,7 +145,7 @@ class TestStationarityResidual:
     def test_scale_invariant_at_optimum(self, quick_rule):
         # at the optimum both the scaled and unscaled residuals sit at the
         # noise floor, below the convergence gate
-        eps = solve_epsilon_even(1.0, quick_rule).epsilon_lossy
+        eps = rule_epsilon(6, 3, 1.0, quick_rule)
         for c in (1.0, 5.0):
             scaled = lambda x, c=c: c * Optimal(eps)(x)
             res = euler_lagrange_residual(scaled, StateSpec(6, 3), quick_rule)
@@ -203,8 +199,7 @@ class TestGradientMachinery:
         assert residual <= 1e-9
         assert euler_lagrange_residual(Optimal(eps), spec, quick_rule) <= 1e-9
         if r == n // 2:
-            closed = bell_value(spec, quick_rule).ratio
-            assert ratio == pytest.approx(closed, rel=1e-10)
+            assert ratio == pytest.approx(rule_ratio(spec, quick_rule), rel=1e-10)
 
 
 class TestFreeFunctionType:
