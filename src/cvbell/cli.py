@@ -17,7 +17,9 @@ loads and compiles only those: ``eval --ineq mk`` never loads the functional
 closed forms, the oracle, the thresholds or the optimizer.  Only the parser,
 ``errors`` and ``quadrature`` (for the order defaults) load with this module.
 Every subcommand computes in plain floats and complex numbers at every
-``--order``, and none loads numpy.
+``--order``, and none loads numpy.  The functions that ``eval``, ``figure1``,
+``figure2`` and ``oracle-check`` integrate have exact kernel integrals, so
+they validate and record ``--order`` but build no rule; ``optimize`` does.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConvergenceError
-from .quadrature import DEFAULT_ORDER, QUICK_ORDER, check_order, gauss_hermite_rule
+from .quadrature import DEFAULT_ORDER, QUICK_ORDER, check_order
 
 ORACLE_CHECK_TOL = 1e-6
 MK_RSWEEP_TOL = 1e-8
@@ -59,12 +61,11 @@ def _write_sidecar(path: Path, command: str, config: dict) -> None:
     side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _integrating_rule(order):
-    """The rule of ``order`` for a command that integrates odd functions."""
+def _check_integrating_order(order) -> None:
+    """Validate ``order`` for a command that integrates odd functions."""
     if check_order(order) == 1:
         raise ValueError("--order 1 has its only node at x = 0, where every odd "
                          "function vanishes; use --order 2 or more")
-    return gauss_hermite_rule(order)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +77,7 @@ def _cmd_eval(args) -> int:
 
     if args.n < 2:
         raise ValueError(f"--n must be at least 2, got {args.n}")
-    check_order(args.order)  # mk needs no rule but reports the order
+    check_order(args.order)  # recorded for every inequality; mk integrates no function
     r = args.r if args.r is not None else canonical_split(args.n)
     spec = StateSpec(n_modes=args.n, r_split=r, purity=args.p, efficiency=args.eta)
     payload = {
@@ -90,8 +91,8 @@ def _cmd_eval(args) -> int:
     if args.ineq in ("functional", "cfrd"):
         from .functional_bell import bell_value, cfrd_bell_value
 
-        rule = _integrating_rule(args.order)
-        res = (bell_value if args.ineq == "functional" else cfrd_bell_value)(spec, rule)
+        _check_integrating_order(args.order)
+        res = (bell_value if args.ineq == "functional" else cfrd_bell_value)(spec)
         payload.update(
             function=res.function_id, lhs=res.lhs, rhs=res.rhs, ratio=res.ratio
         )
@@ -125,12 +126,12 @@ def _cmd_figure1(args) -> int:
 
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]")
-    rule = _integrating_rule(args.order)
+    _check_integrating_order(args.order)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         spec = StateSpec(n_modes=n, r_split=canonical_split(n))
-        b_opt = bell_value(spec, rule).ratio
-        b_cfrd = cfrd_bell_value(spec, rule).ratio
+        b_opt = bell_value(spec).ratio
+        b_cfrd = cfrd_bell_value(spec).ratio
         rows.append((n, b_opt, b_cfrd))
     out = Path(args.out)
     _write_csv(out, ["N", "B_optimal", "B_cfrd"], rows)
@@ -148,13 +149,13 @@ def _cmd_figure2(args) -> int:
 
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]")
-    check_order(args.order)  # the binned thresholds need no rule
-    rule = None if args.ineq == "mk" else _integrating_rule(args.order)
+    # the binned thresholds integrate no function
+    (check_order if args.ineq == "mk" else _check_integrating_order)(args.order)
     inequalities = ("functional", "cfrd", "mk") if args.ineq == "all" else (args.ineq,)
     rows = []
     for ineq in inequalities:
         for n in range(args.n_min, args.n_max + 1):
-            eta_c, p_c = thresholds(n, ineq, rule)
+            eta_c, p_c = thresholds(n, ineq)
             missing = []
             if eta_c is None:
                 missing.append("eta")
@@ -178,7 +179,7 @@ def _cmd_figure2(args) -> int:
 # oracle-check
 # ---------------------------------------------------------------------------
 
-def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
+def _oracle_check_cells(n_min, n_max, perturb_eps):
     """Yield (label, closed, oracle, rel_deviation) per grid cell."""
     from .functional_bell import cfrd_bell_value, closed_form_sides, optimal_epsilon
     from .mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
@@ -196,7 +197,7 @@ def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
         mk_angles = mk_optimal_angles(n, r)
         for eta in etas:
             # the function and its shift depend on the efficiency, not the purity
-            eps_opt = optimal_epsilon(n, r, eta, rule)
+            eps_opt = optimal_epsilon(n, r, eta)
             f = Optimal(eps_opt)
             shifted = eps_opt + perturb_eps
             for p in ps:
@@ -207,14 +208,13 @@ def _oracle_check_cells(n_min, n_max, perturb_eps, rule):
                 if not shifted > 0.0:
                     raise ValueError(f"--perturb-eps {perturb_eps:g} shifts epsilon at "
                                      f"{label} to {shifted:.12g}, which is not positive")
-                ki = kernel_integrals(Optimal(shifted), rule)
-                lhs, rhs = closed_form_sides(n, r, eta, p, ki)
+                lhs, rhs = closed_form_sides(n, r, eta, p, kernel_integrals(Optimal(shifted)))
                 closed = lhs / rhs
-                orc = evaluate(rho, f, f, angles, rule).ratio
+                orc = evaluate(rho, f, f, angles).ratio
                 yield (label, closed, orc)
 
-                closed_c = cfrd_bell_value(spec, rule).ratio
-                orc_c = evaluate(rho, ident, ident, angles, rule).ratio
+                closed_c = cfrd_bell_value(spec).ratio
+                orc_c = evaluate(rho, ident, ident, angles).ratio
                 yield (f"cfrd n={n} eta={eta} p={p}", closed_c, orc_c)
 
                 closed_m = mk_bell_value(spec)
@@ -231,13 +231,11 @@ def _cmd_oracle_check(args) -> int:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]; n >= 3")
     if not abs(args.perturb_eps) < float("inf"):
         raise ValueError(f"--perturb-eps must be finite, got {args.perturb_eps}")
-    rule = _integrating_rule(args.order)
+    _check_integrating_order(args.order)
     lines = []
     worst = 0.0
     worst_label = ""
-    for label, closed, orc in _oracle_check_cells(
-        args.n_min, args.n_max, args.perturb_eps, rule
-    ):
+    for label, closed, orc in _oracle_check_cells(args.n_min, args.n_max, args.perturb_eps):
         rel = abs(closed - orc) / abs(orc)
         if rel > worst:
             worst, worst_label = rel, label
@@ -269,7 +267,7 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_optimize(args) -> int:
     from .functional_bell import optimal_epsilon
-    from .quadrature import Identity, SignBin
+    from .quadrature import Identity, SignBin, gauss_hermite_rule
     from .scenario import StateSpec, canonical_split
     from .variational import family_integrals, optimize_function
 

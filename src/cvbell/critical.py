@@ -28,7 +28,8 @@ Three separate decoherence-product conventions coexist and are never mixed:
   pure-state critical efficiency.
 
 At the even split B = p^2/4 * g^(N/2) for a per-site ratio g, so each
-large-N limit is the exact root g = 1 (``asymptotic_product``).
+large-N limit is the exact root g = 1 (``asymptotic_product``).  Every
+kernel integral here is exact, so no threshold reads a quadrature rule.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ from typing import Optional
 
 from .errors import MonotonicityError
 from .functional_bell import (
+    IDEAL_EPSILON,
     _bracketed_root,
     closed_form_log_ratio,
     closed_form_sides,
-    ideal_epsilon,
     optimal_epsilon,
 )
 from .mk_binning import mk_bell_value, mk_critical_product
-from .quadrature import Identity, KernelIntegrals, Optimal, QuadratureRule, kernel_integrals
+from .quadrature import Identity, KernelIntegrals, Optimal, kernel_integrals
 from .scenario import StateSpec, canonical_split
 
 INEQUALITIES = ("functional", "cfrd", "mk")
@@ -54,44 +55,40 @@ _ETA_BRACKET = (0.3, 1.0)
 _LOG_RATIO_TOL = 1e-13
 
 
-def _moment_integrals(inequality_id: str, n: int, eta: float,
-                      rule: QuadratureRule) -> KernelIntegrals:
+def _moment_integrals(inequality_id: str, n: int, eta: float) -> KernelIntegrals:
     """Kernel integrals of a moment inequality's function at ``canonical_split(n)``."""
     if inequality_id == "functional":
-        f = Optimal(optimal_epsilon(n, canonical_split(n), eta, rule))
+        f = Optimal(optimal_epsilon(n, canonical_split(n), eta))
     elif inequality_id == "cfrd":
         f = Identity()
     else:
         raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")
-    return kernel_integrals(f, rule)
+    return kernel_integrals(f)
 
 
-def bell_ratio(inequality_id: str, n: int, eta: float, p: float,
-               rule: QuadratureRule) -> float:
+def bell_ratio(inequality_id: str, n: int, eta: float, p: float) -> float:
     """Bell ratio of the named inequality at the split ``canonical_split(n)``."""
     spec = StateSpec(n, canonical_split(n), p, eta)
     if inequality_id == "mk":
         return mk_bell_value(spec)
     lhs, rhs = closed_form_sides(n, spec.r_split, eta, p,
-                                 _moment_integrals(inequality_id, n, eta, rule))
+                                 _moment_integrals(inequality_id, n, eta))
     return lhs / rhs
 
 
-def _log_ratio_and_slope(inequality_id: str, n: int, eta: float, p: float,
-                         rule: QuadratureRule) -> tuple:
+def _log_ratio_and_slope(inequality_id: str, n: int, eta: float, p: float) -> tuple:
     """``closed_form_log_ratio`` of a moment inequality at ``canonical_split(n)``."""
     return closed_form_log_ratio(n, canonical_split(n), eta, p,
-                                 _moment_integrals(inequality_id, n, eta, rule))
+                                 _moment_integrals(inequality_id, n, eta))
 
 
-def _efficiency_root(inequality_id: str, n: int, p: float, rule: QuadratureRule,
-                     top: tuple) -> Optional[float]:
+def _efficiency_root(inequality_id: str, n: int, p: float, top: tuple) -> Optional[float]:
     """Moment-inequality efficiency threshold from ``top``, the (ln B, slope)
     of ``closed_form_log_ratio`` at eta = 1; see ``critical_efficiency``."""
     lo, hi = _ETA_BRACKET
 
     def h(eta: float) -> tuple:
-        log_ratio, slope = _log_ratio_and_slope(inequality_id, n, eta, p, rule)
+        log_ratio, slope = _log_ratio_and_slope(inequality_id, n, eta, p)
         return -log_ratio, -slope
 
     log_ratio, slope = top
@@ -107,9 +104,9 @@ def _efficiency_root(inequality_id: str, n: int, p: float, rule: QuadratureRule,
                            lo, hi, hx=(-log_ratio, -slope))
 
 
-def critical_efficiency(n: int, p: float, inequality_id: str,
-                        rule: QuadratureRule) -> Optional[float]:
+def critical_efficiency(n: int, p: float, inequality_id: str, rule=None) -> Optional[float]:
     """Smallest efficiency giving B = 1 at fixed purity; None if B(1, p) <= 1.
+    ``rule`` is not read; perfbench still passes one (ROADMAP item 9).
 
     The binned value inverts exactly to mk_critical_product(n) * p^(-2/n).
     The others solve ln B = 0 in the bracket [0.3, 1] by the Newton steps of
@@ -124,11 +121,10 @@ def critical_efficiency(n: int, p: float, inequality_id: str,
     if inequality_id == "mk":
         eta = mk_critical_product(n) * p ** (-2.0 / n)
         return None if eta >= 1.0 else float(eta)
-    return _efficiency_root(inequality_id, n, p, rule,
-                            _log_ratio_and_slope(inequality_id, n, 1.0, p, rule))
+    return _efficiency_root(inequality_id, n, p, _log_ratio_and_slope(inequality_id, n, 1.0, p))
 
 
-def thresholds(n: int, inequality_id: str, rule: QuadratureRule) -> tuple:
+def thresholds(n: int, inequality_id: str) -> tuple:
     """(critical efficiency at p = 1, critical purity at eta = 1), each None
     where B(1, 1) <= 1.
 
@@ -137,18 +133,16 @@ def thresholds(n: int, inequality_id: str, rule: QuadratureRule) -> tuple:
     efficiency solve's starting value from ``closed_form_log_ratio``.
     """
     if inequality_id == "mk":
-        return critical_efficiency(n, 1.0, "mk", rule), critical_purity(n, 1.0, "mk", rule)
+        return critical_efficiency(n, 1.0, "mk"), critical_purity(n, 1.0, "mk")
     r = canonical_split(n)
-    ki = _moment_integrals(inequality_id, n, 1.0, rule)
+    ki = _moment_integrals(inequality_id, n, 1.0)
     lhs, rhs = closed_form_sides(n, r, 1.0, 1.0, ki)
     b = lhs / rhs
-    eta_c = _efficiency_root(inequality_id, n, 1.0, rule,
-                             closed_form_log_ratio(n, r, 1.0, 1.0, ki))
+    eta_c = _efficiency_root(inequality_id, n, 1.0, closed_form_log_ratio(n, r, 1.0, 1.0, ki))
     return eta_c, None if b <= 1.0 else float(b ** -0.5)
 
 
-def critical_purity(n: int, eta: float, inequality_id: str,
-                    rule: QuadratureRule) -> Optional[float]:
+def critical_purity(n: int, eta: float, inequality_id: str) -> Optional[float]:
     """Smallest purity giving B = 1 at fixed efficiency; None if B(eta, 1) <= 1.
 
     The binned inequality uses the exact product inversion
@@ -163,7 +157,7 @@ def critical_purity(n: int, eta: float, inequality_id: str,
         if target > 1.0:
             return None
         return math.sqrt(target)
-    b = bell_ratio(inequality_id, n, eta, 1.0, rule)
+    b = bell_ratio(inequality_id, n, eta, 1.0)
     if b <= 1.0:
         return None
     return float(b ** -0.5)
@@ -188,7 +182,7 @@ def _per_site_root(ki) -> float:
     return (b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
 
 
-def asymptotic_product(inequality_id: str, rule: QuadratureRule) -> float:
+def asymptotic_product(inequality_id: str) -> float:
     """Exact N -> infinity limit of the decoherence threshold of an inequality.
 
     The functional limit is the product s = eta*p at the noise-free optimal
@@ -197,9 +191,9 @@ def asymptotic_product(inequality_id: str, rule: QuadratureRule) -> float:
     efficiency, (1 + sqrt 5)/4.
     """
     if inequality_id == "functional":
-        return _per_site_root(kernel_integrals(Optimal(ideal_epsilon(rule)), rule))
+        return _per_site_root(kernel_integrals(Optimal(IDEAL_EPSILON)))
     if inequality_id == "cfrd":
-        return _per_site_root(kernel_integrals(Identity(), rule))
+        return _per_site_root(kernel_integrals(Identity()))
     if inequality_id == "mk":
         return math.pi / 4.0
     raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")

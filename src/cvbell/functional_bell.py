@@ -15,9 +15,8 @@ per-site decoherence-product forms that treat eta*p^2 (binned) or (eta p)^2
 (functional) as a single per-mode monomial live with the threshold solvers.
 
 The optimal family's kernel integrals are exact (``optimal_integrals``), as
-the identity's are, so no number here depends on a quadrature rule: the
-``rule`` the functions take is passed on to ``kernel_integrals``, which does
-not read it for a named function.
+the identity's are, so no number here depends on a quadrature rule and no
+function here reads one.
 
 The module computes in plain floats and imports no numpy.  ``BellResult``,
 which the oracle returns as well, is defined here.
@@ -29,8 +28,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import ConvergenceError, NumericalDomainError, normal_bound_side
-from .quadrature import (Identity, KernelIntegrals, Optimal, QuadratureRule, kernel_integrals,
-                         optimal_integrals)
+from .quadrature import Identity, KernelIntegrals, Optimal, kernel_integrals, optimal_integrals
 from .scenario import StateSpec
 
 #: Fixed point of eps = 4*I0(eps)/I(eps) on the exact integrals: the noise-free
@@ -129,9 +127,9 @@ def _bracketed_root(h, x: float, tol: float, name: str,
     )
 
 
-def ideal_epsilon(rule: Optional[QuadratureRule] = None) -> float:
-    """Fixed point of eps = 4*I0(eps)/I(eps): ``IDEAL_EPSILON``.  ``rule`` is
-    not read; the family's integrals are exact for every rule."""
+def ideal_epsilon(rule=None) -> float:
+    """Fixed point of eps = 4*I0(eps)/I(eps): ``IDEAL_EPSILON``.
+    ``rule`` is not read; perfbench still passes one (ROADMAP item 9)."""
     return IDEAL_EPSILON
 
 
@@ -169,8 +167,7 @@ def _stationary_update(n: int, r: int, eta: float, e: float) -> float:
     return lossy_epsilon_map(e, eta) * (r + s * v) / (r + s * ((1.0 - eta) * v + c * w) / k)
 
 
-def optimal_epsilon(n: int, r: int, eta: float, rule: Optional[QuadratureRule] = None,
-                    integrals=optimal_integrals) -> float:
+def optimal_epsilon(n: int, r: int, eta: float, *, integrals=optimal_integrals) -> float:
     """Function parameter maximizing the closed-form ratio at split r of n modes:
     the root of ``_stationary_update`` at the integrals of eps itself; raises
     NumericalDomainError where a term weight or the function underflows.
@@ -178,7 +175,6 @@ def optimal_epsilon(n: int, r: int, eta: float, rule: Optional[QuadratureRule] =
     ``integrals`` maps eps to the kernel integrals of x/(1 + eps x^2): the
     exact ones by default, or a rule's sums of them for the optimum that an
     optimizer over that rule's nodes lands on (``variational.family_integrals``).
-    ``rule`` is not read.
     """
     _check_eta(eta)
     if not 0 <= r <= n:
@@ -193,8 +189,9 @@ def optimal_epsilon(n: int, r: int, eta: float, rule: Optional[QuadratureRule] =
             f"optimal function at n = {n}, r = {r} leaves the float range") from None
 
 
-def solve_epsilon_even(eta: float, rule: QuadratureRule) -> EpsilonSolution:
+def solve_epsilon_even(eta: float, rule=None) -> EpsilonSolution:
     """Optimal function parameter for even mode counts at efficiency eta.
+    ``rule`` is not read; perfbench still passes one (ROADMAP item 9).
 
     The stationarity relation at r = N/2 is the loss adjustment of the
     integral ratio, iterated together with it; the result does not depend on
@@ -206,22 +203,23 @@ def solve_epsilon_even(eta: float, rule: QuadratureRule) -> EpsilonSolution:
         eps = IDEAL_EPSILON
         return EpsilonSolution(epsilon_ideal=eps, epsilon_lossy=eps, epsilon_odd=None,
                                residual=abs(eps - _integral_epsilon(eps)))
-    eps_l = optimal_epsilon(2, 1, eta, rule)
+    eps_l = optimal_epsilon(2, 1, eta)
     eps = _integral_epsilon(eps_l)
     return EpsilonSolution(epsilon_ideal=eps, epsilon_lossy=eps_l, epsilon_odd=None,
                            residual=abs(eps_l - _stationary_update(2, 1, eta, eps)))
 
 
-def solve_epsilon_odd(n: int, eta: float, rule: QuadratureRule) -> EpsilonSolution:
+def solve_epsilon_odd(n: int, eta: float, rule=None) -> EpsilonSolution:
     """Optimal function parameter for odd mode counts: ``optimal_epsilon`` at
     r = (N-1)/2, with the integral ratio and the residual at that root.
+    ``rule`` is not read; perfbench still passes one (ROADMAP item 9).
 
     The relation is N-dependent and coupled: the integrals are evaluated at
     the returned ``epsilon_odd`` itself.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be an odd integer >= 3, got {n}")
-    eps_p = optimal_epsilon(n, n // 2, eta, rule)
+    eps_p = optimal_epsilon(n, n // 2, eta)
     eps = _integral_epsilon(eps_p)
     return EpsilonSolution(
         epsilon_ideal=eps,
@@ -288,7 +286,7 @@ def closed_form_log_ratio(n: int, r: int, eta: float, p: float,
     return log_ratio, n / eta - (ii - i0) * (r + s * v) / c
 
 
-def bell_value(spec: StateSpec, rule: QuadratureRule) -> BellResult:
+def bell_value(spec: StateSpec) -> BellResult:
     """Closed-form Bell observable at the optimized measurement function.
 
     Holds at every split r: the function parameter is the root of the
@@ -297,13 +295,12 @@ def bell_value(spec: StateSpec, rule: QuadratureRule) -> BellResult:
     n, r = spec.n_modes, spec.r_split
     eta, p = spec.efficiency, spec.purity
     _bound_scale(n)   # beyond it the solve may not converge; name n instead
-    f = Optimal(optimal_epsilon(n, r, eta, rule))
-    ki = kernel_integrals(f, rule)
-    lhs, rhs = closed_form_sides(n, r, eta, p, ki)
+    f = Optimal(optimal_epsilon(n, r, eta))
+    lhs, rhs = closed_form_sides(n, r, eta, p, kernel_integrals(f))
     return BellResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs, function_id=f.label)
 
 
-def cfrd_bell_value(spec: StateSpec, rule: QuadratureRule) -> BellResult:
+def cfrd_bell_value(spec: StateSpec) -> BellResult:
     """Bell observable for plain moment correlations (f = g = identity).
 
     All integrals are Gaussian moments, so the closed form holds for every
@@ -311,6 +308,5 @@ def cfrd_bell_value(spec: StateSpec, rule: QuadratureRule) -> BellResult:
     """
     n, r = spec.n_modes, spec.r_split
     f = Identity()
-    ki = kernel_integrals(f, rule)
-    lhs, rhs = closed_form_sides(n, r, spec.efficiency, spec.purity, ki)
+    lhs, rhs = closed_form_sides(n, r, spec.efficiency, spec.purity, kernel_integrals(f))
     return BellResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs, function_id=f.label)

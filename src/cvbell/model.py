@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .quadrature import KernelIntegrals, QuadratureRule, kernel_integrals
 from .scenario import StateSpec
@@ -185,7 +185,7 @@ def _site_correlators(mf: float, mg: float, theta, theta_prime):
     return tuple(ops)
 
 
-def site_operator(f, g, theta, theta_prime, rule: QuadratureRule):
+def site_operator(f, g, theta, theta_prime, rule: Optional[QuadratureRule] = None):
     """Build the site operators entering the two inequality sides.
 
     Returns (O, Q) with O = f(X^theta) + i g(X^theta') (zero diagonal,
@@ -194,6 +194,8 @@ def site_operator(f, g, theta, theta_prime, rule: QuadratureRule):
     and g only through their kernel integrals, which give the raising
     amplitudes <0|f|1>, <0|g|1> and the diagonal of Q, so either may be its
     ``KernelIntegrals``; when g is f they are not computed a second time.
+    ``rule`` sums a free callable (``kernel_integrals``) and is read for no
+    other function.
     Scalar angles give one 2x2 pair, length-n angle sequences a tuple of n
     operators each, with one Q object at every site.
     """

@@ -21,7 +21,7 @@ computes in plain floats and imports no numpy.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ._accel import tensor_expectation, tensor_expectation_sums
 from .errors import normal_bound_side
@@ -51,7 +51,7 @@ def _function_id(f, g) -> str:
 
 
 def _site_operators(rho: DensityMatrix, f, g, angles: AngleConfig,
-                    rule: QuadratureRule) -> Tuple[tuple, tuple]:
+                    rule: Optional[QuadratureRule]) -> Tuple[tuple, tuple]:
     """``model.site_operator`` of every site, n operators each."""
     if angles.n_modes != rho.n_modes:
         raise ValueError(
@@ -61,12 +61,14 @@ def _site_operators(rho: DensityMatrix, f, g, angles: AngleConfig,
 
 
 def evaluate(rho: DensityMatrix, f, g, angles: AngleConfig,
-             rule: QuadratureRule) -> BellResult:
+             rule: Optional[QuadratureRule] = None) -> BellResult:
     """Evaluate both sides of the inequality on an explicit density matrix.
 
     The tensor-product traces factorize over the sites of each product term
-    of the state; the 2^N x 2^N operator products are never formed.  Raises
-    NumericalDomainError when the bound side leaves the normal float range.
+    of the state; the 2^N x 2^N operator products are never formed.  ``rule``
+    sums f or g only where it is a free callable (``kernel_integrals``).
+    Raises NumericalDomainError when the bound side leaves the normal float
+    range.
     """
     o_mats, q_mats = _site_operators(rho, f, g, angles, rule)
     corr = tensor_expectation(rho.matrix, o_mats)
@@ -99,7 +101,7 @@ _UNIT_MOMENTS = (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 1.0)))
 
 
 def ratio_partials(rho: DensityMatrix, f, g, angles: AngleConfig,
-                   rule: QuadratureRule) -> RatioPartials:
+                   rule: Optional[QuadratureRule] = None) -> RatioPartials:
     """The ratio of ``evaluate`` together with its site-scalar partials.
 
     Every site operator is linear in the site scalars, so the partial of a

@@ -25,20 +25,19 @@ is called on one point at a time, and the module imports no numpy.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
-from ._gauss_hermite_tables import POSITIVE_HALF
 from .errors import NumericalDomainError, is_integer
 
 #: Default ``--order`` of ``eval``, ``figure1``, ``figure2`` and
-#: ``oracle-check``.  The functions they integrate carry exact kernel
-#: integrals, so none of their numbers reads the rule; it sums free
-#: callables only.  On the optimal family as a plain callable its sums are
-#: within 4.6e-14 relative of the exact integrals at eps = 2.96, 4.9e-12 at
-#: eps = 4 and 2.8e-9 at eps = 6.585.
+#: ``oracle-check``, which validate and record it but build no rule: the
+#: functions they integrate carry exact kernel integrals.  On the optimal
+#: family as a plain callable the order-256 sums are within 4.6e-14
+#: relative of the exact integrals at eps = 2.96, 4.9e-12 at eps = 4 and
+#: 2.8e-9 at eps = 6.585.
 DEFAULT_ORDER = 256
-#: Default order of the free-function optimizer, whose node values it sums
-#: (about 1e-6 relative on the optimal family).
+#: Default order of ``optimize``, the one command that builds a rule: it sums
+#: the free function's node values (about 1e-6 relative on the optimal family).
 QUICK_ORDER = 64
 MAX_ORDER = 512
 
@@ -150,6 +149,8 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     -------
     QuadratureRule
     """
+    from ._gauss_hermite_tables import POSITIVE_HALF
+
     n = check_order(order)
     if n not in POSITIVE_HALF:
         return _newton_rule(n)
@@ -369,18 +370,19 @@ def node_values(f, nodes) -> list:
     return [_value_at(f, x) for x in nodes]
 
 
-def kernel_integrals(f, rule: QuadratureRule) -> KernelIntegrals:
+def kernel_integrals(f, rule: Optional[QuadratureRule] = None) -> KernelIntegrals:
     """The three kernel integrals of an odd function f.
 
     A ``KernelIntegrals`` is returned as it is, so it can stand in for its
     function.  The named functions carry their ``exact_integrals`` and do not
     read the rule (for sign binning, whose jump a rule resolves only
     algebraically, they are the only correct values).  Any other callable is
-    summed by ``_node_integrals`` over the rule's positive half, called once
-    per node and once per mirror (``_odd_values``); a node at x = 0 counts
-    once, in ``i_zero`` alone.
-    ValueError for a non-callable, a function that is not odd or not one real
-    number at a node, NumericalDomainError for one not finite at a node.
+    summed by ``_node_integrals`` over the positive half of ``rule``, which
+    it then needs, called once per node and once per mirror
+    (``_odd_values``); a node at x = 0 counts once, in ``i_zero`` alone.
+    ValueError for a non-callable, a free callable without a rule, a function
+    that is not odd or not one real number at a node, NumericalDomainError
+    for one not finite at a node.
     """
     if isinstance(f, KernelIntegrals):
         return f
@@ -389,6 +391,9 @@ def kernel_integrals(f, rule: QuadratureRule) -> KernelIntegrals:
         return exact
     if not callable(f):
         raise ValueError(f"expected a measurement function or callable, got {type(f)!r}")
+    if rule is None:
+        raise ValueError("a free callable has no exact kernel integrals: "
+                         "a quadrature rule is needed to sum it")
     nodes, weights = rule.half_nodes, rule.half_weights
     values = _odd_values(f, nodes)
     if rule.order % 2:

@@ -60,21 +60,20 @@ class _RatioProblem:
     scenario and angles, with the same function on both quadratures."""
 
     def __init__(self, spec: StateSpec, rule: QuadratureRule):
-        self.rule = rule
         self.rho = density_matrix(spec)
         self.angles = orthogonal_angles(spec.n_modes, spec.r_split)
-        self.nodes = rule.half_nodes
+        self.nodes, self.weights = rule.half_nodes, rule.half_weights
         # node-value derivatives of the site scalars; the odd mirror doubles
         # every positive-node weight
         scale = 4.0 * SQRT_2_OVER_PI
-        c = [scale * w for w in rule.half_weights]
+        c = [scale * w for w in self.weights]
         self._dm = [ci * x for ci, x in zip(c, self.nodes)]                # dm/dv
         self._dq0 = c                                                       # dq0/dv, per unit v
         self._dq1 = [(4.0 * ci) * (x * x) for ci, x in zip(c, self.nodes)]  # dq1/dv, per unit v
 
     def partials(self, values: List[float]) -> RatioPartials:
-        k = _node_integrals(self.rule.half_nodes, self.rule.half_weights, values)
-        return ratio_partials(self.rho, k, k, self.angles, self.rule)
+        k = _node_integrals(self.nodes, self.weights, values)
+        return ratio_partials(self.rho, k, k, self.angles)
 
     def ratio_and_gradient(self, values: List[float]) -> Tuple[float, List[float]]:
         """The ratio and its gradient in the node values."""

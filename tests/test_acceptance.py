@@ -45,12 +45,12 @@ def criterion(num, description):
     print(f"ACCEPTANCE {num} PASS - {description}")
 
 
-def test_criterion_1_onset_mode_counts(rule):
+def test_criterion_1_onset_mode_counts():
     with criterion(1, "violation onsets: optimized N>=5, plain moments N>=10, binned N>=3"):
-        assert bell_value(StateSpec(5, 2), rule).ratio > 1
-        assert bell_value(StateSpec(4, 2), rule).ratio <= 1
-        assert cfrd_bell_value(StateSpec(10, 5), rule).ratio > 1
-        assert cfrd_bell_value(StateSpec(9, 4), rule).ratio <= 1
+        assert bell_value(StateSpec(5, 2)).ratio > 1
+        assert bell_value(StateSpec(4, 2)).ratio <= 1
+        assert cfrd_bell_value(StateSpec(10, 5)).ratio > 1
+        assert cfrd_bell_value(StateSpec(9, 4)).ratio <= 1
         assert mk_bell_value(StateSpec(3, 3)) > 1
 
 
@@ -61,7 +61,7 @@ def test_criterion_2_binned_closed_form_identities(rule):
         assert abs(mk_critical_product(3) - 0.9897) < 5e-4
         assert abs(mk_critical_product(4) - 0.9336) < 5e-4
         assert abs(mk_critical_product(5) - 0.9022) < 5e-4
-        limit = asymptotic_product("mk", rule)
+        limit = asymptotic_product("mk")
         assert abs(limit - np.pi / 4.0) < 1e-3
         # the product formula is the exact unit root of the per-site form
         eta3 = critical_efficiency(3, 1.0, "mk", rule)
@@ -73,7 +73,7 @@ def test_criterion_3_critical_efficiency_anchors(rule):
         eta10 = critical_efficiency(10, 1.0, "functional", rule)
         assert abs(eta10 - 0.80) < 0.01
 
-        cfrd = asymptotic_product("cfrd", rule)
+        cfrd = asymptotic_product("cfrd")
         assert abs(cfrd - 0.81) < 0.005
 
         eta58 = critical_efficiency(58, 1.0, "functional", rule)
@@ -82,7 +82,7 @@ def test_criterion_3_critical_efficiency_anchors(rule):
         eta_inf = (eta60 * x1 - eta58 * x2) / (x1 - x2)
         assert abs(eta_inf - 0.69) < 0.01
 
-        prod = asymptotic_product("functional", rule)
+        prod = asymptotic_product("functional")
         assert abs(prod - 0.6918) < 0.005
 
 
@@ -139,12 +139,12 @@ def test_criterion_5_closed_forms_match_fock_oracle(rule):
                     spec = StateSpec(n, r, p, eta)
                     rho = density_matrix(spec)
 
-                    closed = bell_value(spec, rule).ratio
+                    closed = bell_value(spec).ratio
                     f = Optimal(eps)
                     orc = evaluate(rho, f, f, angles, rule).ratio
                     assert abs(closed - orc) / orc < 1e-6
 
-                    closed_c = cfrd_bell_value(spec, rule).ratio
+                    closed_c = cfrd_bell_value(spec).ratio
                     ident = Identity()
                     orc_c = evaluate(rho, ident, ident, angles, rule).ratio
                     assert abs(closed_c - orc_c) / orc_c < 1e-6

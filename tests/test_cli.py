@@ -21,6 +21,36 @@ def run_cli(argv):
     return main(argv)
 
 
+@pytest.fixture
+def no_rule(monkeypatch):
+    """Make building a quadrature rule fail, in every loaded module that binds
+    the builder."""
+    def not_reached(order):
+        raise AssertionError(f"a quadrature rule of order {order} was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cvbell.") and hasattr(module, "gauss_hermite_rule"):
+            monkeypatch.setattr(module, "gauss_hermite_rule", not_reached)
+
+
+# every command but optimize integrates only functions with exact kernel
+# integrals: it records --order and builds no rule, at the default and at 512
+@pytest.mark.parametrize("order", [None, "512"], ids=["default-order", "order-512"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "--ineq", "functional", "--n", "7", "--out", "{tmp}/out.json"],
+    ["eval", "--ineq", "cfrd", "--n", "7", "--out", "{tmp}/out.json"],
+    ["figure1", "--n-min", "4", "--n-max", "6", "--out", "{tmp}/out.csv"],
+    ["figure2", "--n-min", "3", "--n-max", "5", "--ineq", "all", "--out", "{tmp}/out.csv"],
+    ["oracle-check", "--n-min", "3", "--n-max", "4", "--out", "{tmp}/out.txt"],
+], ids=["eval-functional", "eval-cfrd", "figure1", "figure2-all", "oracle-check"])
+def test_closed_form_commands_build_no_rule(tmp_path, capsys, no_rule, argv, order):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run_cli(argv + (["--order", order] if order else [])) == 0
+    capsys.readouterr()
+    (side,) = tmp_path.glob("*.meta.json")
+    assert json.loads(side.read_text())["config"]["order"] == int(order or 256)
+
+
 class TestEval:
     def test_functional_six_modes(self, capsys):
         assert run_cli(["eval", "--ineq", "functional", "--n", "6", "--r", "3",
@@ -47,7 +77,7 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ratio"] <= 1
         assert payload["order"] == 64
-        eps = optimal_epsilon(4, 1, 1.0, gauss_hermite_rule(64))
+        eps = optimal_epsilon(4, 1, 1.0)
         assert payload["function"] == Optimal(eps).label
 
     @pytest.mark.parametrize("n, r, eta", [(11, 2, 1.0), (40, 0, 0.95)])
@@ -105,13 +135,9 @@ class TestEval:
 
     @pytest.mark.parametrize("ineq", ["functional", "cfrd", "mk"])
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
-    def test_fewer_than_two_modes_rejected(self, capsys, monkeypatch, ineq, n):
+    def test_fewer_than_two_modes_rejected(self, capsys, no_rule, ineq, n):
         # one party has no Bell ratio; rejected before a rule is built or
         # the order read
-        def not_reached(order):
-            raise AssertionError("eval built a rule")
-
-        monkeypatch.setattr("cvbell.cli.gauss_hermite_rule", not_reached)
         with pytest.raises(SystemExit) as err:
             run_cli(["eval", "--ineq", ineq, "--n", n, "--order", "0"])
         assert err.value.code == 2
@@ -125,11 +151,7 @@ class TestEval:
         assert err.value.code == 2
         assert f"order must be in [1, 512], got {order}" in capsys.readouterr().err
 
-    def test_mk_builds_no_rule(self, capsys, monkeypatch):
-        def not_reached(order):
-            raise AssertionError("the binned value read a quadrature rule")
-
-        monkeypatch.setattr("cvbell.cli.gauss_hermite_rule", not_reached)
+    def test_mk_builds_no_rule(self, capsys, no_rule):
         assert run_cli(["eval", "--ineq", "mk", "--n", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["order"] == 256
         # it reads no rule, so the single-node rule is accepted too
@@ -290,11 +312,7 @@ class TestFigure2:
         assert len(body) == 3
         assert all(row.startswith("mk,") for row in body)
 
-    def test_mk_builds_no_rule(self, tmp_path, capsys, monkeypatch):
-        def not_reached(order):
-            raise AssertionError("the binned thresholds read a quadrature rule")
-
-        monkeypatch.setattr("cvbell.cli.gauss_hermite_rule", not_reached)
+    def test_mk_builds_no_rule(self, tmp_path, capsys, no_rule):
         out = tmp_path / "mk.csv"
         for order in ("256", "300", "1"):
             assert run_cli(["figure2", "--ineq", "mk", "--n-min", "3", "--n-max", "4",
@@ -371,7 +389,7 @@ class TestOracleCheck:
             run_cli(["oracle-check", "--n-max", "3", "--perturb-eps", "-100"])
         assert err.value.code == 2
         message = capsys.readouterr().err
-        eps = optimal_epsilon(3, 1, 1.0, gauss_hermite_rule(256))
+        eps = optimal_epsilon(3, 1, 1.0)
         assert "--perturb-eps -100" in message
         assert "functional n=3 eta=1.0 p=1.0" in message
         assert f"{eps - 100.0:.12g}" in message

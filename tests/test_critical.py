@@ -27,14 +27,14 @@ from reference import mk_bell_value_product_form
 
 
 class TestCanonicalSplit:
-    def test_single_mode_split_is_irrelevant(self, rule):
+    def test_single_mode_split_is_irrelevant(self):
         # the split n // 2 is 0 at one mode; r = 1 gives the same ratios
         assert canonical_split(1) == 0
         spec = StateSpec(1, 1, 0.8, 0.9)
-        for ineq, want in (("functional", bell_value(spec, rule).ratio),
-                           ("cfrd", cfrd_bell_value(spec, rule).ratio),
+        for ineq, want in (("functional", bell_value(spec).ratio),
+                           ("cfrd", cfrd_bell_value(spec).ratio),
                            ("mk", mk_bell_value(spec))):
-            assert bell_ratio(ineq, 1, 0.9, 0.8, rule) == pytest.approx(want, rel=1e-14)
+            assert bell_ratio(ineq, 1, 0.9, 0.8) == pytest.approx(want, rel=1e-14)
 
 
 class TestCriticalEfficiency:
@@ -53,7 +53,7 @@ class TestCriticalEfficiency:
         for ineq, n in (("functional", 6), ("functional", 10), ("cfrd", 20), ("mk", 5)):
             eta = critical_efficiency(n, 1.0, ineq, rule)
             assert eta is not None
-            assert abs(bell_ratio(ineq, n, eta, 1.0, rule) - 1.0) < 1e-4
+            assert abs(bell_ratio(ineq, n, eta, 1.0) - 1.0) < 1e-4
 
     def test_monotone_decreasing_in_modes(self, rule):
         for ineq in ("functional", "cfrd", "mk"):
@@ -65,10 +65,10 @@ class TestCriticalEfficiency:
             assert len(vals) >= 5
             assert np.all(np.diff(vals) < 0)
 
-    def test_below_floor_never_violates(self, rule):
+    def test_below_floor_never_violates(self):
         for ineq in ("functional", "cfrd", "mk"):
             for n in (4, 10, 20, 30, 40):
-                assert bell_ratio(ineq, n, 0.5, 1.0, rule) < 1.0
+                assert bell_ratio(ineq, n, 0.5, 1.0) < 1.0
 
     def test_large_n_tail_values(self, rule):
         eta60 = critical_efficiency(60, 1.0, "functional", rule)
@@ -91,12 +91,12 @@ class TestCriticalEfficiency:
     def test_newton_matches_a_fine_bisection(self, rule, ineq, n):
         # independent reference: bisect the Bell ratio itself to 1e-13
         lo, hi = 0.3, 1.0
-        if bell_ratio(ineq, n, hi, 1.0, rule) <= 1.0:
+        if bell_ratio(ineq, n, hi, 1.0) <= 1.0:
             assert critical_efficiency(n, 1.0, ineq, rule) is None
             return
         while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if bell_ratio(ineq, n, mid, 1.0, rule) <= 1.0 else (lo, mid)
+            lo, hi = (mid, hi) if bell_ratio(ineq, n, mid, 1.0) <= 1.0 else (lo, mid)
         assert abs(critical_efficiency(n, 1.0, ineq, rule) - 0.5 * (lo + hi)) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -105,11 +105,11 @@ class TestCriticalEfficiency:
     def test_newton_lands_on_the_root(self, rule, n, p, ineq):
         eta = critical_efficiency(n, p, ineq, rule)
         if eta is None:
-            assert bell_ratio(ineq, n, 1.0, p, rule) <= 1.0
+            assert bell_ratio(ineq, n, 1.0, p) <= 1.0
             return
-        assert abs(math.log(bell_ratio(ineq, n, eta, p, rule))) <= 1e-12
-        assert bell_ratio(ineq, n, eta - 1e-9, p, rule) < 1.0
-        assert bell_ratio(ineq, n, min(eta + 1e-9, 1.0), p, rule) > 1.0
+        assert abs(math.log(bell_ratio(ineq, n, eta, p))) <= 1e-12
+        assert bell_ratio(ineq, n, eta - 1e-9, p) < 1.0
+        assert bell_ratio(ineq, n, min(eta + 1e-9, 1.0), p) > 1.0
 
     def test_functional_solve_budget(self, rule, monkeypatch):
         solves = []
@@ -131,17 +131,17 @@ class TestCriticalEfficiency:
 
 
 class TestCriticalPurity:
-    def test_mk_five_modes_closed_inversion(self, rule):
-        p = critical_purity(5, 1.0, "mk", rule)
+    def test_mk_five_modes_closed_inversion(self):
+        p = critical_purity(5, 1.0, "mk")
         assert p == pytest.approx(np.sqrt(2.0 ** (-9.0 / 5.0) * np.pi), rel=1e-12)
         assert abs(p - 0.9499) < 1e-3
 
-    def test_mk_inversion_matches_the_product_form(self, rule):
+    def test_mk_inversion_matches_the_product_form(self):
         # the exact inversion against the binned product-form observable
         checked = 0
         for n in range(3, 301):
             for eta in (1.0, 0.99, 0.95):
-                p = critical_purity(n, eta, "mk", rule)
+                p = critical_purity(n, eta, "mk")
                 if p is None:
                     continue
                 b = mk_bell_value_product_form(StateSpec(n, canonical_split(n), p, eta))
@@ -149,43 +149,43 @@ class TestCriticalPurity:
                 checked += 1
         assert checked > 800
 
-    def test_mk_no_violation_below_product(self, rule):
-        assert critical_purity(3, 0.9, "mk", rule) is None
+    def test_mk_no_violation_below_product(self):
+        assert critical_purity(3, 0.9, "mk") is None
 
-    def test_functional_decreasing(self, rule):
-        p10 = critical_purity(10, 1.0, "functional", rule)
-        p20 = critical_purity(20, 1.0, "functional", rule)
+    def test_functional_decreasing(self):
+        p10 = critical_purity(10, 1.0, "functional")
+        p20 = critical_purity(20, 1.0, "functional")
         assert p10 is not None and p20 is not None
         assert p20 < p10 < 1.0
 
-    def test_functional_matches_quadratic_scaling(self, rule):
+    def test_functional_matches_quadratic_scaling(self):
         # the mixed-state ratio scales as p^2, so p_crit = B(1)^(-1/2)
-        p = critical_purity(8, 1.0, "functional", rule)
-        b1 = bell_ratio("functional", 8, 1.0, 1.0, rule)
+        p = critical_purity(8, 1.0, "functional")
+        b1 = bell_ratio("functional", 8, 1.0, 1.0)
         assert p == pytest.approx(b1 ** -0.5, abs=2e-6)
 
-    def test_no_violation_flag(self, rule):
-        assert critical_purity(4, 1.0, "functional", rule) is None
+    def test_no_violation_flag(self):
+        assert critical_purity(4, 1.0, "functional") is None
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(5, 300), eta=st.floats(0.3, 1.0),
            ineq=st.sampled_from(("functional", "cfrd")))
-    def test_closed_form_is_the_root(self, rule, n, eta, ineq):
-        p = critical_purity(n, eta, ineq, rule)
+    def test_closed_form_is_the_root(self, n, eta, ineq):
+        p = critical_purity(n, eta, ineq)
         if p is None:
-            assert bell_ratio(ineq, n, eta, 1.0, rule) <= 1.0
+            assert bell_ratio(ineq, n, eta, 1.0) <= 1.0
         else:
-            assert bell_ratio(ineq, n, eta, p, rule) == pytest.approx(1.0, rel=1e-12, abs=0)
+            assert bell_ratio(ineq, n, eta, p) == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 class TestThresholds:
     @pytest.mark.parametrize("ineq", ("functional", "cfrd", "mk"))
-    def test_pair_equals_the_single_thresholds(self, rule, ineq):
+    def test_pair_equals_the_single_thresholds(self, ineq):
         for n in (3, 4, 5, 9, 10, 11, 40):
-            assert thresholds(n, ineq, rule) == (critical_efficiency(n, 1.0, ineq, rule),
-                                                 critical_purity(n, 1.0, ineq, rule))
+            assert thresholds(n, ineq) == (critical_efficiency(n, 1.0, ineq),
+                                           critical_purity(n, 1.0, ineq))
 
-    def test_one_noise_free_solve(self, rule, monkeypatch):
+    def test_one_noise_free_solve(self, monkeypatch):
         # the purity threshold reuses the eta = 1 integrals of the efficiency solve
         solves = []
         counted = critical.optimal_epsilon
@@ -195,32 +195,32 @@ class TestThresholds:
             return counted(*args)
 
         monkeypatch.setattr(critical, "optimal_epsilon", counting)
-        thresholds(10, "functional", rule)
-        assert [args for args in solves if args[2] == 1.0] == [(10, 5, 1.0, rule)]
+        thresholds(10, "functional")
+        assert [args for args in solves if args[2] == 1.0] == [(10, 5, 1.0)]
 
-    def test_unknown_inequality(self, rule):
+    def test_unknown_inequality(self):
         with pytest.raises(ValueError):
-            thresholds(6, "bogus", rule)
+            thresholds(6, "bogus")
 
 
 class TestAsymptotics:
-    def test_functional_product_limit(self, rule):
-        res = asymptotic_product("functional", rule)
+    def test_functional_product_limit(self):
+        res = asymptotic_product("functional")
         assert abs(res - 0.6918) < 0.005
 
-    def test_mk_product_limit(self, rule):
-        res = asymptotic_product("mk", rule)
+    def test_mk_product_limit(self):
+        res = asymptotic_product("mk")
         assert abs(res - np.pi / 4.0) < 1e-3
 
-    def test_cfrd_efficiency_limit(self, rule):
-        res = asymptotic_product("cfrd", rule)
+    def test_cfrd_efficiency_limit(self):
+        res = asymptotic_product("cfrd")
         assert abs(res - 0.81) < 0.005
         # exact fixed point of the asymptotic quadratic: (1 + sqrt(5))/4
         assert abs(res - (1 + np.sqrt(5)) / 4.0) < 2e-3
 
-    def test_unknown_inequality(self, rule):
+    def test_unknown_inequality(self):
         with pytest.raises(ValueError):
-            asymptotic_product("bogus", rule)
+            asymptotic_product("bogus")
 
 
 class TestLargeN:
@@ -229,7 +229,7 @@ class TestLargeN:
         # at the even split B = p^2/4 g^(N/2), so the limit is ln g = 0,
         # which is ln B + ln 4 = 0 at N = 2; bisected at the eta-optimal function
         def log_g(eta):
-            ki = kernel_integrals(Optimal(optimal_epsilon(2, 1, eta, rule)), rule)
+            ki = kernel_integrals(Optimal(optimal_epsilon(2, 1, eta)), rule)
             return closed_form_log_ratio(2, 1, eta, 1.0, ki)[0] + math.log(4.0)
 
         lo, hi = 0.5, 1.0
@@ -239,8 +239,8 @@ class TestLargeN:
             lo, hi = (mid, hi) if log_g(mid) <= 0.0 else (lo, mid)
         return 0.5 * (lo + hi)
 
-    def test_cfrd_limit_is_the_golden_ratio_half(self, rule):
-        limit = asymptotic_product("cfrd", rule)
+    def test_cfrd_limit_is_the_golden_ratio_half(self):
+        limit = asymptotic_product("cfrd")
         assert abs(limit - (1 + math.sqrt(5)) / 4.0) < 1e-13
 
     def test_functional_limit_is_the_quarter_quadratic(self, rule):
@@ -252,11 +252,11 @@ class TestLargeN:
                           -k * np.pi * ki.i_zero * (ki.i_cross - ki.i_zero),
                           -k * np.pi * ki.i_zero ** 2])
         want = max(roots.real)
-        limit = asymptotic_product("functional", rule)
+        limit = asymptotic_product("functional")
         assert abs(limit - want) < 1e-12
 
-    def test_mk_limit_is_quarter_pi(self, rule):
-        assert asymptotic_product("mk", rule) == np.pi / 4.0
+    def test_mk_limit_is_quarter_pi(self):
+        assert asymptotic_product("mk") == np.pi / 4.0
 
     @pytest.mark.parametrize("ineq", ["functional", "cfrd"])
     def test_efficiency_approaches_limit_from_above(self, rule, ineq):
@@ -264,7 +264,7 @@ class TestLargeN:
             limit = self._functional_efficiency_limit(rule)
             assert abs(limit - 0.6807145) < 1e-7
         else:
-            limit = asymptotic_product("cfrd", rule)
+            limit = asymptotic_product("cfrd")
         etas = [critical_efficiency(n, 1.0, ineq, rule) for n in (1000, 3000, 10000)]
         assert np.all(np.diff(etas) < 0)
         assert min(etas) > limit

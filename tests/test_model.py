@@ -110,8 +110,8 @@ class TestDensityMatrix:
         spec = StateSpec(40, 0, 1.0, 1.0)
         rho = density_matrix(spec)
         angles = orthogonal_angles(40, 0)
-        f = Optimal(optimal_epsilon(40, 0, 1.0, rule))
-        for closed, fn in ((bell_value(spec, rule), f), (cfrd_bell_value(spec, rule), Identity())):
+        f = Optimal(optimal_epsilon(40, 0, 1.0))
+        for closed, fn in ((bell_value(spec), f), (cfrd_bell_value(spec), Identity())):
             got = evaluate(rho, fn, fn, angles, rule).ratio
             assert got == pytest.approx(closed.ratio, rel=1e-9)
 

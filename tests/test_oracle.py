@@ -71,13 +71,20 @@ class TestEvaluate:
         f = Optimal(eps)
         res = evaluate(density_matrix(StateSpec(6, 3)), f, f,
                        orthogonal_angles(6, 3), rule)
-        closed = bell_value(StateSpec(6, 3), rule)
+        closed = bell_value(StateSpec(6, 3))
         assert abs(res.ratio - closed.ratio) / closed.ratio < 1e-8
 
     def test_ratio_consistency_field(self, rule):
         res = evaluate(density_matrix(StateSpec(4, 2, 0.9, 0.9)), Identity(),
                        Identity(), orthogonal_angles(4, 2), rule)
         assert res.ratio == pytest.approx(res.lhs / res.rhs, rel=1e-14)
+
+    def test_free_callable_needs_a_rule(self, rule):
+        rho, angles = density_matrix(StateSpec(4, 2, 0.9, 0.9)), orthogonal_angles(4, 2)
+        with pytest.raises(ValueError, match="a quadrature rule is needed"):
+            evaluate(rho, lambda x: x, lambda x: x, angles)
+        assert evaluate(rho, Identity(), Identity(), angles) == evaluate(
+            rho, Identity(), Identity(), angles, rule)
 
     def test_dimension_mismatch(self, rule):
         with pytest.raises(ValueError):
@@ -168,7 +175,7 @@ class TestAngleScan:
             for ref in (canonical, conjugate)
         ]
         assert min(deltas) < 1e-12
-        closed = bell_value(StateSpec(6, 3), rule)
+        closed = bell_value(StateSpec(6, 3))
         assert best.ratio == pytest.approx(closed.ratio, rel=1e-10)
 
     def test_bound_side_invariant_across_scan(self, rule):
@@ -323,9 +330,9 @@ class TestSparseOracleProperties:
         spec = StateSpec(n, r, p, eta)
         rho = density_matrix(spec)
         angles = orthogonal_angles(n, r)
-        f_opt = Optimal(optimal_epsilon(n, r, eta, rule))
-        for closed, f in ((bell_value(spec, rule), f_opt),
-                          (cfrd_bell_value(spec, rule), Identity())):
+        f_opt = Optimal(optimal_epsilon(n, r, eta))
+        for closed, f in ((bell_value(spec), f_opt),
+                          (cfrd_bell_value(spec), Identity())):
             assert close(evaluate(rho, f, f, angles, rule).ratio, closed.ratio, 1e-9)
 
         for r_mk in range(1, n + 1):

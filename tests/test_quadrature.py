@@ -114,7 +114,7 @@ class TestRule:
         rule = cached_rule(order)
         for n in range(4, 301):
             exact = float(Fraction(4, 3) ** (n // 2) / 4)
-            assert cfrd_bell_value(StateSpec(n, n // 2), rule).ratio == pytest.approx(
+            assert cfrd_bell_value(StateSpec(n, n // 2)).ratio == pytest.approx(
                 exact, rel=2e-13), n
 
     def test_order_bounds(self):
@@ -280,6 +280,14 @@ class TestKernelIntegrals:
         # integrals stand for the function they were taken from
         for k in (kernel_integrals(Optimal(1.5), rule), KernelIntegrals(1.0, 2.0, 3.0)):
             assert kernel_integrals(k, rule) is k
+
+    def test_free_callable_needs_a_rule(self, rule):
+        with pytest.raises(ValueError, match="a quadrature rule is needed"):
+            kernel_integrals(lambda x: x)
+        assert kernel_integrals(lambda x: x, rule) == pytest.approx(Identity.exact_integrals)
+        # the named functions carry their integrals and need none
+        for f in (Identity(), SignBin(), Optimal(2.5)):
+            assert kernel_integrals(f) == kernel_integrals(f, rule)
 
     def test_rejects_non_callable(self, rule):
         rho = density_matrix(StateSpec(2, 1))

@@ -36,7 +36,7 @@ class TestRecovery:
         assert rel_err < 1e-3
         assert abs(eps_fit - eps_ref) < 1e-3
         assert abs(eps - rule_epsilon(6, 3, 1.0, quick_rule)) <= 1e-9
-        closed = bell_value(StateSpec(6, 3), quick_rule).ratio
+        closed = bell_value(StateSpec(6, 3)).ratio
         assert abs(ratio - closed) / closed < 1e-6
 
     def test_basin_robustness_from_binned_start(self, quick_rule, six_mode_run, family_fit):
@@ -63,9 +63,9 @@ class TestRecovery:
         _, _, ratio, _ = optimize_function(StateSpec(6, 3), quick_rule, scaled)
         assert ratio == pytest.approx(ratio_ref, rel=1e-8)
 
-    def test_never_exceeds_analytic_optimum(self, quick_rule, six_mode_run):
+    def test_never_exceeds_analytic_optimum(self, six_mode_run):
         _, _, ratio, _ = six_mode_run
-        closed = bell_value(StateSpec(6, 3), quick_rule).ratio
+        closed = bell_value(StateSpec(6, 3)).ratio
         assert ratio <= closed * (1 + 1e-6)
 
     def test_ascent_is_monotone(self, six_mode_run):
