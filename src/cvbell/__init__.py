@@ -32,8 +32,8 @@ _EXPORTS = (
     ("functional_bell", ("EpsilonSolution", "bell_value", "cfrd_bell_value",
                          "ideal_epsilon", "lossy_epsilon_map", "optimal_epsilon",
                          "solve_epsilon_even", "solve_epsilon_odd")),
-    ("mk_binning", ("MKResult", "mk_bell_value", "mk_critical_product", "mk_evaluate",
-                    "mk_optimal_angles")),
+    ("mk_binning", ("mk_bell_value", "mk_critical_product")),
+    ("oracle", ("mk_evaluate", "mk_optimal_angles")),
     ("variational", ("euler_lagrange_residual", "optimize_function")),
     ("critical", ("asymptotic_product", "bell_ratio", "critical_efficiency",
                   "critical_purity")),

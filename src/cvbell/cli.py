@@ -20,6 +20,9 @@ Every subcommand computes in plain floats and complex numbers at every
 ``--order``, and none loads numpy.  The functions that ``eval``, ``figure1``,
 ``figure2`` and ``oracle-check`` integrate have exact kernel integrals, so
 they validate and record ``--order`` but build no rule; ``optimize`` does.
+``oracle-check`` builds each N's binned site operators once, through
+``oracle``'s split of ``mk_evaluate``, and contracts them with the state of
+every (eta, p) cell.
 """
 
 from __future__ import annotations
@@ -180,11 +183,12 @@ def _cmd_figure2(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _oracle_check_cells(n_min, n_max, perturb_eps):
-    """Yield (label, closed, oracle, rel_deviation) per grid cell."""
+    """Yield (label, closed, oracle) per grid cell; the binned site
+    operators depend only on the angles and are built once per N."""
     from .functional_bell import cfrd_bell_value, closed_form_sides, optimal_epsilon
-    from .mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
+    from .mk_binning import mk_bell_value
     from .model import density_matrix
-    from .oracle import evaluate, orthogonal_angles
+    from .oracle import _mk_correlators, _mk_value, evaluate, mk_optimal_angles, orthogonal_angles
     from .quadrature import Identity, Optimal, kernel_integrals
     from .scenario import StateSpec, canonical_split
 
@@ -194,37 +198,35 @@ def _oracle_check_cells(n_min, n_max, perturb_eps):
     for n in range(n_min, n_max + 1):
         r = canonical_split(n)
         angles = orthogonal_angles(n, r)
-        mk_angles = mk_optimal_angles(n, r)
+        mk_ops = _mk_correlators(mk_optimal_angles(n, r))
         for eta in etas:
             # the function and its shift depend on the efficiency, not the purity
             eps_opt = optimal_epsilon(n, r, eta)
             f = Optimal(eps_opt)
             shifted = eps_opt + perturb_eps
+            if not shifted > 0.0:
+                raise ValueError(f"--perturb-eps {perturb_eps:g} shifts epsilon at "
+                                 f"functional n={n} eta={eta} p={ps[0]} to {shifted:.12g}, "
+                                 f"which is not positive")
+            shifted_integrals = kernel_integrals(Optimal(shifted))
             for p in ps:
                 spec = StateSpec(n_modes=n, r_split=r, purity=p, efficiency=eta)
                 rho = density_matrix(spec)
 
-                label = f"functional n={n} eta={eta} p={p}"
-                if not shifted > 0.0:
-                    raise ValueError(f"--perturb-eps {perturb_eps:g} shifts epsilon at "
-                                     f"{label} to {shifted:.12g}, which is not positive")
-                lhs, rhs = closed_form_sides(n, r, eta, p, kernel_integrals(Optimal(shifted)))
-                closed = lhs / rhs
+                lhs, rhs = closed_form_sides(n, r, eta, p, shifted_integrals)
                 orc = evaluate(rho, f, f, angles).ratio
-                yield (label, closed, orc)
+                yield (f"functional n={n} eta={eta} p={p}", lhs / rhs, orc)
 
                 closed_c = cfrd_bell_value(spec).ratio
                 orc_c = evaluate(rho, ident, ident, angles).ratio
                 yield (f"cfrd n={n} eta={eta} p={p}", closed_c, orc_c)
 
-                closed_m = mk_bell_value(spec)
-                orc_m = mk_evaluate(rho, mk_angles).s_value
-                yield (f"mk n={n} eta={eta} p={p}", closed_m, orc_m)
+                yield (f"mk n={n} eta={eta} p={p}", mk_bell_value(spec), _mk_value(rho, mk_ops))
 
 
 def _cmd_oracle_check(args) -> int:
-    from .mk_binning import mk_evaluate, mk_optimal_angles
     from .model import density_matrix
+    from .oracle import mk_evaluate, mk_optimal_angles
     from .scenario import StateSpec
 
     if not 3 <= args.n_min <= args.n_max:
@@ -243,10 +245,7 @@ def _cmd_oracle_check(args) -> int:
 
     # split-independence of the binned value, exercised across every r
     spec3 = [StateSpec(n_modes=3, r_split=r) for r in (1, 2, 3)]
-    svals = [
-        mk_evaluate(density_matrix(s), mk_optimal_angles(3, s.r_split)).s_value
-        for s in spec3
-    ]
+    svals = [mk_evaluate(density_matrix(s), mk_optimal_angles(3, s.r_split)) for s in spec3]
     spread = max(svals) - min(svals)
     lines.append(f"mk r-sweep n=3: values={[f'{v:.12g}' for v in svals]} spread={spread:.3e}")
 

@@ -1,4 +1,4 @@
-"""Exact evaluation of the functional-moment Bell observable on a state.
+"""Exact evaluation of the functional-moment and sign-binned Bell values on a state.
 
 Both sides of the inequality
 
@@ -14,8 +14,15 @@ their ratio; ``ratio_partials`` gives the ratio with its partials in the
 site scalars, for the free-function optimizer.  Every analytic Bell value in
 the package is tested against this path; the tests' independent references
 (angle scan, golden-section eps search, separable states) live in
-``tests/reference.py``.  Like ``model`` and ``_accel``, the module
-computes in plain floats and imports no numpy.
+``tests/reference.py``.
+
+The sign-binned Mermin-Klyshko value ``mk_evaluate`` contracts the same
+state against ``model._site_correlator`` operators at the binned amplitude
+<0|sign(X)|1> = sqrt(2/pi).  It takes two steps: ``_mk_correlators`` builds
+the site operators from the angles alone, and ``_mk_value`` contracts them
+with one state, so a caller that checks many states at one set of angles
+builds them once.  Like ``model`` and ``_accel``, the module computes in
+plain floats and imports no numpy.
 """
 
 from __future__ import annotations
@@ -24,10 +31,11 @@ import math
 from typing import NamedTuple, Optional, Tuple
 
 from ._accel import tensor_expectation, tensor_expectation_sums
-from .errors import normal_bound_side
+from .errors import NumericalDomainError, normal_bound_side
 from .functional_bell import BellResult
-from .model import AngleConfig, DensityMatrix, _site_correlators, site_operator
-from .quadrature import QuadratureRule
+from .model import (AngleConfig, DensityMatrix, _site_correlator, _site_correlators,
+                    _site_scalars, site_operator)
+from .quadrature import QuadratureRule, SignBin
 
 
 def orthogonal_angles(n: int, r: int, base: float = 0.0) -> AngleConfig:
@@ -128,3 +136,83 @@ def ratio_partials(rho: DensityMatrix, f, g, angles: AngleConfig,
         d_amplitude=tuple(2.0 * (corr.conjugate() * d).real / rhs for d in d_corr),
         d_moments=tuple(-ratio * (d.real / rhs) for d in d_rhs),
     )
+
+
+def mk_optimal_angles(n: int, r: int) -> AngleConfig:
+    """Phase pattern maximizing the binned violation for the r-split state.
+
+    Site k (1-based) measures theta_k = (-1)^(n+1) pi (k-1) / (2n) with
+    theta'_k = theta_k + pi/2 for k <= r, and theta_k = (-1)^n pi (k-1) / (2n)
+    with theta'_k = theta_k - pi/2 beyond.
+    """
+    if not 1 <= r <= n:
+        raise ValueError(f"r must lie in [1, {n}], got {r}")
+    sign_front = (-1.0) ** (n + 1)
+    sign_back = (-1.0) ** n
+    theta = []
+    theta_prime = []
+    for k in range(1, n + 1):
+        if k <= r:
+            t = sign_front * math.pi * (k - 1) / (2.0 * n)
+            theta.append(t)
+            theta_prime.append(t + math.pi / 2.0)
+        else:
+            t = sign_back * math.pi * (k - 1) / (2.0 * n)
+            theta.append(t)
+            theta_prime.append(t - math.pi / 2.0)
+    return AngleConfig(theta=tuple(theta), theta_prime=tuple(theta_prime))
+
+
+def _mk_correlators(angles: AngleConfig) -> Tuple[tuple, tuple]:
+    """Site operators of Pi_N and of its exchanged partner, which swaps theta
+    and theta' at every site.
+
+    Each is ``model._site_correlator(a, a, ...)`` at the amplitude
+    a = m = <0|sign(X)|1> on even sites and a = m / 2 on odd ones: the
+    normalization 2^-(N//2), as a power of two and so exact, spread over the
+    sites.
+    """
+    m = _site_scalars(SignBin.exact_integrals)[0]
+    ops, exchanged = [], []
+    for k, (th, thp) in enumerate(zip(angles.theta, angles.theta_prime)):
+        a = m / 2.0 if k % 2 else m
+        ops.append(_site_correlator(a, a, th, thp))
+        exchanged.append(_site_correlator(a, a, thp, th))
+    return tuple(ops), tuple(exchanged)
+
+
+def _mk_value(rho: DensityMatrix, correlators: Tuple[tuple, tuple]) -> float:
+    """|S_N| of ``rho`` from the operator pair of ``_mk_correlators``."""
+    n = rho.n_modes
+    values = []
+    for ops in correlators:
+        pi_n = tensor_expectation(rho.matrix, ops)
+        # odd N: |Pi_N| bounds |Re| and |Im|; even N: |Re| + |Im| is the
+        # larger of |Re + Im| and |Re - Im|, exactly in floats
+        try:
+            values.append(abs(pi_n) if n % 2 else abs(pi_n.real) + abs(pi_n.imag))
+        except OverflowError:       # |Pi_N| beyond the float range
+            values.append(math.inf)
+    s_value = max(values)
+    if not math.isfinite(s_value):
+        raise NumericalDomainError(
+            f"binned oracle value at n = {n} overflows the float range")
+    return s_value
+
+
+def mk_evaluate(rho: DensityMatrix, angles: AngleConfig) -> float:
+    """Evaluate the binned |S_N| on an explicit state, maximizing over
+    combinations; local realism bounds it by 1.
+
+    The correlator Pi_N = < prod_k [sign(x^theta_k) + i sign(x^theta'_k)] >
+    is contracted over the state's product terms, as is its exchanged
+    partner; the value is the largest of the real, imaginary, sum/difference
+    and (odd N) root-sum-square forms of either.  The normalization keeps the
+    running product of site traces (about 1.6 each) in range wherever |S_N|
+    is; beyond that NumericalDomainError names n.
+    """
+    if angles.n_modes != rho.n_modes:
+        raise ValueError(
+            f"angle list has {angles.n_modes} sites but the state has {rho.n_modes} modes"
+        )
+    return _mk_value(rho, _mk_correlators(angles))

@@ -20,15 +20,11 @@ from cvbell.functional_bell import (
     solve_epsilon_even,
     solve_epsilon_odd,
 )
-from cvbell.mk_binning import (
-    _correlators,
-    mk_bell_value,
-    mk_critical_product,
-    mk_evaluate,
-    mk_optimal_angles,
-)
+from cvbell._accel import tensor_expectation
+from cvbell.mk_binning import mk_bell_value, mk_critical_product
 from cvbell.model import AngleConfig, density_matrix, site_operator
-from cvbell.oracle import evaluate, orthogonal_angles
+from cvbell.oracle import (_mk_correlators, evaluate, mk_evaluate, mk_optimal_angles,
+                           orthogonal_angles)
 from cvbell.quadrature import Identity, Optimal, SignBin, kernel_integrals
 from cvbell.scenario import StateSpec
 from cvbell.variational import optimize_function
@@ -150,7 +146,7 @@ def test_criterion_5_closed_forms_match_fock_oracle(rule):
                     assert abs(closed_c - orc_c) / orc_c < 1e-6
 
                     closed_m = mk_bell_value(spec)
-                    orc_m = mk_evaluate(rho, mk_optimal_angles(n, r)).s_value
+                    orc_m = mk_evaluate(rho, mk_optimal_angles(n, r))
                     assert abs(closed_m - orc_m) / orc_m < 1e-6
 
         # the lossy odd-N parameter relation resolves to exactly one reading
@@ -221,7 +217,8 @@ def test_criterion_7_structural_invariants(rule):
         cfg = mk_optimal_angles(5, 2)
         res = evaluate(rho5, sb, sb, cfg, rule)
         assert res.rhs == pytest.approx(2.0 ** n, abs=1e-12)
-        pi_n = _correlators(rho5, cfg.theta, cfg.theta_prime)[0]
+        # Pi_N unnormalized: the build halves every second site
+        pi_n = tensor_expectation(rho5.matrix, _mk_correlators(cfg)[0]) * 2 ** (n // 2)
         assert np.sqrt(res.lhs) == pytest.approx(abs(pi_n), rel=1e-12)
 
         # the ratio ignores a common rescaling of the functions
@@ -239,5 +236,5 @@ def test_criterion_7_structural_invariants(rule):
         vals = []
         for r in range(1, 6):
             rho_r = density_matrix(StateSpec(5, r, p, eta))
-            vals.append(mk_evaluate(rho_r, mk_optimal_angles(5, r)).s_value)
+            vals.append(mk_evaluate(rho_r, mk_optimal_angles(5, r)))
         assert max(vals) - min(vals) < 1e-8 * max(vals)

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cvbell import oracle
 from cvbell.cli import main
 from cvbell.errors import ConvergenceError
 from cvbell.functional_bell import closed_form_sides, optimal_epsilon
@@ -350,6 +351,18 @@ def test_figures_reproduce_golden_bytes(tmp_path, capsys, argv, golden):
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
+@pytest.mark.parametrize("n_range, golden", [
+    (("3", "12"), "oracle_check_n3-12.txt"),
+    (("320", "330"), "oracle_check_n320-330.txt"),
+])
+def test_oracle_check_reproduces_golden_bytes(tmp_path, capsys, n_range, golden):
+    out = tmp_path / golden
+    assert run_cli(["oracle-check", "--n-min", n_range[0], "--n-max", n_range[1],
+                    "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["figure1", "--n-min", "329", "--n-max", "332"],
     ["figure2", "--ineq", "functional", "--n-min", "330", "--n-max", "332"],
@@ -419,6 +432,20 @@ class TestOracleCheck:
         captured = capsys.readouterr()
         assert rc == code
         assert message in captured.out + captured.err
+
+    def test_binned_operators_built_once_per_mode_count(self, capsys, monkeypatch):
+        builds = []
+
+        def counted(angles):
+            builds.append(angles.n_modes)
+            return build(angles)
+
+        build = oracle._mk_correlators
+        monkeypatch.setattr(oracle, "_mk_correlators", counted)
+        assert run_cli(["oracle-check", "--n-min", "3", "--n-max", "6"]) == 0
+        capsys.readouterr()
+        # once per N, then once per split of the n = 3 r-sweep
+        assert builds == [3, 4, 5, 6, 3, 3, 3]
 
     def test_report_file(self, tmp_path, capsys):
         out = tmp_path / "report.txt"

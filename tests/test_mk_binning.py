@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from cvbell.errors import NumericalDomainError
-from cvbell.mk_binning import (
-    mk_bell_value,
-    mk_critical_product,
-    mk_evaluate,
-    mk_optimal_angles,
-)
+from cvbell.mk_binning import mk_bell_value, mk_critical_product
 from cvbell.model import AngleConfig, DensityMatrix, ProductOperator, density_matrix
+from cvbell.oracle import mk_evaluate, mk_optimal_angles
 from cvbell.scenario import StateSpec
 from reference import mk_bell_value_product_form
 
@@ -39,12 +35,12 @@ class TestOptimalAngles:
         assert cfg.theta_prime[1] == pytest.approx(-np.pi / 4, abs=1e-15)
 
         rho = density_matrix(StateSpec(2, 1))
-        direct = mk_evaluate(rho, cfg).s_value
+        direct = mk_evaluate(rho, cfg)
         conj = AngleConfig(
             theta=tuple(-t for t in cfg.theta),
             theta_prime=tuple(-t for t in cfg.theta_prime),
         )
-        assert mk_evaluate(rho, conj).s_value == pytest.approx(direct, rel=1e-12)
+        assert mk_evaluate(rho, conj) == pytest.approx(direct, rel=1e-12)
 
     def test_angles_reduced_to_principal_range(self):
         for n in (2, 3, 5, 8, 13):
@@ -64,26 +60,26 @@ class TestOptimalAngles:
 class TestEvaluate:
     def test_three_mode_ideal_value(self):
         rho = density_matrix(StateSpec(3, 3))
-        res = mk_evaluate(rho, mk_optimal_angles(3, 3))
-        assert res.s_value == pytest.approx(SQRT2_HALF * (4 / np.pi) ** 1.5, rel=1e-12)
-        assert abs(res.s_value - 1.0159) < 1e-4
+        s_value = mk_evaluate(rho, mk_optimal_angles(3, 3))
+        assert s_value == pytest.approx(SQRT2_HALF * (4 / np.pi) ** 1.5, rel=1e-12)
+        assert abs(s_value - 1.0159) < 1e-4
 
     def test_vacuum_gives_zero(self):
         factors = np.zeros((1, 3, 2, 2))
         factors[0, :, 0, 0] = 1.0
-        res = mk_evaluate(DensityMatrix(3, ProductOperator([1.0], factors)),
-                          mk_optimal_angles(3, 2))
-        assert res.s_value == pytest.approx(0.0, abs=1e-15)
+        s_value = mk_evaluate(DensityMatrix(3, ProductOperator([1.0], factors)),
+                              mk_optimal_angles(3, 2))
+        assert s_value == pytest.approx(0.0, abs=1e-15)
 
     def test_lossy_impure_matches_mixed_state_form(self):
         # the mixture weight enters the correlator linearly; the per-site
         # product form with p^2 per mode is not the mixed-state expectation
         rho = density_matrix(StateSpec(4, 2, 0.9, 0.9))
-        res = mk_evaluate(rho, mk_optimal_angles(4, 2))
+        s_value = mk_evaluate(rho, mk_optimal_angles(4, 2))
         spec = StateSpec(4, 2, 0.9, 0.9)
-        assert res.s_value == pytest.approx(closed_form(4, 0.9, 0.9), rel=1e-8)
-        assert res.s_value == pytest.approx(mk_bell_value(spec), rel=1e-12)
-        assert res.s_value != pytest.approx(mk_bell_value_product_form(spec), rel=1e-3)
+        assert s_value == pytest.approx(closed_form(4, 0.9, 0.9), rel=1e-8)
+        assert s_value == pytest.approx(mk_bell_value(spec), rel=1e-12)
+        assert s_value != pytest.approx(mk_bell_value_product_form(spec), rel=1e-3)
 
     def test_split_independence(self):
         rng = np.random.default_rng(21)
@@ -93,8 +89,8 @@ class TestEvaluate:
             expected = closed_form(n, eta, p)
             for r in range(1, n + 1):
                 rho = density_matrix(StateSpec(n, r, p, eta))
-                res = mk_evaluate(rho, mk_optimal_angles(n, r))
-                assert res.s_value == pytest.approx(expected, rel=1e-8)
+                assert mk_evaluate(rho, mk_optimal_angles(n, r)) == pytest.approx(expected,
+                                                                                  rel=1e-8)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -105,8 +101,8 @@ class TestEvaluate:
         # unnormalized, the product of site traces (about 1.6 per site)
         # overflows from about N = 1520, where |S_N| is still about 1e72
         spec = StateSpec(1600, 800)
-        res = mk_evaluate(density_matrix(spec), mk_optimal_angles(1600, 800))
-        assert res.s_value == pytest.approx(mk_bell_value(spec), rel=1e-12)
+        s_value = mk_evaluate(density_matrix(spec), mk_optimal_angles(1600, 800))
+        assert s_value == pytest.approx(mk_bell_value(spec), rel=1e-12)
         with pytest.raises(NumericalDomainError, match="n = 6000"):
             mk_evaluate(density_matrix(StateSpec(6000, 3000)), mk_optimal_angles(6000, 3000))
 

@@ -15,7 +15,7 @@ from cvbell.functional_bell import (
     optimal_epsilon,
     solve_epsilon_even,
 )
-from cvbell.mk_binning import mk_bell_value, mk_evaluate, mk_optimal_angles
+from cvbell.mk_binning import mk_bell_value
 from cvbell.model import (
     AngleConfig,
     DensityMatrix,
@@ -23,7 +23,8 @@ from cvbell.model import (
     _site_scalars,
     density_matrix,
 )
-from cvbell.oracle import evaluate, orthogonal_angles, ratio_partials
+from cvbell.oracle import (evaluate, mk_evaluate, mk_optimal_angles, orthogonal_angles,
+                           ratio_partials)
 from cvbell.quadrature import Identity, Optimal, SignBin, kernel_integrals
 from cvbell.scenario import StateSpec
 from reference import (angle_scan, dense_matrix, optimize_epsilon_numeric,
@@ -337,7 +338,7 @@ class TestSparseOracleProperties:
 
         for r_mk in range(1, n + 1):
             spec_mk = StateSpec(n, r_mk, p, eta)
-            s_value = mk_evaluate(density_matrix(spec_mk), mk_optimal_angles(n, r_mk)).s_value
+            s_value = mk_evaluate(density_matrix(spec_mk), mk_optimal_angles(n, r_mk))
             assert close(s_value, mk_bell_value(spec_mk), 1e-9)
 
 
