@@ -14,10 +14,7 @@ from the site before, so a state and operators that share their objects
 of equal sites and one multiplication per site.  Each term's product runs
 from site 0, the weight multiplies it last, and the terms are summed in
 order: the order of the numpy contraction this kernel replaced, whose
-results it reproduces bit for bit on the detected states.  The replacement
-sums of ``tensor_expectation_sums`` add their site terms in numpy's pairwise
-order too; they can differ from numpy's in the last bits, where numpy fuses
-the multiply and add of a complex product.
+results it reproduces bit for bit on the detected states.
 """
 
 from __future__ import annotations
@@ -40,22 +37,6 @@ def _site_traces(term, mats) -> list:
             t = a00 * m00 + a01 * m10 + a10 * m01 + a11 * m11
         traces.append(t)
     return traces
-
-
-def _pairwise_sum(terms):
-    """The sum of ``terms`` in numpy's pairwise order: in sequence below four
-    terms, as four interleaved partial sums and a sequential tail up to 64,
-    and as two halves, split at a multiple of four, beyond.  Keeping numpy's
-    order keeps the node values that ``optimize`` writes."""
-    n = len(terms)
-    if n < 4:
-        return sum(terms, -0j)
-    if n > 64:
-        half = n // 2 - n // 2 % 4
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    body = n - n % 4
-    r0, r1, r2, r3 = (sum(terms[i:body:4], -0j) for i in range(4))
-    return sum(terms[body:], (r0 + r1) + (r2 + r3))
 
 
 def tensor_expectation(rho, mats) -> complex:
@@ -114,7 +95,7 @@ def tensor_expectation_sums(rho, mats, replacements):
             others[k] = others[k] * suffix
             suffix = suffix * f[k]
         for j, d in enumerate(replacements):
-            sums[j] += w * _pairwise_sum([o * t for o, t in zip(others, _site_traces(term, d))])
+            sums[j] += w * sum([o * t for o, t in zip(others, _site_traces(term, d))], -0j)
     return complex(value), sums
 
 

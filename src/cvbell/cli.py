@@ -330,9 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_order(p, default=DEFAULT_ORDER):
+    def add_order(p, default=DEFAULT_ORDER,
+                  role="validated and recorded, but this command's functions have "
+                       "exact kernel integrals, so it builds no rule"):
         p.add_argument("--order", type=int, default=default,
-                       help=f"quadrature order (default {default})")
+                       help=f"quadrature order: {role} (default {default})")
 
     p_eval = sub.add_parser("eval", help="evaluate one scenario")
     p_eval.add_argument("--ineq", choices=("functional", "cfrd", "mk"), required=True)
@@ -376,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--p", type=float, default=1.0)
     p_opt.add_argument("--init", choices=("identity", "signbin"), default="identity")
     p_opt.add_argument("--out", default="optimize.csv")
-    add_order(p_opt, default=QUICK_ORDER)
+    add_order(p_opt, default=QUICK_ORDER, role="the number of nodes that sample the free function")
     p_opt.set_defaults(func=_cmd_optimize)
 
     return parser

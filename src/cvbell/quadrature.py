@@ -9,11 +9,8 @@ Gauss-Hermite rule integrates them to near machine precision.
 
 The rule for weight e^(-2x^2) follows from the standard e^(-u^2) rule by
 u = sqrt(2) x: nodes shrink by 1/sqrt(2) and weights scale by 1/sqrt(2).
-The e^(-u^2) rule is computed by Newton's method on the orthonormal Hermite
-functions (``_newton_rule``).  At the default orders (DEFAULT_ORDER and
-QUICK_ORDER) an exact float64 table is shipped instead, written by
-``tools/gen_gauss_hermite_tables.py`` from Golub-Welsch eigenvalues; the two
-agree within 1e-15 relative in the nodes and 1e-12 in the weights.
+The e^(-u^2) rule of every order is computed when asked for, by Newton's
+method on the orthonormal Hermite functions (``_newton_rule``).
 
 The named functions carry exact kernel integrals (``Identity``, ``SignBin``,
 and ``Optimal`` through ``optimal_integrals``), so no rule enters them; a
@@ -31,10 +28,10 @@ from .errors import NumericalDomainError, is_integer
 
 #: Default ``--order`` of ``eval``, ``figure1``, ``figure2`` and
 #: ``oracle-check``, which validate and record it but build no rule: the
-#: functions they integrate carry exact kernel integrals.  On the optimal
-#: family as a plain callable the order-256 sums are within 4.6e-14
-#: relative of the exact integrals at eps = 2.96, 4.9e-12 at eps = 4 and
-#: 2.8e-9 at eps = 6.585.
+#: functions they integrate carry exact kernel integrals.  The order-256
+#: rule, computed like every other, sums the optimal family as a plain
+#: callable within 4.6e-14 relative of the exact integrals at eps = 2.96,
+#: 4.9e-12 at eps = 4 and 2.8e-9 at eps = 6.585.
 DEFAULT_ORDER = 256
 #: Default order of ``optimize``, the one command that builds a rule: it sums
 #: the free function's node values (about 1e-6 relative on the optimal family).
@@ -135,10 +132,7 @@ def check_order(order) -> int:
 
 
 def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """The e^(-2x^2) rule of the given order.
-
-    Orders 64 and 256 are the exact table of ``_gauss_hermite_tables``;
-    every other order is computed by ``_newton_rule``.
+    """The e^(-2x^2) rule of the given order, computed by ``_newton_rule``.
 
     Parameters
     ----------
@@ -149,12 +143,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     -------
     QuadratureRule
     """
-    from ._gauss_hermite_tables import POSITIVE_HALF
-
-    n = check_order(order)
-    if n not in POSITIVE_HALF:
-        return _newton_rule(n)
-    return QuadratureRule(n, *POSITIVE_HALF[n])
+    return _newton_rule(check_order(order))
 
 
 class KernelIntegrals(NamedTuple):

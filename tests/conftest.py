@@ -6,8 +6,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-# the table generator, whose Golub-Welsch rule the tests compare with
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 
 from cvbell.quadrature import DEFAULT_ORDER, QUICK_ORDER, gauss_hermite_rule
 

@@ -27,6 +27,10 @@ no shortcut with the package's own:
   ``einsum_ratio`` and ``einsum_mk_value`` the oracle and binned values on
   top of it with numpy-built site operators, so that tests can require the
   kernel's results bit for bit;
+- ``golub_welsch`` computes a quadrature rule from the eigenvalues of the
+  Jacobi matrix, a second method beside the package's Newton iteration
+  from asymptotic guesses, and ``mp_refined_rule`` refines its roots at 40
+  digits, the reference for both;
 - ``mp_integrals`` takes the optimal family's kernel integrals from the erfc
   closed form of G(eps) and its derivative in mpmath, at the caller's
   precision, to check ``optimal_integrals``'s continued fraction;
@@ -153,6 +157,74 @@ def mp_integrals(eps) -> Tuple:
     dg = mpmath.diff(g, e)
     ip = 4 / e * (mpmath.sqrt(mpmath.pi / 2) - g(e))
     return ip, 16 / e * (ip / 4 + dg), -4 * dg
+
+
+def _hermite_functions(n: int, u):
+    """(psi_(n-1)(u), psi_n(u)) of the orthonormal Hermite functions, on an array."""
+    prev = np.zeros_like(u)
+    last = np.pi ** -0.25 * np.exp(-0.5 * u * u)
+    for k in range(n):
+        prev, last = last, np.sqrt(2.0 / (k + 1)) * u * last - np.sqrt(k / (k + 1)) * prev
+    return prev, last
+
+
+@functools.cache
+def golub_welsch(n: int) -> QuadratureRule:
+    """The e^(-2x^2) rule with n nodes, by Golub and Welsch (Math. Comp. 23,
+    221 (1969)).
+
+    The e^(-u^2) nodes are the eigenvalues of the Jacobi matrix (zero
+    diagonal, off-diagonal sqrt(k/2)), polished by two Newton steps on
+    psi_n, whose derivative is sqrt(2 n) psi_(n-1) - u psi_n.  The weights
+    are e^(-u^2) / (n psi_(n-1)(u)^2), symmetrised and normalised to
+    sqrt(pi); the symmetrised rule is an exact mirror, so its positive half
+    and middle weight describe it.
+    """
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    u = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    for _ in range(2):
+        prev, last = _hermite_functions(n, u)
+        u = u - last / (np.sqrt(2.0 * n) * prev - u * last)
+    prev, _ = _hermite_functions(n, u)
+    w = np.exp(-u * u) / (n * prev * prev)
+    u = 0.5 * (u - u[::-1])
+    w = 0.5 * (w + w[::-1])
+    w *= np.sqrt(np.pi) / w.sum()
+    x, w = u / np.sqrt(2.0), w / np.sqrt(2.0)
+    half = n - n // 2
+    return QuadratureRule(order=n, half_nodes=tuple(x[half:].tolist()),
+                          half_weights=tuple(w[half:].tolist()),
+                          center_weight=float(w[n // 2]) if n % 2 else 0.0)
+
+
+def mp_refined_rule(n: int) -> Tuple[list, list]:
+    """(nodes, weights) of the positive half of the e^(-2x^2) rule with n
+    nodes, in mpmath at 40 digits.
+
+    Each positive root of psi_n from ``golub_welsch`` takes two Newton steps
+    on the recurrence psi_k = sqrt(2/k) u psi_(k-1) - sqrt((k-1)/k) psi_(k-2)
+    at 40 digits, which carry a float root to the working precision; the
+    weights are e^(-u^2) / (n psi_(n-1)(u)^2), unnormalised.
+    """
+    with mpmath.workdps(40):
+        def psi(u):
+            prev, last = mpmath.mpf(0), mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-u * u / 2)
+            for k in range(1, n + 1):
+                prev, last = last, mpmath.sqrt(mpmath.mpf(2) / k) * u * last - mpmath.sqrt(
+                    mpmath.mpf(k - 1) / k) * prev
+            return prev, last
+
+        root2 = mpmath.sqrt(2)
+        nodes, weights = [], []
+        for x in golub_welsch(n).half_nodes:
+            u = mpmath.mpf(x) * root2
+            for _ in range(2):
+                prev, last = psi(u)
+                u -= last / (mpmath.sqrt(2 * n) * prev - u * last)
+            prev, _ = psi(u)
+            nodes.append(u / root2)
+            weights.append(mpmath.exp(-u * u) / (n * prev * prev) / root2)
+    return nodes, weights
 
 
 def rule_epsilon(n: int, r: int, eta: float, rule: QuadratureRule) -> float:

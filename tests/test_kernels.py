@@ -82,12 +82,6 @@ class TestBackends:
             got = _accel.tensor_expectation(rho.matrix, mats)
             assert got == pytest.approx(expected, rel=1e-13)
 
-    def test_pairwise_sum_is_numpys(self):
-        rng = np.random.default_rng(7)
-        for n in range(0, 300):
-            terms = rng.normal(size=n) + 1j * rng.normal(size=n)
-            assert _accel._pairwise_sum(terms.tolist()) == terms.sum()
-
     def test_replacement_sums_against_site_loop(self):
         # reference: one dense contraction per site with that site's operator
         # replaced

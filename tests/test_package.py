@@ -80,7 +80,7 @@ class TestNamespace:
 # modules every command loads: the parser and the base of the scalar layer
 _SCALAR = ("cli", "errors", "quadrature", "scenario")
 # the optimizer's rule: the only command that builds one
-_OPTIMIZER = ("functional_bell", "variational", "_gauss_hermite_tables")
+_OPTIMIZER = ("functional_bell", "variational")
 # the state model and the oracle, loaded only by the commands that build states
 _ARRAYS = ("model", "_accel", "oracle")
 _THRESHOLDS = ("functional_bell", "critical", "mk_binning")
@@ -111,7 +111,7 @@ class TestStartupImports:
          ("functional_bell", "mk_binning", *_ARRAYS)),
         (["optimize", "--n", "4", "--init", "signbin", "--out", "{tmp}/opt.csv"],
          (*_OPTIMIZER, *_ARRAYS)),
-        # an order without a table: only optimize builds its rule, in plain floats too
+        # another order: only optimize builds its rule
         (["eval", "--ineq", "functional", "--n", "6", "--order", "100"], ("functional_bell",)),
         (["oracle-check", "--n-min", "3", "--n-max", "3", "--order", "100"],
          ("functional_bell", "mk_binning", *_ARRAYS)),
@@ -128,7 +128,7 @@ class TestStartupImports:
         assert not loaded & {"numpy", "dataclasses", "inspect"}
 
     def test_every_command_runs_without_numpy(self, tmp_path):
-        # numpy made unimportable, at an order that has no table
+        # numpy made unimportable, at an order other than the defaults
         commands = [
             ["eval", "--ineq", "functional", "--n", "6"],
             ["eval", "--ineq", "cfrd", "--n", "8"],

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import cvbell.quadrature as quadrature
 from cvbell.errors import NumericalDomainError
 from cvbell.functional_bell import cfrd_bell_value, ideal_epsilon
 from cvbell.model import density_matrix, site_operator
@@ -21,7 +20,6 @@ from cvbell.quadrature import (
     KernelIntegrals,
     Optimal,
     SignBin,
-    _newton_rule,
     _node_integrals,
     gauss_hermite_rule,
     kernel_integrals,
@@ -29,8 +27,7 @@ from cvbell.quadrature import (
 )
 from cvbell.scenario import StateSpec
 from cvbell.variational import family_integrals
-from gen_gauss_hermite_tables import _golub_welsch
-from reference import mirrored, mp_integrals
+from reference import golub_welsch, mirrored, mp_integrals, mp_refined_rule
 
 SQ = GAUSS_NORM  # sqrt(pi/2)
 
@@ -38,11 +35,6 @@ SQ = GAUSS_NORM  # sqrt(pi/2)
 @functools.cache
 def cached_rule(order):
     return gauss_hermite_rule(order)
-
-
-@functools.cache
-def cached_golub_welsch(order):
-    return _golub_welsch(order)
 
 
 def full_loop(eps, rule):
@@ -123,38 +115,28 @@ class TestRule:
                 gauss_hermite_rule(bad)
 
 
-class TestTable:
-    """The default orders are an exact table of the generator's Golub-Welsch
-    output, which the package's own Newton rule reproduces."""
+class TestAgainstMpmath:
+    """The default orders against their roots refined at 40 digits."""
 
-    @pytest.mark.parametrize("order", [QUICK_ORDER, DEFAULT_ORDER])
-    def test_matches_the_computed_rule(self, order):
-        # the two methods round differently: the nodes agree to 2.8e-16
-        # relative and the weights to 2.8e-13, largest in the far tail
-        table, computed = gauss_hermite_rule(order), _newton_rule(order)
-        assert table.order == computed.order == order
-        assert table.center_weight == computed.center_weight == 0.0
-        np.testing.assert_allclose(table.half_nodes, computed.half_nodes, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(table.half_weights, computed.half_weights, rtol=1e-12, atol=0)
-
-    def test_table_orders_build_nothing(self, monkeypatch):
-        def no_build(order):
-            raise AssertionError("rule built")
-
-        monkeypatch.setattr(quadrature, "_newton_rule", no_build)
-        for order in (QUICK_ORDER, DEFAULT_ORDER):
-            assert len(gauss_hermite_rule(order).half_nodes) == order // 2
-        with pytest.raises(AssertionError, match="rule built"):
-            gauss_hermite_rule(255)
+    @pytest.mark.parametrize("order, weight_rtol", [(QUICK_ORDER, 4e-14), (DEFAULT_ORDER, 2e-13)],
+                             ids=[str(QUICK_ORDER), str(DEFAULT_ORDER)])
+    def test_matches_40_digit_refinement(self, order, weight_rtol):
+        # worst errors: nodes 2.0e-16 and 2.3e-16 relative, weights 3.6e-14
+        # and 1.71e-13, largest at the outermost node, which rounding to a
+        # float already moves by that much
+        rule = cached_rule(order)
+        nodes, weights = mp_refined_rule(order)
+        assert max(abs(x - y) / y for x, y in zip(rule.half_nodes, nodes)) <= 3e-16
+        assert max(abs(w - v) / v for w, v in zip(rule.half_weights, weights)) <= weight_rtol
 
 
-# every order up to 40, and orders on both sides of the powers of two and
-# of the tables, up to MAX_ORDER
-NEWTON_ORDERS = [*range(1, 41), 63, 100, 127, 255, 300, 511, 512]
+# every order up to 40, the default orders, and orders on both sides of
+# the powers of two up to MAX_ORDER
+NEWTON_ORDERS = [*range(1, 41), 63, 64, 100, 127, 255, 256, 300, 511, 512]
 
 
 class TestNewtonRule:
-    """The computed rule of every order that has no table."""
+    """The computed rule at orders across the whole range."""
 
     @pytest.mark.parametrize("order", NEWTON_ORDERS)
     def test_shape(self, order):
@@ -182,7 +164,7 @@ class TestNewtonRule:
     def test_matches_golub_welsch(self, order):
         # over every order 1-512 the nodes agree to 5.8e-16 relative and the
         # weights to 7.1e-13
-        rule, gw = cached_rule(order), cached_golub_welsch(order)
+        rule, gw = cached_rule(order), golub_welsch(order)
         np.testing.assert_allclose(rule.half_nodes, gw.half_nodes, rtol=1e-14, atol=0)
         np.testing.assert_allclose(rule.half_weights, gw.half_weights, rtol=1e-12, atol=0)
         assert rule.center_weight == pytest.approx(gw.center_weight, rel=1e-12, abs=0)
