@@ -9,17 +9,18 @@ oracle-check  closed-form vs Fock-space agreement report (nonzero exit on breach
 optimize      free-function optimization vs the closed-form root, CSV + JSON
 
 All file outputs are deterministic: floats at 12 significant digits, LF line
-endings, plus a ``<out>.meta.json`` sidecar echoing the configuration, the
-quadrature order and the package version.
+endings, plus a ``<out>.meta.json`` sidecar echoing the configuration and the
+package version.
 
 Each subcommand imports the modules it runs when it is called, so a command
 loads and compiles only those: ``eval --ineq mk`` never loads the functional
 closed forms, the oracle, the thresholds or the optimizer.  Only the parser,
 ``errors`` and ``quadrature`` (for the order defaults) load with this module.
-Every subcommand computes in plain floats and complex numbers at every
-``--order``, and none loads numpy.  The functions that ``eval``, ``figure1``,
-``figure2`` and ``oracle-check`` integrate have exact kernel integrals, so
-they validate and record ``--order`` but build no rule; ``optimize`` does.
+Every subcommand computes in plain floats and complex numbers, and none
+loads numpy.  The functions that ``eval``, ``figure1``, ``figure2`` and
+``oracle-check`` integrate have exact kernel integrals, so they build no
+rule and take no ``--order``, except that ``eval`` still validates it and
+records it in its JSON; ``optimize`` builds the rule of its ``--order``.
 ``oracle-check`` builds each N's binned site operators once, through
 ``oracle``'s split of ``mk_evaluate``, and contracts them with the state of
 every (eta, p) cell.
@@ -64,13 +65,6 @@ def _write_sidecar(path: Path, command: str, config: dict) -> None:
     side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _check_integrating_order(order) -> None:
-    """Validate ``order`` for a command that integrates odd functions."""
-    if check_order(order) == 1:
-        raise ValueError("--order 1 has its only node at x = 0, where every odd "
-                         "function vanishes; use --order 2 or more")
-
-
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -80,7 +74,7 @@ def _cmd_eval(args) -> int:
 
     if args.n < 2:
         raise ValueError(f"--n must be at least 2, got {args.n}")
-    check_order(args.order)  # recorded for every inequality; mk integrates no function
+    check_order(args.order)  # recorded, not read
     r = args.r if args.r is not None else canonical_split(args.n)
     spec = StateSpec(n_modes=args.n, r_split=r, purity=args.p, efficiency=args.eta)
     payload = {
@@ -94,7 +88,6 @@ def _cmd_eval(args) -> int:
     if args.ineq in ("functional", "cfrd"):
         from .functional_bell import bell_value, cfrd_bell_value
 
-        _check_integrating_order(args.order)
         res = (bell_value if args.ineq == "functional" else cfrd_bell_value)(spec)
         payload.update(
             function=res.function_id, lhs=res.lhs, rhs=res.rhs, ratio=res.ratio
@@ -129,7 +122,6 @@ def _cmd_figure1(args) -> int:
 
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]")
-    _check_integrating_order(args.order)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         spec = StateSpec(n_modes=n, r_split=canonical_split(n))
@@ -152,8 +144,6 @@ def _cmd_figure2(args) -> int:
 
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]")
-    # the binned thresholds integrate no function
-    (check_order if args.ineq == "mk" else _check_integrating_order)(args.order)
     inequalities = ("functional", "cfrd", "mk") if args.ineq == "all" else (args.ineq,)
     rows = []
     for ineq in inequalities:
@@ -184,8 +174,10 @@ def _cmd_figure2(args) -> int:
 
 def _oracle_check_cells(n_min, n_max, perturb_eps):
     """Yield (label, closed, oracle) per grid cell; the binned site
-    operators depend only on the angles and are built once per N."""
-    from .functional_bell import cfrd_bell_value, closed_form_sides, optimal_epsilon
+    operators depend only on the angles and are built once per N.  An N
+    whose closed-form bound side leaves the float range is named before
+    its O(N) angles, operators and states are built."""
+    from .functional_bell import _bound_scale, cfrd_bell_value, closed_form_sides, optimal_epsilon
     from .mk_binning import mk_bell_value
     from .model import density_matrix
     from .oracle import _mk_correlators, _mk_value, evaluate, mk_optimal_angles, orthogonal_angles
@@ -196,6 +188,7 @@ def _oracle_check_cells(n_min, n_max, perturb_eps):
     ps = (1.0, 0.9)
     ident = Identity()
     for n in range(n_min, n_max + 1):
+        _bound_scale(n)
         r = canonical_split(n)
         angles = orthogonal_angles(n, r)
         mk_ops = _mk_correlators(mk_optimal_angles(n, r))
@@ -233,7 +226,6 @@ def _cmd_oracle_check(args) -> int:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]; n >= 3")
     if not abs(args.perturb_eps) < float("inf"):
         raise ValueError(f"--perturb-eps must be finite, got {args.perturb_eps}")
-    _check_integrating_order(args.order)
     lines = []
     worst = 0.0
     worst_label = ""
@@ -330,12 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_order(p, default=DEFAULT_ORDER,
-                  role="validated and recorded, but this command's functions have "
-                       "exact kernel integrals, so it builds no rule"):
-        p.add_argument("--order", type=int, default=default,
-                       help=f"quadrature order: {role} (default {default})")
-
     p_eval = sub.add_parser("eval", help="evaluate one scenario")
     p_eval.add_argument("--ineq", choices=("functional", "cfrd", "mk"), required=True)
     p_eval.add_argument("--n", type=int, required=True)
@@ -344,14 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--p", type=float, default=1.0)
     p_eval.add_argument("--format", choices=("csv", "json"), default="json")
     p_eval.add_argument("--out", default=None)
-    add_order(p_eval)
+    p_eval.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                        help="quadrature order: validated and recorded, but the functions "
+                             "have exact kernel integrals, so no rule is built "
+                             f"(default {DEFAULT_ORDER})")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_f1 = sub.add_parser("figure1", help="violation growth with mode count")
     p_f1.add_argument("--n-min", type=int, default=4)
     p_f1.add_argument("--n-max", type=int, default=20)
     p_f1.add_argument("--out", default="figure1.csv")
-    add_order(p_f1)
     p_f1.set_defaults(func=_cmd_figure1)
 
     p_f2 = sub.add_parser("figure2", help="critical efficiency and purity curves")
@@ -359,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_f2.add_argument("--n-max", type=int, default=20)
     p_f2.add_argument("--ineq", choices=("all", "functional", "cfrd", "mk"), default="all")
     p_f2.add_argument("--out", default="figure2.csv")
-    add_order(p_f2)
     p_f2.set_defaults(func=_cmd_figure2)
 
     p_oc = sub.add_parser("oracle-check", help="closed-form vs Fock-space report")
@@ -368,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oc.add_argument("--perturb-eps", type=float, default=0.0,
                       help="shift the closed form's function parameter (sensitivity test)")
     p_oc.add_argument("--out", default=None)
-    add_order(p_oc)
     p_oc.set_defaults(func=_cmd_oracle_check)
 
     p_opt = sub.add_parser("optimize", help="free-function optimization")
@@ -378,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--p", type=float, default=1.0)
     p_opt.add_argument("--init", choices=("identity", "signbin"), default="identity")
     p_opt.add_argument("--out", default="optimize.csv")
-    add_order(p_opt, default=QUICK_ORDER, role="the number of nodes that sample the free function")
+    p_opt.add_argument("--order", type=int, default=QUICK_ORDER,
+                       help="quadrature order: the number of nodes that sample the free "
+                            f"function (default {QUICK_ORDER})")
     p_opt.set_defaults(func=_cmd_optimize)
 
     return parser

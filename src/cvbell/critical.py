@@ -1,7 +1,7 @@
 """Critical detection efficiency, purity, and decoherence-product thresholds.
 
 A threshold is the parameter value at which the Bell ratio B, taken at the
-split r = N // 2 of ``model.canonical_split``, reaches 1.  Wherever B is an
+split r = N // 2 of ``scenario.canonical_split``, reaches 1.  Wherever B is an
 explicit function of the swept parameter the threshold is its exact inverse:
 
 - purity, functional and CFRD: the correlator side scales as p^2, the bound

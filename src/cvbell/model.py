@@ -20,8 +20,7 @@ The model computes in plain Python floats and complex numbers with
 nested tuple ((a00, a01), (a10, a11)); a state is one tuple of site factors
 per product term.  Equal factors are one shared object, as are equal site
 operators at neighbouring sites, which lets the contraction of ``_accel``
-reuse a site trace.  ``ProductOperator`` also accepts numpy arrays and
-converts them.
+reuse a site trace.
 """
 
 from __future__ import annotations
@@ -74,27 +73,20 @@ class AngleConfig:
 # density matrix
 # ---------------------------------------------------------------------------
 
-def _nested_tuples(x):
-    """A (nested) list, as ``tolist`` returns, as (nested) tuples."""
-    return tuple(map(_nested_tuples, x)) if isinstance(x, list) else x
-
-
 class ProductOperator:
     """Sum of tensor products of 2x2 site factors:
     sum_t weights[t] * factors[t][0] (x) factors[t][1] (x) ... (x) factors[t][N-1].
 
     ``weights`` holds T numbers and ``factors`` T terms of N site factors
     each, every factor the nested tuple ((a00, a01), (a10, a11)); site 0 is
-    the most significant bit of the 2^N-dimensional index.  Numpy arrays of
-    shapes (T,) and (T, N, 2, 2) are converted.
+    the most significant bit of the 2^N-dimensional index.
     """
 
     __slots__ = ("weights", "factors")
 
     def __init__(self, weights, factors):
-        w = tuple(weights.tolist() if hasattr(weights, "tolist") else weights)
-        a = (_nested_tuples(factors.tolist()) if hasattr(factors, "tolist")
-             else tuple(map(tuple, factors)))
+        w = tuple(weights)
+        a = tuple(map(tuple, factors))
         sites = {len(term) for term in a}
         if len(a) != len(w) or len(sites) > 1:
             raise ValueError(f"expected T weights and T terms of equally many site factors; "

@@ -26,12 +26,11 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import NumericalDomainError, is_integer
 
-#: Default ``--order`` of ``eval``, ``figure1``, ``figure2`` and
-#: ``oracle-check``, which validate and record it but build no rule: the
-#: functions they integrate carry exact kernel integrals.  The order-256
-#: rule, computed like every other, sums the optimal family as a plain
-#: callable within 4.6e-14 relative of the exact integrals at eps = 2.96,
-#: 4.9e-12 at eps = 4 and 2.8e-9 at eps = 6.585.
+#: Default ``--order`` of ``eval``, which validates and records it but
+#: builds no rule: the functions it integrates carry exact kernel integrals.
+#: The order-256 rule, computed like every other, sums the optimal family as
+#: a plain callable within 4.6e-14 relative of the exact integrals at
+#: eps = 2.96, 4.9e-12 at eps = 4 and 2.8e-9 at eps = 6.585.
 DEFAULT_ORDER = 256
 #: Default order of ``optimize``, the one command that builds a rule: it sums
 #: the free function's node values (about 1e-6 relative on the optimal family).
@@ -226,10 +225,6 @@ class Optimal(MeasurementFunction):
     def exact_integrals(self) -> KernelIntegrals:
         return optimal_integrals(self.epsilon)
 
-    def values_at(self, nodes) -> list:
-        eps = float(self.epsilon)
-        return [x / (1.0 + eps * (x * x)) for x in nodes]
-
 
 def _erfc_tails(z: float, eps: float) -> tuple:
     """(D0, D1, D2) of the Laplace continued fraction of erfc (Abramowitz and
@@ -326,7 +321,7 @@ def _odd_values(f: Callable, nodes) -> list:
     value that is not finite at a positive node is left to the caller's
     finiteness check; one that is not finite at its mirror alone fails here.
     """
-    values = [_value_at(f, x) for x in nodes]
+    values = node_values(f, nodes)
     if not getattr(f, "is_odd", False):
         for x, fx in zip(nodes, values):
             gap = abs(fx + _value_at(f, -x))
@@ -351,11 +346,9 @@ def _node_integrals(nodes, weights, values) -> KernelIntegrals:
 
 
 def node_values(f, nodes) -> list:
-    """The values of f at ``nodes`` as a list of floats: ``Optimal`` in one
-    pass, any other callable once per node, where it must return one real
-    number (a callable that works only on arrays fails)."""
-    if isinstance(f, Optimal):
-        return f.values_at(nodes)
+    """The values of f at ``nodes`` as a list of floats, f called once per
+    node, where it must return one real number (a callable that works only
+    on arrays fails)."""
     return [_value_at(f, x) for x in nodes]
 
 

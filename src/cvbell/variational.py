@@ -97,7 +97,7 @@ class _RatioProblem:
         eps = math.expm1(u)
         x0 = self.nodes[0]
         scale = 1.0 + eps * (x0 * x0)
-        return [v * scale for v in Optimal(eps).values_at(self.nodes)]
+        return [v * scale for v in node_values(Optimal(eps), self.nodes)]
 
 
 def _stationary_epsilon(p: RatioPartials, n: int) -> float:
@@ -130,7 +130,7 @@ def family_integrals(rule: QuadratureRule) -> Callable[[float], KernelIntegrals]
     its positive half, as the optimizer takes them; ``optimal_epsilon`` on
     these gives the root that ``optimize_function`` converges to."""
     nodes, weights = rule.half_nodes, rule.half_weights
-    return lambda eps: _node_integrals(nodes, weights, Optimal(eps).values_at(nodes))
+    return lambda eps: _node_integrals(nodes, weights, node_values(Optimal(eps), nodes))
 
 
 def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,

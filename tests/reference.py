@@ -9,6 +9,8 @@ no shortcut with the package's own:
 - ``optimize_epsilon_numeric`` maximizes the oracle ratio over eps by
   golden-section search and a parabola through three ratios, a
   derivative-free check of ``optimal_epsilon``'s stationarity root;
+- ``product_operator`` converts numpy arrays to the tuples of Python
+  numbers that ``ProductOperator`` takes;
 - ``random_product_mixture`` draws separable states, on which local realism
   bounds every ratio by 1, to check the bound side;
 - ``loss_kraus`` and ``branch_indices`` build the detected state with
@@ -242,6 +244,14 @@ def rule_ratio(spec: StateSpec, rule: QuadratureRule) -> float:
     return lhs / rhs
 
 
+def product_operator(weights, factors) -> ProductOperator:
+    """A ``ProductOperator`` from arrays of shapes (T,) and (T, N, 2, 2),
+    every site factor the nested tuple of Python numbers it takes."""
+    return ProductOperator(np.asarray(weights).tolist(),
+                           [[tuple(map(tuple, a)) for a in term]
+                            for term in np.asarray(factors).tolist()])
+
+
 def random_product_mixture(n: int, rng: np.random.Generator,
                            n_states: int = 4) -> DensityMatrix:
     """Convex mixture of random product states on the qubit subspace.
@@ -256,7 +266,7 @@ def random_product_mixture(n: int, rng: np.random.Generator,
         rng.uniform(0.0, (np.pi / 2.0, 2.0 * np.pi), size=(n_states, n, 2)), -1, 0)
     kets = np.stack((np.cos(alpha), np.exp(1j * beta) * np.sin(alpha)), axis=-1)
     factors = kets[..., :, None] * kets.conj()[..., None, :]
-    return DensityMatrix(n_modes=n, matrix=ProductOperator(weights, factors))
+    return DensityMatrix(n_modes=n, matrix=product_operator(weights, factors))
 
 
 def loss_kraus(eta: float):

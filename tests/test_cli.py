@@ -35,7 +35,8 @@ def no_rule(monkeypatch):
 
 
 # every command but optimize integrates only functions with exact kernel
-# integrals: it records --order and builds no rule, at the default and at 512
+# integrals and builds no rule: eval records --order, at the default and at
+# 512, and the others take none
 @pytest.mark.parametrize("order", [None, "512"], ids=["default-order", "order-512"])
 @pytest.mark.parametrize("argv", [
     ["eval", "--ineq", "functional", "--n", "7", "--out", "{tmp}/out.json"],
@@ -45,11 +46,22 @@ def no_rule(monkeypatch):
     ["oracle-check", "--n-min", "3", "--n-max", "4", "--out", "{tmp}/out.txt"],
 ], ids=["eval-functional", "eval-cfrd", "figure1", "figure2-all", "oracle-check"])
 def test_closed_form_commands_build_no_rule(tmp_path, capsys, no_rule, argv, order):
-    argv = [a.format(tmp=tmp_path) for a in argv]
-    assert run_cli(argv + (["--order", order] if order else [])) == 0
+    argv = [a.format(tmp=tmp_path) for a in argv] + (["--order", order] if order else [])
+    if order and argv[0] != "eval":
+        with pytest.raises(SystemExit) as err:
+            run_cli(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments: --order" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        return
+    assert run_cli(argv) == 0
     capsys.readouterr()
     (side,) = tmp_path.glob("*.meta.json")
-    assert json.loads(side.read_text())["config"]["order"] == int(order or 256)
+    config = json.loads(side.read_text())["config"]
+    if argv[0] == "eval":
+        assert config["order"] == int(order or 256)
+    else:
+        assert "order" not in config
 
 
 class TestEval:
@@ -193,32 +205,36 @@ class TestEval:
         assert abs(payload["ratio"] - want) <= 1e-12 * want
 
     def test_order_changes_no_closed_form(self, capsys):
-        # the closed forms read exact integrals: at order 2, a rule that cannot
-        # integrate the family (its ratio read 16.0), the value is the default's
-        payloads = []
-        for order in ("2", "256"):
-            assert run_cli(["eval", "--ineq", "functional", "--n", "6", "--order", order]) == 0
-            payloads.append(json.loads(capsys.readouterr().out))
-        assert [p.pop("order") for p in payloads] == [2, 256]
-        assert payloads[0] == payloads[1]
+        # the closed forms read exact integrals: at order 1, whose one node
+        # x = 0 every odd function vanishes at, and at order 2, a rule that
+        # cannot integrate the family (its ratio read 16.0), the value is the
+        # default's
+        for ineq in ("functional", "cfrd"):
+            payloads = []
+            for order in ("1", "2", "256"):
+                assert run_cli(["eval", "--ineq", ineq, "--n", "6", "--order", order]) == 0
+                payloads.append(json.loads(capsys.readouterr().out))
+            assert [p.pop("order") for p in payloads] == [1, 2, 256]
+            assert payloads[0] == payloads[1] == payloads[2]
 
     @pytest.mark.parametrize("argv", [
-        ["eval", "--ineq", "functional", "--n", "6"],
-        ["eval", "--ineq", "cfrd", "--n", "6"],
         ["figure1", "--n-max", "6"],
         ["figure2", "--n-max", "6"],
         ["figure2", "--ineq", "cfrd", "--n-max", "6"],
+        ["figure2", "--ineq", "mk", "--n-max", "6"],
         ["oracle-check", "--n-max", "3"],
+        ["optimize", "--n", "4"],
     ])
     def test_single_node_rule_rejected(self, tmp_path, capsys, argv):
-        # the one node of the order-1 rule is x = 0, where odd functions vanish
-        if argv[0].startswith("figure"):
-            argv = argv + ["--out", str(tmp_path / "fig.csv")]
+        # the one node of the order-1 rule is x = 0, where odd functions
+        # vanish; only eval, which builds no rule, records it
+        # (test_order_changes_no_closed_form): optimize samples the function
+        # at four nodes or more, and the other commands take no --order
         with pytest.raises(SystemExit) as err:
-            run_cli(argv + ["--order", "1"])
+            run_cli(argv + ["--order", "1", "--out", str(tmp_path / "out.csv")])
         assert err.value.code == 2
-        assert "--order 1" in capsys.readouterr().err
-        assert not (tmp_path / "fig.csv").exists()
+        assert "--order" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_mk_overflow_names_the_mode_count(self, capsys):
         assert run_cli(["eval", "--ineq", "mk", "--n", "5000"]) == 0
@@ -263,10 +279,12 @@ class TestFigure1:
         capsys.readouterr()
         assert out2.read_bytes() == fig1.read_bytes()
 
-    def test_metadata_sidecar_records_order(self, fig1):
+    def test_metadata_sidecar(self, fig1):
         meta = json.loads((fig1.parent / (fig1.name + ".meta.json")).read_text())
-        assert meta["config"]["order"] == 256
         assert meta["command"] == "figure1"
+        # it builds no rule, so it has no order to record
+        assert meta["config"] == {"command": "figure1", "n_min": 4, "n_max": 20,
+                                  "out": str(fig1)}
 
     def test_line_endings(self, fig1):
         raw = fig1.read_bytes()
@@ -315,16 +333,14 @@ class TestFigure2:
 
     def test_mk_builds_no_rule(self, tmp_path, capsys, no_rule):
         out = tmp_path / "mk.csv"
-        for order in ("256", "300", "1"):
-            assert run_cli(["figure2", "--ineq", "mk", "--n-min", "3", "--n-max", "4",
-                            "--order", order, "--out", str(out)]) == 0
+        argv = ["figure2", "--ineq", "mk", "--n-min", "3", "--n-max", "4", "--out", str(out)]
+        assert run_cli(argv) == 0
         capsys.readouterr()
-        assert json.loads((tmp_path / "mk.csv.meta.json").read_text())["config"]["order"] == 1
+        assert "order" not in json.loads((tmp_path / "mk.csv.meta.json").read_text())["config"]
         with pytest.raises(SystemExit) as err:
-            run_cli(["figure2", "--ineq", "mk", "--n-min", "3", "--n-max", "4",
-                     "--order", "0", "--out", str(out)])
+            run_cli(argv + ["--order", "0"])
         assert err.value.code == 2
-        assert "order must be in [1, 512], got 0" in capsys.readouterr().err
+        assert "unrecognized arguments: --order 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ineq, n", [("functional", 131), ("cfrd", 298)])
     def test_purity_threshold_below_1e_9(self, tmp_path, capsys, ineq, n):
@@ -414,18 +430,29 @@ class TestOracleCheck:
         assert run_cli(["oracle-check", "--n-min", "340", "--n-max", "340"]) == 1
         assert "bound side at n = 340" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("order, perturb, n_range, code, message", [
-        ("3", "-2.9", ("3", "4"), 2, "shifts epsilon at functional n=3"),
-        ("2", "1e-12", ("3", "4"), 0, "status: OK"),
-        ("5", "100", ("5", "6"), 1, "status: BREACH"),
+    def test_out_of_range_named_before_building_states(self, capsys, monkeypatch):
+        # the angles, operators and states of N = 10^6 modes would take
+        # seconds and hundreds of MB before the closed form named N
+        def not_reached(n, r):
+            raise AssertionError(f"angles built for n = {n}")
+
+        monkeypatch.setattr(oracle, "orthogonal_angles", not_reached)
+        assert run_cli(["oracle-check", "--n-min", "1000000", "--n-max", "1000000"]) == 1
+        assert ("closed-form bound side at n = 1000000 is outside the normal float range"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("perturb, n_range, code, message", [
+        ("-2.9", ("3", "4"), 2, "shifts epsilon at functional n=3"),
+        ("1e-12", ("3", "4"), 0, "status: OK"),
+        ("100", ("5", "6"), 1, "status: BREACH"),
         # the perturbed integrals underflow
-        ("256", "1e300", ("3", "4"), 1, "closed-form bound side at n = 3 is outside"),
-        ("64", "1", ("329", "330"), 1, "closed-form bound side at n = 329 is outside"),
+        ("1e300", ("3", "4"), 1, "closed-form bound side at n = 3 is outside"),
+        ("1", ("329", "330"), 1, "closed-form bound side at n = 329 is outside"),
     ])
-    def test_exit_codes(self, capsys, order, perturb, n_range, code, message):
+    def test_exit_codes(self, capsys, perturb, n_range, code, message):
         # only an argument check exits 2; a domain failure exits 1 naming n
         try:
-            rc = run_cli(["oracle-check", "--order", order, "--perturb-eps", perturb,
+            rc = run_cli(["oracle-check", "--perturb-eps", perturb,
                           "--n-min", n_range[0], "--n-max", n_range[1]])
         except SystemExit as err:
             rc = err.code

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvbell import _accel
-from cvbell.model import ProductOperator, density_matrix, site_operator
+from cvbell.model import density_matrix, site_operator
 from cvbell.oracle import evaluate, mk_evaluate, mk_optimal_angles, orthogonal_angles
 from cvbell.quadrature import Optimal
 from cvbell.scenario import StateSpec
 from reference import (branch_indices, dense_matrix, einsum_expectation, einsum_expectation_sums,
-                       einsum_mk_value, einsum_ratio, loss_kraus)
+                       einsum_mk_value, einsum_ratio, loss_kraus, product_operator)
 
 
 def random_case(rng, n, sparse=False):
@@ -22,7 +22,7 @@ def random_case(rng, n, sparse=False):
     if sparse:
         factors[np.abs(factors) < np.median(np.abs(factors))] = 0.0
     mats = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    return ProductOperator(weights, factors), mats
+    return product_operator(weights, factors), mats
 
 
 def dense_reference(rho, mats):
@@ -63,7 +63,7 @@ class TestBackends:
         factors = np.zeros((2, n, 2, 2), dtype=complex)
         factors[0, :-1, 0, 0] = 10.0
         factors[1, :, 0, 0] = 1.0
-        rho = ProductOperator(np.array([1.0, 0.5]), factors)
+        rho = product_operator([1.0, 0.5], factors)
         assert _accel.tensor_expectation(rho, np.broadcast_to(np.eye(2), (n, 2, 2))) == 0.5
 
     def test_sparse_zero_entries_skipped_consistently(self):

@@ -3,10 +3,10 @@ import pytest
 
 from cvbell.errors import NumericalDomainError
 from cvbell.mk_binning import mk_bell_value, mk_critical_product
-from cvbell.model import AngleConfig, DensityMatrix, ProductOperator, density_matrix
+from cvbell.model import AngleConfig, DensityMatrix, density_matrix
 from cvbell.oracle import mk_evaluate, mk_optimal_angles
 from cvbell.scenario import StateSpec
-from reference import mk_bell_value_product_form
+from reference import mk_bell_value_product_form, product_operator
 
 SQRT2_HALF = np.sqrt(2.0) / 2.0
 
@@ -67,7 +67,7 @@ class TestEvaluate:
     def test_vacuum_gives_zero(self):
         factors = np.zeros((1, 3, 2, 2))
         factors[0, :, 0, 0] = 1.0
-        s_value = mk_evaluate(DensityMatrix(3, ProductOperator([1.0], factors)),
+        s_value = mk_evaluate(DensityMatrix(3, product_operator([1.0], factors)),
                               mk_optimal_angles(3, 2))
         assert s_value == pytest.approx(0.0, abs=1e-15)
 

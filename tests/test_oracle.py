@@ -19,7 +19,6 @@ from cvbell.mk_binning import mk_bell_value
 from cvbell.model import (
     AngleConfig,
     DensityMatrix,
-    ProductOperator,
     _site_scalars,
     density_matrix,
 )
@@ -27,7 +26,7 @@ from cvbell.oracle import (evaluate, mk_evaluate, mk_optimal_angles, orthogonal_
                            ratio_partials)
 from cvbell.quadrature import Identity, Optimal, SignBin, kernel_integrals
 from cvbell.scenario import StateSpec
-from reference import (angle_scan, dense_matrix, optimize_epsilon_numeric,
+from reference import (angle_scan, dense_matrix, optimize_epsilon_numeric, product_operator,
                        random_product_mixture)
 
 
@@ -39,7 +38,7 @@ def site_scalars(f, rule):
 def vacuum(n):
     factors = np.zeros((1, n, 2, 2))
     factors[0, :, 0, 0] = 1.0
-    return DensityMatrix(n_modes=n, matrix=ProductOperator([1.0], factors))
+    return DensityMatrix(n_modes=n, matrix=product_operator([1.0], factors))
 
 
 def cfrd_even_ideal(n):
@@ -267,7 +266,7 @@ class TestContractionBackend:
         n = 3
         weights = rng.normal(size=2) + 1j * rng.normal(size=2)
         factors = rng.normal(size=(2, n, 2, 2)) + 1j * rng.normal(size=(2, n, 2, 2))
-        rho = ProductOperator(weights, factors)
+        rho = product_operator(weights, factors)
         mats = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
         dense = np.kron(np.kron(mats[0], mats[1]), mats[2])
         expected = np.trace(dense_matrix(rho) @ dense)

@@ -98,10 +98,8 @@ class TestStartupImports:
         (["eval", "--ineq", "cfrd", "--n", "12", "--order", "64"], ("functional_bell",)),
         (["figure1", "--n-min", "4", "--n-max", "6", "--out", "{tmp}/f1.csv"],
          ("functional_bell",)),
-        (["figure1", "--n-min", "4", "--n-max", "6", "--order", "64", "--out", "{tmp}/f1.csv"],
-         ("functional_bell",)),
         (["figure2", "--n-min", "3", "--n-max", "5", "--out", "{tmp}/f2.csv"], _THRESHOLDS),
-        (["figure2", "--n-min", "3", "--n-max", "5", "--ineq", "functional", "--order", "64",
+        (["figure2", "--n-min", "3", "--n-max", "5", "--ineq", "functional",
           "--out", "{tmp}/f2.csv"], _THRESHOLDS),
         (["figure2", "--n-min", "3", "--n-max", "5", "--ineq", "cfrd", "--out", "{tmp}/f2.csv"],
          _THRESHOLDS),
@@ -113,13 +111,11 @@ class TestStartupImports:
          (*_OPTIMIZER, *_ARRAYS)),
         # another order: only optimize builds its rule
         (["eval", "--ineq", "functional", "--n", "6", "--order", "100"], ("functional_bell",)),
-        (["oracle-check", "--n-min", "3", "--n-max", "3", "--order", "100"],
-         ("functional_bell", "mk_binning", *_ARRAYS)),
         (["optimize", "--n", "4", "--init", "signbin", "--order", "100",
           "--out", "{tmp}/opt.csv"], (*_OPTIMIZER, *_ARRAYS)),
-    ], ids=["eval-mk", "eval-functional", "eval-cfrd-o64", "figure1", "figure1-o64", "figure2",
-            "figure2-functional-o64", "figure2-cfrd", "figure2-mk", "oracle-check", "optimize",
-            "eval-o100", "oracle-check-o100", "optimize-o100"])
+    ], ids=["eval-mk", "eval-functional", "eval-cfrd-o64", "figure1", "figure2",
+            "figure2-functional", "figure2-cfrd", "figure2-mk", "oracle-check", "optimize",
+            "eval-o100", "optimize-o100"])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, modules):
         argv = [a.format(tmp=tmp_path) for a in argv]
         loaded = _loaded_modules(f"from cvbell.cli import main\nassert main({argv!r}) == 0")
@@ -128,20 +124,22 @@ class TestStartupImports:
         assert not loaded & {"numpy", "dataclasses", "inspect"}
 
     def test_every_command_runs_without_numpy(self, tmp_path):
-        # numpy made unimportable, at an order other than the defaults
+        # numpy made unimportable, with eval and optimize at an order other
+        # than the defaults
         commands = [
-            ["eval", "--ineq", "functional", "--n", "6"],
-            ["eval", "--ineq", "cfrd", "--n", "8"],
-            ["eval", "--ineq", "mk", "--n", "3"],
+            ["eval", "--ineq", "functional", "--n", "6", "--order", "33"],
+            ["eval", "--ineq", "cfrd", "--n", "8", "--order", "33"],
+            ["eval", "--ineq", "mk", "--n", "3", "--order", "33"],
             ["figure1", "--n-min", "4", "--n-max", "6", "--out", f"{tmp_path}/f1.csv"],
             ["figure2", "--n-min", "3", "--n-max", "4", "--out", f"{tmp_path}/f2.csv"],
             ["oracle-check", "--n-min", "3", "--n-max", "4"],
-            ["optimize", "--n", "4", "--init", "signbin", "--out", f"{tmp_path}/opt.csv"],
+            ["optimize", "--n", "4", "--init", "signbin", "--order", "33",
+             "--out", f"{tmp_path}/opt.csv"],
         ]
         code = ("sys.modules['numpy'] = None\n"
                 "from cvbell.cli import main\n"
                 f"for argv in {commands!r}:\n"
-                "    assert main(argv + ['--order', '33']) == 0, argv")
+                "    assert main(argv) == 0, argv")
         _loaded_modules(code)  # exits 0, or an import of numpy raised
 
 
