@@ -70,15 +70,14 @@ def tensor_expectation(rho, mats) -> complex:
 def tensor_expectation_sums(rho, mats, replacements):
     """``tensor_expectation(rho, mats)`` and its site-replacement sums.
 
-    For each stack D of n 2x2 operators in ``replacements``, the sum over
+    ``mats`` and each entry of ``replacements`` are sequences of n 2x2
+    operators.  For each such D in ``replacements``, the sum over
     sites k of the trace with M_k replaced by D_k: the derivative of the
     trace along D when every M_k is linear in a common parameter.  The
     product over the other sites of each term comes from prefix and suffix
     products of its site traces; a term with two zero site traces adds
     nothing.
     """
-    mats = _stack(mats)
-    replacements = [_stack(d) for d in replacements]
     value = 0j
     sums = [0j] * len(replacements)
     for w, term in zip(rho.weights, rho.factors):

@@ -8,9 +8,11 @@ figure2       CSV of critical efficiency / purity curves per inequality
 oracle-check  closed-form vs Fock-space agreement report (nonzero exit on breach)
 optimize      free-function optimization vs the closed-form root, CSV + JSON
 
-All file outputs are deterministic: floats at 12 significant digits, LF line
-endings, plus a ``<out>.meta.json`` sidecar echoing the configuration and the
-package version.
+All file outputs are deterministic: floats at 12 significant digits, plus a
+``<out>.meta.json`` sidecar echoing the configuration and the package
+version.  Every file goes through one writer, ``_write``: UTF-8 with LF line
+endings, streamed line by line to ``<out>.part``, which replaces ``<out>``
+only after its last line, so a failing command leaves no partial file.
 
 Each subcommand imports the modules it runs when it is called, so a command
 loads and compiles only those: ``eval --ineq mk`` never loads the functional
@@ -47,22 +49,45 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
+def _csv(header, rows):
+    """The lines of a CSV table: the header, then one line per row."""
+    yield ",".join(header)
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        yield ",".join(_fmt(v) for v in row)
 
 
-def _write_sidecar(path: Path, command: str, config: dict) -> None:
+def _json(record: dict) -> str:
+    return json.dumps(record, indent=2, sort_keys=True)
+
+
+def _write(path: Path, lines) -> int:
+    """Write ``lines``, each as it comes, UTF-8 with an LF ending, to
+    ``<path>.part`` and rename that over ``path`` after the last one; return
+    their number.  On any failure the ``.part`` is deleted and ``path``
+    keeps what it held."""
+    part = path.with_name(path.name + ".part")
+    count = 0
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+                count += 1
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    return count
+
+
+def _write_sidecar(path: Path, config: dict) -> None:
+    """``<path>.meta.json``: the subcommand (the parser's ``command``), its
+    configuration and the package version."""
     meta = {
-        "command": command,
-        "config": {k: v for k, v in config.items()
-                   if k != "func" and not callable(v)},
+        "command": config["command"],
+        "config": {k: v for k, v in config.items() if not callable(v)},
         "package_version": __version__,
     }
-    side = path.with_name(path.name + ".meta.json")
-    side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write(path.with_name(path.name + ".meta.json"), [_json(meta)])
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +124,16 @@ def _cmd_eval(args) -> int:
         payload.update(function="sign_bin", s_value=b, bound=1.0, ratio=b)
     payload["violated"] = bool(payload["ratio"] > 1.0)
 
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json(payload)
     print(text)
     if args.out:
         out = Path(args.out)
         if args.format == "json":
-            out.write_text(text + "\n", encoding="utf-8")
+            _write(out, [text])
         else:
             keys = sorted(payload)
-            _write_csv(out, keys, [tuple(payload[k] for k in keys)])
-        _write_sidecar(out, "eval", vars(args) | {"r": r})
+            _write(out, _csv(keys, [tuple(payload[k] for k in keys)]))
+        _write_sidecar(out, vars(args) | {"r": r})
     return 0
 
 
@@ -122,16 +147,13 @@ def _cmd_figure1(args) -> int:
 
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]")
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        spec = StateSpec(n_modes=n, r_split=canonical_split(n))
-        b_opt = bell_value(spec).ratio
-        b_cfrd = cfrd_bell_value(spec).ratio
-        rows.append((n, b_opt, b_cfrd))
+    specs = (StateSpec(n_modes=n, r_split=canonical_split(n))
+             for n in range(args.n_min, args.n_max + 1))
+    rows = ((s.n_modes, bell_value(s).ratio, cfrd_bell_value(s).ratio) for s in specs)
     out = Path(args.out)
-    _write_csv(out, ["N", "B_optimal", "B_cfrd"], rows)
-    _write_sidecar(out, "figure1", vars(args))
-    print(f"wrote {out} ({len(rows)} rows)")
+    count = _write(out, _csv(["N", "B_optimal", "B_cfrd"], rows)) - 1
+    _write_sidecar(out, vars(args))
+    print(f"wrote {out} ({count} rows)")
     return 0
 
 
@@ -140,31 +162,26 @@ def _cmd_figure1(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_figure2(args) -> int:
-    from .critical import thresholds
+    from .critical import critical_efficiency, critical_purity
 
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]")
     inequalities = ("functional", "cfrd", "mk") if args.ineq == "all" else (args.ineq,)
-    rows = []
-    for ineq in inequalities:
-        for n in range(args.n_min, args.n_max + 1):
-            eta_c, p_c = thresholds(n, ineq)
-            missing = []
-            if eta_c is None:
-                missing.append("eta")
-            if p_c is None:
-                missing.append("p")
-            rows.append((
-                ineq,
-                n,
-                "" if eta_c is None else eta_c,
-                "" if p_c is None else p_c,
-                "+".join(missing) if missing else "",
-            ))
+
+    def rows():
+        for ineq in inequalities:
+            for n in range(args.n_min, args.n_max + 1):
+                # the purity closed form names an N beyond the float range first
+                p_c = critical_purity(n, 1.0, ineq)
+                eta_c = critical_efficiency(n, 1.0, ineq)
+                missing = "+".join(name for name, c in (("eta", eta_c), ("p", p_c)) if c is None)
+                yield ineq, n, "" if eta_c is None else eta_c, "" if p_c is None else p_c, missing
+
     out = Path(args.out)
-    _write_csv(out, ["inequality", "N", "eta_crit", "p_crit", "no_violation"], rows)
-    _write_sidecar(out, "figure2", vars(args))
-    print(f"wrote {out} ({len(rows)} rows)")
+    count = _write(out, _csv(["inequality", "N", "eta_crit", "p_crit", "no_violation"],
+                             rows())) - 1
+    _write_sidecar(out, vars(args))
+    print(f"wrote {out} ({count} rows)")
     return 0
 
 
@@ -244,11 +261,10 @@ def _cmd_oracle_check(args) -> int:
     ok = worst <= ORACLE_CHECK_TOL and spread <= MK_RSWEEP_TOL
     lines.append(f"max relative deviation: {worst:.3e} ({worst_label})")
     lines.append("status: " + ("OK" if ok else f"BREACH (tolerance {ORACLE_CHECK_TOL:g})"))
-    report = "\n".join(lines)
-    print(report)
+    print("\n".join(lines))
     if args.out:
-        Path(args.out).write_text(report + "\n", encoding="utf-8")
-        _write_sidecar(Path(args.out), "oracle-check", vars(args))
+        _write(Path(args.out), lines)
+        _write_sidecar(Path(args.out), vars(args))
     return 0 if ok else 1
 
 
@@ -289,7 +305,7 @@ def _cmd_optimize(args) -> int:
     eps_ref = optimal_epsilon(args.n, r, args.eta, integrals=family_integrals(rule))
 
     out = Path(args.out)
-    _write_csv(out, ["node", "f_value"], zip(rule.half_nodes, best))
+    _write(out, _csv(["node", "f_value"], zip(rule.half_nodes, best)))
     summary = {
         "n": args.n,
         "r": r,
@@ -304,10 +320,10 @@ def _cmd_optimize(args) -> int:
         "updates": len(updates),
         "stationarity_residual": residual,
     }
-    side = out.with_name(out.name + ".summary.json")
-    side.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_sidecar(out, "optimize", vars(args) | {"r": r})
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    text = _json(summary)
+    _write(out.with_name(out.name + ".summary.json"), [text])
+    _write_sidecar(out, vars(args) | {"r": r})
+    print(text)
     return status
 
 

@@ -19,6 +19,9 @@ of the maximized ratio) and stopping at an evaluated point with
 |ln B| <= 1e-13.  Their Bell values increase in eta, so a bracket failure
 outside the documented no-violation case aborts loudly instead of guessing.
 
+``figure2`` tabulates each threshold through its one function here; the
+two share no evaluation, so each solves the functional eta = 1 optimum.
+
 Three separate decoherence-product conventions coexist and are never mixed:
 
 - binned (MK): the per-site monomial eta * p^2, critical at 2^((1-2N)/N) pi;
@@ -76,23 +79,34 @@ def bell_ratio(inequality_id: str, n: int, eta: float, p: float) -> float:
     return lhs / rhs
 
 
-def _log_ratio_and_slope(inequality_id: str, n: int, eta: float, p: float) -> tuple:
-    """``closed_form_log_ratio`` of a moment inequality at ``canonical_split(n)``."""
-    return closed_form_log_ratio(n, canonical_split(n), eta, p,
-                                 _moment_integrals(inequality_id, n, eta))
+def critical_efficiency(n: int, p: float, inequality_id: str, rule=None) -> Optional[float]:
+    """Smallest efficiency giving B = 1 at fixed purity; None if B(1, p) <= 1.
+    ``rule`` is not read; perfbench still passes one (ROADMAP item 9).
 
-
-def _efficiency_root(inequality_id: str, n: int, p: float, top: tuple) -> Optional[float]:
-    """Moment-inequality efficiency threshold from ``top``, the (ln B, slope)
-    of ``closed_form_log_ratio`` at eta = 1; see ``critical_efficiency``."""
-    lo, hi = _ETA_BRACKET
+    The binned value inverts exactly to mk_critical_product(n) * p^(-2/n).
+    The others solve ln B = 0 in the bracket [0.3, 1] by the Newton steps of
+    ``functional_bell._bracketed_root`` on the slope of
+    ``closed_form_log_ratio``, starting from the eta = 1 value that decides
+    the None case.  B increases in eta, so a violation at the lower end
+    means an internal inconsistency and raises.  The result is an evaluated
+    point with |ln B| <= 1e-13, or the best one once the bracket is a few
+    ulps wide.
+    """
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must lie in (0, 1], got {p!r}")
+    if inequality_id == "mk":
+        eta = mk_critical_product(n) * p ** (-2.0 / n)
+        return None if eta >= 1.0 else float(eta)
+    r = canonical_split(n)
 
     def h(eta: float) -> tuple:
-        log_ratio, slope = _log_ratio_and_slope(inequality_id, n, eta, p)
+        log_ratio, slope = closed_form_log_ratio(n, r, eta, p,
+                                                 _moment_integrals(inequality_id, n, eta))
         return -log_ratio, -slope
 
-    log_ratio, slope = top
-    if log_ratio <= 0.0:
+    lo, hi = _ETA_BRACKET
+    top = h(hi)
+    if top[0] >= 0.0:
         return None
     if h(lo)[0] < 0.0:
         raise MonotonicityError(
@@ -101,45 +115,7 @@ def _efficiency_root(inequality_id: str, n: int, p: float, top: tuple) -> Option
         )
     return _bracketed_root(h, hi, _LOG_RATIO_TOL,
                            f"{inequality_id} efficiency threshold at n={n}, p={p}",
-                           lo, hi, hx=(-log_ratio, -slope))
-
-
-def critical_efficiency(n: int, p: float, inequality_id: str, rule=None) -> Optional[float]:
-    """Smallest efficiency giving B = 1 at fixed purity; None if B(1, p) <= 1.
-    ``rule`` is not read; perfbench still passes one (ROADMAP item 9).
-
-    The binned value inverts exactly to mk_critical_product(n) * p^(-2/n).
-    The others solve ln B = 0 in the bracket [0.3, 1] by the Newton steps of
-    ``functional_bell._bracketed_root`` on the closed-form slope, from the
-    eta = 1 value that decides the None case.  B increases in eta, so a
-    violation at the lower end means an internal inconsistency and raises.
-    The result is an evaluated point with |ln B| <= 1e-13, or the best one
-    once the bracket is a few ulps wide.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p!r}")
-    if inequality_id == "mk":
-        eta = mk_critical_product(n) * p ** (-2.0 / n)
-        return None if eta >= 1.0 else float(eta)
-    return _efficiency_root(inequality_id, n, p, _log_ratio_and_slope(inequality_id, n, 1.0, p))
-
-
-def thresholds(n: int, inequality_id: str) -> tuple:
-    """(critical efficiency at p = 1, critical purity at eta = 1), each None
-    where B(1, 1) <= 1.
-
-    For a moment inequality both come from one set of kernel integrals at
-    eta = 1: the purity threshold B^(-1/2) from ``closed_form_sides`` and the
-    efficiency solve's starting value from ``closed_form_log_ratio``.
-    """
-    if inequality_id == "mk":
-        return critical_efficiency(n, 1.0, "mk"), critical_purity(n, 1.0, "mk")
-    r = canonical_split(n)
-    ki = _moment_integrals(inequality_id, n, 1.0)
-    lhs, rhs = closed_form_sides(n, r, 1.0, 1.0, ki)
-    b = lhs / rhs
-    eta_c = _efficiency_root(inequality_id, n, 1.0, closed_form_log_ratio(n, r, 1.0, 1.0, ki))
-    return eta_c, None if b <= 1.0 else float(b ** -0.5)
+                           lo, hi, hx=top)
 
 
 def critical_purity(n: int, eta: float, inequality_id: str) -> Optional[float]:

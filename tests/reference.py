@@ -36,6 +36,10 @@ no shortcut with the package's own:
 - ``mp_integrals`` takes the optimal family's kernel integrals from the erfc
   closed form of G(eps) and its derivative in mpmath, at the caller's
   precision, to check ``optimal_integrals``'s continued fraction;
+- ``mp_log_ratio``, ``mp_optimal_integrals`` and ``mp_thresholds`` take the
+  ratio, its maximizing function and the critical efficiency and purity
+  from the two closed-form sides in mpmath, with every root found by
+  ``findroot``, to check the thresholds' printed digits;
 - ``rule_epsilon`` and ``rule_ratio`` are the closed-form optimum on a
   rule's sums of the family, where the free-function optimizer lands.
 """
@@ -159,6 +163,51 @@ def mp_integrals(eps) -> Tuple:
     dg = mpmath.diff(g, e)
     ip = 4 / e * (mpmath.sqrt(mpmath.pi / 2) - g(e))
     return ip, 16 / e * (ip / 4 + dg), -4 * dg
+
+
+def mp_log_ratio(n: int, eta, ki):
+    """ln B at p = 1 and the split n // 2 for kernel integrals ki = (Ip, I,
+    I0), in mpmath: the log of the correlator side 0.25 eta^n (2/pi)^n
+    Ip^(2n) over the bound side 0.5 (2/pi)^(n/2) 2^-n (C^r I0^(n-r) +
+    I0^r C^(n-r)), C = eta I + (1 - eta) I0, each formed as written."""
+    ip, ii, i0 = ki
+    r = n // 2
+    c = eta * ii + (1 - eta) * i0
+    lhs = eta ** n * (2 / mpmath.pi) ** n * ip ** (2 * n) / 4
+    rhs = ((2 / mpmath.pi) ** (mpmath.mpf(n) / 2) / 2 ** (n + 1)
+           * (c ** r * i0 ** (n - r) + i0 ** r * c ** (n - r)))
+    return mpmath.log(lhs / rhs)
+
+
+def mp_optimal_integrals(n: int, eta):
+    """``mp_integrals`` at the eps maximizing ``mp_log_ratio`` at (n, eta):
+    the root of its numerical eps-derivative, by ``findroot``'s secant from
+    the float ``optimal_epsilon`` and a point 1e-9 relative beside it."""
+    def slope(e):
+        return mpmath.diff(lambda x: mp_log_ratio(n, eta, mp_integrals(x)), e)
+
+    e0 = optimal_epsilon(n, n // 2, float(eta))
+    return mp_integrals(mpmath.findroot(slope, (e0, e0 * (1 + 1e-9))))
+
+
+def mp_thresholds(n: int, integrals_at, eta_start: float) -> Tuple:
+    """(critical efficiency at p = 1, critical purity at eta = 1) in mpmath,
+    each None where B(1, 1) <= 1; ``integrals_at`` maps eta to the kernel
+    integrals of the function used there.
+
+    The purity threshold is B(1, 1)^(-1/2).  The efficiency threshold is the
+    root of ln B = 0 by ``findroot``'s Newton steps from ``eta_start``, on
+    the slope at fixed integrals (by the envelope theorem that of the
+    maximized ratio too).
+    """
+    top = mp_log_ratio(n, 1, integrals_at(mpmath.mpf(1)))
+    if top <= 0:
+        return None, None
+    at = functools.lru_cache(integrals_at)   # the value and its slope share a solve
+    eta = mpmath.findroot(
+        lambda e: mp_log_ratio(n, e, at(e)), mpmath.mpf(eta_start), solver="newton",
+        df=lambda e: mpmath.diff(lambda x: mp_log_ratio(n, x, at(e)), e))
+    return eta, mpmath.exp(-top / 2)
 
 
 def _hermite_functions(n: int, u):

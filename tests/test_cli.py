@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from cvbell import oracle
+from cvbell import critical, oracle
 from cvbell.cli import main
 from cvbell.errors import ConvergenceError
 from cvbell.functional_bell import closed_form_sides, optimal_epsilon
@@ -341,6 +342,58 @@ class TestFigure2:
             run_cli(argv + ["--order", "0"])
         assert err.value.code == 2
         assert "unrecognized arguments: --order 0" in capsys.readouterr().err
+
+    def test_one_call_per_threshold_purity_first(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def recording(name):
+            compute = getattr(critical, name)
+
+            def record(n, fixed, ineq):
+                calls.append((ineq, n, name))
+                return compute(n, fixed, ineq)
+            return record
+
+        for name in ("critical_efficiency", "critical_purity"):
+            monkeypatch.setattr(critical, name, recording(name))
+        assert run_cli(["figure2", "--n-min", "3", "--n-max", "6",
+                        "--out", str(tmp_path / "fig2.csv")]) == 0
+        assert "(12 rows)" in capsys.readouterr().out
+        assert calls == [(ineq, n, name) for ineq in ("functional", "cfrd", "mk")
+                         for n in range(3, 7)
+                         for name in ("critical_purity", "critical_efficiency")]
+
+    def test_rows_streamed_to_the_file(self, tmp_path, capsys):
+        # about 5e4 rows: held as a list with their joined text, they peaked
+        # at about 17 MB
+        out = tmp_path / "mk.csv"
+        argv = ["figure2", "--ineq", "mk", "--n-min", "3", "--n-max", "50002", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "(50000 rows)" in capsys.readouterr().out
+        assert peak < 2e6
+        lines = out.read_text().splitlines()
+        assert len(lines) == 50001 and lines[-1].startswith("mk,50002,")
+
+    def test_failure_mid_table_keeps_the_old_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "fig2.csv"
+        out.write_bytes(b"an earlier table\n")
+        compute = critical.critical_efficiency
+
+        def failing(n, p, ineq):
+            if n == 6:
+                raise ArithmeticError("threshold failed at n = 6")
+            return compute(n, p, ineq)
+
+        monkeypatch.setattr(critical, "critical_efficiency", failing)
+        assert run_cli(["figure2", "--n-min", "3", "--n-max", "8", "--out", str(out)]) == 1
+        assert "threshold failed at n = 6" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2.csv"]
+        assert out.read_bytes() == b"an earlier table\n"
 
     @pytest.mark.parametrize("ineq, n", [("functional", 131), ("cfrd", 298)])
     def test_purity_threshold_below_1e_9(self, tmp_path, capsys, ineq, n):

@@ -1,5 +1,8 @@
+import csv
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,6 @@ from cvbell.critical import (
     bell_ratio,
     critical_efficiency,
     critical_purity,
-    thresholds,
 )
 from cvbell.functional_bell import (
     bell_value,
@@ -23,7 +25,7 @@ from cvbell.functional_bell import (
 from cvbell.mk_binning import mk_bell_value, mk_critical_product
 from cvbell.quadrature import Optimal, kernel_integrals
 from cvbell.scenario import StateSpec, canonical_split
-from reference import mk_bell_value_product_form
+from reference import mk_bell_value_product_form, mp_log_ratio, mp_optimal_integrals, mp_thresholds
 
 
 class TestCanonicalSplit:
@@ -179,28 +181,100 @@ class TestCriticalPurity:
 
 
 class TestThresholds:
-    @pytest.mark.parametrize("ineq", ("functional", "cfrd", "mk"))
-    def test_pair_equals_the_single_thresholds(self, ineq):
-        for n in (3, 4, 5, 9, 10, 11, 40):
-            assert thresholds(n, ineq) == (critical_efficiency(n, 1.0, ineq),
-                                           critical_purity(n, 1.0, ineq))
-
-    def test_one_noise_free_solve(self, monkeypatch):
-        # the purity threshold reuses the eta = 1 integrals of the efficiency solve
-        solves = []
-        counted = critical.optimal_epsilon
-
-        def counting(*args):
-            solves.append(args)
-            return counted(*args)
-
-        monkeypatch.setattr(critical, "optimal_epsilon", counting)
-        thresholds(10, "functional")
-        assert [args for args in solves if args[2] == 1.0] == [(10, 5, 1.0)]
-
     def test_unknown_inequality(self):
         with pytest.raises(ValueError):
-            thresholds(6, "bogus")
+            critical_efficiency(6, 1.0, "bogus")
+        with pytest.raises(ValueError):
+            critical_purity(6, 1.0, "bogus")
+
+
+def _twelve_digits(x):
+    """(distance from x > 0 to the nearest midpoint between two numbers of 12
+    significant digits, the 12-digit rounding of x as a count of its last
+    digit's unit, that unit's power of ten)."""
+    e = int(mpmath.floor(mpmath.log10(x))) - 11
+    scaled = x / mpmath.mpf(10) ** e
+    return abs(scaled - mpmath.floor(scaled) - 0.5) * mpmath.mpf(10) ** e, mpmath.nint(scaled), e
+
+
+class TestGoldenFigure2Digits:
+    """Every field of the golden ``figure2`` file against a 40-digit mpmath
+    reference.
+
+    Each field has an error budget, which the package's float is checked
+    against as well:
+
+    - functional and CFRD ``eta_crit``: the solve stops at |ln B| <= 1e-13,
+      so 1e-13 over the slope of ln B at the root, plus 4 ulps;
+    - functional and CFRD ``p_crit``: B^(-1/2), with B a product of powers
+      of order N of the per-site integrals, so 4 N ulps;
+    - binned fields: one power, 4 ulps.
+
+    Where the reference lies farther than the budget from a 12-digit
+    rounding boundary the printed digits must be its rounding; the fields
+    inside the budget are named.
+    """
+
+    GOLDEN = Path(__file__).parent / "data" / "figure2_n3-40.csv"
+
+    @staticmethod
+    def _reference(ineq, n):
+        """(eta_crit, p_crit, slope of ln B at eta_crit) at 40 digits."""
+        if ineq == "mk":
+            product = 2 ** (mpmath.mpf(1 - 2 * n) / n) * mpmath.pi
+            return (product if product < 1 else None,
+                    mpmath.sqrt(product) if product <= 1 else None, None)
+        if ineq == "functional":
+            def integrals_at(eta):
+                return mp_optimal_integrals(n, eta)
+        else:
+            s = mpmath.sqrt(mpmath.pi / 2)   # Identity's (Ip, I, I0) = s (1, 3, 1)
+
+            def integrals_at(eta):
+                return s, 3 * s, s
+        eta_c, p_c = mp_thresholds(n, integrals_at, critical_efficiency(n, 1.0, ineq) or 0.9)
+        if eta_c is None:
+            return None, None, None
+        ki = integrals_at(eta_c)
+        slope = mpmath.diff(lambda e: mp_log_ratio(n, e, ki), eta_c)
+        return eta_c, p_c, slope
+
+    def test_printed_digits_are_the_reference_rounding(self):
+        named = []
+        with mpmath.workdps(40):
+            rows = list(csv.reader(self.GOLDEN.read_text().splitlines()))[1:]
+            assert len(rows) == 3 * 38
+            for ineq, n, *printed, flag in rows:
+                n = int(n)
+                eta_c, p_c, slope = self._reference(ineq, n)
+                got = (critical_efficiency(n, 1.0, ineq), critical_purity(n, 1.0, ineq))
+                assert flag == "+".join(name for name, ref in (("eta", eta_c), ("p", p_c))
+                                        if ref is None), (ineq, n)
+                for name, field, ref, value in zip(("eta_crit", "p_crit"), printed,
+                                                   (eta_c, p_c), got):
+                    where = (ineq, n, name)
+                    if ref is None:
+                        assert field == "" and value is None, where
+                        continue
+                    ulp = math.ulp(float(ref))
+                    if ineq == "mk":
+                        budget = 4 * ulp
+                    elif name == "eta_crit":
+                        budget = critical._LOG_RATIO_TOL / float(slope) + 4 * ulp
+                    else:
+                        budget = 4 * n * ulp
+                    assert abs(value - ref) <= budget, where
+                    distance, digits, e = _twelve_digits(ref)
+                    if distance <= budget:
+                        named.append(where)
+                        continue
+                    assert mpmath.nint(mpmath.mpf(field) / mpmath.mpf(10) ** e) == digits, where
+        # the functional eta_crit at N = 30 lies 5.5e-16 (5 ulps) from its
+        # boundary and at N = 16 2.3e-15; the CFRD p_crit at eta = 1 is
+        # sqrt((3^r + 3^(N-r)) / 2^(N-1)), at N = 28 and 29 exactly
+        # 3^7/2^13 = 0.2669677734375, a tie
+        assert named == [("functional", 16, "eta_crit"), ("functional", 30, "eta_crit"),
+                         ("cfrd", 28, "p_crit"), ("cfrd", 29, "p_crit")]
 
 
 class TestAsymptotics:

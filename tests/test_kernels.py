@@ -89,7 +89,7 @@ class TestBackends:
         for n in range(1, 7):
             rho, mats = random_case(rng, n, sparse=True)
             reps = rng.normal(size=(2, n, 2, 2)) + 1j * rng.normal(size=(2, n, 2, 2))
-            value, sums = _accel.tensor_expectation_sums(rho, mats, reps)
+            value, sums = _accel.tensor_expectation_sums(rho, mats.tolist(), reps.tolist())
             assert value == _accel.tensor_expectation(rho, mats)
             for d, got in zip(reps, sums):
                 want = 0j
