@@ -29,9 +29,9 @@ _EXPORTS = (
     ("model", ("density_matrix", "site_operator")),
     ("functional_bell", ("BellResult",)),
     ("oracle", ("evaluate", "orthogonal_angles")),
-    ("functional_bell", ("EpsilonSolution", "bell_value", "cfrd_bell_value",
-                         "ideal_epsilon", "lossy_epsilon_map", "optimal_epsilon",
-                         "solve_epsilon_even", "solve_epsilon_odd")),
+    ("functional_bell", ("EpsilonSolution", "bell_value", "ideal_epsilon",
+                         "lossy_epsilon_map", "optimal_epsilon", "solve_epsilon_even",
+                         "solve_epsilon_odd")),
     ("mk_binning", ("mk_bell_value", "mk_critical_product")),
     ("oracle", ("mk_evaluate", "mk_optimal_angles")),
     ("variational", ("euler_lagrange_residual", "optimize_function")),

@@ -14,18 +14,18 @@ version.  Every file goes through one writer, ``_write``: UTF-8 with LF line
 endings, streamed line by line to ``<out>.part``, which replaces ``<out>``
 only after its last line, so a failing command leaves no partial file.
 
-Each subcommand imports the modules it runs when it is called, so a command
-loads and compiles only those: ``eval --ineq mk`` never loads the functional
-closed forms, the oracle, the thresholds or the optimizer.  Only the parser,
-``errors`` and ``quadrature`` (for the order defaults) load with this module.
-Every subcommand computes in plain floats and complex numbers, and none
-loads numpy.  The functions that ``eval``, ``figure1``, ``figure2`` and
-``oracle-check`` integrate have exact kernel integrals, so they build no
-rule and take no ``--order``, except that ``eval`` still validates it and
-records it in its JSON; ``optimize`` builds the rule of its ``--order``.
-``oracle-check`` builds each N's binned site operators once, through
-``oracle``'s split of ``mk_evaluate``, and contracts them with the state of
-every (eta, p) cell.
+Each subcommand imports the modules it runs when it is called, so
+``eval --ineq mk`` never loads the functional closed forms, the oracle, the
+thresholds or the optimizer.  Only the parser, ``errors``, ``quadrature``
+(the order defaults) and ``scenario`` (``INEQUALITIES``, the ``--ineq``
+choices) load with this module.  Every subcommand computes in plain floats
+and complex numbers, and none loads numpy.  The functions that ``eval``,
+``figure1``, ``figure2`` and ``oracle-check`` integrate, picked by
+``functional_bell.moment_function``, have exact kernel integrals, so they
+build no rule and take no ``--order`` (``eval`` validates and records it);
+``optimize`` builds the rule of its ``--order`` and names an N outside the
+float range before its state.  ``oracle-check`` builds each N's binned site
+operators once and contracts them with the state of every (eta, p) cell.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ConvergenceError
 from .quadrature import DEFAULT_ORDER, QUICK_ORDER, check_order
+from .scenario import INEQUALITIES
 
 ORACLE_CHECK_TOL = 1e-6
 MK_RSWEEP_TOL = 1e-8
@@ -110,18 +111,16 @@ def _cmd_eval(args) -> int:
         "p": args.p,
         "order": args.order,
     }
-    if args.ineq in ("functional", "cfrd"):
-        from .functional_bell import bell_value, cfrd_bell_value
-
-        res = (bell_value if args.ineq == "functional" else cfrd_bell_value)(spec)
-        payload.update(
-            function=res.function_id, lhs=res.lhs, rhs=res.rhs, ratio=res.ratio
-        )
-    else:
+    if args.ineq == "mk":
         from .mk_binning import mk_bell_value
 
         b = mk_bell_value(spec)
         payload.update(function="sign_bin", s_value=b, bound=1.0, ratio=b)
+    else:
+        from .functional_bell import bell_value
+
+        res = bell_value(spec, args.ineq)
+        payload.update(function=res.function_id, lhs=res.lhs, rhs=res.rhs, ratio=res.ratio)
     payload["violated"] = bool(payload["ratio"] > 1.0)
 
     text = _json(payload)
@@ -142,14 +141,15 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_figure1(args) -> int:
-    from .functional_bell import bell_value, cfrd_bell_value
+    from .functional_bell import bell_value
     from .scenario import StateSpec, canonical_split
 
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]")
     specs = (StateSpec(n_modes=n, r_split=canonical_split(n))
              for n in range(args.n_min, args.n_max + 1))
-    rows = ((s.n_modes, bell_value(s).ratio, cfrd_bell_value(s).ratio) for s in specs)
+    rows = ((s.n_modes, bell_value(s, "functional").ratio, bell_value(s, "cfrd").ratio)
+            for s in specs)
     out = Path(args.out)
     count = _write(out, _csv(["N", "B_optimal", "B_cfrd"], rows)) - 1
     _write_sidecar(out, vars(args))
@@ -166,7 +166,7 @@ def _cmd_figure2(args) -> int:
 
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"invalid mode-count range [{args.n_min}, {args.n_max}]")
-    inequalities = ("functional", "cfrd", "mk") if args.ineq == "all" else (args.ineq,)
+    inequalities = INEQUALITIES if args.ineq == "all" else (args.ineq,)
 
     def rows():
         for ineq in inequalities:
@@ -190,47 +190,45 @@ def _cmd_figure2(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _oracle_check_cells(n_min, n_max, perturb_eps):
-    """Yield (label, closed, oracle) per grid cell; the binned site
-    operators depend only on the angles and are built once per N.  An N
-    whose closed-form bound side leaves the float range is named before
-    its O(N) angles, operators and states are built."""
-    from .functional_bell import _bound_scale, cfrd_bell_value, closed_form_sides, optimal_epsilon
+    """Yield (label, closed, oracle) per grid cell, each moment inequality at
+    its ``moment_function``, whose epsilon the closed side shifts by
+    ``perturb_eps``.  The binned site operators depend only on the angles and
+    are built once per N.  An N whose closed-form bound side leaves the float
+    range is named before its O(N) angles, operators and states are built."""
+    from .functional_bell import _bound_scale, closed_form_sides, moment_function
     from .mk_binning import mk_bell_value
     from .model import density_matrix
     from .oracle import _mk_correlators, _mk_value, evaluate, mk_optimal_angles, orthogonal_angles
-    from .quadrature import Identity, Optimal, kernel_integrals
+    from .quadrature import Optimal, kernel_integrals
     from .scenario import StateSpec, canonical_split
 
     etas = (1.0, 0.9, 0.8)
     ps = (1.0, 0.9)
-    ident = Identity()
     for n in range(n_min, n_max + 1):
         _bound_scale(n)
         r = canonical_split(n)
         angles = orthogonal_angles(n, r)
         mk_ops = _mk_correlators(mk_optimal_angles(n, r))
         for eta in etas:
-            # the function and its shift depend on the efficiency, not the purity
-            eps_opt = optimal_epsilon(n, r, eta)
-            f = Optimal(eps_opt)
-            shifted = eps_opt + perturb_eps
-            if not shifted > 0.0:
-                raise ValueError(f"--perturb-eps {perturb_eps:g} shifts epsilon at "
-                                 f"functional n={n} eta={eta} p={ps[0]} to {shifted:.12g}, "
-                                 f"which is not positive")
-            shifted_integrals = kernel_integrals(Optimal(shifted))
+            # the functions and the shift depend on the efficiency, not the purity
+            cells = []
+            for ineq in INEQUALITIES[:2]:      # the two moment inequalities
+                f = closed_f = moment_function(ineq, n, r, eta)
+                if isinstance(f, Optimal):
+                    shifted = f.epsilon + perturb_eps
+                    if not shifted > 0.0:
+                        raise ValueError(f"--perturb-eps {perturb_eps:g} shifts epsilon at "
+                                         f"{ineq} n={n} eta={eta} p={ps[0]} to {shifted:.12g}, "
+                                         f"which is not positive")
+                    closed_f = Optimal(shifted)
+                cells.append((ineq, f, kernel_integrals(closed_f)))
             for p in ps:
                 spec = StateSpec(n_modes=n, r_split=r, purity=p, efficiency=eta)
                 rho = density_matrix(spec)
-
-                lhs, rhs = closed_form_sides(n, r, eta, p, shifted_integrals)
-                orc = evaluate(rho, f, f, angles).ratio
-                yield (f"functional n={n} eta={eta} p={p}", lhs / rhs, orc)
-
-                closed_c = cfrd_bell_value(spec).ratio
-                orc_c = evaluate(rho, ident, ident, angles).ratio
-                yield (f"cfrd n={n} eta={eta} p={p}", closed_c, orc_c)
-
+                for ineq, f, closed_integrals in cells:
+                    lhs, rhs = closed_form_sides(n, r, eta, p, closed_integrals)
+                    yield (f"{ineq} n={n} eta={eta} p={p}", lhs / rhs,
+                           evaluate(rho, f, f, angles).ratio)
                 yield (f"mk n={n} eta={eta} p={p}", mk_bell_value(spec), _mk_value(rho, mk_ops))
 
 
@@ -339,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one scenario")
-    p_eval.add_argument("--ineq", choices=("functional", "cfrd", "mk"), required=True)
+    p_eval.add_argument("--ineq", choices=INEQUALITIES, required=True)
     p_eval.add_argument("--n", type=int, required=True)
     p_eval.add_argument("--r", type=int, default=None)
     p_eval.add_argument("--eta", type=float, default=1.0)
@@ -361,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_f2 = sub.add_parser("figure2", help="critical efficiency and purity curves")
     p_f2.add_argument("--n-min", type=int, default=3)
     p_f2.add_argument("--n-max", type=int, default=20)
-    p_f2.add_argument("--ineq", choices=("all", "functional", "cfrd", "mk"), default="all")
+    p_f2.add_argument("--ineq", choices=("all", *INEQUALITIES), default="all")
     p_f2.add_argument("--out", default="figure2.csv")
     p_f2.set_defaults(func=_cmd_figure2)
 

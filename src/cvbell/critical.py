@@ -11,13 +11,15 @@ explicit function of the swept parameter the threshold is its exact inverse:
   eta_c = 2^((1-2N)/N) pi p^(-2/N).
 
 Only the functional and CFRD efficiency thresholds are iterated: there the
-optimal function moves with eta, and for odd N the CFRD condition is a
-degree-N polynomial.  They are roots of ln B = 0 found by the one bracketed
-root solver of ``functional_bell``, taking Newton steps on the closed-form
-slope of ``closed_form_log_ratio`` (by the envelope theorem also the slope
-of the maximized ratio) and stopping at an evaluated point with
-|ln B| <= 1e-13.  Their Bell values increase in eta, so a bracket failure
-outside the documented no-violation case aborts loudly instead of guessing.
+optimal function (``functional_bell.moment_function``) moves with eta, and
+for odd N the CFRD condition is a degree-N polynomial.  They are roots of
+ln B = 0 by the bracketed root solver of ``functional_bell``, with Newton
+steps on the slope of ``closed_form_log_ratio`` (by the envelope theorem
+also that of the maximized ratio), stopping at an evaluated point with
+|ln B| <= 1e-13.  Being in logs, and without the float-range pre-check of
+``bell_value``, they answer far beyond N = 1000.  Their Bell values increase
+in eta, so a bracket failure outside the documented no-violation case aborts
+loudly instead of guessing.
 
 ``figure2`` tabulates each threshold through its one function here; the
 two share no evaluation, so each solves the functional eta = 1 optimum.
@@ -46,27 +48,14 @@ from .functional_bell import (
     _bracketed_root,
     closed_form_log_ratio,
     closed_form_sides,
-    optimal_epsilon,
+    moment_function,
 )
 from .mk_binning import mk_bell_value, mk_critical_product
-from .quadrature import Identity, KernelIntegrals, Optimal, kernel_integrals
-from .scenario import StateSpec, canonical_split
-
-INEQUALITIES = ("functional", "cfrd", "mk")
+from .quadrature import Identity, Optimal, kernel_integrals
+from .scenario import INEQUALITIES, StateSpec, canonical_split
 
 _ETA_BRACKET = (0.3, 1.0)
 _LOG_RATIO_TOL = 1e-13
-
-
-def _moment_integrals(inequality_id: str, n: int, eta: float) -> KernelIntegrals:
-    """Kernel integrals of a moment inequality's function at ``canonical_split(n)``."""
-    if inequality_id == "functional":
-        f = Optimal(optimal_epsilon(n, canonical_split(n), eta))
-    elif inequality_id == "cfrd":
-        f = Identity()
-    else:
-        raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")
-    return kernel_integrals(f)
 
 
 def bell_ratio(inequality_id: str, n: int, eta: float, p: float) -> float:
@@ -74,8 +63,8 @@ def bell_ratio(inequality_id: str, n: int, eta: float, p: float) -> float:
     spec = StateSpec(n, canonical_split(n), p, eta)
     if inequality_id == "mk":
         return mk_bell_value(spec)
-    lhs, rhs = closed_form_sides(n, spec.r_split, eta, p,
-                                 _moment_integrals(inequality_id, n, eta))
+    f = moment_function(inequality_id, n, spec.r_split, eta)
+    lhs, rhs = closed_form_sides(n, spec.r_split, eta, p, kernel_integrals(f))
     return lhs / rhs
 
 
@@ -100,8 +89,8 @@ def critical_efficiency(n: int, p: float, inequality_id: str, rule=None) -> Opti
     r = canonical_split(n)
 
     def h(eta: float) -> tuple:
-        log_ratio, slope = closed_form_log_ratio(n, r, eta, p,
-                                                 _moment_integrals(inequality_id, n, eta))
+        ki = kernel_integrals(moment_function(inequality_id, n, r, eta))
+        log_ratio, slope = closed_form_log_ratio(n, r, eta, p, ki)
         return -log_ratio, -slope
 
     lo, hi = _ETA_BRACKET

@@ -1,10 +1,12 @@
-"""Closed-form Bell observables for the optimized functional inequality.
+"""Closed-form Bell observables of the two moment inequalities.
 
-All formulas here reduce the N-mode trace expressions to products of the
-three kernel integrals of a single odd measurement function.  They are exact
-for any member of the x/(1 + eps x^2) family (and for the identity), not just
-at the stationary eps; the test suite checks them against the Fock-space
-oracle to machine precision.
+``moment_function`` is the one place that picks each one's measurement
+function: the optimized x/(1 + eps x^2) for ``functional``, the identity for
+``cfrd`` (plain moments).  All formulas here reduce the N-mode trace
+expressions to products of the three kernel integrals of a single odd
+function.  They are exact for any member of the family (and for the
+identity), not just at the stationary eps; the test suite checks them
+against the Fock-space oracle to machine precision.
 
 Noise conventions.  Detector efficiency eta enters per mode; the surviving
 coherence carries sqrt(eta) per site and the bound side mixes the excited-
@@ -29,7 +31,7 @@ from typing import NamedTuple, Optional
 
 from .errors import ConvergenceError, NumericalDomainError, normal_bound_side
 from .quadrature import Identity, KernelIntegrals, Optimal, kernel_integrals, optimal_integrals
-from .scenario import StateSpec
+from .scenario import INEQUALITIES, StateSpec
 
 #: Fixed point of eps = 4*I0(eps)/I(eps) on the exact integrals: the noise-free
 #: optimal function.  ``_bracketed_root`` from 1.0 at tolerance 1e-13
@@ -286,27 +288,25 @@ def closed_form_log_ratio(n: int, r: int, eta: float, p: float,
     return log_ratio, n / eta - (ii - i0) * (r + s * v) / c
 
 
-def bell_value(spec: StateSpec) -> BellResult:
-    """Closed-form Bell observable at the optimized measurement function.
+def moment_function(inequality: str, n: int, r: int, eta: float):
+    """The measurement function of a moment inequality at split r of n modes
+    and efficiency eta: x/(1 + eps x^2) at the eps of ``optimal_epsilon`` for
+    ``functional``, the identity for ``cfrd`` (plain moments).  ValueError
+    for any other name; the binned ``mk`` has no moment function."""
+    if inequality == "functional":
+        return Optimal(optimal_epsilon(n, r, eta))
+    if inequality == "cfrd":
+        return Identity()
+    raise ValueError(f"{inequality!r} is not a moment inequality; "
+                     f"of {INEQUALITIES} only 'functional' and 'cfrd' are")
 
-    Holds at every split r: the function parameter is the root of the
-    stationarity relation of the closed-form ratio at (N, r, eta).
-    """
-    n, r = spec.n_modes, spec.r_split
-    eta, p = spec.efficiency, spec.purity
+
+def bell_value(spec: StateSpec, inequality: str = "functional") -> BellResult:
+    """Closed-form Bell observable of a moment inequality at any split r, at
+    the function of ``moment_function`` (for ``functional`` the root of the
+    stationarity relation of the closed-form ratio at (N, r, eta))."""
+    n, r, eta = spec.n_modes, spec.r_split, spec.efficiency
     _bound_scale(n)   # beyond it the solve may not converge; name n instead
-    f = Optimal(optimal_epsilon(n, r, eta))
-    lhs, rhs = closed_form_sides(n, r, eta, p, kernel_integrals(f))
-    return BellResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs, function_id=f.label)
-
-
-def cfrd_bell_value(spec: StateSpec) -> BellResult:
-    """Bell observable for plain moment correlations (f = g = identity).
-
-    All integrals are Gaussian moments, so the closed form holds for every
-    split r, matching the oracle path exactly.
-    """
-    n, r = spec.n_modes, spec.r_split
-    f = Identity()
-    lhs, rhs = closed_form_sides(n, r, spec.efficiency, spec.purity, kernel_integrals(f))
+    f = moment_function(inequality, n, r, eta)
+    lhs, rhs = closed_form_sides(n, r, eta, spec.purity, kernel_integrals(f))
     return BellResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs, function_id=f.label)

@@ -2,7 +2,8 @@
 
 ``StateSpec`` names the state (mode count N, photon split r, purity p,
 efficiency eta) that the closed forms read and that ``model.density_matrix``
-builds; ``canonical_split`` is the split every ratio here is maximal at.
+builds; ``canonical_split`` is the split every ratio here is maximal at, and
+``INEQUALITIES`` names the three inequalities every command chooses from.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import math
 
 from .errors import is_integer
+
+#: The named inequalities: optimized functional, plain moments (CFRD), binned MK.
+INEQUALITIES = ("functional", "cfrd", "mk")
 
 
 class StateSpec:

@@ -40,10 +40,11 @@ when it is at most 1e-7.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, List, Optional, Tuple
 
 from .errors import ConvergenceError, NumericalDomainError
-from .functional_bell import _bracketed_root
+from .functional_bell import _bracketed_root, closed_form_log_ratio
 from .model import SQRT_2_OVER_PI, density_matrix
 from .oracle import RatioPartials, orthogonal_angles, ratio_partials
 from .quadrature import KernelIntegrals, Optimal, QuadratureRule, _node_integrals, node_values
@@ -53,6 +54,9 @@ from .scenario import StateSpec
 _MAP_TOL = 1e-12
 # relative gradient max-norm above which a result is not stationary
 _GTOL = 1e-7
+# natural logs of the smallest normal, the largest and the smallest subnormal float
+_LOG_NORMAL, _LOG_MAX, _LOG_SUBNORMAL = (
+    math.log(x) for x in (sys.float_info.min, sys.float_info.max, math.ulp(0.0)))
 
 
 class _RatioProblem:
@@ -111,6 +115,27 @@ def _stationary_epsilon(p: RatioPartials, n: int) -> float:
     return 4.0 * b1 / b0
 
 
+def _check_float_range(spec: StateSpec, ki: KernelIntegrals) -> None:
+    """NumericalDomainError naming n where the first oracle pass, at the start
+    function of kernel integrals ``ki``, must fail: its bound side lies a
+    factor e beyond the normal float range or its ratio a factor e below the
+    smallest subnormal, by the closed form in logs (which holds for any odd f
+    at the orthogonal angles), so no O(n) state is built for it."""
+    n, r, eta, p = spec.n_modes, spec.r_split, spec.efficiency, spec.purity
+    if ki.i_plus == 0.0:
+        return      # a zero correlator side, which the oracle names
+    # at p = 1, since p^2 may underflow; the bound side does not depend on p
+    log_ratio = closed_form_log_ratio(n, r, eta, 1.0, ki)[0]
+    log_rhs = (math.log(0.25) - log_ratio
+               + n * (math.log(2.0 * eta / math.pi) + 2.0 * math.log(abs(ki.i_plus))))
+    if not _LOG_NORMAL - 1.0 < log_rhs < _LOG_MAX + 1.0:
+        raise NumericalDomainError(
+            f"oracle bound side at n = {n} is outside the normal float range")
+    if log_ratio + 2.0 * math.log(p) <= _LOG_SUBNORMAL - 1.0:
+        raise NumericalDomainError(f"oracle correlator side at n = {n} is below the "
+                                   "float range: the ratio underflows to 0")
+
+
 def _gauged(nodes, values) -> List[float]:
     """Node values rescaled to value/node 1 at the smallest node; ValueError
     unless there is one finite value per node, nonzero at the first."""
@@ -153,8 +178,9 @@ def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
     """
     if spec.purity == 0.0:
         raise ValueError("the ratio vanishes for every function at purity 0")
+    start = _gauged(rule.half_nodes, node_values(init, rule.half_nodes))
+    _check_float_range(spec, _node_integrals(rule.half_nodes, rule.half_weights, start))
     problem = _RatioProblem(spec, rule)
-    start = _gauged(problem.nodes, node_values(init, problem.nodes))
 
     def update(values: List[float]) -> float:
         p = problem.partials(values)

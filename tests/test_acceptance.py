@@ -13,7 +13,6 @@ from scipy.optimize import minimize_scalar
 from cvbell.critical import asymptotic_product, critical_efficiency
 from cvbell.functional_bell import (
     bell_value,
-    cfrd_bell_value,
     closed_form_sides,
     ideal_epsilon,
     lossy_epsilon_map,
@@ -45,8 +44,8 @@ def test_criterion_1_onset_mode_counts():
     with criterion(1, "violation onsets: optimized N>=5, plain moments N>=10, binned N>=3"):
         assert bell_value(StateSpec(5, 2)).ratio > 1
         assert bell_value(StateSpec(4, 2)).ratio <= 1
-        assert cfrd_bell_value(StateSpec(10, 5)).ratio > 1
-        assert cfrd_bell_value(StateSpec(9, 4)).ratio <= 1
+        assert bell_value(StateSpec(10, 5), "cfrd").ratio > 1
+        assert bell_value(StateSpec(9, 4), "cfrd").ratio <= 1
         assert mk_bell_value(StateSpec(3, 3)) > 1
 
 
@@ -140,7 +139,7 @@ def test_criterion_5_closed_forms_match_fock_oracle(rule):
                     orc = evaluate(rho, f, f, angles, rule).ratio
                     assert abs(closed - orc) / orc < 1e-6
 
-                    closed_c = cfrd_bell_value(spec).ratio
+                    closed_c = bell_value(spec, "cfrd").ratio
                     ident = Identity()
                     orc_c = evaluate(rho, ident, ident, angles, rule).ratio
                     assert abs(closed_c - orc_c) / orc_c < 1e-6

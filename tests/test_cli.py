@@ -432,6 +432,30 @@ def test_oracle_check_reproduces_golden_bytes(tmp_path, capsys, n_range, golden)
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
+def test_perturbed_oracle_check_reproduces_golden_bytes(tmp_path, capsys):
+    # the shifted closed side breaches the tolerance; the report is still written
+    golden = "oracle_check_n3-6_perturb0.1.txt"
+    out = tmp_path / golden
+    assert run_cli(["oracle-check", "--n-min", "3", "--n-max", "6", "--perturb-eps", "0.1",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().out == out.read_text()
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--ineq", "functional", "--n", "11", "--r", "2", "--eta", "0.9", "--p", "0.95"],
+     "eval_functional_n11_r2.json"),
+    (["--ineq", "cfrd", "--n", "12", "--r", "5", "--eta", "0.8", "--p", "0.9"],
+     "eval_cfrd_n12_r5.json"),
+    (["--ineq", "mk", "--n", "5"], "eval_mk_n5.json"),
+])
+def test_eval_reproduces_golden_bytes(tmp_path, capsys, argv, golden):
+    out = tmp_path / golden
+    assert run_cli(["eval", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["figure1", "--n-min", "329", "--n-max", "332"],
     ["figure2", "--ineq", "functional", "--n-min", "330", "--n-max", "332"],
@@ -624,6 +648,28 @@ class TestOptimize:
             assert run_cli(["optimize", *args, "--out", str(out)]) == 1
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("edge, beyond, message", [
+        (["--n", "338"], ["--n", "339"], "bound side at n = 339"),
+        (["--n", "113", "--r", "0"], ["--n", "114", "--r", "0"], "correlator side at n = 114"),
+    ])
+    def test_largest_mode_counts_in_float_range(self, tmp_path, capsys, edge, beyond, message):
+        out = tmp_path / "opt.csv"
+        assert run_cli(["optimize", *edge, "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is True
+        assert run_cli(["optimize", *beyond, "--out", str(tmp_path / "beyond.csv")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "beyond.csv").exists()
+
+    def test_million_modes_named_before_the_state(self, tmp_path, capsys, monkeypatch):
+        def not_reached(spec):
+            raise AssertionError("state built for a mode count outside the float range")
+
+        monkeypatch.setattr("cvbell.variational.density_matrix", not_reached)
+        assert run_cli(["optimize", "--n", "1000000",
+                        "--out", str(tmp_path / "opt.csv")]) == 1
+        assert "bound side at n = 1000000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_purity_rejected(self, quick_rule):
         # the CLI refuses --p 0 with its arguments; the library call is a

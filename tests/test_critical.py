@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from pathlib import Path
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvbell import critical
+from cvbell import critical, functional_bell
 from cvbell.critical import (
     asymptotic_product,
     bell_ratio,
@@ -17,14 +18,13 @@ from cvbell.critical import (
 )
 from cvbell.functional_bell import (
     bell_value,
-    cfrd_bell_value,
     closed_form_log_ratio,
     ideal_epsilon,
     optimal_epsilon,
 )
 from cvbell.mk_binning import mk_bell_value, mk_critical_product
 from cvbell.quadrature import Optimal, kernel_integrals
-from cvbell.scenario import StateSpec, canonical_split
+from cvbell.scenario import INEQUALITIES, StateSpec, canonical_split
 from reference import mk_bell_value_product_form, mp_log_ratio, mp_optimal_integrals, mp_thresholds
 
 
@@ -34,7 +34,7 @@ class TestCanonicalSplit:
         assert canonical_split(1) == 0
         spec = StateSpec(1, 1, 0.8, 0.9)
         for ineq, want in (("functional", bell_value(spec).ratio),
-                           ("cfrd", cfrd_bell_value(spec).ratio),
+                           ("cfrd", bell_value(spec, "cfrd").ratio),
                            ("mk", mk_bell_value(spec))):
             assert bell_ratio(ineq, 1, 0.9, 0.8) == pytest.approx(want, rel=1e-14)
 
@@ -114,14 +114,15 @@ class TestCriticalEfficiency:
         assert bell_ratio(ineq, n, min(eta + 1e-9, 1.0), p) > 1.0
 
     def test_functional_solve_budget(self, rule, monkeypatch):
+        # every solve goes through functional_bell.moment_function
         solves = []
-        counted = critical.optimal_epsilon
+        counted = functional_bell.optimal_epsilon
 
         def counting(*args):
             solves.append(args)
             return counted(*args)
 
-        monkeypatch.setattr(critical, "optimal_epsilon", counting)
+        monkeypatch.setattr(functional_bell, "optimal_epsilon", counting)
         assert critical_efficiency(10, 1.0, "functional", rule) is not None
         assert 3 <= len(solves) <= 10
 
@@ -182,19 +183,60 @@ class TestCriticalPurity:
 
 class TestThresholds:
     def test_unknown_inequality(self):
-        with pytest.raises(ValueError):
+        names = re.escape(str(INEQUALITIES))
+        with pytest.raises(ValueError, match=names):
             critical_efficiency(6, 1.0, "bogus")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=names):
             critical_purity(6, 1.0, "bogus")
 
 
-def _twelve_digits(x):
-    """(distance from x > 0 to the nearest midpoint between two numbers of 12
-    significant digits, the 12-digit rounding of x as a count of its last
-    digit's unit, that unit's power of ten)."""
-    e = int(mpmath.floor(mpmath.log10(x))) - 11
-    scaled = x / mpmath.mpf(10) ** e
-    return abs(scaled - mpmath.floor(scaled) - 0.5) * mpmath.mpf(10) ** e, mpmath.nint(scaled), e
+def _near_boundary(field, ref, budget):
+    """True where ``ref`` > 0 lies within ``budget`` of a midpoint between two
+    numbers of 12 significant digits, so its rounding is not decided there;
+    otherwise assert that the printed ``field`` is that rounding."""
+    e = int(mpmath.floor(mpmath.log10(ref))) - 11
+    unit = mpmath.mpf(10) ** e
+    scaled = ref / unit
+    if abs(scaled - mpmath.floor(scaled) - 0.5) * unit <= budget:
+        return True
+    assert mpmath.nint(mpmath.mpf(field) / unit) == mpmath.nint(scaled), (field, ref)
+    return False
+
+
+class TestGoldenFigure1Digits:
+    """Every field of the golden ``figure1`` file against a 40-digit mpmath
+    reference: ``B_optimal`` as exp(ln B) at the maximizing function of
+    ``mp_optimal_integrals``, ``B_cfrd`` exactly 2^(N-1)/(3^r + 3^(N-r)).
+
+    Both are products of powers of order N of the per-site integrals, so the
+    package's float has a budget of 8 N ulps.  Where the reference lies
+    farther than the budget from a 12-digit rounding boundary the printed
+    digits must be its rounding; the fields inside the budget are named.
+    """
+
+    GOLDEN = Path(__file__).parent / "data" / "figure1_n4-100.csv"
+
+    def test_printed_digits_are_the_reference_rounding(self):
+        named = []
+        with mpmath.workdps(40):
+            rows = list(csv.reader(self.GOLDEN.read_text().splitlines()))[1:]
+            assert [int(row[0]) for row in rows] == list(range(4, 101))
+            for n, *printed in rows:
+                n = int(n)
+                r = canonical_split(n)
+                refs = (mpmath.exp(mp_log_ratio(n, 1, mp_optimal_integrals(n, 1))),
+                        mpmath.mpf(2) ** (n - 1) / (3 ** r + 3 ** (n - r)))
+                spec = StateSpec(n, r)
+                got = (bell_value(spec, "functional").ratio, bell_value(spec, "cfrd").ratio)
+                for name, field, ref, value in zip(("B_optimal", "B_cfrd"), printed, refs, got):
+                    budget = 8 * n * math.ulp(float(ref))
+                    assert abs(value - ref) <= budget, (n, name)
+                    if _near_boundary(field, ref, budget):
+                        named.append((n, name))
+        # the floats lie within 4.8 N ulps of the reference; these fields lie
+        # 3.2-5.6 N ulps from their boundary (B_cfrd is equal at N = 2k, 2k + 1)
+        assert named == [(37, "B_optimal"), (73, "B_optimal"), (80, "B_cfrd"),
+                         (81, "B_cfrd"), (86, "B_cfrd"), (87, "B_cfrd")]
 
 
 class TestGoldenFigure2Digits:
@@ -264,11 +306,8 @@ class TestGoldenFigure2Digits:
                     else:
                         budget = 4 * n * ulp
                     assert abs(value - ref) <= budget, where
-                    distance, digits, e = _twelve_digits(ref)
-                    if distance <= budget:
+                    if _near_boundary(field, ref, budget):
                         named.append(where)
-                        continue
-                    assert mpmath.nint(mpmath.mpf(field) / mpmath.mpf(10) ** e) == digits, where
         # the functional eta_crit at N = 30 lies 5.5e-16 (5 ulps) from its
         # boundary and at N = 16 2.3e-15; the CFRD p_crit at eta = 1 is
         # sqrt((3^r + 3^(N-r)) / 2^(N-1)), at N = 28 and 29 exactly

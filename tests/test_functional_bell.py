@@ -12,7 +12,6 @@ from cvbell import functional_bell
 from cvbell.errors import ConvergenceError, NumericalDomainError
 from cvbell.functional_bell import (
     bell_value,
-    cfrd_bell_value,
     closed_form_log_ratio,
     closed_form_sides,
     ideal_epsilon,
@@ -82,7 +81,7 @@ def _closed_value(ineq, n, r, eta, p):
     if ineq == "mk":
         value = mk_bell_value(spec)
         return value if min(p, value) >= sys.float_info.min else None
-    res = (bell_value if ineq == "functional" else cfrd_bell_value)(spec)
+    res = bell_value(spec, ineq)
     if min(0.25 * p * p * (2.0 * eta / math.pi) ** n, res.lhs) < sys.float_info.min:
         return None
     return res.ratio
@@ -429,7 +428,7 @@ class TestBellValue:
             # the break that test_ratio_outlives_its_correlator_side pins
             assert ineq != "mk"
             spec = StateSpec(n, r, p, hi)
-            lhs = (bell_value if ineq == "functional" else cfrd_bell_value)(spec).lhs
+            lhs = bell_value(spec, ineq).lhs
             assert lhs < sys.float_info.min
         if at_hi is not None:
             unit = _closed_value(ineq, n, r, hi, 1.0)
@@ -456,13 +455,13 @@ class TestBellValue:
             for eta in (1.0, 0.9):
                 for p in (1.0, 0.9):
                     spec = StateSpec(n, n // 2, p, eta)
-                    assert bell_value(spec).ratio >= cfrd_bell_value(spec).ratio
+                    assert bell_value(spec).ratio >= bell_value(spec, "cfrd").ratio
 
 
 class TestFloatRange:
     def test_last_representable_mode_counts(self):
         assert np.isfinite(bell_value(StateSpec(330, 165)).ratio)
-        assert np.isfinite(cfrd_bell_value(StateSpec(770, 385)).ratio)
+        assert np.isfinite(bell_value(StateSpec(770, 385), "cfrd").ratio)
 
     @pytest.mark.parametrize("n", [331, 348, 500])
     def test_functional_bound_side_underflow(self, n):
@@ -472,7 +471,7 @@ class TestFloatRange:
     @pytest.mark.parametrize("n", [771, 811, 2000, 10**5])
     def test_cfrd_prefactor_underflow_and_overflow(self, n):
         with pytest.raises(NumericalDomainError, match=f"bound side at n = {n}"):
-            cfrd_bell_value(StateSpec(n, n // 2))
+            bell_value(StateSpec(n, n // 2), "cfrd")
 
     @pytest.mark.parametrize("n, r, eta", [(5000, 1, 0.95), (100000, 25000, 1.0)])
     def test_prefactor_checked_before_the_solve(self, n, r, eta):
@@ -490,26 +489,26 @@ class TestFloatRange:
 class TestMomentCorrelationValue:
     def test_even_values_are_rational(self):
         # 2^(N-2) (eta^2/(1+2eta))^(N/2) at eta=1: 4^(N/2-1)/3^(N/2)
-        assert cfrd_bell_value(StateSpec(10, 5)).ratio == pytest.approx(
+        assert bell_value(StateSpec(10, 5), "cfrd").ratio == pytest.approx(
             256 / 243, rel=1e-12)
-        assert cfrd_bell_value(StateSpec(2, 1)).ratio == pytest.approx(
+        assert bell_value(StateSpec(2, 1), "cfrd").ratio == pytest.approx(
             1 / 3, rel=1e-12)
 
     def test_onset_at_ten_modes(self):
-        assert cfrd_bell_value(StateSpec(10, 5)).ratio > 1
-        assert cfrd_bell_value(StateSpec(9, 4)).ratio <= 1
-        assert cfrd_bell_value(StateSpec(9, 4)).ratio == pytest.approx(
+        assert bell_value(StateSpec(10, 5), "cfrd").ratio > 1
+        assert bell_value(StateSpec(9, 4), "cfrd").ratio <= 1
+        assert bell_value(StateSpec(9, 4), "cfrd").ratio == pytest.approx(
             64 / 81, rel=1e-12)
 
     def test_arbitrary_split_matches_oracle(self, rule):
         spec = StateSpec(6, 2, 0.9, 0.85)
-        closed = cfrd_bell_value(spec)
+        closed = bell_value(spec, "cfrd")
         ident = Identity()
         orc = evaluate(density_matrix(spec), ident, ident,
                        orthogonal_angles(6, 2), rule)
         assert abs(closed.ratio - orc.ratio) / orc.ratio < 1e-10
 
     def test_purity_enters_squared(self):
-        base = cfrd_bell_value(StateSpec(10, 5, 1.0, 0.95)).ratio
-        dimmed = cfrd_bell_value(StateSpec(10, 5, 0.7, 0.95)).ratio
+        base = bell_value(StateSpec(10, 5, 1.0, 0.95), "cfrd").ratio
+        dimmed = bell_value(StateSpec(10, 5, 0.7, 0.95), "cfrd").ratio
         assert dimmed == pytest.approx(0.49 * base, rel=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvbell.functional_bell import bell_value, cfrd_bell_value, optimal_epsilon
+from cvbell.functional_bell import bell_value, optimal_epsilon
 from cvbell.model import AngleConfig, density_matrix, site_operator
 from cvbell.oracle import evaluate, orthogonal_angles
 from cvbell.quadrature import Identity, Optimal, SignBin
@@ -111,7 +111,7 @@ class TestDensityMatrix:
         rho = density_matrix(spec)
         angles = orthogonal_angles(40, 0)
         f = Optimal(optimal_epsilon(40, 0, 1.0))
-        for closed, fn in ((bell_value(spec), f), (cfrd_bell_value(spec), Identity())):
+        for closed, fn in ((bell_value(spec), f), (bell_value(spec, "cfrd"), Identity())):
             got = evaluate(rho, fn, fn, angles, rule).ratio
             assert got == pytest.approx(closed.ratio, rel=1e-9)
 

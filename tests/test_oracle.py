@@ -9,7 +9,6 @@ from cvbell._accel import tensor_expectation
 from cvbell.errors import NumericalDomainError
 from cvbell.functional_bell import (
     bell_value,
-    cfrd_bell_value,
     closed_form_sides,
     ideal_epsilon,
     optimal_epsilon,
@@ -332,7 +331,7 @@ class TestSparseOracleProperties:
         angles = orthogonal_angles(n, r)
         f_opt = Optimal(optimal_epsilon(n, r, eta))
         for closed, f in ((bell_value(spec), f_opt),
-                          (cfrd_bell_value(spec), Identity())):
+                          (bell_value(spec, "cfrd"), Identity())):
             assert close(evaluate(rho, f, f, angles, rule).ratio, closed.ratio, 1e-9)
 
         for r_mk in range(1, n + 1):

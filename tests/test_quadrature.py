@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvbell.errors import NumericalDomainError
-from cvbell.functional_bell import cfrd_bell_value, ideal_epsilon
+from cvbell.functional_bell import bell_value, ideal_epsilon
 from cvbell.model import density_matrix, site_operator
 from cvbell.oracle import evaluate, orthogonal_angles
 from cvbell.quadrature import (
@@ -106,7 +106,7 @@ class TestRule:
         rule = cached_rule(order)
         for n in range(4, 301):
             exact = float(Fraction(4, 3) ** (n // 2) / 4)
-            assert cfrd_bell_value(StateSpec(n, n // 2)).ratio == pytest.approx(
+            assert bell_value(StateSpec(n, n // 2), "cfrd").ratio == pytest.approx(
                 exact, rel=2e-13), n
 
     def test_order_bounds(self):

@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvbell.errors import NumericalDomainError
 from cvbell.functional_bell import bell_value, solve_epsilon_even, solve_epsilon_odd
 from cvbell.model import SQRT_2_OVER_PI, density_matrix
 from cvbell.oracle import evaluate, orthogonal_angles, ratio_partials
-from cvbell.quadrature import Identity, Optimal, SignBin, _node_integrals
+from cvbell.quadrature import Identity, Optimal, SignBin, _node_integrals, node_values
 from cvbell.scenario import StateSpec
-from cvbell.variational import _RatioProblem, euler_lagrange_residual, optimize_function
+from cvbell.variational import (
+    _check_float_range,
+    _gauged,
+    _RatioProblem,
+    _stationary_epsilon,
+    euler_lagrange_residual,
+    optimize_function,
+)
 from reference import rule_epsilon, rule_ratio
 
 
@@ -200,6 +208,31 @@ class TestGradientMachinery:
         assert euler_lagrange_residual(Optimal(eps), spec, quick_rule) <= 1e-9
         if r == n // 2:
             assert ratio == pytest.approx(rule_ratio(spec, quick_rule), rel=1e-10)
+
+
+class TestFloatRangeGuard:
+    def test_first_named_mode_count_fails_the_first_oracle_pass(self, quick_rule):
+        # the first n the O(1) guard names in each series fails the first
+        # oracle pass, at the start function, with the same message
+        nodes = quick_rule.half_nodes
+        named = set()
+        for init in (Identity(), SignBin()):
+            start = _gauged(nodes, node_values(init, nodes))
+            ki = _node_integrals(nodes, quick_rule.half_weights, start)
+            for split in (lambda n: 0, lambda n: n // 2):
+                for eta, p in ((1.0, 1.0), (0.5, 0.2)):
+                    for n in range(2, 20000):
+                        spec = StateSpec(n, split(n), p, eta)
+                        try:
+                            _check_float_range(spec, ki)
+                        except NumericalDomainError as exc:
+                            message = str(exc)
+                            break
+                    named.add(message.split(" at ")[0])
+                    with pytest.raises(NumericalDomainError) as err:
+                        _stationary_epsilon(_RatioProblem(spec, quick_rule).partials(start), n)
+                    assert str(err.value) == message
+        assert named == {"oracle bound side", "oracle correlator side"}
 
 
 class TestFreeFunctionType:
