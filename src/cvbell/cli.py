@@ -192,10 +192,10 @@ def _cmd_figure2(args) -> int:
 def _oracle_check_cells(n_min, n_max, perturb_eps):
     """Yield (label, closed, oracle) per grid cell, each moment inequality at
     its ``moment_function``, whose epsilon the closed side shifts by
-    ``perturb_eps``.  The binned site operators depend only on the angles and
-    are built once per N.  An N whose closed-form bound side leaves the float
-    range is named before its O(N) angles, operators and states are built."""
-    from .functional_bell import _bound_scale, closed_form_sides, moment_function
+    ``perturb_eps``.  Per N every shift is checked, then every closed value
+    computed, before the O(N) angles, binned site operators (built once per
+    N) and states, so a bad shift or an out-of-range N is named first."""
+    from .functional_bell import closed_form_sides, moment_function
     from .mk_binning import mk_bell_value
     from .model import density_matrix
     from .oracle import _mk_correlators, _mk_value, evaluate, mk_optimal_angles, orthogonal_angles
@@ -205,14 +205,11 @@ def _oracle_check_cells(n_min, n_max, perturb_eps):
     etas = (1.0, 0.9, 0.8)
     ps = (1.0, 0.9)
     for n in range(n_min, n_max + 1):
-        _bound_scale(n)
         r = canonical_split(n)
-        angles = orthogonal_angles(n, r)
-        mk_ops = _mk_correlators(mk_optimal_angles(n, r))
-        for eta in etas:
-            # the functions and the shift depend on the efficiency, not the purity
-            cells = []
+        moments = {eta: [] for eta in etas}   # eta -> [(inequality, function, closed integrals)]
+        for eta, cells in moments.items():
             for ineq in INEQUALITIES[:2]:      # the two moment inequalities
+                # the function and the shift depend on the efficiency, not the purity
                 f = closed_f = moment_function(ineq, n, r, eta)
                 if isinstance(f, Optimal):
                     shifted = f.epsilon + perturb_eps
@@ -222,14 +219,19 @@ def _oracle_check_cells(n_min, n_max, perturb_eps):
                                          f"which is not positive")
                     closed_f = Optimal(shifted)
                 cells.append((ineq, f, kernel_integrals(closed_f)))
+        closed = {}   # (eta, p) -> [(inequality, oracle function or None for mk, closed value)]
+        for eta, cells in moments.items():
             for p in ps:
-                spec = StateSpec(n_modes=n, r_split=r, purity=p, efficiency=eta)
-                rho = density_matrix(spec)
-                for ineq, f, closed_integrals in cells:
-                    lhs, rhs = closed_form_sides(n, r, eta, p, closed_integrals)
-                    yield (f"{ineq} n={n} eta={eta} p={p}", lhs / rhs,
-                           evaluate(rho, f, f, angles).ratio)
-                yield (f"mk n={n} eta={eta} p={p}", mk_bell_value(spec), _mk_value(rho, mk_ops))
+                sides = [(ineq, f, closed_form_sides(n, r, eta, p, ki)) for ineq, f, ki in cells]
+                closed[eta, p] = [(ineq, f, lhs / rhs) for ineq, f, (lhs, rhs) in sides]
+                closed[eta, p].append(("mk", None, mk_bell_value(StateSpec(n, r, p, eta))))
+        angles = orthogonal_angles(n, r)
+        mk_ops = _mk_correlators(mk_optimal_angles(n, r))
+        for (eta, p), values in closed.items():
+            rho = density_matrix(StateSpec(n_modes=n, r_split=r, purity=p, efficiency=eta))
+            for ineq, f, value in values:
+                orc = _mk_value(rho, mk_ops) if f is None else evaluate(rho, f, f, angles).ratio
+                yield f"{ineq} n={n} eta={eta} p={p}", value, orc
 
 
 def _cmd_oracle_check(args) -> int:

@@ -16,8 +16,8 @@ for odd N the CFRD condition is a degree-N polynomial.  They are roots of
 ln B = 0 by the bracketed root solver of ``functional_bell``, with Newton
 steps on the slope of ``closed_form_log_ratio`` (by the envelope theorem
 also that of the maximized ratio), stopping at an evaluated point with
-|ln B| <= 1e-13.  Being in logs, and without the float-range pre-check of
-``bell_value``, they answer far beyond N = 1000.  Their Bell values increase
+|ln B| <= 1e-13.  Being in logs, they answer far beyond the N where
+``closed_form_sides`` leaves the float range.  Their Bell values increase
 in eta, so a bracket failure outside the documented no-violation case aborts
 loudly instead of guessing.
 
@@ -46,8 +46,8 @@ from .errors import MonotonicityError
 from .functional_bell import (
     IDEAL_EPSILON,
     _bracketed_root,
+    bell_value,
     closed_form_log_ratio,
-    closed_form_sides,
     moment_function,
 )
 from .mk_binning import mk_bell_value, mk_critical_product
@@ -59,13 +59,12 @@ _LOG_RATIO_TOL = 1e-13
 
 
 def bell_ratio(inequality_id: str, n: int, eta: float, p: float) -> float:
-    """Bell ratio of the named inequality at the split ``canonical_split(n)``."""
+    """Bell ratio of the named inequality at the split ``canonical_split(n)``:
+    ``mk_bell_value``, or the ratio of the moment inequalities' ``bell_value``."""
     spec = StateSpec(n, canonical_split(n), p, eta)
     if inequality_id == "mk":
         return mk_bell_value(spec)
-    f = moment_function(inequality_id, n, spec.r_split, eta)
-    lhs, rhs = closed_form_sides(n, spec.r_split, eta, p, kernel_integrals(f))
-    return lhs / rhs
+    return bell_value(spec, inequality_id).ratio
 
 
 def critical_efficiency(n: int, p: float, inequality_id: str, rule=None) -> Optional[float]:

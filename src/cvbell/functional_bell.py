@@ -244,14 +244,15 @@ def closed_form_sides(n: int, r: int, eta: float, p: float,
     carries p and sqrt(eta)^N; the bound side is angle-invariant and mixes
     the per-mode weights through C = eta*I + (1-eta)*I0.
 
-    Raises NumericalDomainError when the bound side or its prefactor leaves
-    the normal float range (at eta = 1: from n = 331 for the optimal
-    function, n = 771 for the identity).  A correlator side that underflows
-    to zero is kept: it is a valid zero ratio.
+    Raises NumericalDomainError, the one check of this closed form's range,
+    when the bound side or its prefactor 0.5 (2/pi)^(n/2) 2^-n leaves the
+    normal floats (at eta = 1: from n = 331 for the optimal function,
+    n = 771 for the identity).  A correlator side that underflows to zero is
+    kept: it is a valid zero ratio.
     """
     ip, ii, i0 = ki.i_plus, ki.i_cross, ki.i_zero
     c = eta * ii + (1.0 - eta) * i0
-    scale = _bound_scale(n)
+    scale = normal_bound_side(0.5 * (2.0 / math.pi) ** (n / 2.0) * 2.0 ** (-n), n, "closed-form")
     try:
         rhs = scale * (c ** r * i0 ** (n - r) + i0 ** r * c ** (n - r))
     except OverflowError:
@@ -259,11 +260,6 @@ def closed_form_sides(n: int, r: int, eta: float, p: float,
     rhs = normal_bound_side(rhs, n, "closed-form")
     lhs = 0.25 * p * p * eta ** n * (2.0 / math.pi) ** n * ip ** (2 * n)
     return lhs, rhs
-
-
-def _bound_scale(n: int) -> float:
-    """The bound side's prefactor 0.5 (2/pi)^(n/2) 2^-n; subnormal from n = 771."""
-    return normal_bound_side(0.5 * (2.0 / math.pi) ** (n / 2.0) * 2.0 ** (-n), n, "closed-form")
 
 
 def closed_form_log_ratio(n: int, r: int, eta: float, p: float,
@@ -304,9 +300,10 @@ def moment_function(inequality: str, n: int, r: int, eta: float):
 def bell_value(spec: StateSpec, inequality: str = "functional") -> BellResult:
     """Closed-form Bell observable of a moment inequality at any split r, at
     the function of ``moment_function`` (for ``functional`` the root of the
-    stationarity relation of the closed-form ratio at (N, r, eta))."""
+    stationarity relation of the closed-form ratio at (N, r, eta)).  The name
+    is checked first; NumericalDomainError names an N beyond the float range
+    in the solve (from N = 1246 at r = 0, eta = 1) or in ``closed_form_sides``."""
     n, r, eta = spec.n_modes, spec.r_split, spec.efficiency
-    _bound_scale(n)   # beyond it the solve may not converge; name n instead
     f = moment_function(inequality, n, r, eta)
     lhs, rhs = closed_form_sides(n, r, eta, spec.purity, kernel_integrals(f))
     return BellResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs, function_id=f.label)

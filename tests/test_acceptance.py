@@ -4,12 +4,14 @@ Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see them
 on success; failures always show the line plus the assertion detail).
 """
 
+import csv
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from cvbell.cli import main
 from cvbell.critical import asymptotic_product, critical_efficiency
 from cvbell.functional_bell import (
     bell_value,
@@ -237,3 +239,17 @@ def test_criterion_7_structural_invariants(rule):
             rho_r = density_matrix(StateSpec(5, r, p, eta))
             vals.append(mk_evaluate(rho_r, mk_optimal_angles(5, r)))
         assert max(vals) - min(vals) < 1e-8 * max(vals)
+
+
+def test_criterion_8_no_violation_at_half_efficiency(tmp_path, capsys):
+    with criterion(8, "every critical efficiency exceeds 1/2, the local floor of "
+                      "nonnegative Wigner functions, up to N = 300 and at N = 10^4"):
+        out = tmp_path / "figure2.csv"
+        assert main(["figure2", "--n-max", "300", "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        etas = [float(row["eta_crit"]) for row in rows if row["eta_crit"]]
+        assert len(etas) == 3 * 298 - 2 - 7   # all but functional N = 3, 4 and CFRD N < 10
+        assert min(etas) > 0.5
+        for ineq in ("functional", "cfrd", "mk"):
+            assert critical_efficiency(10**4, 1.0, ineq) > 0.5

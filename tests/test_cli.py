@@ -191,6 +191,12 @@ class TestEval:
         err = capsys.readouterr().err
         assert "bound side at n = 5000 is outside the normal float range" in err
 
+    def test_optimal_function_outside_float_range(self, capsys):
+        argv = ["eval", "--ineq", "functional", "--n", "10000", "--r", "0"]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert "optimal function at n = 10000, r = 0 leaves the float range" in err
+
     def test_lopsided_split_matches_mpmath(self, capsys):
         # the stationarity root at (N, r) = (100, 0) lies at eps = 6.53, where
         # the order-256 rule's sums were off by about 3e-9 (the ratio read
@@ -525,6 +531,10 @@ class TestOracleCheck:
         # the perturbed integrals underflow
         ("1e300", ("3", "4"), 1, "closed-form bound side at n = 3 is outside"),
         ("1", ("329", "330"), 1, "closed-form bound side at n = 329 is outside"),
+        # a bad shift is a usage error at every n, also beyond the float range
+        ("-100", ("1000", "1000"), 2, "--perturb-eps -100 shifts epsilon at functional n=1000"),
+        # every shift is checked before the first closed value leaves the range
+        ("-2.9", ("1000", "1000"), 2, "shifts epsilon at functional n=1000 eta=0.9"),
     ])
     def test_exit_codes(self, capsys, perturb, n_range, code, message):
         # only an argument check exits 2; a domain failure exits 1 naming n

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -314,6 +315,79 @@ class TestGoldenFigure2Digits:
         # 3^7/2^13 = 0.2669677734375, a tie
         assert named == [("functional", 16, "eta_crit"), ("functional", 30, "eta_crit"),
                          ("cfrd", 28, "p_crit"), ("cfrd", 29, "p_crit")]
+
+
+def _exact_rounding(field, lower, upper):
+    """Whether the printed 12-digit ``field`` is the rounding of an exact
+    value known only through ``lower(x)`` and ``upper(x)``, exact tests of
+    value < x and value > x at a rational x: True inside the field's rounding
+    interval, None on one of its ends (a tie at 12 digits), False outside."""
+    f = Fraction(field)
+    half = Fraction(10) ** (math.floor(math.log10(f)) - 11) / 2
+    if lower(f - half) or upper(f + half):
+        return False
+    return True if upper(f - half) and lower(f + half) else None
+
+
+class TestExactCfrdDigits:
+    """Every CFRD field of ``figure1`` and ``figure2`` up to N = 300 against
+    its exact value, in integers and fractions.  With the identity every
+    kernel integral is rational, and at r = N // 2
+
+    - B_cfrd = 2^(N-1)/(3^r + 3^(N-r)) at eta = 1;
+    - p_crit^2 = (3^r + 3^(N-r))/2^(N-1), the inverse at eta = 1;
+    - eta_crit is the root in (0, 1] of the polynomial
+      2^(N-1) eta^N - (1 + 2 eta)^r - (1 + 2 eta)^(N-r), negative below it.
+
+    Each printed field must be the rounding of its exact value; the fields
+    whose exact value is a 12-digit tie are named.
+    """
+
+    @pytest.fixture(scope="class")
+    def tables(self, tmp_path_factory):
+        from cvbell.cli import main
+
+        out = tmp_path_factory.mktemp("cfrd")
+        assert main(["figure1", "--n-max", "300", "--out", str(out / "f1.csv")]) == 0
+        assert main(["figure2", "--ineq", "cfrd", "--n-max", "300",
+                     "--out", str(out / "f2.csv")]) == 0
+        return [list(csv.DictReader((out / name).read_text().splitlines()))
+                for name in ("f1.csv", "f2.csv")]
+
+    def test_printed_digits_are_the_exact_rounding(self, tables):
+        figure1, figure2 = tables
+        assert [int(row["N"]) for row in figure1] == list(range(4, 301))
+        assert [int(row["N"]) for row in figure2] == list(range(3, 301))
+        named = []
+        for row in figure1:
+            n = int(row["N"])
+            r = canonical_split(n)
+            b = Fraction(2 ** (n - 1), 3 ** r + 3 ** (n - r))
+            rounded = _exact_rounding(row["B_cfrd"], lambda x: b < x, lambda x: b > x)
+            if rounded is None:
+                named.append((n, "B_cfrd"))
+            assert rounded is not False, (n, "B_cfrd")
+        for row in figure2:
+            n = int(row["N"])
+            r = canonical_split(n)
+            violated = 2 ** (n - 1) > 3 ** r + 3 ** (n - r)
+            assert (row["eta_crit"] != "") == violated == (row["p_crit"] != ""), n
+            if not violated:
+                continue
+            p_squared = Fraction(3 ** r + 3 ** (n - r), 2 ** (n - 1))
+
+            def poly(eta, n=n, r=r):
+                return 2 ** (n - 1) * eta ** n - (1 + 2 * eta) ** r - (1 + 2 * eta) ** (n - r)
+
+            for name, lower, upper in (
+                    ("p_crit", lambda x: p_squared < x * x, lambda x: p_squared > x * x),
+                    ("eta_crit", lambda x: poly(x) > 0, lambda x: poly(x) < 0)):
+                rounded = _exact_rounding(row[name], lower, upper)
+                if rounded is None:
+                    named.append((n, name))
+                assert rounded is not False, (n, name)
+        # p_crit at N = 28 and 29 is exactly 3^7/2^13 = 0.2669677734375
+        assert named == [(28, "p_crit"), (29, "p_crit")]
 
 
 class TestAsymptotics:

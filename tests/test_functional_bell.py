@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from unittest import mock
 
@@ -25,7 +26,7 @@ from cvbell.model import density_matrix
 from cvbell.oracle import evaluate, orthogonal_angles
 from cvbell.quadrature import (Identity, Optimal, gauss_hermite_rule, kernel_integrals,
                                optimal_integrals)
-from cvbell.scenario import StateSpec
+from cvbell.scenario import INEQUALITIES, StateSpec
 from cvbell.variational import family_integrals
 from reference import mp_integrals, optimize_epsilon_numeric
 
@@ -473,13 +474,29 @@ class TestFloatRange:
         with pytest.raises(NumericalDomainError, match=f"bound side at n = {n}"):
             bell_value(StateSpec(n, n // 2), "cfrd")
 
-    @pytest.mark.parametrize("n, r, eta", [(5000, 1, 0.95), (100000, 25000, 1.0)])
-    def test_prefactor_checked_before_the_solve(self, n, r, eta):
-        # at such splits the stationarity solve would not converge
-        with mock.patch.object(functional_bell, "optimal_epsilon") as solve:
-            with pytest.raises(NumericalDomainError, match=f"bound side at n = {n}"):
-                bell_value(StateSpec(n, r, 1.0, eta))
-        solve.assert_not_called()
+    @pytest.mark.parametrize("n, r, eta, eps", [(5000, 1, 0.95, 6.6107),
+                                                 (100000, 25000, 1.0, 6.6127)])
+    def test_lopsided_split_solves_then_names_n(self, n, r, eta, eps):
+        # the stationarity solve converges at these splits; the closed form
+        # then names n
+        assert optimal_epsilon(n, r, eta) == pytest.approx(eps, abs=1e-4)
+        with pytest.raises(NumericalDomainError, match=f"bound side at n = {n}"):
+            bell_value(StateSpec(n, r, 1.0, eta))
+
+    def test_solve_names_n_where_the_optimal_function_leaves_the_range(self):
+        # at r = 0 and eta = 1 the solve fails before the closed form from
+        # n = 1246 on
+        with pytest.raises(NumericalDomainError, match="bound side at n = 1245"):
+            bell_value(StateSpec(1245, 0))
+        for n in (1246, 10**4, 10**8):
+            with pytest.raises(NumericalDomainError, match=f"optimal function at n = {n}, "
+                                                           "r = 0 leaves the float range"):
+                bell_value(StateSpec(n, 0))
+
+    @pytest.mark.parametrize("n", [1000, 10**6])
+    def test_name_checked_before_the_float_range(self, n):
+        with pytest.raises(ValueError, match=re.escape(str(INEQUALITIES))):
+            bell_value(StateSpec(n, n // 2), "bogus")
 
     def test_underflowing_correlator_side_is_a_zero_ratio(self):
         res = bell_value(StateSpec(600, 300, 1.0, 0.3))
