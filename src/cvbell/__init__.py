@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # (module, names) runs, in the order of ``__all__``; each name is listed
 # with the submodule that defines it.
 _EXPORTS = (
-    ("errors", ("ConvergenceError", "MonotonicityError", "NumericalDomainError")),
+    ("errors", ("ConvergenceError", "NumericalDomainError")),
     ("quadrature", ("DEFAULT_ORDER", "QUICK_ORDER", "GAUSS_NORM", "KernelIntegrals",
                     "QuadratureRule", "gauss_hermite_rule", "kernel_integrals")),
     ("model", ("AngleConfig", "DensityMatrix")),

@@ -17,9 +17,8 @@ ln B = 0 by the bracketed root solver of ``functional_bell``, with Newton
 steps on the slope of ``closed_form_log_ratio`` (by the envelope theorem
 also that of the maximized ratio), stopping at an evaluated point with
 |ln B| <= 1e-13.  Being in logs, they answer far beyond the N where
-``closed_form_sides`` leaves the float range.  Their Bell values increase
-in eta, so a bracket failure outside the documented no-violation case aborts
-loudly instead of guessing.
+``closed_form_sides`` leaves the float range.  No B exceeds 1 at
+eta <= 1/2 (the local floor), so their bracket is [1/2, 1].
 
 ``figure2`` tabulates each threshold through its one function here; the
 two share no evaluation, so each solves the functional eta = 1 optimum.
@@ -42,19 +41,12 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .errors import MonotonicityError
-from .functional_bell import (
-    IDEAL_EPSILON,
-    _bracketed_root,
-    bell_value,
-    closed_form_log_ratio,
-    moment_function,
-)
+from .functional_bell import _bracketed_root, bell_value, closed_form_log_ratio, moment_function
 from .mk_binning import mk_bell_value, mk_critical_product
-from .quadrature import Identity, Optimal, kernel_integrals
-from .scenario import INEQUALITIES, StateSpec, canonical_split
+from .quadrature import kernel_integrals
+from .scenario import StateSpec, canonical_split
 
-_ETA_BRACKET = (0.3, 1.0)
+_ETA_BRACKET = (0.5, 1.0)   # B <= 1 at eta <= 1/2: tests/test_local_floor.py
 _LOG_RATIO_TOL = 1e-13
 
 
@@ -72,13 +64,11 @@ def critical_efficiency(n: int, p: float, inequality_id: str, rule=None) -> Opti
     ``rule`` is not read; perfbench still passes one (ROADMAP item 9).
 
     The binned value inverts exactly to mk_critical_product(n) * p^(-2/n).
-    The others solve ln B = 0 in the bracket [0.3, 1] by the Newton steps of
-    ``functional_bell._bracketed_root`` on the slope of
+    The others solve ln B = 0 in [1/2, 1], above the local floor, by the
+    Newton steps of ``functional_bell._bracketed_root`` on the slope of
     ``closed_form_log_ratio``, starting from the eta = 1 value that decides
-    the None case.  B increases in eta, so a violation at the lower end
-    means an internal inconsistency and raises.  The result is an evaluated
-    point with |ln B| <= 1e-13, or the best one once the bracket is a few
-    ulps wide.
+    the None case.  The result is an evaluated point with |ln B| <= 1e-13,
+    or the best one once the bracket is a few ulps wide.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p!r}")
@@ -96,11 +86,6 @@ def critical_efficiency(n: int, p: float, inequality_id: str, rule=None) -> Opti
     top = h(hi)
     if top[0] >= 0.0:
         return None
-    if h(lo)[0] < 0.0:
-        raise MonotonicityError(
-            f"{inequality_id} at n={n}, p={p}: violation persists at eta={lo}; "
-            "monotonicity assumption broken"
-        )
     return _bracketed_root(h, hi, _LOG_RATIO_TOL,
                            f"{inequality_id} efficiency threshold at n={n}, p={p}",
                            lo, hi, hx=top)
@@ -147,17 +132,13 @@ def _per_site_root(ki) -> float:
 
 
 def asymptotic_product(inequality_id: str) -> float:
-    """Exact N -> infinity limit of the decoherence threshold of an inequality.
-
-    The functional limit is the product s = eta*p at the noise-free optimal
-    function; the binned one is the product eta*p^2, the limit pi/4 of
-    ``mk_critical_product``; for plain moments it is the pure-state critical
-    efficiency, (1 + sqrt 5)/4.
+    """Exact N -> infinity limit of the decoherence threshold of an inequality:
+    pi/4, the limit of the binned product eta*p^2 (``mk_critical_product``),
+    or the ``_per_site_root`` of a moment inequality's ``moment_function`` at
+    eta = 1 and an even split, where it is the same for all N: the product
+    s = eta*p at the noise-free optimal function, or CFRD's pure-state
+    critical efficiency (1 + sqrt 5)/4.  Other names: its ValueError.
     """
-    if inequality_id == "functional":
-        return _per_site_root(kernel_integrals(Optimal(IDEAL_EPSILON)))
-    if inequality_id == "cfrd":
-        return _per_site_root(kernel_integrals(Identity()))
     if inequality_id == "mk":
         return math.pi / 4.0
-    raise ValueError(f"unknown inequality {inequality_id!r}; use one of {INEQUALITIES}")
+    return _per_site_root(kernel_integrals(moment_function(inequality_id, 2, 1, 1.0)))

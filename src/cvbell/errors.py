@@ -43,11 +43,3 @@ def is_integer(value) -> bool:
         return False
     return True
 
-
-class MonotonicityError(RuntimeError):
-    """A root bracket failed in a regime where the curve is known monotone.
-
-    This is an internal-consistency failure, not a user error: it means an
-    assumption the solvers rely on has been violated and results cannot be
-    trusted.
-    """

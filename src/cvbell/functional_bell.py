@@ -27,6 +27,7 @@ which the oracle returns as well, is defined here.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
 from .errors import ConvergenceError, NumericalDomainError, normal_bound_side
@@ -279,8 +280,14 @@ def closed_form_log_ratio(n: int, r: int, eta: float, p: float,
     s = n - 2 * r
     w, v = _split_weights(c / i0, s)
     log_sum = r * math.log(c * i0) + s * math.log(max(c, i0)) - math.log(max(w, v))
-    log_ratio = (math.log(0.5 * p * p) + 0.5 * n * math.log(8.0 * eta * eta * ip ** 4 / math.pi)
-                 - log_sum)
+    # a product below the normal floats (p or eta under about 1e-162) has
+    # lost digits or is 0, so its log is then summed from its factors' logs
+    pp = 0.5 * p * p
+    a = 8.0 * eta * eta * ip ** 4 / math.pi
+    log_pp = math.log(pp) if pp >= sys.float_info.min else math.log(0.5) + 2.0 * math.log(p)
+    log_a = (math.log(a) if a >= sys.float_info.min
+             else math.log(8.0 / math.pi) + 2.0 * math.log(eta) + 4.0 * math.log(abs(ip)))
+    log_ratio = log_pp + 0.5 * n * log_a - log_sum
     return log_ratio, n / eta - (ii - i0) * (r + s * v) / c
 
 

@@ -39,7 +39,8 @@ no shortcut with the package's own:
 - ``mp_log_ratio``, ``mp_optimal_integrals`` and ``mp_thresholds`` take the
   ratio, its maximizing function and the critical efficiency and purity
   from the two closed-form sides in mpmath, with every root found by
-  ``findroot``, to check the thresholds' printed digits;
+  ``findroot``, and ``mp_figure2_row`` a ``figure2`` row from them, to check
+  the thresholds' printed digits;
 - ``rule_epsilon`` and ``rule_ratio`` are the closed-form optimum on a
   rule's sums of the family, where the free-function optimizer lands.
 """
@@ -53,6 +54,7 @@ from typing import Tuple
 import mpmath
 import numpy as np
 
+from cvbell.critical import critical_efficiency
 from cvbell.mk_binning import _half_power
 from cvbell.functional_bell import BellResult, closed_form_sides, optimal_epsilon
 from cvbell.model import AngleConfig, DensityMatrix, ProductOperator, density_matrix
@@ -208,6 +210,31 @@ def mp_thresholds(n: int, integrals_at, eta_start: float) -> Tuple:
         lambda e: mp_log_ratio(n, e, at(e)), mpmath.mpf(eta_start), solver="newton",
         df=lambda e: mpmath.diff(lambda x: mp_log_ratio(n, x, at(e)), e))
     return eta, mpmath.exp(-top / 2)
+
+
+def mp_figure2_row(ineq: str, n: int) -> Tuple:
+    """(eta_crit, p_crit, slope of ln B in eta at eta_crit) of ``figure2``'s
+    row for ``ineq`` at n modes, in mpmath at its working precision; None
+    for each that does not exist.  The binned ones are the exact product
+    inversions; the moment ones come from ``mp_thresholds`` at the
+    maximizing function (functional) or the identity (CFRD)."""
+    if ineq == "mk":
+        product = 2 ** (mpmath.mpf(1 - 2 * n) / n) * mpmath.pi
+        return (product if product < 1 else None,
+                mpmath.sqrt(product) if product <= 1 else None, None)
+    if ineq == "functional":
+        def integrals_at(eta):
+            return mp_optimal_integrals(n, eta)
+    else:
+        s = mpmath.sqrt(mpmath.pi / 2)   # Identity's (Ip, I, I0) = s (1, 3, 1)
+
+        def integrals_at(eta):
+            return s, 3 * s, s
+    eta_c, p_c = mp_thresholds(n, integrals_at, critical_efficiency(n, 1.0, ineq) or 0.9)
+    if eta_c is None:
+        return None, None, None
+    ki = integrals_at(eta_c)
+    return eta_c, p_c, mpmath.diff(lambda e: mp_log_ratio(n, e, ki), eta_c)
 
 
 def _hermite_functions(n: int, u):

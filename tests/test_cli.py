@@ -650,14 +650,17 @@ class TestOptimize:
 
     def test_outside_float_range_names_the_mode_count(self, tmp_path, capsys):
         # the bound side overflows at n = 400; the correlator side underflows
-        # at n = 500, r = 0 and at a purity whose square is below the float range
+        # at n = 500, r = 0 and at a purity or efficiency whose square is
+        # below the float range (ln B stays finite there)
         out = tmp_path / "opt.csv"
         for args, message in ((["--n", "400"], "bound side at n = 400"),
                               (["--n", "500", "--r", "0"], "correlator side at n = 500"),
-                              (["--n", "6", "--p", "1e-170"], "correlator side at n = 6")):
+                              (["--n", "6", "--p", "1e-170"], "correlator side at n = 6"),
+                              (["--n", "6", "--eta", "1e-200"], "correlator side at n = 6"),
+                              (["--n", "6", "--eta", "5e-324"], "correlator side at n = 6")):
             assert run_cli(["optimize", *args, "--out", str(out)]) == 1
             assert message in capsys.readouterr().err
-            assert not out.exists()
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("edge, beyond, message", [
         (["--n", "338"], ["--n", "339"], "bound side at n = 339"),

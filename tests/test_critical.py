@@ -26,7 +26,12 @@ from cvbell.functional_bell import (
 from cvbell.mk_binning import mk_bell_value, mk_critical_product
 from cvbell.quadrature import Optimal, kernel_integrals
 from cvbell.scenario import INEQUALITIES, StateSpec, canonical_split
-from reference import mk_bell_value_product_form, mp_log_ratio, mp_optimal_integrals, mp_thresholds
+from reference import (
+    mk_bell_value_product_form,
+    mp_figure2_row,
+    mp_log_ratio,
+    mp_optimal_integrals,
+)
 
 
 class TestCanonicalSplit:
@@ -127,6 +132,35 @@ class TestCriticalEfficiency:
         assert critical_efficiency(10, 1.0, "functional", rule) is not None
         assert 3 <= len(solves) <= 10
 
+    def test_no_solve_below_the_local_floor(self, monkeypatch):
+        # no B exceeds 1 at eta <= 1/2 (test_local_floor), so no threshold
+        # solve, stationarity or ln B, evaluates an efficiency below it
+        solved, evaluated = [], []
+        solve, log_ratio = functional_bell.optimal_epsilon, critical.closed_form_log_ratio
+
+        def counting_solve(n, r, eta, **kwargs):
+            solved.append(eta)
+            return solve(n, r, eta, **kwargs)
+
+        def counting_log_ratio(n, r, eta, p, ki):
+            evaluated.append(eta)
+            return log_ratio(n, r, eta, p, ki)
+
+        monkeypatch.setattr(functional_bell, "optimal_epsilon", counting_solve)
+        monkeypatch.setattr(critical, "closed_form_log_ratio", counting_log_ratio)
+        for ineq in ("functional", "cfrd"):
+            for n in (5, 10, 31, 100, 300, 10**4):
+                for p in (1.0, 0.95):
+                    critical_efficiency(n, p, ineq)
+        assert len(solved) > 50 and len(evaluated) > len(solved)
+        assert min(solved) >= 0.5 and min(evaluated) >= 0.5
+
+    @pytest.mark.parametrize("ineq", INEQUALITIES)
+    @pytest.mark.parametrize("p", [1e-170, 1e-200, 5e-324])
+    def test_purity_squared_below_the_float_range(self, ineq, p):
+        # p^2 underflows to a subnormal or 0; ln B stays finite and negative
+        assert critical_efficiency(10, p, ineq) is None
+
     def test_parameter_validation(self, rule):
         with pytest.raises(ValueError):
             critical_efficiency(6, 0.0, "functional", rule)
@@ -191,16 +225,24 @@ class TestThresholds:
             critical_purity(6, 1.0, "bogus")
 
 
+def _unit(ref):
+    """The last place of ``ref`` > 0 at 12 significant digits."""
+    return mpmath.mpf(10) ** (int(mpmath.floor(mpmath.log10(ref))) - 11)
+
+
+def _is_rounding(field, ref):
+    """Whether the printed 12-digit ``field`` is the rounding of ``ref`` > 0."""
+    return mpmath.nint(mpmath.mpf(field) / _unit(ref)) == mpmath.nint(ref / _unit(ref))
+
+
 def _near_boundary(field, ref, budget):
     """True where ``ref`` > 0 lies within ``budget`` of a midpoint between two
     numbers of 12 significant digits, so its rounding is not decided there;
     otherwise assert that the printed ``field`` is that rounding."""
-    e = int(mpmath.floor(mpmath.log10(ref))) - 11
-    unit = mpmath.mpf(10) ** e
-    scaled = ref / unit
-    if abs(scaled - mpmath.floor(scaled) - 0.5) * unit <= budget:
+    scaled = ref / _unit(ref)
+    if abs(scaled - mpmath.floor(scaled) - 0.5) * _unit(ref) <= budget:
         return True
-    assert mpmath.nint(mpmath.mpf(field) / unit) == mpmath.nint(scaled), (field, ref)
+    assert _is_rounding(field, ref), (field, ref)
     return False
 
 
@@ -260,28 +302,6 @@ class TestGoldenFigure2Digits:
 
     GOLDEN = Path(__file__).parent / "data" / "figure2_n3-40.csv"
 
-    @staticmethod
-    def _reference(ineq, n):
-        """(eta_crit, p_crit, slope of ln B at eta_crit) at 40 digits."""
-        if ineq == "mk":
-            product = 2 ** (mpmath.mpf(1 - 2 * n) / n) * mpmath.pi
-            return (product if product < 1 else None,
-                    mpmath.sqrt(product) if product <= 1 else None, None)
-        if ineq == "functional":
-            def integrals_at(eta):
-                return mp_optimal_integrals(n, eta)
-        else:
-            s = mpmath.sqrt(mpmath.pi / 2)   # Identity's (Ip, I, I0) = s (1, 3, 1)
-
-            def integrals_at(eta):
-                return s, 3 * s, s
-        eta_c, p_c = mp_thresholds(n, integrals_at, critical_efficiency(n, 1.0, ineq) or 0.9)
-        if eta_c is None:
-            return None, None, None
-        ki = integrals_at(eta_c)
-        slope = mpmath.diff(lambda e: mp_log_ratio(n, e, ki), eta_c)
-        return eta_c, p_c, slope
-
     def test_printed_digits_are_the_reference_rounding(self):
         named = []
         with mpmath.workdps(40):
@@ -289,7 +309,7 @@ class TestGoldenFigure2Digits:
             assert len(rows) == 3 * 38
             for ineq, n, *printed, flag in rows:
                 n = int(n)
-                eta_c, p_c, slope = self._reference(ineq, n)
+                eta_c, p_c, slope = mp_figure2_row(ineq, n)
                 got = (critical_efficiency(n, 1.0, ineq), critical_purity(n, 1.0, ineq))
                 assert flag == "+".join(name for name, ref in (("eta", eta_c), ("p", p_c))
                                         if ref is None), (ineq, n)
@@ -315,6 +335,71 @@ class TestGoldenFigure2Digits:
         # 3^7/2^13 = 0.2669677734375, a tie
         assert named == [("functional", 16, "eta_crit"), ("functional", 30, "eta_crit"),
                          ("cfrd", 28, "p_crit"), ("cfrd", 29, "p_crit")]
+
+
+class TestFigure2FunctionalReference:
+    """Every functional field of ``figure2 --n-max 300`` against the 40-digit
+    reference that ``tools/figure2_reference.py`` writes.
+
+    The budgets are ``TestGoldenFigure2Digits``' with one term more.  The
+    float ln B is itself off by up to about 14 N u (u = 2^-53), measured:
+    its terms are of size N, and the per-site integrals' rounding grows
+    N-fold.  Up to N = 40 that is small against the solver's 1e-13 stop;
+    near N = 300 it is not, and a root held to the stop alone misses by up
+    to 11 ulps.  So ``eta_crit`` gets (1e-13 + 16 N u) over the slope of
+    ln B, plus 4 ulps, where 16 N u in ln B = -2 ln ``p_crit`` is the 4 N
+    ulps of ``p_crit``.  Where the reference lies farther than the budget
+    from a 12-digit rounding boundary the printed digits must be its
+    rounding; the fields inside the budget are named.
+    """
+
+    REFERENCE = Path(__file__).parent / "data" / "figure2_functional_n3-300_mp40.csv"
+
+    def test_printed_digits_are_the_reference_rounding(self, tmp_path):
+        from cvbell.cli import main
+
+        out = tmp_path / "f2.csv"
+        assert main(["figure2", "--ineq", "functional", "--n-max", "300",
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        refs = list(csv.DictReader(self.REFERENCE.read_text().splitlines()))
+        assert [row["N"] for row in rows] == [ref["N"] for ref in refs] == [
+            str(n) for n in range(3, 301)]
+        named, misrounded = [], []
+        with mpmath.workdps(40):
+            for row, ref in zip(rows, refs):
+                n = int(row["N"])
+                got = {"eta_crit": critical_efficiency(n, 1.0, "functional"),
+                       "p_crit": critical_purity(n, 1.0, "functional")}
+                for name, value in got.items():
+                    if ref[name] == "":
+                        assert row[name] == "" and value is None, (n, name)
+                        continue
+                    exact = mpmath.mpf(ref[name])
+                    ulp = math.ulp(float(exact))
+                    if name == "eta_crit":
+                        budget = ((critical._LOG_RATIO_TOL + 16 * n * 2.0 ** -53)
+                                  / float(mpmath.mpf(ref["slope"])) + 4 * ulp)
+                    else:
+                        budget = 4 * n * ulp
+                    assert abs(value - exact) <= budget, (n, name)
+                    if _near_boundary(row[name], exact, budget):
+                        named.append((n, name))
+                        if not _is_rounding(row[name], exact):
+                            misrounded.append((n, name))
+        assert named == [
+            (10, "eta_crit"), (16, "eta_crit"), (19, "eta_crit"), (30, "eta_crit"),
+            (58, "eta_crit"), (61, "eta_crit"), (64, "p_crit"), (66, "p_crit"),
+            (75, "p_crit"), (78, "p_crit"), (89, "p_crit"), (104, "p_crit"),
+            (129, "eta_crit"), (139, "p_crit"), (145, "p_crit"), (146, "p_crit"),
+            (160, "p_crit"), (167, "p_crit"), (203, "p_crit"), (216, "p_crit"),
+            (224, "p_crit"), (231, "p_crit"), (232, "p_crit"), (244, "p_crit"),
+            (245, "p_crit"), (246, "p_crit"), (264, "p_crit"), (273, "eta_crit"),
+            (275, "p_crit"), (287, "p_crit"), (300, "p_crit")]
+        # of those, these print a digit that is not the reference's rounding
+        # (relative errors 2.2e-14 to 6.8e-14; ROADMAP item 13)
+        assert misrounded == [(78, "p_crit"), (232, "p_crit"), (246, "p_crit"),
+                              (275, "p_crit")]
 
 
 def _exact_rounding(field, lower, upper):
