@@ -309,8 +309,18 @@ def bell_value(spec: StateSpec, inequality: str = "functional") -> BellResult:
     the function of ``moment_function`` (for ``functional`` the root of the
     stationarity relation of the closed-form ratio at (N, r, eta)).  The name
     is checked first; NumericalDomainError names an N beyond the float range
-    in the solve (from N = 1246 at r = 0, eta = 1) or in ``closed_form_sides``."""
-    n, r, eta = spec.n_modes, spec.r_split, spec.efficiency
+    in the solve (from N = 1246 at r = 0, eta = 1) or in ``closed_form_sides``.
+
+    Where p < 1 takes the correlator side below the normal floats, the ratio
+    is p (p B(p = 1)), exact since B goes as p^2, so it keeps its digits
+    while it is a normal float itself (at (N, r, p) = (60, 0, 1e-130)
+    2.7e-253, where lhs / rhs is 0)."""
+    n, r, eta, p = spec.n_modes, spec.r_split, spec.efficiency, spec.purity
     f = moment_function(inequality, n, r, eta)
-    lhs, rhs = closed_form_sides(n, r, eta, spec.purity, kernel_integrals(f))
-    return BellResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs, function_id=f.label)
+    ki = kernel_integrals(f)
+    lhs, rhs = closed_form_sides(n, r, eta, p, ki)
+    if lhs < sys.float_info.min and p < 1.0:
+        ratio = p * (p * (closed_form_sides(n, r, eta, 1.0, ki)[0] / rhs))
+    else:
+        ratio = lhs / rhs
+    return BellResult(lhs=lhs, rhs=rhs, ratio=ratio, function_id=f.label)

@@ -57,6 +57,7 @@ _GTOL = 1e-7
 # natural logs of the smallest normal, the largest and the smallest subnormal float
 _LOG_NORMAL, _LOG_MAX, _LOG_SUBNORMAL = (
     math.log(x) for x in (sys.float_info.min, sys.float_info.max, math.ulp(0.0)))
+_TINY_AT_GAUGE = "cannot gauge-fix a function this small at the first node against the others"
 
 
 class _RatioProblem:
@@ -115,12 +116,18 @@ def _stationary_epsilon(p: RatioPartials, n: int) -> float:
     return 4.0 * b1 / b0
 
 
-def _check_float_range(spec: StateSpec, ki: KernelIntegrals) -> None:
-    """NumericalDomainError naming n where the first oracle pass, at the start
-    function of kernel integrals ``ki``, must fail: its bound side lies a
-    factor e beyond the normal float range or its ratio a factor e below the
-    smallest subnormal, by the closed form in logs (which holds for any odd f
-    at the orthogonal angles), so no O(n) state is built for it."""
+def _check_float_range(spec: StateSpec, ki: KernelIntegrals, peak: float = 1.0) -> None:
+    """NumericalDomainError naming n where the first oracle pass, at the
+    gauged start function, must fail: its bound side lies a factor e beyond
+    the normal float range or its ratio a factor e below the smallest
+    subnormal, by the closed form in logs (which holds for any odd f at the
+    orthogonal angles), so no O(n) state is built for it.
+
+    ``ki`` are the kernel integrals of the start scaled to a largest
+    value/node of 1, which keeps their products finite; the gauged start is
+    ``peak`` times that, so its bound side is peak^(2n) times theirs.  Where
+    only this factor takes it beyond the float range, the start is tiny at
+    the gauge node against the others, and ValueError names that node."""
     n, r, eta, p = spec.n_modes, spec.r_split, spec.efficiency, spec.purity
     if ki.i_plus == 0.0:
         return      # a zero correlator side, which the oracle names
@@ -128,7 +135,11 @@ def _check_float_range(spec: StateSpec, ki: KernelIntegrals) -> None:
     log_ratio = closed_form_log_ratio(n, r, eta, 1.0, ki)[0]
     log_rhs = (math.log(0.25) - log_ratio
                + n * (math.log(2.0 * eta / math.pi) + 2.0 * math.log(abs(ki.i_plus))))
-    if not _LOG_NORMAL - 1.0 < log_rhs < _LOG_MAX + 1.0:
+    gauged = log_rhs + 2.0 * n * math.log(peak)
+    if not _LOG_NORMAL - 1.0 < gauged < _LOG_MAX + 1.0:
+        if log_rhs < _LOG_MAX + 1.0 <= gauged:
+            raise ValueError(f"{_TINY_AT_GAUGE}: scaled to value/node 1 there, its "
+                             f"oracle bound side at n = {n} overflows")
         raise NumericalDomainError(
             f"oracle bound side at n = {n} is outside the normal float range")
     if log_ratio + 2.0 * math.log(p) <= _LOG_SUBNORMAL - 1.0:
@@ -138,7 +149,8 @@ def _check_float_range(spec: StateSpec, ki: KernelIntegrals) -> None:
 
 def _gauged(nodes, values) -> List[float]:
     """Node values rescaled to value/node 1 at the smallest node; ValueError
-    unless there is one finite value per node, nonzero at the first."""
+    unless there is one finite value per node, nonzero at the first, and
+    every rescaled value/node is finite."""
     if not isinstance(values, list) or len(values) != len(nodes):
         got = f"{len(values)} values" if isinstance(values, list) else repr(values)
         raise ValueError(f"expected one value per node ({len(nodes)}), got {got}")
@@ -147,7 +159,10 @@ def _gauged(nodes, values) -> List[float]:
     if values[0] == 0.0:
         raise ValueError("cannot gauge-fix a function vanishing at the first node")
     scale = nodes[0] / values[0]
-    return [v * scale for v in values]
+    gauged = [v * scale for v in values]
+    if not all(math.isfinite(v / x) for v, x in zip(gauged, nodes)):
+        raise ValueError(f"{_TINY_AT_GAUGE}: scaled to value/node 1 there, its values overflow")
+    return gauged
 
 
 def family_integrals(rule: QuadratureRule) -> Callable[[float], KernelIntegrals]:
@@ -172,14 +187,18 @@ def optimize_function(spec: StateSpec, rule: QuadratureRule, init, *,
     Raises ConvergenceError with the last (eps, values, ratio) attached as
     ``best`` and the residual as ``residual`` if the residual exceeds 1e-7,
     ValueError if ``init`` at the positive nodes is not one finite value per
-    node or vanishes at the first node, or if the purity is 0, and
-    NumericalDomainError naming n when a side of the ratio leaves the float
-    range.
+    node, vanishes at the first node or is so small there against the others
+    that the gauge takes it beyond the float range, or if the purity is 0,
+    and NumericalDomainError naming n when a side of the ratio leaves the
+    float range.
     """
     if spec.purity == 0.0:
         raise ValueError("the ratio vanishes for every function at purity 0")
     start = _gauged(rule.half_nodes, node_values(init, rule.half_nodes))
-    _check_float_range(spec, _node_integrals(rule.half_nodes, rule.half_weights, start))
+    # value/node is 1 at the gauge node, so the peak is at least 1
+    peak = max(abs(v) / x for v, x in zip(start, rule.half_nodes))
+    _check_float_range(spec, _node_integrals(rule.half_nodes, rule.half_weights,
+                                             [v / peak for v in start]), peak)
     problem = _RatioProblem(spec, rule)
 
     def update(values: List[float]) -> float:

@@ -36,11 +36,12 @@ no shortcut with the package's own:
 - ``mp_integrals`` takes the optimal family's kernel integrals from the erfc
   closed form of G(eps) and its derivative in mpmath, at the caller's
   precision, to check ``optimal_integrals``'s continued fraction;
-- ``mp_log_ratio``, ``mp_optimal_integrals`` and ``mp_thresholds`` take the
-  ratio, its maximizing function and the critical efficiency and purity
-  from the two closed-form sides in mpmath, with every root found by
+- ``mp_sides``, ``mp_log_ratio``, ``mp_optimal_epsilon``,
+  ``mp_optimal_integrals`` and ``mp_thresholds`` take the two closed-form
+  sides, the ratio, its maximizing function and the critical efficiency and
+  purity in mpmath, at any split and purity, with every root found by
   ``findroot``, and ``mp_figure2_row`` a ``figure2`` row from them, to check
-  the thresholds' printed digits;
+  the printed digits of ``eval`` and the thresholds;
 - ``rule_epsilon`` and ``rule_ratio`` are the closed-form optimum on a
   rule's sums of the family, where the free-function optimizer lands.
 """
@@ -167,29 +168,42 @@ def mp_integrals(eps) -> Tuple:
     return ip, 16 / e * (ip / 4 + dg), -4 * dg
 
 
-def mp_log_ratio(n: int, eta, ki):
-    """ln B at p = 1 and the split n // 2 for kernel integrals ki = (Ip, I,
-    I0), in mpmath: the log of the correlator side 0.25 eta^n (2/pi)^n
-    Ip^(2n) over the bound side 0.5 (2/pi)^(n/2) 2^-n (C^r I0^(n-r) +
-    I0^r C^(n-r)), C = eta I + (1 - eta) I0, each formed as written."""
+def mp_sides(n: int, r: int, eta, p, ki) -> Tuple:
+    """(correlator side, bound side) at split r and purity p for kernel
+    integrals ki = (Ip, I, I0), in mpmath: 0.25 p^2 eta^n (2/pi)^n Ip^(2n)
+    and 0.5 (2/pi)^(n/2) 2^-n (C^r I0^(n-r) + I0^r C^(n-r)),
+    C = eta I + (1 - eta) I0, each formed as written."""
     ip, ii, i0 = ki
-    r = n // 2
     c = eta * ii + (1 - eta) * i0
-    lhs = eta ** n * (2 / mpmath.pi) ** n * ip ** (2 * n) / 4
+    lhs = p * p * eta ** n * (2 / mpmath.pi) ** n * ip ** (2 * n) / 4
     rhs = ((2 / mpmath.pi) ** (mpmath.mpf(n) / 2) / 2 ** (n + 1)
            * (c ** r * i0 ** (n - r) + i0 ** r * c ** (n - r)))
+    return lhs, rhs
+
+
+def mp_log_ratio(n: int, eta, ki, r=None):
+    """ln B of ``mp_sides`` at p = 1 and split r (by default n // 2)."""
+    lhs, rhs = mp_sides(n, n // 2 if r is None else r, eta, 1, ki)
     return mpmath.log(lhs / rhs)
 
 
-def mp_optimal_integrals(n: int, eta):
-    """``mp_integrals`` at the eps maximizing ``mp_log_ratio`` at (n, eta):
-    the root of its numerical eps-derivative, by ``findroot``'s secant from
-    the float ``optimal_epsilon`` and a point 1e-9 relative beside it."""
-    def slope(e):
-        return mpmath.diff(lambda x: mp_log_ratio(n, eta, mp_integrals(x)), e)
+def mp_optimal_epsilon(n: int, eta, r=None):
+    """The eps maximizing ``mp_log_ratio`` at (n, eta) and split r (by
+    default n // 2), at any purity, which scales B only: the root of its
+    numerical eps-derivative, by ``findroot``'s secant from the float
+    ``optimal_epsilon`` and a point 1e-9 relative beside it."""
+    r = n // 2 if r is None else r
 
-    e0 = optimal_epsilon(n, n // 2, float(eta))
-    return mp_integrals(mpmath.findroot(slope, (e0, e0 * (1 + 1e-9))))
+    def slope(e):
+        return mpmath.diff(lambda x: mp_log_ratio(n, eta, mp_integrals(x), r), e)
+
+    e0 = optimal_epsilon(n, r, float(eta))
+    return mpmath.findroot(slope, (e0, e0 * (1 + 1e-9)))
+
+
+def mp_optimal_integrals(n: int, eta):
+    """``mp_integrals`` at ``mp_optimal_epsilon`` of the split n // 2."""
+    return mp_integrals(mp_optimal_epsilon(n, eta))
 
 
 def mp_thresholds(n: int, integrals_at, eta_start: float) -> Tuple:

@@ -197,6 +197,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert "optimal function at n = 10000, r = 0 leaves the float range" in err
 
+    def test_tiny_purity_keeps_the_ratio(self, capsys):
+        # the correlator side 1.4e-331 underflows to 0; the ratio goes as p^2,
+        # 2.7e-253 here, and is printed where lhs / rhs would be 0
+        argv = ["eval", "--ineq", "functional", "--n", "60", "--r", "0"]
+        assert run_cli(argv) == 0
+        unit = json.loads(capsys.readouterr().out)["ratio"]
+        assert run_cli(argv + ["--p", "1e-130"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lhs"] == 0.0
+        assert payload["ratio"] == pytest.approx(1e-260 * unit, rel=1e-14, abs=0.0)
+
     def test_lopsided_split_matches_mpmath(self, capsys):
         # the stationarity root at (N, r) = (100, 0) lies at eps = 6.53, where
         # the order-256 rule's sums were off by about 3e-9 (the ratio read

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import re
 from fractions import Fraction
@@ -29,8 +30,11 @@ from cvbell.scenario import INEQUALITIES, StateSpec, canonical_split
 from reference import (
     mk_bell_value_product_form,
     mp_figure2_row,
+    mp_integrals,
     mp_log_ratio,
+    mp_optimal_epsilon,
     mp_optimal_integrals,
+    mp_sides,
 )
 
 
@@ -246,53 +250,77 @@ def _near_boundary(field, ref, budget):
     return False
 
 
-class TestGoldenFigure1Digits:
-    """Every field of the golden ``figure1`` file against a 40-digit mpmath
-    reference: ``B_optimal`` as exp(ln B) at the maximizing function of
-    ``mp_optimal_integrals``, ``B_cfrd`` exactly 2^(N-1)/(3^r + 3^(N-r)).
+DATA = Path(__file__).parent / "data"
+# the 40-digit eta_crit, p_crit and slope of ln B of the functional rows of
+# figure2, which tools/figure2_reference.py writes
+FUNCTIONAL_REFERENCE = DATA / "figure2_functional_n3-300_mp40.csv"
 
-    Both are products of powers of order N of the per-site integrals, so the
+
+@pytest.fixture(scope="module")
+def figure1_rows(tmp_path_factory):
+    """The rows of a live ``figure1 --n-max 300``, N = 4 to 300."""
+    from cvbell.cli import main
+
+    out = tmp_path_factory.mktemp("figure1") / "f1.csv"
+    assert main(["figure1", "--n-max", "300", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [int(row["N"]) for row in rows] == list(range(4, 301))
+    return rows
+
+
+class TestFigure1FunctionalReference:
+    """Every ``B_optimal`` of ``figure1 --n-max 300`` against the 40-digit
+    reference file: at eta = 1 the critical purity is B^(-1/2), so the
+    reference is B = ``p_crit``^-2.  N = 4, the one row with B <= 1, has no
+    ``p_crit`` and takes its reference from ``mp_optimal_integrals``.
+
+    B is a product of powers of order N of the per-site integrals, so the
     package's float has a budget of 8 N ulps.  Where the reference lies
     farther than the budget from a 12-digit rounding boundary the printed
     digits must be its rounding; the fields inside the budget are named.
     """
 
-    GOLDEN = Path(__file__).parent / "data" / "figure1_n4-100.csv"
-
-    def test_printed_digits_are_the_reference_rounding(self):
-        named = []
+    def test_printed_digits_are_the_reference_rounding(self, figure1_rows):
+        p_crit = {int(ref["N"]): ref["p_crit"]
+                  for ref in csv.DictReader(FUNCTIONAL_REFERENCE.read_text().splitlines())}
+        named, misrounded = [], []
         with mpmath.workdps(40):
-            rows = list(csv.reader(self.GOLDEN.read_text().splitlines()))[1:]
-            assert [int(row[0]) for row in rows] == list(range(4, 101))
-            for n, *printed in rows:
-                n = int(n)
-                r = canonical_split(n)
-                refs = (mpmath.exp(mp_log_ratio(n, 1, mp_optimal_integrals(n, 1))),
-                        mpmath.mpf(2) ** (n - 1) / (3 ** r + 3 ** (n - r)))
-                spec = StateSpec(n, r)
-                got = (bell_value(spec, "functional").ratio, bell_value(spec, "cfrd").ratio)
-                for name, field, ref, value in zip(("B_optimal", "B_cfrd"), printed, refs, got):
-                    budget = 8 * n * math.ulp(float(ref))
-                    assert abs(value - ref) <= budget, (n, name)
-                    if _near_boundary(field, ref, budget):
-                        named.append((n, name))
-        # the floats lie within 4.8 N ulps of the reference; these fields lie
-        # 3.2-5.6 N ulps from their boundary (B_cfrd is equal at N = 2k, 2k + 1)
-        assert named == [(37, "B_optimal"), (73, "B_optimal"), (80, "B_cfrd"),
-                         (81, "B_cfrd"), (86, "B_cfrd"), (87, "B_cfrd")]
+            for row in figure1_rows:
+                n = int(row["N"])
+                if p_crit[n]:
+                    exact = mpmath.mpf(p_crit[n]) ** -2
+                else:
+                    assert n == 4
+                    exact = mpmath.exp(mp_log_ratio(n, 1, mp_optimal_integrals(n, 1)))
+                value = bell_value(StateSpec(n, canonical_split(n)), "functional").ratio
+                budget = 8 * n * math.ulp(float(exact))
+                assert abs(value - exact) <= budget, n
+                if _near_boundary(row["B_optimal"], exact, budget):
+                    named.append(n)
+                    if not _is_rounding(row["B_optimal"], exact):
+                        misrounded.append(n)
+        # the floats lie within 5.33 N ulps of the reference
+        assert named == [37, 73, 108, 123, 136, 141, 143, 157, 160, 171, 173, 186, 187,
+                         193, 201, 207, 210, 212, 215, 221, 228, 243, 247, 250, 263, 264,
+                         271, 278, 284, 285, 287, 290, 296, 298, 299]
+        # of those, these print a digit that is not the reference's rounding:
+        # N = 143 prints 5.26419826265e+19 where the reference is
+        # 5.264198262655029e19 (ROADMAP item 13)
+        assert misrounded == [143, 173, 278]
 
 
 class TestGoldenFigure2Digits:
-    """Every field of the golden ``figure2`` file against a 40-digit mpmath
-    reference.
+    """Every CFRD and binned field of the golden ``figure2`` file against a
+    40-digit mpmath reference; ``TestFigure2FunctionalReference`` holds its
+    functional rows.
 
     Each field has an error budget, which the package's float is checked
     against as well:
 
-    - functional and CFRD ``eta_crit``: the solve stops at |ln B| <= 1e-13,
-      so 1e-13 over the slope of ln B at the root, plus 4 ulps;
-    - functional and CFRD ``p_crit``: B^(-1/2), with B a product of powers
-      of order N of the per-site integrals, so 4 N ulps;
+    - CFRD ``eta_crit``: the solve stops at |ln B| <= 1e-13, so 1e-13 over
+      the slope of ln B at the root, plus 4 ulps;
+    - CFRD ``p_crit``: B^(-1/2), with B a product of powers of order N of
+      the per-site integrals, so 4 N ulps;
     - binned fields: one power, 4 ulps.
 
     Where the reference lies farther than the budget from a 12-digit
@@ -300,14 +328,14 @@ class TestGoldenFigure2Digits:
     inside the budget are named.
     """
 
-    GOLDEN = Path(__file__).parent / "data" / "figure2_n3-40.csv"
+    GOLDEN = DATA / "figure2_n3-40.csv"
 
     def test_printed_digits_are_the_reference_rounding(self):
         named = []
         with mpmath.workdps(40):
             rows = list(csv.reader(self.GOLDEN.read_text().splitlines()))[1:]
-            assert len(rows) == 3 * 38
-            for ineq, n, *printed, flag in rows:
+            assert [row[0] for row in rows] == ["functional"] * 38 + ["cfrd"] * 38 + ["mk"] * 38
+            for ineq, n, *printed, flag in rows[38:]:
                 n = int(n)
                 eta_c, p_c, slope = mp_figure2_row(ineq, n)
                 got = (critical_efficiency(n, 1.0, ineq), critical_purity(n, 1.0, ineq))
@@ -329,31 +357,27 @@ class TestGoldenFigure2Digits:
                     assert abs(value - ref) <= budget, where
                     if _near_boundary(field, ref, budget):
                         named.append(where)
-        # the functional eta_crit at N = 30 lies 5.5e-16 (5 ulps) from its
-        # boundary and at N = 16 2.3e-15; the CFRD p_crit at eta = 1 is
-        # sqrt((3^r + 3^(N-r)) / 2^(N-1)), at N = 28 and 29 exactly
-        # 3^7/2^13 = 0.2669677734375, a tie
-        assert named == [("functional", 16, "eta_crit"), ("functional", 30, "eta_crit"),
-                         ("cfrd", 28, "p_crit"), ("cfrd", 29, "p_crit")]
+        # the CFRD p_crit at eta = 1 is sqrt((3^r + 3^(N-r)) / 2^(N-1)), at
+        # N = 28 and 29 exactly 3^7/2^13 = 0.2669677734375, a tie
+        assert named == [("cfrd", 28, "p_crit"), ("cfrd", 29, "p_crit")]
 
 
 class TestFigure2FunctionalReference:
     """Every functional field of ``figure2 --n-max 300`` against the 40-digit
     reference that ``tools/figure2_reference.py`` writes.
 
-    The budgets are ``TestGoldenFigure2Digits``' with one term more.  The
-    float ln B is itself off by up to about 14 N u (u = 2^-53), measured:
-    its terms are of size N, and the per-site integrals' rounding grows
-    N-fold.  Up to N = 40 that is small against the solver's 1e-13 stop;
-    near N = 300 it is not, and a root held to the stop alone misses by up
-    to 11 ulps.  So ``eta_crit`` gets (1e-13 + 16 N u) over the slope of
-    ln B, plus 4 ulps, where 16 N u in ln B = -2 ln ``p_crit`` is the 4 N
-    ulps of ``p_crit``.  Where the reference lies farther than the budget
-    from a 12-digit rounding boundary the printed digits must be its
-    rounding; the fields inside the budget are named.
+    The budgets are the CFRD ones of ``TestGoldenFigure2Digits``, with one
+    term more for ``eta_crit``.  The float ln B is itself off by up to about
+    14 N u (u = 2^-53), measured: its terms are of size N, and the per-site
+    integrals' rounding grows N-fold.  Up to N = 40 that is small against
+    the solver's 1e-13 stop; near N = 300 it is not, and a root held to the
+    stop alone misses by up to 11 ulps.  So ``eta_crit`` gets
+    (1e-13 + 16 N u) over the slope of ln B, plus 4 ulps, where 16 N u in
+    ln B = -2 ln ``p_crit`` is the 4 N ulps of ``p_crit``.  Where the
+    reference lies farther than the budget from a 12-digit rounding boundary
+    the printed digits must be its rounding; the fields inside the budget
+    are named.
     """
-
-    REFERENCE = Path(__file__).parent / "data" / "figure2_functional_n3-300_mp40.csv"
 
     def test_printed_digits_are_the_reference_rounding(self, tmp_path):
         from cvbell.cli import main
@@ -362,7 +386,7 @@ class TestFigure2FunctionalReference:
         assert main(["figure2", "--ineq", "functional", "--n-max", "300",
                      "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
-        refs = list(csv.DictReader(self.REFERENCE.read_text().splitlines()))
+        refs = list(csv.DictReader(FUNCTIONAL_REFERENCE.read_text().splitlines()))
         assert [row["N"] for row in rows] == [ref["N"] for ref in refs] == [
             str(n) for n in range(3, 301)]
         named, misrounded = [], []
@@ -425,29 +449,25 @@ class TestExactCfrdDigits:
       2^(N-1) eta^N - (1 + 2 eta)^r - (1 + 2 eta)^(N-r), negative below it.
 
     Each printed field must be the rounding of its exact value; the fields
-    whose exact value is a 12-digit tie are named.
+    whose exact value is a 12-digit tie are named.  ``B_cfrd``, a product of
+    powers of order N, has a float budget of 8 N ulps as ``B_optimal`` has
+    (it lies within 1.29 N).
     """
 
-    @pytest.fixture(scope="class")
-    def tables(self, tmp_path_factory):
+    def test_printed_digits_are_the_exact_rounding(self, figure1_rows, tmp_path):
         from cvbell.cli import main
 
-        out = tmp_path_factory.mktemp("cfrd")
-        assert main(["figure1", "--n-max", "300", "--out", str(out / "f1.csv")]) == 0
-        assert main(["figure2", "--ineq", "cfrd", "--n-max", "300",
-                     "--out", str(out / "f2.csv")]) == 0
-        return [list(csv.DictReader((out / name).read_text().splitlines()))
-                for name in ("f1.csv", "f2.csv")]
-
-    def test_printed_digits_are_the_exact_rounding(self, tables):
-        figure1, figure2 = tables
-        assert [int(row["N"]) for row in figure1] == list(range(4, 301))
+        out = tmp_path / "f2.csv"
+        assert main(["figure2", "--ineq", "cfrd", "--n-max", "300", "--out", str(out)]) == 0
+        figure2 = list(csv.DictReader(out.read_text().splitlines()))
         assert [int(row["N"]) for row in figure2] == list(range(3, 301))
         named = []
-        for row in figure1:
+        for row in figure1_rows:
             n = int(row["N"])
             r = canonical_split(n)
             b = Fraction(2 ** (n - 1), 3 ** r + 3 ** (n - r))
+            value = bell_value(StateSpec(n, r), "cfrd").ratio
+            assert abs(Fraction(value) - b) <= 8 * n * Fraction(math.ulp(float(b))), n
             rounded = _exact_rounding(row["B_cfrd"], lambda x: b < x, lambda x: b > x)
             if rounded is None:
                 named.append((n, "B_cfrd"))
@@ -473,6 +493,65 @@ class TestExactCfrdDigits:
                 assert rounded is not False, (n, name)
         # p_crit at N = 28 and 29 is exactly 3^7/2^13 = 0.2669677734375
         assert named == [(28, "p_crit"), (29, "p_crit")]
+
+
+class TestEvalDigits:
+    """The numbers of the three golden ``eval`` records against 40-digit
+    references.  ``eval`` prints lhs, rhs and the ratio in full; each is a
+    product of powers of order N, so each has a budget of 8 N ulps.
+
+    - functional: the sides of ``mp_sides`` at the eps that the package
+      solved (within 4.9 N ulps).  The label prints that eps to 12 digits;
+      its reference is ``mp_optimal_epsilon``.  The solve stops at
+      |h| <= 1e-12 on its map h(eps) = T(eps) - eps, so the label's budget
+      is 1e-12 over the map's slope |h'|, plus 4 ulps.  Outside that budget
+      of a rounding boundary it must be the reference's rounding.
+    - CFRD: exact in fractions at the printed eta and p,
+      lhs = p^2 eta^N / 4 and rhs = 2^-(N+1) ((1 + 2 eta)^r + (1 + 2 eta)^(N-r))
+      (within 1.33 N ulps).
+    - binned: one power, p (sqrt 2 / 2) (4 eta / pi)^(N/2), so 4 ulps.
+    """
+
+    @staticmethod
+    def _record(name):
+        return json.loads((DATA / name).read_text())
+
+    def test_functional(self):
+        rec = self._record("eval_functional_n11_r2.json")
+        n, r, eta, p = rec["n"], rec["r"], rec["eta"], rec["p"]
+        eps = optimal_epsilon(n, r, eta)
+        assert rec["function"] == Optimal(eps).label
+        with mpmath.workdps(40):
+            lhs, rhs = mp_sides(n, r, mpmath.mpf(eta), mpmath.mpf(p), mp_integrals(eps))
+            for name, ref in (("lhs", lhs), ("rhs", rhs), ("ratio", lhs / rhs)):
+                assert abs(rec[name] - ref) <= 8 * n * math.ulp(float(ref)), name
+            root = mp_optimal_epsilon(n, eta, r)
+
+            def h(x):
+                e = functional_bell._integral_epsilon(x)
+                return functional_bell._stationary_update(n, r, eta, e) - x
+
+            slope = (h(eps + 1e-6) - h(eps - 1e-6)) / 2e-6
+            budget = 1e-12 / abs(slope) + 4 * math.ulp(eps)
+            assert abs(eps - root) <= budget
+            # 4.67498510348597 lies 9.7e-13 from its boundary, the budget is 5.3e-13
+            assert not _near_boundary(rec["function"][len("optimal(epsilon="):-1], root, budget)
+
+    def test_cfrd(self):
+        rec = self._record("eval_cfrd_n12_r5.json")
+        n, r, eta, p = rec["n"], rec["r"], Fraction(rec["eta"]), Fraction(rec["p"])
+        lhs = p * p * eta ** n / 4
+        rhs = ((1 + 2 * eta) ** r + (1 + 2 * eta) ** (n - r)) / 2 ** (n + 1)
+        for name, ref in (("lhs", lhs), ("rhs", rhs), ("ratio", lhs / rhs)):
+            assert abs(Fraction(rec[name]) - ref) <= 8 * n * Fraction(math.ulp(float(ref))), name
+
+    def test_mk(self):
+        rec = self._record("eval_mk_n5.json")
+        with mpmath.workdps(40):
+            ref = (mpmath.mpf(rec["p"]) * mpmath.sqrt(2) / 2
+                   * (4 * mpmath.mpf(rec["eta"]) / mpmath.pi) ** (mpmath.mpf(rec["n"]) / 2))
+            for name in ("s_value", "ratio"):
+                assert abs(rec[name] - ref) <= 4 * math.ulp(float(ref)), name
 
 
 class TestAsymptotics:

@@ -75,17 +75,18 @@ def _matched_odd_update(n, eps, eta):
 def _closed_value(ineq, n, r, eta, p):
     """The closed-form value, or None where a partial
     product of it leaves the normal float range: 0.25 p^2 (2 eta/pi)^N and
-    the correlator side for the moment inequalities, p and the value for MK.
-    There its digits are lost although the value itself may be representable
-    (``TestBellValue.test_ratio_outlives_its_correlator_side``)."""
+    the correlator side at p = 1 for the moment inequalities, p and the value
+    for MK.  There its digits are lost although the value itself may be
+    representable.  A correlator side that only p takes below the normal
+    floats keeps them (``TestBellValue.test_ratio_outlives_its_correlator_side``)."""
     spec = StateSpec(n, r, p, eta)
     if ineq == "mk":
         value = mk_bell_value(spec)
         return value if min(p, value) >= sys.float_info.min else None
-    res = bell_value(spec, ineq)
-    if min(0.25 * p * p * (2.0 * eta / math.pi) ** n, res.lhs) < sys.float_info.min:
+    unit_lhs = bell_value(StateSpec(n, r, 1.0, eta), ineq).lhs
+    if min(0.25 * p * p * (2.0 * eta / math.pi) ** n, unit_lhs) < sys.float_info.min:
         return None
-    return res.ratio
+    return bell_value(spec, ineq).ratio
 
 
 @st.composite
@@ -425,8 +426,8 @@ class TestBellValue:
         if at_lo is not None and at_hi is not None:
             assert at_lo < at_hi
         elif at_lo is not None:
-            # at a lopsided split the correlator side can shrink as eta rises:
-            # the break that test_ratio_outlives_its_correlator_side pins
+            # at a lopsided split the correlator side can shrink as eta rises,
+            # below the normal floats at p = 1 too (ROADMAP item 4)
             assert ineq != "mk"
             spec = StateSpec(n, r, p, hi)
             lhs = bell_value(spec, ineq).lhs
@@ -435,11 +436,9 @@ class TestBellValue:
             unit = _closed_value(ineq, n, r, hi, 1.0)
             assert at_hi == pytest.approx(p ** PURITY_POWER[ineq] * unit, rel=1e-14, abs=0.0)
 
-    @pytest.mark.xfail(strict=True, reason="the correlator side underflows before the "
-                       "ratio does; the log-space closed forms of ROADMAP item 4 mend it")
     def test_ratio_outlives_its_correlator_side(self):
         # p^2 B(p = 1) = 2.7e-253 is a normal float; the correlator side
-        # 1.4e-331 is not, and the ratio comes out 0
+        # 1.4e-331 is not, and lhs / rhs would be 0
         unit = bell_value(StateSpec(60, 0, 1.0, 1.0)).ratio
         ratio = bell_value(StateSpec(60, 0, 1e-130, 1.0)).ratio
         assert ratio == pytest.approx(1e-260 * unit, rel=1e-14, abs=0.0)

@@ -136,18 +136,24 @@ def test_oracle_at_two_random_functions_and_angles(scene, f, g):
 
 
 # from random odd starts the optimizer ends on the optimal family; eta and p
-# stay above 1e-3, where the ratio (about eta^N p^2) is a normal float, and
-# the start is not near zero at the gauge node, where the gauge's rescaling
-# overflows the other values
+# stay above 1e-3, where the ratio (about eta^N p^2) is a normal float.  A
+# start that vanishes at the gauge node, or is so small there against the
+# others that the gauge's rescaling overflows, is refused by name
 @settings(max_examples=60, deadline=None)
 @given(spec=_states(8).filter(lambda s: s.efficiency >= 1e-3 and s.purity >= 1e-3),
-       values=NODE_VALUES.filter(lambda v: abs(v[0]) >= 1e-3))
+       values=NODE_VALUES)
 @example(spec=StateSpec(2, 1, 1.0, 0.5), values=OPTIMAL_VALUES)
+# the gauge takes the closed form's Ip^4 beyond the float range
+@example(spec=StateSpec(4, 2, 1.0, 0.5),
+         values=[4.8e-223] + [1.0] * (len(RULE.half_nodes) - 1))
 def test_optimizer_from_random_starts(spec, values):
     try:
         ratio = optimize_function(spec, RULE, _node_lookup(values))[2]
     except ConvergenceError as exc:
         ratio = exc.best[2]
+    except ValueError as exc:
+        assert "at the first node" in str(exc)
+        return
     assert ratio <= 1.0
 
 

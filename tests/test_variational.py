@@ -249,6 +249,16 @@ class TestFreeFunctionType:
             optimize_function(StateSpec(6, 3), quick_rule,
                               lambda x: 0.0 if x == first else 1.0)
 
+    @pytest.mark.parametrize("first", [5e-324, 4.8e-223, 1e-40])
+    def test_tiny_first_value_rejected(self, quick_rule, first):
+        # gauged to value/node 1 at the first node, the other values leave
+        # the float range, or Ip^4 does, or the oracle's bound side does,
+        # which at this n is no fault of n
+        x0 = quick_rule.half_nodes[0]
+        with pytest.raises(ValueError, match="this small at the first node"):
+            optimize_function(StateSpec(4, 2), quick_rule,
+                              lambda x: first if x == x0 else 1.0)
+
     def test_nonfinite_values_rejected(self, quick_rule):
         last = quick_rule.half_nodes[-1]
         with pytest.raises(ValueError, match="finite"):

@@ -5,8 +5,10 @@ the critical purity at eta = 1 and the slope of ln B in eta at that
 efficiency, all three empty where B(1, 1) <= 1.  They come from the two
 closed-form sides in mpmath (``mp_figure2_row`` of ``tests/reference.py``),
 worked at 50 digits and printed at 40, so that a float that starts a root
-search one ulp elsewhere does not move a printed digit.  A test holds every
-functional field of ``figure2 --n-max 300`` to the committed file.
+search one ulp elsewhere does not move a printed digit.  The tests hold
+every functional field of ``figure2 --n-max 300`` to the committed file,
+and every ``B_optimal`` of ``figure1 --n-max 300`` too: at eta = 1 it is
+``p_crit``^-2.
 
     python tools/figure2_reference.py [--n-max 300] [--out FILE]
 
